@@ -5,9 +5,8 @@ of — history append/window ops, LHS feature extraction, LambdaMART fit,
 a small end-to-end comparison, the sequence-model kernels (batched
 LSTM predictor inference, bucketed CRF/BiLSTM-CRF tagging, MC-dropout
 reuse, the per-round prediction cache), the million-sample pool
-paths (partial top-k selection, history append at scale, zero-copy
-worker dispatch), and the broker-less distributed grid (cells/sec at
-1/2/4 workers, stale-lease reclaim latency per backend) — against the
+path (partial top-k selection), and the broker-less distributed grid
+(cells/sec at 1/2/4 workers, stale-lease reclaim latency) — against the
 retained ``_*_reference``/oracle implementations of the per-sample
 code paths, and writes the measurements to ``BENCH_hotpaths.json``,
 ``BENCH_seqmodels.json``, ``BENCH_poolscale.json``,
@@ -36,7 +35,6 @@ import argparse
 import json
 import multiprocessing
 import os
-import pickle
 import shutil
 import sys
 import tempfile
@@ -333,38 +331,20 @@ def bench_end_to_end(quick: bool) -> dict:
         "WSHS(Entropy)": lambda: WSHS(Entropy(), window=3),
     }
 
-    def run(n_jobs: int) -> None:
+    def run() -> None:
         run_comparison(
             lambda: LinearSoftmax(epochs=4, seed=0),
             factories,
             train,
             test,
             config=config,
-            n_jobs=n_jobs,
         )
 
-    # The runner silently falls back to serial when fork is unavailable
-    # and caps workers at the number of grid cells; record what actually
-    # ran, not just what was requested.
-    cells = len(factories) * config.repeats
-    def effective_jobs(requested: int) -> int:
-        if requested > 1 and cells > 1 and (
-            "fork" in multiprocessing.get_all_start_methods()
-        ):
-            return min(requested, cells)
-        return 1
-
-    serial_seconds = _best_of(lambda: run(1), 1)
-    parallel_seconds = _best_of(lambda: run(2), 1)
     return {
         "pool_size": cut,
         "rounds": config.rounds,
         "repeats": config.repeats,
-        "serial_seconds": serial_seconds,
-        "n_jobs2_seconds": parallel_seconds,
-        "n_jobs_requested": 2,
-        "n_jobs_used": effective_jobs(2),
-        "parallel_speedup": serial_seconds / parallel_seconds,
+        "serial_seconds": _best_of(run, 1),
     }
 
 
@@ -627,74 +607,6 @@ def bench_pool_selection(n: int, k: int, repeats: int) -> dict:
     }
 
 
-def bench_pool_history_append(n: int, rounds: int, repeats: int) -> dict:
-    """Per-backend cost of recording ``rounds`` score rows over ``n`` samples.
-
-    All three backends run the same validated scatter-write; the spread
-    shows what the shared-memory / mmap indirection costs at pool scale.
-    """
-    rng = np.random.default_rng(23)
-    per_round = _round_indices(rng, n, rounds)
-    score_rows = [rng.random(len(indices)) for indices in per_round]
-
-    def run(backend: str) -> None:
-        store = HistoryStore(n, backend=backend)
-        for round_index, (indices, scores) in enumerate(
-            zip(per_round, score_rows), 1
-        ):
-            store.append(round_index, indices, scores)
-        store.close()
-
-    timings = {
-        backend: _best_of(lambda b=backend: run(b), repeats)
-        for backend in ("local", "shared", "mmap")
-    }
-    return {
-        "n_samples": n,
-        "rounds": rounds,
-        **{f"{backend}_seconds": seconds for backend, seconds in timings.items()},
-        "shared_overhead": timings["shared"] / timings["local"],
-        "mmap_overhead": timings["mmap"] / timings["local"],
-    }
-
-
-def bench_pool_worker_dispatch(n: int, rounds: int, repeats: int) -> dict:
-    """Handing a history store to a worker: pickle copy vs descriptor attach.
-
-    The pickle path is what crossing a process boundary by value costs —
-    the full score matrix serialised and rebuilt.  The attach path maps
-    the owner's shared segment by name: O(1) in pool size.  Process
-    startup is excluded from both so the ratio isolates the transfer.
-    """
-    rng = np.random.default_rng(24)
-    store = HistoryStore(n, strategy_name="entropy", backend="shared")
-    for round_index, indices in enumerate(_round_indices(rng, n, rounds), 1):
-        store.append(round_index, indices, rng.random(len(indices)))
-
-    view = HistoryStore.attach(store.share_descriptor())
-    np.testing.assert_array_equal(view._matrix, store._matrix)
-    view.close()
-
-    def round_trip_pickle() -> None:
-        pickle.loads(pickle.dumps(store))
-
-    def round_trip_attach() -> None:
-        HistoryStore.attach(store.share_descriptor()).close()
-
-    pickle_seconds = _best_of(round_trip_pickle, max(1, repeats - 1))
-    attach_seconds = _best_of(round_trip_attach, repeats)
-    payload_bytes = store._matrix.nbytes
-    store.close()
-    return {
-        "n_samples": n,
-        "rounds": rounds,
-        "matrix_bytes": payload_bytes,
-        "pickle_seconds": pickle_seconds,
-        "attach_seconds": attach_seconds,
-        "speedup": pickle_seconds / attach_seconds,
-    }
-
-
 def run_pool_scale(quick: bool, repeats: int, output: Path) -> dict:
     """Run the pool-scale suite and write ``BENCH_poolscale.json``."""
     results: dict[str, dict] = {}
@@ -711,26 +623,6 @@ def run_pool_scale(quick: bool, repeats: int, output: Path) -> dict:
             f"({entry['new_seconds'] * 1e3:.1f} ms new), batches identical"
         )
     results["selection"] = {"sizes": selection}
-
-    append_n = 50_000 if quick else 1_000_000
-    results["history_append"] = bench_pool_history_append(
-        n=append_n, rounds=10 if quick else 30, repeats=repeats
-    )
-    print(
-        f"  history append n={append_n:,}: shared "
-        f"{results['history_append']['shared_overhead']:.2f}x local, mmap "
-        f"{results['history_append']['mmap_overhead']:.2f}x local"
-    )
-
-    dispatch_n = 50_000 if quick else 1_000_000
-    results["worker_dispatch"] = bench_pool_worker_dispatch(
-        n=dispatch_n, rounds=10 if quick else 30, repeats=repeats
-    )
-    print(
-        f"  worker dispatch n={dispatch_n:,}: attach "
-        f"{results['worker_dispatch']['speedup']:6.1f}x vs pickle copy "
-        f"({results['worker_dispatch']['matrix_bytes'] / 1e6:.0f} MB matrix)"
-    )
 
     payload = {
         "benchmark": "pool_scale",
@@ -800,29 +692,16 @@ def bench_dist_throughput(spec: ExperimentSpec, worker_counts: "list[int]") -> d
 def _backdate_leases(queue, seconds: float) -> None:
     """Age every held lease by ``seconds`` — a worker census that died.
 
-    Reaches into the backend's heartbeat representation (lease-file
-    mtime / ``heartbeat`` column) so the bench can make leases stale
-    instantly instead of using a TTL so short the successor's *own*
-    claims would expire mid-measurement.
+    Sets the lease files' mtime (the heartbeat) so the bench can make
+    leases stale instantly instead of using a TTL so short the
+    successor's *own* claims would expire mid-measurement.
     """
     past = time.time() - seconds
-    lease_dir = queue.directory / "leases"
-    if lease_dir.is_dir():
-        for lease in lease_dir.glob("*.json"):
-            os.utime(lease, (past, past))
-    db_path = queue.directory / "queue.db"
-    if db_path.exists():
-        import sqlite3
-
-        with sqlite3.connect(db_path) as connection:
-            connection.execute(
-                "UPDATE cells SET heartbeat = heartbeat - ? "
-                "WHERE state = 'claimed'",
-                (seconds,),
-            )
+    for lease in (queue.directory / "leases").glob("*.json"):
+        os.utime(lease, (past, past))
 
 
-def bench_dist_reclaim(repeats_per_strategy: int, backend: str) -> dict:
+def bench_dist_reclaim(repeats_per_strategy: int) -> dict:
     """Latency for a successor to reap a dead worker's lease and reclaim.
 
     Pure queue protocol, no model training: materialize a grid, claim
@@ -835,9 +714,7 @@ def bench_dist_reclaim(repeats_per_strategy: int, backend: str) -> dict:
     spec = _dist_spec(repeats_per_strategy, rounds=2, scale=0.05, epochs=2)
     lease = LeaseConfig(ttl=600.0)  # ample: only backdated leases go stale
     with tempfile.TemporaryDirectory(prefix="bench-reclaim-") as scratch:
-        fresh = create_queue(
-            Path(scratch) / "fresh", spec, backend=backend, lease=lease
-        )
+        fresh = create_queue(Path(scratch) / "fresh", spec, lease=lease)
         fresh_latencies = []
         while True:
             start = time.perf_counter()
@@ -846,9 +723,7 @@ def bench_dist_reclaim(repeats_per_strategy: int, backend: str) -> dict:
                 break
             fresh_latencies.append(time.perf_counter() - start)
 
-        queue = create_queue(
-            Path(scratch) / "queue", spec, backend=backend, lease=lease
-        )
+        queue = create_queue(Path(scratch) / "queue", spec, lease=lease)
         while queue.claim("dead") is not None:
             pass
         _backdate_leases(queue, seconds=lease.ttl * 4)
@@ -861,7 +736,6 @@ def bench_dist_reclaim(repeats_per_strategy: int, backend: str) -> dict:
             reclaim_latencies.append(time.perf_counter() - start)
     assert len(reclaim_latencies) == len(fresh_latencies)
     return {
-        "backend": backend,
         "cells": len(reclaim_latencies),
         "fresh_claim_mean_ms": float(np.mean(fresh_latencies) * 1e3),
         "reclaim_mean_ms": float(np.mean(reclaim_latencies) * 1e3),
@@ -895,19 +769,13 @@ def run_dist_scale(quick: bool, output: Path) -> dict:
             f"{cores} core{'s' if cores != 1 else ''}, expect < 1x on one)"
         )
 
-    cells = 10 if quick else 50
-    reclaim = [
-        bench_dist_reclaim(repeats_per_strategy=cells, backend=backend)
-        for backend in ("file", "sqlite")
-    ]
-    results["reclaim"] = {"backends": reclaim}
-    for entry in reclaim:
-        print(
-            f"  reclaim ({entry['backend']:>6}): "
-            f"{entry['reclaim_mean_ms']:6.2f} ms/cell mean, "
-            f"{entry['reclaim_max_ms']:.2f} ms max "
-            f"({entry['reap_overhead']:.1f}x a fresh claim)"
-        )
+    reclaim = bench_dist_reclaim(repeats_per_strategy=10 if quick else 50)
+    results["reclaim"] = reclaim
+    print(
+        f"  reclaim: {reclaim['reclaim_mean_ms']:6.2f} ms/cell mean, "
+        f"{reclaim['reclaim_max_ms']:.2f} ms max "
+        f"({reclaim['reap_overhead']:.1f}x a fresh claim)"
+    )
 
     payload = {
         "benchmark": "dist_scale",
@@ -1556,11 +1424,9 @@ def main(argv: "list[str] | None" = None) -> int:
     )
 
     results["end_to_end"] = bench_end_to_end(quick)
-    cores = os.cpu_count() or 1
     print(
         "  end-to-end runner:    "
-        f"n_jobs=2 {results['end_to_end']['parallel_speedup']:.2f}x vs serial "
-        f"({cores} core{'s' if cores != 1 else ''}; expect < 1x on a single core)"
+        f"{results['end_to_end']['serial_seconds']:.2f} s serial"
     )
 
     payload = {
@@ -1568,8 +1434,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "mode": "quick" if quick else "full",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "numpy": np.__version__,
-        "cpu_count": cores,
-        "n_jobs_used": results["end_to_end"]["n_jobs_used"],
+        "cpu_count": os.cpu_count() or 1,
         "results": results,
     }
     arguments.output.write_text(json.dumps(payload, indent=2) + "\n")

@@ -169,18 +169,15 @@ def _experiment_from_flags(args: argparse.Namespace) -> ExperimentSpec:
             rounds=args.rounds,
             repeats=args.repeats,
             seed=args.seed,
-            history_backend=args.history_backend,
             training_mode=args.training_mode,
         ),
         runner={
-            "n_jobs": args.n_jobs,
             "checkpoint_dir": args.checkpoint_dir,
             "resume": args.resume,
             "max_retries": args.max_retries,
             "backoff": args.backoff,
             "on_error": args.on_error,
             "queue_dir": args.queue_dir,
-            "queue_backend": args.queue_backend,
             "local_workers": args.local_workers,
             "lease_ttl": args.lease_ttl,
             "timeout": args.grid_timeout,
@@ -733,9 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--strategies", nargs="+", required=True,
                          help="specs like: random entropy wshs:entropy lhs:lc")
     compare.add_argument("--repeats", type=int, default=3)
-    compare.add_argument("--n-jobs", type=int, default=1,
-                         help="worker processes for (strategy, repeat) cells; "
-                              "results are identical to a serial run")
     compare.add_argument("--targets", nargs="*", type=float, default=[],
                          help="also print annotations-to-target for these values")
     compare.add_argument("--ranker", default=None,
@@ -758,15 +752,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "jitter (default 0: retry immediately, the old "
                               "behavior)")
     compare.add_argument("--queue-dir", default=None,
-                         help="run the grid through a broker-less work queue "
-                              "materialized in this directory; extra workers "
-                              "on any host sharing it can join with "
+                         help="run the grid in parallel through a broker-less "
+                              "work queue materialized in this directory "
+                              "(results are identical to a serial run); extra "
+                              "workers on any host sharing it can join with "
                               "'repro worker --queue-dir DIR'")
-    compare.add_argument("--queue-backend", choices=["file", "sqlite"],
-                         default="file",
-                         help="queue state as lease files (safe on shared/"
-                              "network filesystems) or a sqlite database "
-                              "(faster for many small cells on local disk)")
     compare.add_argument("--local-workers", type=int, default=1,
                          help="worker processes to spawn locally alongside the "
                               "coordinator (0 = coordinate only, workers run "
@@ -782,12 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--on-error", choices=["raise", "skip"], default="raise",
                          help="'skip' drops permanently failed cells from the "
                               "averages (with a warning) instead of aborting")
-    compare.add_argument("--history-backend", choices=["local", "shared", "mmap"],
-                         default="local",
-                         help="HistoryStore buffer backend; 'shared'/'mmap' give "
-                              "the score matrix an OS-level name other processes "
-                              "attach to zero-copy (results are identical across "
-                              "backends)")
     compare.add_argument("--training-mode", choices=["cold", "warm"],
                          default="cold",
                          help="'cold' (default) refits each round's model from "

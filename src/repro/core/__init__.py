@@ -17,7 +17,7 @@
 
 from .events import EventLog, SessionObserver
 from .features import RankingFeatureExtractor
-from .history import HISTORY_BACKENDS, HistoryStore
+from .history import HistoryStore
 from .loop import ActiveLearningLoop
 from .pool import Pool
 from .prediction_cache import PredictionCache
@@ -29,7 +29,6 @@ __all__ = [
     "ALResult",
     "ActiveLearningLoop",
     "EventLog",
-    "HISTORY_BACKENDS",
     "HistoryStore",
     "LHSRanker",
     "Pool",

@@ -18,33 +18,9 @@ per-append reallocation would: reallocation happens O(log R) times and
 every append is an in-place row write.  :meth:`nbytes` reports the
 *logical* footprint (recorded rounds only, the quantity Table 2's space
 claim is about); :meth:`capacity_nbytes` reports the allocation.
-
-The buffer itself is provided by a pluggable *backend*:
-
-``"local"``
-    A process-private ``np.ndarray`` (the default; the historical
-    behaviour).
-``"shared"``
-    A ``multiprocessing.shared_memory`` segment.  The matrix then has an
-    OS-level name, so another process — a pool worker, a monitor — can
-    :meth:`attach` a read-only view by :meth:`share_descriptor` instead
-    of receiving a pickled copy: at 10^6-sample pools that turns an
-    O(rounds * N) serialisation into an O(1) handoff.
-``"mmap"``
-    An ``np.memmap`` over a temporary file; attachable the same way and
-    useful when the score matrix should not count against shared-memory
-    limits (or must outlive a crash for inspection).
-
-All numeric operations run on the same dtype/layout regardless of
-backend, so results are byte-identical across backends — the invariant
-the spec/checkpoint layer relies on when it records the backend choice.
 """
 
 from __future__ import annotations
-
-import os
-import tempfile
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -52,149 +28,6 @@ from ..exceptions import ConfigurationError, HistoryError
 
 #: Smallest number of rows allocated once the store is first written to.
 _MIN_CAPACITY = 8
-
-#: The recognised :class:`HistoryStore` buffer backends.
-HISTORY_BACKENDS = ("local", "shared", "mmap")
-
-
-def _untrack_shared_memory(segment: shared_memory.SharedMemory) -> None:
-    """Detach ``segment`` from this process's resource tracker.
-
-    An attaching process does not own the segment; without this, its
-    tracker would unlink the owner's memory when the attacher exits
-    (CPython's tracker registers on open, not just on create).
-    """
-    try:  # pragma: no cover - defensive against tracker internals moving
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _retrack_shared_memory(segment: shared_memory.SharedMemory) -> None:
-    """Re-register ``segment`` with the resource tracker before unlink.
-
-    The tracker keys segments by name in a set, so a same-process attach
-    followed by :func:`_untrack_shared_memory` also drops the *owner's*
-    registration; ``unlink()`` would then send an unmatched unregister
-    (a KeyError warning in the tracker process).  Registering is
-    idempotent, so this restores balance whether or not an in-process
-    attach happened.
-    """
-    try:  # pragma: no cover - defensive against tracker internals moving
-        resource_tracker.register(segment._name, "shared_memory")
-    except Exception:
-        pass
-
-
-class _LocalBuffer:
-    """Process-private ndarray allocation (the default backend)."""
-
-    kind = "local"
-
-    def allocate(self, shape: tuple) -> np.ndarray:
-        return np.empty(shape, dtype=np.float64)
-
-    def retire(self) -> None:
-        """Free the previous allocation after a growth copy (no-op)."""
-
-    def close(self) -> None:
-        """Release every allocation (no-op)."""
-
-    def descriptor(self) -> dict:
-        raise HistoryError(
-            "local history buffers have no shareable name; construct the "
-            "store with backend='shared' or backend='mmap'"
-        )
-
-
-class _SharedBuffer:
-    """Buffer in a named ``multiprocessing.shared_memory`` segment."""
-
-    kind = "shared"
-
-    def __init__(self) -> None:
-        self._segment: "shared_memory.SharedMemory | None" = None
-        self._previous: "shared_memory.SharedMemory | None" = None
-
-    def allocate(self, shape: tuple) -> np.ndarray:
-        nbytes = max(int(np.prod(shape)) * np.dtype(np.float64).itemsize, 1)
-        segment = shared_memory.SharedMemory(create=True, size=nbytes)
-        # The old segment stays alive until retire(): the caller still
-        # copies recorded rows out of it after this returns.
-        self._previous, self._segment = self._segment, segment
-        return np.ndarray(shape, dtype=np.float64, buffer=segment.buf)
-
-    def retire(self) -> None:
-        if self._previous is not None:
-            previous, self._previous = self._previous, None
-            previous.close()
-            _retrack_shared_memory(previous)
-            previous.unlink()
-
-    def close(self) -> None:
-        self.retire()
-        if self._segment is not None:
-            segment, self._segment = self._segment, None
-            segment.close()
-            try:
-                _retrack_shared_memory(segment)
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def descriptor(self) -> dict:
-        if self._segment is None:
-            raise HistoryError("history buffer not allocated yet")
-        return {"backend": self.kind, "name": self._segment.name}
-
-
-class _MmapBuffer:
-    """Buffer in an ``np.memmap`` over an unlinked-on-close temp file."""
-
-    kind = "mmap"
-
-    def __init__(self) -> None:
-        self._path: "str | None" = None
-        self._previous: "str | None" = None
-
-    def allocate(self, shape: tuple) -> np.ndarray:
-        handle, path = tempfile.mkstemp(prefix="repro-history-", suffix=".npy")
-        os.close(handle)
-        array = np.memmap(path, dtype=np.float64, mode="w+", shape=shape)
-        self._previous, self._path = self._path, path
-        return array
-
-    @staticmethod
-    def _remove(path: "str | None") -> None:
-        if path is not None:
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-
-    def retire(self) -> None:
-        previous, self._previous = self._previous, None
-        self._remove(previous)
-
-    def close(self) -> None:
-        self.retire()
-        path, self._path = self._path, None
-        self._remove(path)
-
-    def descriptor(self) -> dict:
-        if self._path is None:
-            raise HistoryError("history buffer not allocated yet")
-        return {"backend": self.kind, "path": self._path}
-
-
-def _make_buffer_backend(backend: str):
-    backends = {"local": _LocalBuffer, "shared": _SharedBuffer, "mmap": _MmapBuffer}
-    if backend not in backends:
-        known = ", ".join(HISTORY_BACKENDS)
-        raise ConfigurationError(
-            f"unknown history backend {backend!r}; known: {known}"
-        )
-    return backends[backend]()
 
 
 class HistoryStore:
@@ -208,22 +41,13 @@ class HistoryStore:
     strategy_name:
         Optional label of the base strategy whose scores are stored
         (diagnostic only).
-    backend:
-        Buffer backend: ``"local"`` (default), ``"shared"``, or
-        ``"mmap"`` (see module docstring).  Results are byte-identical
-        across backends.
     """
 
-    def __init__(
-        self, n_samples: int, strategy_name: str = "", backend: str = "local"
-    ) -> None:
+    def __init__(self, n_samples: int, strategy_name: str = "") -> None:
         if n_samples <= 0:
             raise ConfigurationError(f"n_samples must be positive, got {n_samples}")
         self.n_samples = int(n_samples)
         self.strategy_name = strategy_name
-        self._backend = _make_buffer_backend(backend)
-        self._attached: "shared_memory.SharedMemory | None" = None
-        self._readonly = False
         self._buffer = np.empty((0, self.n_samples), dtype=np.float64)
         self._round_ids = np.empty(0, dtype=np.int64)
         self._size = 0
@@ -234,14 +58,8 @@ class HistoryStore:
         self._index_seen = np.zeros(self.n_samples, dtype=bool)
         # Optional per-round predicted-label records (contradiction-rate
         # metric).  Sparse (round, indices, labels) triples; empty unless
-        # the engine runs with track_flips.  Labels never travel through
-        # share_descriptor/attach — attached stores see scores only.
+        # the engine runs with track_flips.
         self._label_rounds: "list[tuple[int, np.ndarray, np.ndarray]]" = []
-
-    @property
-    def backend(self) -> str:
-        """The buffer backend kind ("local", "shared", or "mmap")."""
-        return self._backend.kind
 
     @property
     def _matrix(self) -> np.ndarray:
@@ -252,128 +70,12 @@ class HistoryStore:
         if rows <= len(self._buffer):
             return
         capacity = max(rows, 2 * len(self._buffer), _MIN_CAPACITY)
-        buffer = self._backend.allocate((capacity, self.n_samples))
+        buffer = np.empty((capacity, self.n_samples), dtype=np.float64)
         buffer[: self._size] = self._buffer[: self._size]
         self._buffer = buffer
-        self._backend.retire()
         round_ids = np.empty(capacity, dtype=np.int64)
         round_ids[: self._size] = self._round_ids[: self._size]
         self._round_ids = round_ids
-
-    # -- cross-process sharing ---------------------------------------------
-
-    def share_descriptor(self) -> dict:
-        """A JSON-compatible handle another process can :meth:`attach` to.
-
-        Only the buffer travels by name; round ids and metadata ride in
-        the descriptor (they are O(rounds), not O(rounds * N)).  Requires
-        a ``"shared"`` or ``"mmap"`` backend.
-        """
-        self._ensure_capacity(max(self._size, 1))
-        return {
-            **self._backend.descriptor(),
-            "n_samples": self.n_samples,
-            "strategy_name": self.strategy_name,
-            "capacity": int(len(self._buffer)),
-            "size": int(self._size),
-            "round_ids": self._round_ids[: self._size].tolist(),
-        }
-
-    @classmethod
-    def attach(cls, descriptor: dict) -> "HistoryStore":
-        """A read-only store over another process's buffer (zero-copy).
-
-        The attached store supports every read operation; :meth:`append`
-        and :meth:`prune` raise :class:`~repro.exceptions.HistoryError`.
-        The owner keeps the buffer alive; call :meth:`close` when done
-        reading (it never unlinks the owner's memory).
-        """
-        kind = descriptor.get("backend")
-        shape = (int(descriptor["capacity"]), int(descriptor["n_samples"]))
-        store = cls(
-            int(descriptor["n_samples"]),
-            strategy_name=str(descriptor.get("strategy_name", "")),
-        )
-        if kind == "shared":
-            segment = shared_memory.SharedMemory(name=descriptor["name"])
-            _untrack_shared_memory(segment)
-            store._attached = segment
-            buffer = np.ndarray(shape, dtype=np.float64, buffer=segment.buf)
-        elif kind == "mmap":
-            buffer = np.memmap(descriptor["path"], dtype=np.float64, mode="r", shape=shape)
-        else:
-            raise HistoryError(f"cannot attach to backend {kind!r}")
-        store._readonly = True
-        store._buffer = buffer
-        size = int(descriptor["size"])
-        store._round_ids = np.asarray(descriptor["round_ids"], dtype=np.int64)
-        if len(store._round_ids) != size:
-            raise HistoryError(
-                f"descriptor size {size} does not match "
-                f"{len(store._round_ids)} round ids"
-            )
-        store._size = size
-        store._recompute_last_scores()
-        return store
-
-    def close(self) -> None:
-        """Release buffer resources.
-
-        Owners free (and unlink) their shared segment / mmap file;
-        attached stores just drop their view.  Local stores no-op.  The
-        store must not be used afterwards.
-        """
-        self._buffer = np.empty((0, self.n_samples), dtype=np.float64)
-        self._size = 0
-        if self._attached is not None:
-            attached, self._attached = self._attached, None
-            attached.close()
-        else:
-            self._backend.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __getstate__(self) -> dict:
-        """Pickle as logical data; non-local buffers do not pickle raw.
-
-        A shared/mmap buffer is a process-local resource handle, so
-        pickling materialises the recorded rows instead; the restored
-        store reallocates on the same backend kind.  (Zero-copy transfer
-        is :meth:`share_descriptor` / :meth:`attach`, not pickling.)
-        """
-        state = {
-            "n_samples": self.n_samples,
-            "strategy_name": self.strategy_name,
-            "backend": self._backend.kind,
-            "matrix": np.asarray(self._matrix).copy(),
-            "round_ids": self._round_ids[: self._size].copy(),
-        }
-        if self._label_rounds:
-            state["label_rounds"] = [
-                (round_index, indices.copy(), labels.copy())
-                for round_index, indices, labels in self._label_rounds
-            ]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            state["n_samples"],
-            strategy_name=state["strategy_name"],
-            backend=state["backend"],
-        )
-        matrix = state["matrix"]
-        if len(matrix):
-            self._ensure_capacity(len(matrix))
-            self._buffer[: len(matrix)] = matrix
-            self._round_ids[: len(matrix)] = state["round_ids"]
-            self._size = len(matrix)
-            self._recompute_last_scores()
-        for round_index, indices, labels in state.get("label_rounds", []):
-            self.append_labels(round_index, indices, labels)
 
     def _recompute_last_scores(self) -> None:
         """Rebuild the last-observation cache from the recorded matrix."""
@@ -403,8 +105,6 @@ class HistoryStore:
             On out-of-order or duplicate rounds, misaligned inputs, or
             out-of-range indices.
         """
-        if self._readonly:
-            raise HistoryError("attached history stores are read-only")
         indices = np.asarray(indices, dtype=np.int64)
         scores = np.asarray(scores, dtype=np.float64)
         if indices.shape != scores.shape or indices.ndim != 1:
@@ -449,11 +149,8 @@ class HistoryStore:
         ------
         HistoryError
             On out-of-order or duplicate label rounds, misaligned
-            inputs, out-of-range indices, or an attached (read-only)
-            store.
+            inputs, or out-of-range indices.
         """
-        if self._readonly:
-            raise HistoryError("attached history stores are read-only")
         indices = np.asarray(indices, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
         if indices.shape != labels.shape or indices.ndim != 1:
@@ -572,12 +269,10 @@ class HistoryStore:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: dict, backend: str = "local") -> "HistoryStore":
-        """Rebuild a store written by :meth:`to_dict` on ``backend``."""
+    def from_dict(cls, payload: dict) -> "HistoryStore":
+        """Rebuild a store written by :meth:`to_dict`."""
         history = cls(
-            int(payload["n_samples"]),
-            strategy_name=str(payload["strategy_name"]),
-            backend=backend,
+            int(payload["n_samples"]), strategy_name=str(payload["strategy_name"])
         )
         for row in payload["rounds"]:
             history.append(
@@ -621,8 +316,6 @@ class HistoryStore:
         ConfigurationError
             If ``keep_rounds`` is not positive.
         """
-        if self._readonly:
-            raise HistoryError("attached history stores are read-only")
         if keep_rounds < 1:
             raise ConfigurationError(f"keep_rounds must be >= 1, got {keep_rounds}")
         dropped = max(0, self._size - keep_rounds)

@@ -109,7 +109,6 @@ class ActiveLearningLoop:
         seed_or_rng: "int | np.random.Generator | None" = None,
         reseed_model: bool = True,
         history_limit: "int | None" = None,
-        history_backend: str = "local",
         training_mode: str = "cold",
     ) -> None:
         self._rng = ensure_rng(seed_or_rng)
@@ -128,7 +127,6 @@ class ActiveLearningLoop:
             seed_or_rng=self._rng,
             reseed_model=reseed_model,
             history_limit=history_limit,
-            history_backend=history_backend,
             training_mode=training_mode,
         )
         self.model_prototype = model_prototype
@@ -141,7 +139,6 @@ class ActiveLearningLoop:
         self.metric = probe.metric
         self.reseed_model = reseed_model
         self.history_limit = history_limit
-        self.history_backend = history_backend
         self.training_mode = training_mode
         self._keep_models = probe._keep_models
 
@@ -164,7 +161,6 @@ class ActiveLearningLoop:
             seed_or_rng=self._rng,
             reseed_model=self.reseed_model,
             history_limit=self.history_limit,
-            history_backend=self.history_backend,
             training_mode=self.training_mode,
             observers=observers,
         )

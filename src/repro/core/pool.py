@@ -6,6 +6,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
+# ``np.unique`` (see :meth:`Pool.label`) imports ``numpy.ma`` on its
+# first call, about 15 ms.  Importing it here puts that one-off cost at
+# startup instead of inside the first committed round of every run.
+import numpy.ma  # noqa: F401
+
 from ..exceptions import ConfigurationError, PoolError
 
 

@@ -287,7 +287,6 @@ class SessionEngine:
         seed_or_rng: "int | np.random.Generator | None" = None,
         reseed_model: bool = True,
         history_limit: "int | None" = None,
-        history_backend: str = "local",
         training_mode: str = "cold",
         track_flips: bool = False,
         observers: Sequence = (),
@@ -324,7 +323,6 @@ class SessionEngine:
         self.metric = metric or evaluate_model
         self.reseed_model = reseed_model
         self.history_limit = history_limit
-        self.history_backend = history_backend
         self.training_mode = training_mode
         #: Record each round's predicted labels for the unlabeled pool
         #: (contradiction-rate metric).  Prediction consumes no RNG, so
@@ -340,9 +338,7 @@ class SessionEngine:
         self._round_index = 0
         self._bootstrap_done = False
         self._pool = Pool(n)
-        self._history = HistoryStore(
-            n, strategy_name=strategy.name, backend=history_backend
-        )
+        self._history = HistoryStore(n, strategy_name=strategy.name)
         self._cache = PredictionCache(keep_rounds=max(1, self._keep_models))
         self._records: list[RoundRecord] = []
         self._selection_order: list[np.ndarray] = []
@@ -837,9 +833,6 @@ class SessionEngine:
                 "initial_size": self.initial_size,
                 "reseed_model": self.reseed_model,
                 "history_limit": self.history_limit,
-                # Informational: backends are result-neutral, so restore
-                # accepts a snapshot regardless of which one wrote it.
-                "history_backend": self.history_backend,
                 "training_mode": self.training_mode,
                 **config_extra,
                 "capabilities": strategy_capabilities(self.strategy),
@@ -873,14 +866,9 @@ class SessionEngine:
         train_dataset: "TextDataset | SequenceDataset",
         test_dataset: "TextDataset | SequenceDataset",
         metric: "Callable[[object, object], float] | None" = None,
-        history_backend: "str | None" = None,
         observers: Sequence = (),
     ) -> "SessionEngine":
         """Resume a session from a :meth:`snapshot` payload.
-
-        ``history_backend`` overrides the snapshot's recorded backend
-        (backends are result-neutral, so resuming on a different one is
-        always legal); ``None`` keeps the recorded choice.
 
         The components must be configured identically to the originals
         (the snapshot fingerprints strategy name, dataset sizes, and
@@ -958,11 +946,6 @@ class SessionEngine:
             seed_or_rng=rng_from_state(snapshot["rng"]),
             reseed_model=bool(config["reseed_model"]),
             history_limit=config["history_limit"],
-            history_backend=(
-                str(config.get("history_backend", "local"))
-                if history_backend is None
-                else history_backend
-            ),
             training_mode=str(config.get("training_mode", "cold")),
             track_flips=bool(config.get("track_flips", False)),
             observers=observers,
@@ -971,9 +954,7 @@ class SessionEngine:
         engine._round_index = int(snapshot["round_index"])
         engine._bootstrap_done = bool(snapshot["bootstrap_done"])
         engine._pool = Pool.from_dict(snapshot["pool"])
-        engine._history = HistoryStore.from_dict(
-            snapshot["history"], backend=engine.history_backend
-        )
+        engine._history = HistoryStore.from_dict(snapshot["history"])
         engine._records = [record_from_dict(r) for r in snapshot["records"]]
         engine._selection_order = [
             np.asarray(selected, dtype=np.int64)

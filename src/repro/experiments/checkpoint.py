@@ -181,8 +181,7 @@ class CheckpointStore:
             "initial_size": config.initial_size,
             "repeats": config.repeats,
             "seed": config.seed,
-            # Part of the fingerprint (unlike history_backend below):
-            # warm runs follow a different optimisation trajectory, so a
+            # Warm runs follow a different optimisation trajectory, so a
             # cold checkpoint must not satisfy a warm run or vice versa.
             "training_mode": config.training_mode,
         }
@@ -190,11 +189,6 @@ class CheckpointStore:
             # Key present only when tracking, so fingerprints (and
             # checkpoint bytes) of non-tracking runs are unchanged.
             self._config_fingerprint["track_flips"] = True
-        # Recorded in every payload for provenance, but deliberately NOT
-        # part of the fingerprint: history backends are result-neutral
-        # (byte-identical runs), so resuming under a different backend is
-        # legal and must not invalidate existing checkpoints.
-        self._history_backend = config.history_backend
 
     def _cell_specs(self, strategy: str) -> dict:
         """The spec fingerprint stored in (and expected of) a cell file."""
@@ -232,7 +226,6 @@ class CheckpointStore:
             "repeat": int(repeat),
             "seed": int(seed),
             "config": self._config_fingerprint,
-            "history_backend": self._history_backend,
             "specs": self._cell_specs(strategy),
             "result": result_to_dict(result),
         }
@@ -303,7 +296,6 @@ class CheckpointStore:
             "repeat": int(repeat),
             "seed": int(seed),
             "config": self._config_fingerprint,
-            "history_backend": self._history_backend,
             "specs": self._cell_specs(strategy),
             "session": snapshot,
         }

@@ -24,19 +24,12 @@ class ExperimentConfig:
         paper averages over cross-validation folds / repeated runs).
     seed:
         Master seed; repetition ``r`` derives its own child stream.
-    history_backend:
-        :class:`~repro.core.history.HistoryStore` buffer backend for
-        every cell's history ("local", "shared", or "mmap").  Backends
-        are result-neutral — runs are byte-identical across them — so
-        this is a deployment knob, not part of the experiment's
-        identity.
     training_mode:
         ``"cold"`` (default) refits every round's model from scratch —
         byte-identical to historical behaviour.  ``"warm"`` resumes each
         round's fit from the previous round's parameters for model
-        families that support it.  Unlike ``history_backend`` this *is*
-        part of the experiment's identity: warm runs follow a different
-        (faster) optimisation trajectory.
+        families that support it.  Part of the experiment's identity:
+        warm runs follow a different (faster) optimisation trajectory.
     track_flips:
         Record each round's predicted labels for the unlabeled pool in
         the history store, feeding the contradiction-rate metric.
@@ -50,12 +43,10 @@ class ExperimentConfig:
     initial_size: "int | None" = None
     repeats: int = 3
     seed: int = 7
-    history_backend: str = "local"
     training_mode: str = "cold"
     track_flips: bool = False
 
     def __post_init__(self) -> None:
-        from ..core.history import HISTORY_BACKENDS
         from ..core.session import TRAINING_MODES
 
         if self.training_mode not in TRAINING_MODES:
@@ -69,11 +60,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         if self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
-        if self.history_backend not in HISTORY_BACKENDS:
-            raise ConfigurationError(
-                f"history_backend must be one of {HISTORY_BACKENDS}, "
-                f"got {self.history_backend!r}"
-            )
 
     @property
     def labels_needed(self) -> int:

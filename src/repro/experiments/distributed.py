@@ -1,8 +1,8 @@
 """Broker-less distributed grid execution over a shared work queue.
 
-:func:`~repro.experiments.runner.run_comparison` fans a comparison grid
-over a process pool on one machine.  This module takes the same grid
-beyond one machine without introducing a broker: the *coordinator*
+:func:`~repro.experiments.runner.run_comparison` runs a comparison grid
+serially in one process.  This module runs the same grid in parallel, on
+one host or many, without introducing a broker: the *coordinator*
 materializes one pure-JSON spec document per (strategy, repeat) cell
 into a queue directory on a shared filesystem, and independent *worker*
 processes — started on any host that can see that directory, via
@@ -12,16 +12,10 @@ commit their results atomically into the existing
 :class:`~repro.experiments.checkpoint.CheckpointStore`.  The coordinator
 just watches the checkpoint store fill in.
 
-Two queue backends share one protocol:
-
-* ``file`` — everything is plain files.  A cell is claimed by creating
-  its lease file with ``O_CREAT | O_EXCL`` (atomic on POSIX, including
-  NFS v3+); the lease carries the owner id and its mtime is the
-  heartbeat, renewed by ``os.utime``.
-* ``sqlite`` — cell state lives in a single ``queue.db`` (sqlite3,
-  stdlib); claims are ``BEGIN IMMEDIATE`` transactions.  Better for
-  many small cells on a local disk; the file backend is the one to use
-  over network filesystems.
+Queue state is plain files.  A cell is claimed by creating its lease
+file with ``O_CREAT | O_EXCL`` (atomic on POSIX, including NFS v3+); the
+lease carries the owner id and its mtime is the heartbeat, renewed by
+``os.utime``.
 
 Robustness model
 ----------------
@@ -73,11 +67,9 @@ import json
 import multiprocessing
 import os
 import socket
-import sqlite3
 import threading
 import time
 import uuid
-from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -101,8 +93,9 @@ from .runner import (
 # re-exported here by the module that owns their readers.
 from ..formats import CELL_FORMAT, CELL_VERSION, QUEUE_FORMAT, QUEUE_VERSION
 
-#: Queue backends :func:`create_queue` accepts.
-QUEUE_BACKENDS = ("file", "sqlite")
+#: The ``backend`` every queue envelope records.  Earlier versions also
+#: wrote ``"sqlite"``; such queues are refused with a :class:`QueueError`.
+QUEUE_BACKEND = "file"
 
 
 @dataclass(frozen=True)
@@ -215,16 +208,29 @@ def _retry_to_dict(policy: RetryPolicy) -> dict:
 
 
 class CellQueue:
-    """Shared protocol of both queue backends (see module docstring).
+    """The file-lease work queue of one grid (see module docstring).
 
     Construction loads the queue's envelope (``queue.json``): the
     experiment document every worker rebuilds its datasets from, the
     lease and retry policies, the ordered cell tickets, and where the
-    checkpoint store lives.  Backends implement the claim/heartbeat/
-    commit/fail/reap state transitions.
+    checkpoint store lives.  Every state transition is a file operation.
+    Layout under the queue directory::
+
+        queue.json          envelope (experiment doc, lease/retry, tickets)
+        cells/<id>.json     one self-contained spec document per cell
+        leases/<id>.json    O_CREAT|O_EXCL claim; mtime = heartbeat
+        retry/<id>.json     backoff state; .attempt-<n> tokens count failures
+        done/<id>.json      commit marker (created durably, after the result)
+        failed/<id>.json    quarantine record (a CellFailure, as JSON)
+        audit.log           append-only JSONL protocol trace
+
+    Only ``O_CREAT | O_EXCL`` creation, ``rename``, and ``utime`` are
+    load-bearing for correctness — the operations that are atomic on
+    POSIX filesystems including NFS — so the queue is safe for multiple
+    hosts sharing the directory.
     """
 
-    backend = "abstract"
+    _SUBDIRS = ("cells", "leases", "retry", "done", "failed")
 
     def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
@@ -242,10 +248,12 @@ class CellQueue:
                 f"unsupported queue version {envelope.get('version')!r} "
                 f"in {envelope_path}"
             )
-        if envelope.get("backend") != self.backend:
+        if envelope.get("backend") != QUEUE_BACKEND:
             raise QueueError(
                 f"{envelope_path} was materialized with backend "
-                f"{envelope.get('backend')!r}, opened as {self.backend!r}"
+                f"{envelope.get('backend')!r}; only the {QUEUE_BACKEND!r} lease "
+                "queue is supported, so re-materialize the grid in a fresh "
+                "queue directory"
             )
         self.experiment: dict = envelope["experiment"]
         self.lease = LeaseConfig.from_dict(envelope["lease"])
@@ -253,8 +261,11 @@ class CellQueue:
         self.tickets = [CellTicket.from_dict(cell) for cell in envelope["cells"]]
         self._tickets_by_id = {ticket.cell_id: ticket for ticket in self.tickets}
         self._checkpoint_dir = str(envelope["checkpoint_dir"])
+        for name in self._SUBDIRS:
+            (self.directory / name).mkdir(exist_ok=True)
+        self._reap_counter = itertools.count()
 
-    # -- shared helpers ----------------------------------------------------
+    # -- helpers ---------------------------------------------------------
 
     @property
     def checkpoint_directory(self) -> Path:
@@ -306,82 +317,6 @@ class CellQueue:
     def _lease_stale(self, age: float) -> bool:
         """Stale = expired, or heartbeat from the future beyond tolerance."""
         return age > self.lease.ttl or -age > self.lease.skew
-
-    # -- backend protocol --------------------------------------------------
-
-    def claim(self, owner: str) -> "Claim | None":
-        """Atomically claim the next eligible cell, or ``None``."""
-        raise NotImplementedError
-
-    def heartbeat(self, claim: Claim) -> bool:
-        """Renew the lease; ``False`` means it was lost (reaped/overtaken)."""
-        raise NotImplementedError
-
-    def commit(self, claim: Claim) -> bool:
-        """Settle the cell as done; ``False`` = someone beat us to it."""
-        raise NotImplementedError
-
-    def fail(self, claim: Claim, error: Exception) -> str:
-        """Record one failed attempt; returns ``"retry"`` or ``"quarantined"``."""
-        raise NotImplementedError
-
-    def release(self, claim: Claim, reason: str) -> None:
-        """Give the cell back without charging an attempt (e.g. Ctrl-C)."""
-        raise NotImplementedError
-
-    def release_owned(self, owners: "list[str]", reason: str) -> int:
-        """Release every lease held by one of ``owners``; returns count."""
-        raise NotImplementedError
-
-    def reap_stale(self) -> int:
-        """Reclaim cells whose lease went stale; returns how many."""
-        raise NotImplementedError
-
-    def settled(self) -> bool:
-        """True when every cell is done or permanently failed."""
-        raise NotImplementedError
-
-    def counts(self) -> dict:
-        """Cell-state tallies: total/done/failed/claimed/pending."""
-        raise NotImplementedError
-
-    def failures(self) -> "dict[str, CellFailure]":
-        """Quarantined cells: cell id -> audit record."""
-        raise NotImplementedError
-
-    def quarantine_unsettled(self, reason: str) -> int:
-        """Force-fail every not-yet-settled cell (coordinator timeout)."""
-        raise NotImplementedError
-
-
-class FileCellQueue(CellQueue):
-    """Pure-filesystem backend: every state transition is a file operation.
-
-    Layout under the queue directory::
-
-        queue.json          envelope (experiment doc, lease/retry, tickets)
-        cells/<id>.json     one self-contained spec document per cell
-        leases/<id>.json    O_CREAT|O_EXCL claim; mtime = heartbeat
-        retry/<id>.json     backoff state; .attempt-<n> tokens count failures
-        done/<id>.json      commit marker (created durably, after the result)
-        failed/<id>.json    quarantine record (a CellFailure, as JSON)
-        audit.log           append-only JSONL protocol trace
-
-    Only ``O_CREAT | O_EXCL`` creation, ``rename``, and ``utime`` are
-    load-bearing for correctness — the operations that are atomic on
-    POSIX filesystems including NFS — so the backend is safe for
-    multiple hosts sharing the directory.
-    """
-
-    backend = "file"
-
-    _SUBDIRS = ("cells", "leases", "retry", "done", "failed")
-
-    def __init__(self, directory: "str | Path") -> None:
-        super().__init__(directory)
-        for name in self._SUBDIRS:
-            (self.directory / name).mkdir(exist_ok=True)
-        self._reap_counter = itertools.count()
 
     # -- paths -------------------------------------------------------------
 
@@ -442,6 +377,7 @@ class FileCellQueue(CellQueue):
         return True
 
     def claim(self, owner: str) -> "Claim | None":
+        """Atomically claim the next eligible cell, or ``None``."""
         now = time.time()
         for ticket in self.tickets:
             cell_id = ticket.cell_id
@@ -479,6 +415,7 @@ class FileCellQueue(CellQueue):
         return None
 
     def heartbeat(self, claim: Claim) -> bool:
+        """Renew the lease; ``False`` means it was lost (reaped/overtaken)."""
         lease = self._lease_path(claim.ticket.cell_id)
         info = self._read_json(lease)
         if info is None or info.get("owner") != claim.owner:
@@ -503,6 +440,7 @@ class FileCellQueue(CellQueue):
     # -- settling ----------------------------------------------------------
 
     def commit(self, claim: Claim) -> bool:
+        """Settle the cell as done; ``False`` = someone beat us to it."""
         cell_id = claim.ticket.cell_id
         marker = self._done_path(cell_id)
         payload = json.dumps(
@@ -526,6 +464,7 @@ class FileCellQueue(CellQueue):
         return True
 
     def fail(self, claim: Claim, error: Exception) -> str:
+        """Record one failed attempt; returns ``"retry"`` or ``"quarantined"``."""
         cell_id = claim.ticket.cell_id
         # O_EXCL attempt tokens make the failure count monotone even when
         # a reaped zombie and its replacement fail concurrently.
@@ -581,6 +520,7 @@ class FileCellQueue(CellQueue):
         return "retry"
 
     def release(self, claim: Claim, reason: str) -> None:
+        """Give the cell back without charging an attempt (e.g. Ctrl-C)."""
         if self._drop_lease(claim):
             self.audit(
                 "released", cell=claim.ticket.cell_id, owner=claim.owner,
@@ -588,6 +528,7 @@ class FileCellQueue(CellQueue):
             )
 
     def release_owned(self, owners: "list[str]", reason: str) -> int:
+        """Release every lease held by one of ``owners``; returns count."""
         released = 0
         wanted = set(owners)
         for lease in (self.directory / "leases").glob("*.json"):
@@ -605,6 +546,7 @@ class FileCellQueue(CellQueue):
         return released
 
     def reap_stale(self) -> int:
+        """Reclaim cells whose lease went stale; returns how many."""
         now = time.time()
         reaped = 0
         for lease in (self.directory / "leases").glob("*.json"):
@@ -621,12 +563,14 @@ class FileCellQueue(CellQueue):
     # -- queries -----------------------------------------------------------
 
     def settled(self) -> bool:
+        """True when every cell is done or permanently failed."""
         return all(
             self._done_path(t.cell_id).exists() or self._failed_path(t.cell_id).exists()
             for t in self.tickets
         )
 
     def counts(self) -> dict:
+        """Cell-state tallies: total/done/failed/claimed/pending."""
         done = failed = claimed = 0
         for ticket in self.tickets:
             if self._done_path(ticket.cell_id).exists():
@@ -645,6 +589,7 @@ class FileCellQueue(CellQueue):
         }
 
     def failures(self) -> "dict[str, CellFailure]":
+        """Quarantined cells: cell id -> audit record."""
         records: dict[str, CellFailure] = {}
         for ticket in self.tickets:
             payload = self._read_json(self._failed_path(ticket.cell_id))
@@ -659,6 +604,7 @@ class FileCellQueue(CellQueue):
         return records
 
     def quarantine_unsettled(self, reason: str) -> int:
+        """Force-fail every not-yet-settled cell (coordinator timeout)."""
         quarantined = 0
         for ticket in self.tickets:
             cell_id = ticket.cell_id
@@ -678,286 +624,6 @@ class FileCellQueue(CellQueue):
             self.audit("quarantined", cell=cell_id, error=reason)
             quarantined += 1
         return quarantined
-
-
-class SqliteCellQueue(CellQueue):
-    """Sqlite3 backend: cell state in one ``queue.db``, claims in
-    ``BEGIN IMMEDIATE`` transactions.
-
-    Every operation opens its own short-lived connection (workers are
-    independent processes), relies on sqlite's file locking for mutual
-    exclusion, and mirrors the file backend's semantics exactly — the
-    crash-equivalence tests run against both.  Heartbeats are a column
-    instead of an mtime.  The experiment envelope still lives in
-    ``queue.json`` so ``open_queue`` can dispatch without touching the
-    database.
-    """
-
-    backend = "sqlite"
-
-    _SCHEMA = """
-        CREATE TABLE IF NOT EXISTS cells (
-            cell_id        TEXT PRIMARY KEY,
-            position       INTEGER NOT NULL,
-            strategy       TEXT NOT NULL,
-            strategy_index INTEGER NOT NULL,
-            repeat_index   INTEGER NOT NULL,
-            seed           INTEGER NOT NULL,
-            state          TEXT NOT NULL DEFAULT 'pending',
-            owner          TEXT,
-            heartbeat      REAL,
-            attempts       INTEGER NOT NULL DEFAULT 0,
-            not_before     REAL NOT NULL DEFAULT 0,
-            error          TEXT,
-            document       TEXT NOT NULL
-        )
-    """
-
-    def __init__(self, directory: "str | Path") -> None:
-        super().__init__(directory)
-        self._db_path = self.directory / "queue.db"
-        if not self._db_path.exists():
-            raise QueueError(f"queue database missing: {self._db_path}")
-
-    def _connect(self) -> sqlite3.Connection:
-        connection = sqlite3.connect(
-            self._db_path, timeout=30.0, isolation_level=None
-        )
-        connection.row_factory = sqlite3.Row
-        return connection
-
-    @classmethod
-    def _initialise(cls, directory: Path, tickets: "list[CellTicket]",
-                    documents: "dict[str, dict]") -> None:
-        with closing(sqlite3.connect(directory / "queue.db")) as connection:
-            connection.execute(cls._SCHEMA)
-            connection.executemany(
-                "INSERT OR IGNORE INTO cells "
-                "(cell_id, position, strategy, strategy_index, repeat_index, "
-                " seed, document) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (
-                        ticket.cell_id,
-                        position,
-                        ticket.strategy,
-                        ticket.strategy_index,
-                        ticket.repeat,
-                        ticket.seed,
-                        json.dumps(documents[ticket.cell_id]),
-                    )
-                    for position, ticket in enumerate(tickets)
-                ],
-            )
-            connection.commit()
-
-    def _reap_in_transaction(self, connection: sqlite3.Connection, now: float) -> int:
-        stale = connection.execute(
-            "SELECT cell_id, owner FROM cells WHERE state = 'claimed' AND "
-            "(? - heartbeat > ? OR heartbeat - ? > ?)",
-            (now, self.lease.ttl, now, self.lease.skew),
-        ).fetchall()
-        for row in stale:
-            connection.execute(
-                "UPDATE cells SET state = 'pending', owner = NULL, "
-                "heartbeat = NULL WHERE cell_id = ?",
-                (row["cell_id"],),
-            )
-        return [(row["cell_id"], row["owner"]) for row in stale]
-
-    def claim(self, owner: str) -> "Claim | None":
-        now = time.time()
-        with closing(self._connect()) as connection:
-            connection.execute("BEGIN IMMEDIATE")
-            reaped = self._reap_in_transaction(connection, now)
-            row = connection.execute(
-                "SELECT cell_id, attempts FROM cells WHERE state = 'pending' "
-                "AND not_before <= ? ORDER BY position LIMIT 1",
-                (now,),
-            ).fetchone()
-            if row is not None:
-                connection.execute(
-                    "UPDATE cells SET state = 'claimed', owner = ?, heartbeat = ? "
-                    "WHERE cell_id = ?",
-                    (owner, now, row["cell_id"]),
-                )
-            connection.execute("COMMIT")
-        for cell_id, previous in reaped:
-            self.audit("reaped", cell=cell_id, owner=previous)
-        if row is None:
-            return None
-        attempt = int(row["attempts"])
-        self.audit("claimed", cell=row["cell_id"], owner=owner, attempt=attempt)
-        return Claim(ticket=self.ticket(row["cell_id"]), owner=owner, attempt=attempt)
-
-    def heartbeat(self, claim: Claim) -> bool:
-        with closing(self._connect()) as connection:
-            cursor = connection.execute(
-                "UPDATE cells SET heartbeat = ? WHERE cell_id = ? AND "
-                "state = 'claimed' AND owner = ?",
-                (time.time(), claim.ticket.cell_id, claim.owner),
-            )
-            return cursor.rowcount == 1
-
-    def commit(self, claim: Claim) -> bool:
-        cell_id = claim.ticket.cell_id
-        with closing(self._connect()) as connection:
-            connection.execute("BEGIN IMMEDIATE")
-            row = connection.execute(
-                "SELECT state FROM cells WHERE cell_id = ?", (cell_id,)
-            ).fetchone()
-            if row is None:
-                connection.execute("COMMIT")
-                raise QueueError(f"unknown cell {cell_id!r} in {self._db_path}")
-            duplicate = row["state"] == "done"
-            if not duplicate:
-                connection.execute(
-                    "UPDATE cells SET state = 'done', owner = ?, error = NULL "
-                    "WHERE cell_id = ?",
-                    (claim.owner, cell_id),
-                )
-            connection.execute("COMMIT")
-        if duplicate:
-            self.audit("duplicate-commit", cell=cell_id, owner=claim.owner)
-            return False
-        self.audit("committed", cell=cell_id, owner=claim.owner)
-        return True
-
-    def fail(self, claim: Claim, error: Exception) -> str:
-        cell_id = claim.ticket.cell_id
-        message = f"{type(error).__name__}: {error}"
-        with closing(self._connect()) as connection:
-            connection.execute("BEGIN IMMEDIATE")
-            row = connection.execute(
-                "SELECT attempts, state FROM cells WHERE cell_id = ?", (cell_id,)
-            ).fetchone()
-            if row is None:
-                connection.execute("COMMIT")
-                raise QueueError(f"unknown cell {cell_id!r} in {self._db_path}")
-            if row["state"] == "done":
-                connection.execute("COMMIT")
-                return "retry"  # settled elsewhere; nothing to record
-            attempts = int(row["attempts"]) + 1
-            if attempts >= self.retry.max_attempts:
-                connection.execute(
-                    "UPDATE cells SET state = 'failed', attempts = ?, error = ?, "
-                    "owner = NULL, heartbeat = NULL WHERE cell_id = ?",
-                    (attempts, message, cell_id),
-                )
-                outcome = "quarantined"
-            else:
-                delay = self.retry.delay(attempts, key=cell_id)
-                connection.execute(
-                    "UPDATE cells SET state = 'pending', attempts = ?, error = ?, "
-                    "not_before = ?, owner = NULL, heartbeat = NULL "
-                    "WHERE cell_id = ?",
-                    (attempts, message, time.time() + delay, cell_id),
-                )
-                outcome = "retry"
-            connection.execute("COMMIT")
-        if outcome == "quarantined":
-            self.audit(
-                "quarantined", cell=cell_id, owner=claim.owner,
-                attempts=attempts, error=message,
-            )
-        else:
-            self.audit(
-                "failed", cell=cell_id, owner=claim.owner,
-                attempts=attempts, error=message,
-            )
-        return outcome
-
-    def release(self, claim: Claim, reason: str) -> None:
-        if self.release_owned([claim.owner], reason):
-            pass
-
-    def release_owned(self, owners: "list[str]", reason: str) -> int:
-        if not owners:
-            return 0
-        placeholders = ", ".join("?" for _ in owners)
-        with closing(self._connect()) as connection:
-            connection.execute("BEGIN IMMEDIATE")
-            rows = connection.execute(
-                f"SELECT cell_id, owner FROM cells WHERE state = 'claimed' "
-                f"AND owner IN ({placeholders})",
-                list(owners),
-            ).fetchall()
-            for row in rows:
-                connection.execute(
-                    "UPDATE cells SET state = 'pending', owner = NULL, "
-                    "heartbeat = NULL WHERE cell_id = ?",
-                    (row["cell_id"],),
-                )
-            connection.execute("COMMIT")
-        for row in rows:
-            self.audit(
-                "released", cell=row["cell_id"], owner=row["owner"], reason=reason
-            )
-        return len(rows)
-
-    def reap_stale(self) -> int:
-        with closing(self._connect()) as connection:
-            connection.execute("BEGIN IMMEDIATE")
-            reaped = self._reap_in_transaction(connection, time.time())
-            connection.execute("COMMIT")
-        for cell_id, previous in reaped:
-            self.audit("reaped", cell=cell_id, owner=previous)
-        return len(reaped)
-
-    def settled(self) -> bool:
-        with closing(self._connect()) as connection:
-            row = connection.execute(
-                "SELECT COUNT(*) AS open FROM cells "
-                "WHERE state NOT IN ('done', 'failed')"
-            ).fetchone()
-            return int(row["open"]) == 0
-
-    def counts(self) -> dict:
-        with closing(self._connect()) as connection:
-            rows = connection.execute(
-                "SELECT state, COUNT(*) AS n FROM cells GROUP BY state"
-            ).fetchall()
-        tally = {row["state"]: int(row["n"]) for row in rows}
-        total = sum(tally.values())
-        return {
-            "total": total,
-            "done": tally.get("done", 0),
-            "failed": tally.get("failed", 0),
-            "claimed": tally.get("claimed", 0),
-            "pending": tally.get("pending", 0),
-        }
-
-    def failures(self) -> "dict[str, CellFailure]":
-        with closing(self._connect()) as connection:
-            rows = connection.execute(
-                "SELECT cell_id, strategy, repeat_index, attempts, error "
-                "FROM cells WHERE state = 'failed'"
-            ).fetchall()
-        return {
-            row["cell_id"]: CellFailure(
-                strategy=row["strategy"],
-                repeat=int(row["repeat_index"]),
-                attempts=int(row["attempts"]),
-                error=str(row["error"] or "unknown failure"),
-            )
-            for row in rows
-        }
-
-    def quarantine_unsettled(self, reason: str) -> int:
-        with closing(self._connect()) as connection:
-            connection.execute("BEGIN IMMEDIATE")
-            rows = connection.execute(
-                "SELECT cell_id FROM cells WHERE state NOT IN ('done', 'failed')"
-            ).fetchall()
-            for row in rows:
-                connection.execute(
-                    "UPDATE cells SET state = 'failed', error = ?, owner = NULL, "
-                    "heartbeat = NULL WHERE cell_id = ?",
-                    (reason, row["cell_id"]),
-                )
-            connection.execute("COMMIT")
-        for row in rows:
-            self.audit("quarantined", cell=row["cell_id"], error=reason)
-        return len(rows)
 
 
 # -- materialization ---------------------------------------------------------
@@ -1003,24 +669,39 @@ def _cell_document(spec: ExperimentSpec, ticket: CellTicket) -> dict:
     return document
 
 
+def _queue_spec(experiment_doc: dict) -> ExperimentSpec:
+    """The experiment a queue runs, parsed from its envelope document.
+
+    ``runner`` and ``report`` options (worker counts, timeouts, plot
+    flags) do not affect the produced bytes, so they are dropped before
+    parsing: a queue opens whatever options its coordinator wrote.
+    """
+    return ExperimentSpec.from_dict(
+        {
+            key: value
+            for key, value in experiment_doc.items()
+            if key not in ("runner", "report")
+        }
+    )
+
+
 def _science_document(experiment_doc: dict) -> dict:
     """The result-determining part of an experiment document.
 
-    ``runner`` and ``report`` options (worker counts, timeouts, plot
-    flags) do not affect the produced bytes, so re-opening a queue with
-    different ones is legal; everything else must match exactly.
+    Re-opening a queue with different runner or report options is
+    legal; everything else must match exactly.  The document is
+    normalised through :class:`ExperimentSpec`, so a queue materialized
+    by an earlier version (whose documents still carried retired
+    settings such as ``history_backend``) reopens as the same grid.
     """
-    return {
-        key: value
-        for key, value in experiment_doc.items()
-        if key not in ("runner", "report")
-    }
+    document = _queue_spec(experiment_doc).to_dict()
+    del document["runner"], document["report"]
+    return document
 
 
 def create_queue(
     directory: "str | Path",
     spec: ExperimentSpec,
-    backend: str = "file",
     lease: "LeaseConfig | None" = None,
     retry: "RetryPolicy | None" = None,
     checkpoint_dir: "str | Path | None" = None,
@@ -1034,10 +715,6 @@ def create_queue(
     coordinator resumes); a *different* experiment raises
     :class:`~repro.exceptions.QueueError` rather than mixing grids.
     """
-    if backend not in QUEUE_BACKENDS:
-        raise ConfigurationError(
-            f"queue backend must be one of {QUEUE_BACKENDS}, got {backend!r}"
-        )
     directory = Path(directory)
     experiment_doc = spec.to_dict()
     envelope_path = directory / "queue.json"
@@ -1051,17 +728,12 @@ def create_queue(
         return queue
     directory.mkdir(parents=True, exist_ok=True)
     tickets = _grid_tickets(spec)
-    documents = {
-        ticket.cell_id: _cell_document(spec, ticket) for ticket in tickets
-    }
     cells_dir = directory / "cells"
     cells_dir.mkdir(exist_ok=True)
     for ticket in tickets:
         atomic_write_json(
-            cells_dir / f"{ticket.cell_id}.json", documents[ticket.cell_id]
+            cells_dir / f"{ticket.cell_id}.json", _cell_document(spec, ticket)
         )
-    if backend == "sqlite":
-        SqliteCellQueue._initialise(directory, tickets, documents)
     if checkpoint_dir is None:
         stored_checkpoint = "checkpoints"
         (directory / "checkpoints").mkdir(exist_ok=True)
@@ -1072,7 +744,7 @@ def create_queue(
         {
             "format": QUEUE_FORMAT,
             "version": QUEUE_VERSION,
-            "backend": backend,
+            "backend": QUEUE_BACKEND,
             "experiment": experiment_doc,
             "lease": (lease or LeaseConfig()).to_dict(),
             "retry": _retry_to_dict(retry or RetryPolicy()),
@@ -1082,27 +754,13 @@ def create_queue(
         durable=True,
     )
     queue = open_queue(directory)
-    queue.audit("materialized", cells=len(tickets), backend=backend)
+    queue.audit("materialized", cells=len(tickets))
     return queue
 
 
 def open_queue(directory: "str | Path") -> CellQueue:
-    """Open an existing queue directory, dispatching on its backend."""
-    envelope_path = Path(directory) / "queue.json"
-    try:
-        envelope = json.loads(envelope_path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise QueueError(
-            f"cannot read queue envelope {envelope_path}: {error}"
-        ) from error
-    backend = envelope.get("backend") if isinstance(envelope, dict) else None
-    if backend == "file":
-        return FileCellQueue(directory)
-    if backend == "sqlite":
-        return SqliteCellQueue(directory)
-    raise QueueError(
-        f"unknown queue backend {backend!r} in {envelope_path}"
-    )
+    """Open an existing queue directory (:class:`QueueError` if it is not one)."""
+    return CellQueue(directory)
 
 
 # -- the worker --------------------------------------------------------------
@@ -1183,7 +841,7 @@ def run_worker(
     queue = open_queue(queue_dir)
     owner = owner or default_owner()
     emit = on_event if on_event is not None else (lambda event, cell_id: None)
-    spec = ExperimentSpec.from_dict(queue.experiment)
+    spec = _queue_spec(queue.experiment)
     train_dataset, test_dataset, _task = spec.build_datasets()
     model_spec = spec.resolved_model().to_dict()
     strategy_specs = {
@@ -1273,7 +931,7 @@ def collect_results(
         any mode when a cell is unsettled or every repeat of a strategy
         failed.
     """
-    spec = ExperimentSpec.from_dict(queue.experiment)
+    spec = _queue_spec(queue.experiment)
     store = CheckpointStore(
         queue.checkpoint_directory,
         spec.config,
@@ -1360,7 +1018,6 @@ def run_distributed(
     spec: ExperimentSpec,
     queue_dir: "str | Path",
     workers: int = 1,
-    backend: str = "file",
     lease: "LeaseConfig | None" = None,
     retry: "RetryPolicy | None" = None,
     on_error: str = "raise",
@@ -1389,7 +1046,6 @@ def run_distributed(
     queue = create_queue(
         queue_dir,
         spec,
-        backend=backend,
         lease=lease,
         retry=retry,
         checkpoint_dir=checkpoint_dir,

@@ -5,22 +5,20 @@ Runs a set of strategies over the same dataset/model with matched seeds
 so differences between strategies are not confounded by different random
 starts — the comparison protocol the paper's averaged curves imply.
 
-Every (strategy, repeat) cell is an independent, fully seeded computation,
-so the grid can be fanned out across a process pool (``n_jobs > 1``)
-without changing a single byte of the results: each worker runs the same
-``SessionEngine`` the serial path would, and the results are reassembled
-in input order regardless of completion order.  Model and strategies may
-be given as factories (closures; fork-started pools only) or as
-:mod:`repro.specs` specs — pure data that pickles — in which case the
-pool also works under the ``spawn`` start method and checkpoints embed
-the specs that produced them.
+Every (strategy, repeat) cell is an independent, fully seeded
+computation.  :func:`run_comparison` runs the cells serially in this
+process; the same cells run in parallel — on this host or across hosts —
+through the lease queue of :mod:`repro.experiments.distributed`, whose
+workers call the same :func:`_run_cell` and produce the same bytes.
+Model and strategies may be given as factories (closures) or as
+:mod:`repro.specs` specs; only a fully spec-described grid can go
+through the queue, and its checkpoints embed the specs that produced
+them.  Factory-built grids run serially.
 
 The grid is also fault tolerant.  Completed cells can be checkpointed to
 a directory as they finish (``checkpoint_dir``) and skipped on restart;
-failing cells are retried up to :class:`RetryPolicy` bounds; a worker
-process dying (OOM kill, segfault — surfacing as ``BrokenProcessPool``)
-resubmits the lost cells to a fresh pool instead of aborting the grid;
-and ``on_error="skip"`` degrades gracefully, aggregating the surviving
+failing cells are retried up to :class:`RetryPolicy` bounds; and
+``on_error="skip"`` degrades gracefully, aggregating the surviving
 repeats and attaching a per-cell failure log to each
 :class:`StrategyResult` instead of raising.
 """
@@ -28,13 +26,8 @@ repeats and attaching a per-cell failure log to each
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
-import multiprocessing
 import time
 from collections.abc import Callable, Mapping
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -52,9 +45,6 @@ from .config import ExperimentConfig
 
 StrategyFactory = Callable[[], object]
 
-#: Start methods :func:`run_comparison` accepts for its worker pool.
-_START_METHODS = ("fork", "spawn")
-
 #: Recognised partial-failure handling modes of :func:`run_comparison`.
 _ON_ERROR_MODES = ("raise", "skip")
 
@@ -67,12 +57,7 @@ class RetryPolicy:
     ----------
     max_attempts:
         Total attempts per cell, including the first; ``1`` disables
-        retries.  The same bound limits consecutive *unproductive* pool
-        rebuilds after worker deaths: when a broken pool is rebuilt
-        ``max_attempts`` times without a single cell completing, the
-        still-pending cells are treated as permanently failed (worker
-        deaths cannot be attributed to one cell, so they are bounded by
-        progress rather than counted per cell).
+        retries.
     backoff:
         Base delay in seconds before the second attempt of a cell.
         ``0.0`` (the default) keeps the historical immediate-retry
@@ -160,21 +145,6 @@ class StrategyResult:
     failures: list[CellFailure] = field(default_factory=list)
 
 
-#: Shared per-worker state, installed by :func:`_set_pool_state` (the
-#: pool initializer) in every worker before it takes cells; only
-#: (strategy_index, repeat, seed) crosses the boundary per task.  Under
-#: ``fork`` the initargs are inherited by reference, so closure factories
-#: still work; under ``spawn`` they are pickled, which is exactly what
-#: spec-built factories (plain data + module-level builders) allow.
-_POOL_STATE: tuple | None = None
-
-
-def _set_pool_state(state: tuple) -> None:
-    """Pool-worker initializer: install the shared cell-building state."""
-    global _POOL_STATE
-    _POOL_STATE = state
-
-
 def _factory_from_spec(builder: Callable[[dict], object], spec: dict) -> Callable[[], object]:
     """A picklable zero-arg factory equivalent to ``lambda: builder(spec)``."""
     return partial(builder, spec)
@@ -187,10 +157,10 @@ def _normalise_components(
 
     Returns ``(model_factory, factories_by_name, model_spec,
     strategy_specs)`` where the factories are zero-arg callables (spec
-    inputs become picklable partials over the spec builders) and the
-    spec dicts are ``None`` unless *every* component was given as a spec
-    — only then is the grid fully data-described (spawn-safe workers,
-    spec-fingerprinted checkpoints).
+    inputs become partials over the spec builders) and the spec dicts
+    are ``None`` unless *every* component was given as a spec — only
+    then is the grid fully data-described (spec-fingerprinted
+    checkpoints).
     """
     model_spec = None
     if is_spec_like(model_factory):
@@ -222,35 +192,6 @@ def _normalise_components(
         model_spec if fully_specced else None,
         strategy_specs if fully_specced else None,
     )
-
-
-def _resolve_start_method(start_method: "str | None", spec_mode: bool) -> "str | None":
-    """Pick the pool start method; ``None`` means fall back to serial.
-
-    Auto-selection (``start_method=None``) prefers ``fork`` (cheapest,
-    works with closure factories) and falls back to ``spawn`` when the
-    platform lacks fork *and* every component was supplied as a spec —
-    a spec-described grid ships only data to the workers, so spawn is
-    byte-identical to fork and serial.
-    """
-    available = multiprocessing.get_all_start_methods()
-    if start_method is not None:
-        if start_method not in _START_METHODS:
-            raise ConfigurationError(
-                f"start_method must be one of {_START_METHODS}, "
-                f"got {start_method!r}"
-            )
-        if start_method not in available:
-            raise ConfigurationError(
-                f"start method {start_method!r} is unavailable on this "
-                f"platform (available: {available})"
-            )
-        return start_method
-    if "fork" in available:
-        return "fork"
-    if spec_mode and "spawn" in available:
-        return "spawn"
-    return None
 
 
 def grid_repeat_seeds(config: ExperimentConfig) -> np.ndarray:
@@ -296,7 +237,6 @@ def _run_cell(
             train_dataset,
             test_dataset,
             metric=metric,
-            history_backend=config.history_backend,
         )
     else:
         engine = SessionEngine(
@@ -309,7 +249,6 @@ def _run_cell(
             initial_size=config.initial_size,
             metric=metric,
             seed_or_rng=int(seed),
-            history_backend=config.history_backend,
             training_mode=config.training_mode,
             track_flips=config.track_flips,
         )
@@ -319,32 +258,6 @@ def _run_cell(
             strategy_name, repeat, int(seed), e.snapshot()
         )
     return run_to_completion(engine, on_round_committed=on_round_committed)
-
-
-def _run_cell_from_state(strategy_index: int, repeat: int, seed: int) -> ALResult:
-    """Pool-worker entry point: look the cell up in the inherited state."""
-    (
-        model_factory,
-        factories,
-        train_dataset,
-        test_dataset,
-        config,
-        metric,
-        store,
-        names,
-    ) = _POOL_STATE
-    return _run_cell(
-        model_factory,
-        factories[strategy_index],
-        train_dataset,
-        test_dataset,
-        config,
-        metric,
-        seed,
-        store=store,
-        strategy_name=names[strategy_index] if names else None,
-        repeat=repeat,
-    )
 
 
 class _CellGrid:
@@ -449,25 +362,6 @@ class _CellGrid:
         self.pending.remove(cell)
         return False
 
-    def record_lost_cells(self, rebuilds: int) -> None:
-        """Settle the cells still pending after too many broken pools."""
-        lost = list(self.pending)
-        message = (
-            f"worker pool kept breaking ({rebuilds} consecutive rebuilds with "
-            f"no completed cell); lost cells: "
-            + ", ".join(self.describe(cell) for cell in lost)
-        )
-        if self.on_error == "raise":
-            raise ExecutionError(message)
-        for cell in lost:
-            self.failures[cell] = CellFailure(
-                strategy=self.names[cell[0]],
-                repeat=cell[1],
-                attempts=self.attempts.get(cell, 0),
-                error="worker process died (BrokenProcessPool)",
-            )
-            self.pending.remove(cell)
-
 
 def _run_serial(
     grid: _CellGrid,
@@ -510,123 +404,6 @@ def _run_serial(
             break
 
 
-def _run_pool(grid: _CellGrid, n_jobs: int, start_method: str, state: tuple) -> None:
-    """Process-pool execution with retry and broken-pool resubmission.
-
-    Each iteration of the outer loop owns one pool.  Cells that raise
-    *inside* a worker are retried on the same pool; when the pool itself
-    breaks (a worker died), the not-yet-settled cells are resubmitted to
-    a fresh pool.  Consecutive rebuilds that settle nothing are bounded
-    by the retry policy, so a cell that reliably kills its worker cannot
-    rebuild pools forever.  On any fatal error the outstanding futures
-    are cancelled so no workers are left running stranded cells.
-
-    ``state`` is installed in every worker by the pool initializer:
-    inherited by reference under ``fork``, pickled under ``spawn``.
-    """
-    context = multiprocessing.get_context(start_method)
-    unproductive_rebuilds = 0
-    while grid.pending:
-        pending_before = len(grid.pending)
-        pool = ProcessPoolExecutor(
-            max_workers=min(n_jobs, pending_before),
-            mp_context=context,
-            initializer=_set_pool_state,
-            initargs=(state,),
-        )
-        futures: dict = {}
-        # Retries under a backoff policy are parked here as
-        # (eligible_at, tiebreak, cell) and submitted once due, so one
-        # flapping cell never blocks the dispatcher or the other cells.
-        deferred: list[tuple[float, int, tuple[int, int]]] = []
-        defer_order = itertools.count()
-        try:
-            for cell in grid.pending:
-                futures[
-                    pool.submit(
-                        _run_cell_from_state, cell[0], cell[1], grid.cell_seed(cell)
-                    )
-                ] = cell
-            outstanding = set(futures)
-            broke = False
-            while (outstanding or deferred) and not broke:
-                now = time.monotonic()
-                while deferred and deferred[0][0] <= now:
-                    _, _, cell = heapq.heappop(deferred)
-                    try:
-                        retry = pool.submit(
-                            _run_cell_from_state,
-                            cell[0],
-                            cell[1],
-                            grid.cell_seed(cell),
-                        )
-                    except BrokenProcessPool:
-                        broke = True
-                        break
-                    futures[retry] = cell
-                    outstanding.add(retry)
-                if broke:
-                    break
-                timeout = max(0.0, deferred[0][0] - now) if deferred else None
-                if not outstanding:
-                    time.sleep(timeout or 0.0)
-                    continue
-                done, outstanding = wait(
-                    outstanding, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    cell = futures[future]
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        broke = True
-                    except Exception as error:  # raised inside the worker
-                        if grid.record_error(cell, error):
-                            delay = grid.retry_delay(cell)
-                            if delay > 0:
-                                heapq.heappush(
-                                    deferred,
-                                    (
-                                        time.monotonic() + delay,
-                                        next(defer_order),
-                                        cell,
-                                    ),
-                                )
-                                continue
-                            try:
-                                retry = pool.submit(
-                                    _run_cell_from_state,
-                                    cell[0],
-                                    cell[1],
-                                    grid.cell_seed(cell),
-                                )
-                            except BrokenProcessPool:
-                                broke = True
-                            else:
-                                futures[retry] = cell
-                                outstanding.add(retry)
-                    else:
-                        grid.record_success(cell, result)
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True)
-        if not grid.pending:
-            return
-        # Reaching here means the pool broke mid-grid: the still-pending
-        # cells were lost with their workers.  Rebuild and resubmit, but
-        # only as long as pools keep making progress.
-        if len(grid.pending) < pending_before:
-            unproductive_rebuilds = 0
-        else:
-            unproductive_rebuilds += 1
-        if unproductive_rebuilds >= grid.policy.max_attempts:
-            grid.record_lost_cells(unproductive_rebuilds)
-            return
-
-
 def run_comparison(
     model_factory: "Callable[[], object] | Mapping | object",
     strategy_factories: "Mapping[str, StrategyFactory | Mapping]",
@@ -634,15 +411,18 @@ def run_comparison(
     test_dataset,
     config: ExperimentConfig | None = None,
     metric: "Callable[[object, object], float] | None" = None,
-    n_jobs: int = 1,
     checkpoint_dir: "str | None" = None,
     resume: bool = True,
     retry: "RetryPolicy | None" = None,
     on_error: str = "raise",
-    start_method: "str | None" = None,
     scenario: "dict | None" = None,
 ) -> dict[str, StrategyResult]:
     """Run every strategy ``config.repeats`` times and average the curves.
+
+    Cells run serially in this process.  To run a spec-described grid in
+    parallel or across hosts, use
+    :func:`~repro.experiments.distributed.run_distributed`; its results
+    are byte-identical to this function's.
 
     Parameters
     ----------
@@ -654,24 +434,8 @@ def run_comparison(
         Mapping from display name to a zero-argument strategy factory
         (factories, not instances: history-aware strategies are stateful
         per run) or to a strategy spec.  When the model *and* every
-        strategy are given as specs the grid is fully data-described:
-        checkpoints embed the specs and the worker pool can use the
-        ``spawn`` start method.
-    n_jobs:
-        Worker processes for the (strategy, repeat) grid.  ``1`` (the
-        default) runs serially in-process.  Higher values fan the cells
-        out over a process pool; because every cell is seeded
-        independently and results are reassembled in input order, the
-        output is byte-identical to the serial run regardless of the
-        start method.  Without an explicit ``start_method`` the runner
-        prefers ``fork``, falls back to ``spawn`` on fork-less platforms
-        when the grid is spec-described, and otherwise degrades to
-        serial execution (same results, no speedup).
-    start_method:
-        Force the pool start method (``"fork"`` or ``"spawn"``).
-        ``spawn`` pickles the shared state instead of inheriting it, so
-        it needs spec-described (or otherwise picklable) components,
-        datasets, metric, and factories.
+        strategy are given as specs the grid is fully data-described and
+        checkpoints embed the specs.
     checkpoint_dir:
         When set, every completed cell is written to this directory as a
         JSON checkpoint the moment it finishes (atomically — a crash
@@ -695,10 +459,9 @@ def run_comparison(
         indistinguishable from a first-attempt success.
     on_error:
         ``"raise"`` (default) aborts the grid on the first permanently
-        failed cell, cancelling outstanding work.  ``"skip"`` drops the
-        failed cells, aggregates each strategy over its surviving
-        repeats, and records the failures on
-        :attr:`StrategyResult.failures`.  A strategy whose repeats *all*
+        failed cell.  ``"skip"`` drops the failed cells, aggregates
+        each strategy over its surviving repeats, and records the
+        failures on :attr:`StrategyResult.failures`.  A strategy whose repeats *all*
         failed still raises — there is nothing left to aggregate.
 
     Returns
@@ -708,8 +471,6 @@ def run_comparison(
     """
     if not strategy_factories:
         raise ConfigurationError("no strategies to compare")
-    if n_jobs < 1:
-        raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
     if on_error not in _ON_ERROR_MODES:
         raise ConfigurationError(
             f"on_error must be one of {_ON_ERROR_MODES}, got {on_error!r}"
@@ -750,23 +511,9 @@ def run_comparison(
     else:
         grid.drop_stale_sessions()
 
-    resolved_start = _resolve_start_method(start_method, spec_mode=model_spec is not None)
-    if n_jobs > 1 and len(grid.pending) > 1 and resolved_start is not None:
-        state = (
-            model_factory,
-            factories,
-            train_dataset,
-            test_dataset,
-            config,
-            metric,
-            store,
-            names,
-        )
-        _run_pool(grid, n_jobs, resolved_start, state)
-    else:
-        _run_serial(
-            grid, model_factory, factories, train_dataset, test_dataset, config, metric
-        )
+    _run_serial(
+        grid, model_factory, factories, train_dataset, test_dataset, config, metric
+    )
 
     return aggregate_strategy_results(names, config.repeats, grid.results, grid.failures)
 

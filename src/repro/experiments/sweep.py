@@ -2,8 +2,8 @@
 
 A sweep cell is just an experiment document, so this module adds no new
 execution machinery: :func:`execute_experiment` routes one spec through
-:func:`~repro.experiments.runner.run_comparison` (serial or pooled) or
-:func:`~repro.experiments.distributed.run_distributed` exactly as
+:func:`~repro.experiments.runner.run_comparison` (serial) or
+:func:`~repro.experiments.distributed.run_distributed` (parallel) exactly as
 ``repro run --config`` does — it *is* the execution half of that
 command, extracted so sweeps and the CLI share one code path — and
 :func:`run_sweep` drives every grid cell through it, isolating each
@@ -63,7 +63,6 @@ def execute_experiment(
             spec,
             runner["queue_dir"],
             workers=runner["local_workers"],
-            backend=runner["queue_backend"],
             lease=LeaseConfig(ttl=runner["lease_ttl"]),
             retry=retry,
             on_error=runner["on_error"],
@@ -77,12 +76,10 @@ def execute_experiment(
             train,
             test,
             config=spec.config,
-            n_jobs=runner["n_jobs"],
             checkpoint_dir=runner["checkpoint_dir"],
             resume=runner["resume"],
             retry=retry,
             on_error=runner["on_error"],
-            start_method=runner["start_method"],
             scenario=spec.scenario_fingerprint(),
         )
     return results, train, test, task

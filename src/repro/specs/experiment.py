@@ -17,7 +17,7 @@ and runner/report options — into a single versioned document::
                                      "window": 3}}
       },
       "experiment": {"batch_size": 25, "rounds": 10, "repeats": 3, "seed": 7},
-      "runner": {"n_jobs": 2, "checkpoint_dir": null, ...},
+      "runner": {"queue_dir": "q/", "local_workers": 2, ...},
       "report": {"targets": [], "plot": false}
     }
 
@@ -48,20 +48,40 @@ from .transforms import ScenarioSpec
 
 #: Runner options an experiment document may set (with their defaults).
 RUNNER_DEFAULTS = {
-    "n_jobs": 1,
     "checkpoint_dir": None,
     "resume": False,
     "max_retries": 0,
     "backoff": 0.0,
     "on_error": "raise",
-    "start_method": None,
-    # Distributed execution (repro.experiments.distributed): a non-null
-    # queue_dir routes the grid through the broker-less work queue.
+    # A non-null queue_dir runs the grid in parallel through the
+    # broker-less work queue (repro.experiments.distributed) with
+    # local_workers processes on this host; null runs it serially.
     "queue_dir": None,
-    "queue_backend": "file",
     "local_workers": 1,
     "lease_ttl": 30.0,
     "timeout": None,
+}
+
+#: Settings earlier versions wrote that no longer select anything:
+#: ``(section, key) -> (value of the path that stayed, what replaces it)``.
+#: A document may still carry a key with that value — ``repro config
+#: show --defaults`` always emitted all four — and it is dropped; any
+#: other value is a :class:`SpecError`.
+RETIRED_KEYS = {
+    ("runner", "n_jobs"): (
+        1, "run parallel grids on the work queue: set runner.queue_dir and "
+        "runner.local_workers",
+    ),
+    ("runner", "start_method"): (
+        None, "queue workers are forked; spawned workers join with "
+        "'repro worker --queue-dir DIR'",
+    ),
+    ("runner", "queue_backend"): (
+        "file", "the file-lease queue is the only queue backend",
+    ),
+    ("experiment", "history_backend"): (
+        "local", "history scores always live in a process-local array",
+    ),
 }
 
 #: Report options an experiment document may set (with their defaults).
@@ -77,11 +97,33 @@ def default_model_spec(task: str, epochs: int = 5) -> Spec:
     return Spec(kind="crf", params={"epochs": max(1, epochs // 2), "seed": 0})
 
 
+def _without_retired(key: str, section: dict) -> dict:
+    """``section`` minus the retired settings it carries (see above).
+
+    Raises
+    ------
+    SpecError
+        When a retired setting holds a value other than the one the
+        remaining code path implements.
+    """
+    section = dict(section)
+    for (owner, name), (kept, replacement) in RETIRED_KEYS.items():
+        if owner != key or name not in section:
+            continue
+        value = section.pop(name)
+        if value != kept:
+            raise SpecError(
+                f"{key}.{name} = {value!r} is no longer supported: {replacement}"
+            )
+    return section
+
+
 def _section(payload: dict, key: str, defaults: dict) -> dict:
     """Validate one options section against its known keys + defaults."""
     section = payload.get(key, {})
     if not isinstance(section, dict):
         raise SpecError(f"experiment {key!r} section must be a dict")
+    section = _without_retired(key, section)
     unknown = set(section) - set(defaults)
     if unknown:
         raise SpecError(f"unknown {key} option(s): {sorted(unknown)}")
@@ -113,7 +155,7 @@ class ExperimentSpec:
         self.strategies = {
             str(name): as_spec(spec) for name, spec in self.strategies.items()
         }
-        self.runner = {**RUNNER_DEFAULTS, **self.runner}
+        self.runner = {**RUNNER_DEFAULTS, **_without_retired("runner", self.runner)}
         self.report = {**REPORT_DEFAULTS, **self.report}
         if self.scenario is not None:
             self.scenario = ScenarioSpec.from_dict(self.scenario)
@@ -128,7 +170,6 @@ class ExperimentSpec:
             "initial_size": self.config.initial_size,
             "repeats": self.config.repeats,
             "seed": self.config.seed,
-            "history_backend": self.config.history_backend,
             "training_mode": self.config.training_mode,
         }
         if self.config.track_flips:
@@ -179,9 +220,10 @@ class ExperimentSpec:
         shape = payload.get("experiment", {})
         if not isinstance(shape, dict):
             raise SpecError("experiment 'experiment' section must be a dict")
+        shape = _without_retired("experiment", shape)
         unknown_shape = set(shape) - {
             "batch_size", "rounds", "initial_size", "repeats", "seed",
-            "history_backend", "training_mode", "track_flips",
+            "training_mode", "track_flips",
         }
         if unknown_shape:
             raise SpecError(f"unknown experiment option(s): {sorted(unknown_shape)}")
@@ -231,8 +273,8 @@ class ExperimentSpec:
         When the document carries a ``scenario`` section, its transforms
         are applied (deterministically, from the scenario's own RNG
         streams) after the split — so every consumer that rebuilds data
-        from the spec (serial runner, spawn pools, distributed workers,
-        the session service) sees the identical perturbed datasets.
+        from the spec (serial runner, queue workers, the session
+        service) sees the identical perturbed datasets.
         """
         dataset, task = build_dataset(self.dataset)
         train, test = build_split(self.split, dataset)

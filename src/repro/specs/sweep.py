@@ -57,7 +57,7 @@ from .transforms import build_transform
 #: Experiment-shape keys a cell's ``experiment`` override may set.
 _SHAPE_KEYS = {
     "batch_size", "rounds", "initial_size", "repeats", "seed",
-    "history_backend", "training_mode", "track_flips",
+    "training_mode", "track_flips",
 }
 
 

@@ -13,8 +13,8 @@ the perturbation RNG family::
 
 Scenarios ride inside an experiment document's optional ``scenario``
 section (:mod:`repro.specs.experiment`), so every consumer that rebuilds
-datasets from a spec — the serial runner, spawn workers, distributed
-``repro worker`` processes, the session service — applies the identical
+datasets from a spec — the serial runner, local and remote
+``repro worker`` queue processes, the session service — applies the identical
 perturbation with zero protocol changes.
 
 RNG discipline (see :mod:`repro.data.transforms`): transform ``i`` draws

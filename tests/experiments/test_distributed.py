@@ -21,9 +21,7 @@ from repro.exceptions import ConfigurationError, ExecutionError, QueueError
 from repro.experiments import ExperimentConfig, RetryPolicy, run_comparison
 from repro.experiments.checkpoint import cell_stem
 from repro.experiments.distributed import (
-    FileCellQueue,
     LeaseConfig,
-    SqliteCellQueue,
     collect_results,
     coordinate,
     create_queue,
@@ -93,6 +91,11 @@ def assert_results_match(actual, expected):
 
 def audit_events(queue, event: str) -> list[dict]:
     return [record for record in queue.read_audit() if record["event"] == event]
+
+
+def set_envelope_backend(queue, backend: str) -> None:
+    path = queue.directory / "queue.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "backend": backend}))
 
 
 # -- worker crash entry points (module-level: fork targets) ------------------
@@ -166,20 +169,22 @@ class TestQueueMaterialization:
         queue = create_queue(tmp_path / "q", other)  # must not raise
         assert len(queue.tickets) == 4
 
-    def test_open_dispatches_on_backend(self, grid_spec, tmp_path):
-        create_queue(tmp_path / "f", grid_spec, backend="file")
-        create_queue(tmp_path / "s", grid_spec, backend="sqlite")
-        assert isinstance(open_queue(tmp_path / "f"), FileCellQueue)
-        assert isinstance(open_queue(tmp_path / "s"), SqliteCellQueue)
+    def test_envelope_records_file_backend(self, grid_spec, tmp_path):
+        # Workers of earlier versions dispatch on this field.
+        create_queue(tmp_path / "q", grid_spec)
+        envelope = json.loads((tmp_path / "q" / "queue.json").read_text())
+        assert envelope["backend"] == "file"
 
     def test_wrong_backend_class_raises(self, grid_spec, tmp_path):
-        create_queue(tmp_path / "s", grid_spec, backend="sqlite")
-        with pytest.raises(QueueError, match="backend"):
-            FileCellQueue(tmp_path / "s")
+        # Earlier versions could materialize a queue on sqlite.
+        set_envelope_backend(create_queue(tmp_path / "s", grid_spec), "sqlite")
+        with pytest.raises(QueueError, match="'sqlite'"):
+            open_queue(tmp_path / "s")
 
     def test_unknown_backend_rejected(self, grid_spec, tmp_path):
-        with pytest.raises(ConfigurationError, match="backend"):
-            create_queue(tmp_path / "q", grid_spec, backend="redis")
+        set_envelope_backend(create_queue(tmp_path / "q", grid_spec), "redis")
+        with pytest.raises(QueueError, match="backend"):
+            open_queue(tmp_path / "q")
 
     def test_missing_envelope_raises(self, tmp_path):
         with pytest.raises(QueueError, match="cannot read"):
@@ -192,10 +197,9 @@ class TestQueueMaterialization:
         assert queue.checkpoint_directory == (tmp_path / "ckpt").resolve()
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
 class TestClaimProtocol:
-    def test_claims_are_exclusive_and_ordered(self, grid_spec, tmp_path, backend):
-        queue = create_queue(tmp_path / "q", grid_spec, backend=backend)
+    def test_claims_are_exclusive_and_ordered(self, grid_spec, tmp_path):
+        queue = create_queue(tmp_path / "q", grid_spec)
         claims = [queue.claim(f"worker-{i}") for i in range(5)]
         held = [claim for claim in claims if claim is not None]
         assert len(held) == 4  # fifth claim finds nothing
@@ -207,9 +211,9 @@ class TestClaimProtocol:
         ]
 
     def test_commit_settles_and_duplicate_commit_is_flagged(
-        self, grid_spec, tmp_path, backend
+        self, grid_spec, tmp_path
     ):
-        queue = create_queue(tmp_path / "q", grid_spec, backend=backend)
+        queue = create_queue(tmp_path / "q", grid_spec)
         claim = queue.claim("a")
         twin = open_queue(tmp_path / "q")
         assert queue.commit(claim) is True
@@ -220,9 +224,9 @@ class TestClaimProtocol:
         assert queue.counts()["done"] == 1
 
     def test_release_makes_cell_instantly_reclaimable(
-        self, grid_spec, tmp_path, backend
+        self, grid_spec, tmp_path
     ):
-        queue = create_queue(tmp_path / "q", grid_spec, backend=backend)
+        queue = create_queue(tmp_path / "q", grid_spec)
         claim = queue.claim("a")
         queue.release(claim, "interrupted")
         reclaimed = queue.claim("b")
@@ -231,8 +235,8 @@ class TestClaimProtocol:
         (record,) = audit_events(queue, "released")
         assert record["reason"] == "interrupted"
 
-    def test_settled_and_counts(self, grid_spec, tmp_path, backend):
-        queue = create_queue(tmp_path / "q", grid_spec, backend=backend)
+    def test_settled_and_counts(self, grid_spec, tmp_path):
+        queue = create_queue(tmp_path / "q", grid_spec)
         assert not queue.settled()
         assert queue.counts() == {
             "total": 4, "done": 0, "failed": 0, "claimed": 0, "pending": 4,
@@ -243,11 +247,10 @@ class TestClaimProtocol:
         assert queue.counts()["done"] == 4
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
 class TestLeases:
-    def test_live_lease_is_not_stolen(self, grid_spec, tmp_path, backend):
+    def test_live_lease_is_not_stolen(self, grid_spec, tmp_path):
         queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend,
+            tmp_path / "q", grid_spec,
             lease=LeaseConfig(ttl=60.0),
         )
         claim = queue.claim("a")
@@ -255,9 +258,9 @@ class TestLeases:
         other = queue.claim("b")
         assert other is None or other.ticket.cell_id != claim.ticket.cell_id
 
-    def test_stale_lease_is_reaped_and_reclaimed(self, grid_spec, tmp_path, backend):
+    def test_stale_lease_is_reaped_and_reclaimed(self, grid_spec, tmp_path):
         queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend,
+            tmp_path / "q", grid_spec,
             lease=LeaseConfig(ttl=0.2, renewal_interval=0.05),
         )
         claim = queue.claim("dead-worker")
@@ -270,9 +273,9 @@ class TestLeases:
         assert record["cell"] == claim.ticket.cell_id
         assert record["owner"] == "dead-worker"
 
-    def test_heartbeat_keeps_lease_alive(self, grid_spec, tmp_path, backend):
+    def test_heartbeat_keeps_lease_alive(self, grid_spec, tmp_path):
         queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend,
+            tmp_path / "q", grid_spec,
             lease=LeaseConfig(ttl=0.6, renewal_interval=0.1),
         )
         claim = queue.claim("a")
@@ -282,9 +285,9 @@ class TestLeases:
             assert queue.reap_stale() == 0
             time.sleep(0.1)
 
-    def test_heartbeat_reports_lost_lease(self, grid_spec, tmp_path, backend):
+    def test_heartbeat_reports_lost_lease(self, grid_spec, tmp_path):
         queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend,
+            tmp_path / "q", grid_spec,
             lease=LeaseConfig(ttl=0.2, renewal_interval=0.05),
         )
         claim = queue.claim("slow-worker")
@@ -314,13 +317,10 @@ class TestClockSkew:
         assert queue.heartbeat(claim) is True
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
 class TestRetryAndQuarantine:
-    def test_failure_respects_backoff_schedule(self, grid_spec, tmp_path, backend):
+    def test_failure_respects_backoff_schedule(self, grid_spec, tmp_path):
         policy = RetryPolicy(max_attempts=3, backoff=30.0, jitter=0.0)
-        queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend, retry=policy
-        )
+        queue = create_queue(tmp_path / "q", grid_spec, retry=policy)
         claim = queue.claim("a")
         assert queue.fail(claim, RuntimeError("boom")) == "retry"
         # The failed cell is backing off: it must not be claimable now,
@@ -334,11 +334,9 @@ class TestRetryAndQuarantine:
         assert record["attempts"] == 1
         assert "boom" in record["error"]
 
-    def test_poison_cell_quarantined_at_threshold(self, grid_spec, tmp_path, backend):
+    def test_poison_cell_quarantined_at_threshold(self, grid_spec, tmp_path):
         policy = RetryPolicy(max_attempts=2, backoff=0.0)
-        queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend, retry=policy
-        )
+        queue = create_queue(tmp_path / "q", grid_spec, retry=policy)
         claim = queue.claim("a")
         cell_id = claim.ticket.cell_id
         assert queue.fail(claim, RuntimeError("poison")) == "retry"
@@ -356,18 +354,35 @@ class TestRetryAndQuarantine:
         assert cell_id not in remaining
         assert len(audit_events(queue, "quarantined")) == 1
 
+    def test_backoff_retry_matches_serial(self, grid_spec, serial_reference, tmp_path):
+        """A backed-off retry changes timing only, never the result bytes."""
+        serial_results, serial_dir = serial_reference
+        queue_dir = tmp_path / "q"
+        queue = create_queue(
+            queue_dir, grid_spec, retry=RetryPolicy(max_attempts=2, backoff=0.05)
+        )
+        fault = WorkerFault(
+            "claimed", FaultSpec(token_dir=tmp_path / "tokens", fail_on_call=1)
+        )
+        summary = run_worker(queue_dir, owner="w", poll=0.05, on_event=fault)
+        assert summary["failed"] == 1
+        assert summary["completed"] == 4
+        (record,) = audit_events(queue, "failed")
+        assert record["retry_in"] > 0
+        assert_results_match(coordinate(queue_dir, poll=0.05), serial_results)
+        assert_checkpoints_byte_identical(queue.checkpoint_directory, serial_dir)
+
 
 # -- end-to-end execution ----------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
 class TestWorkerByteIdentity:
     def test_single_worker_matches_serial(
-        self, grid_spec, serial_reference, tmp_path, backend
+        self, grid_spec, serial_reference, tmp_path
     ):
         serial_results, serial_dir = serial_reference
         queue_dir = tmp_path / "q"
-        queue = create_queue(queue_dir, grid_spec, backend=backend)
+        queue = create_queue(queue_dir, grid_spec)
         summary = run_worker(queue_dir, owner="solo", poll=0.05)
         assert summary["completed"] == 4
         assert summary["failed"] == 0

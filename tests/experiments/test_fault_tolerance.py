@@ -1,11 +1,10 @@
-"""Retry, degradation, broken-pool, and interrupted-resume tests.
+"""Retry, degradation, and interrupted-resume tests for the serial runner.
 
 All failures here are injected deterministically through
-:mod:`tests.faults`, so every scenario — including dead pool workers —
-is reproducible in CI.
+:mod:`tests.faults`, so every scenario is reproducible in CI.  Dead
+worker processes are the queue's concern: see the crash-equivalence
+suite in ``test_distributed.py``.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -24,11 +23,6 @@ from .test_checkpoint import (
     assert_results_identical,
     compare,
     plain_model,
-)
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="process-pool execution requires the fork start method",
 )
 
 FITS_PER_CELL = CONFIG_KWARGS["rounds"] + 1
@@ -101,21 +95,6 @@ class TestBackoffSchedule:
         )
         assert_results_identical(clean, retried)
 
-    @needs_fork
-    def test_pool_retry_with_backoff_matches_clean_run(
-        self, text_dataset, tmp_path
-    ):
-        """The pool defers backed-off cells without blocking its workers."""
-        clean = compare(text_dataset)
-        spec = FaultSpec(token_dir=tmp_path / "tokens", fail_on_call=1, times=1)
-        retried = compare(
-            text_dataset,
-            model_factory=faulty_model_factory(spec),
-            n_jobs=2,
-            retry=RetryPolicy(max_attempts=2, backoff=0.05),
-        )
-        assert_results_identical(clean, retried)
-
 
 class TestRetry:
     def test_without_retry_first_failure_raises(self, text_dataset, tmp_path):
@@ -178,33 +157,6 @@ class TestDegradation:
             )
 
 
-@needs_fork
-class TestBrokenPool:
-    def test_dead_workers_without_retry_raise(self, text_dataset, tmp_path):
-        spec = FaultSpec(
-            token_dir=tmp_path / "tokens", fail_on_call=1, mode="exit", times=None
-        )
-        with pytest.raises(ExecutionError, match="worker pool kept breaking"):
-            compare(
-                text_dataset, model_factory=faulty_model_factory(spec), n_jobs=2
-            )
-
-    def test_lost_cells_resubmitted_to_fresh_pool(self, text_dataset, tmp_path):
-        clean = compare(text_dataset)
-        spec = FaultSpec(
-            token_dir=tmp_path / "tokens", fail_on_call=1, mode="exit", times=1
-        )
-        recovered = compare(
-            text_dataset,
-            model_factory=faulty_model_factory(spec),
-            n_jobs=2,
-            retry=RetryPolicy(max_attempts=2),
-        )
-        assert_results_identical(clean, recovered)
-        # The one-shot kill really fired: its token was claimed.
-        assert (tmp_path / "tokens" / "claimed-0").exists()
-
-
 class TestInterruptedResume:
     """The acceptance scenario: crash mid-grid, resume, identical curves."""
 
@@ -248,28 +200,6 @@ class TestInterruptedResume:
         assert_results_identical(clean, resumed)
         for path, payload in before.items():
             assert path.read_bytes() == payload  # finished cells untouched
-
-    @needs_fork
-    def test_pool_interrupt_then_pool_resume_is_byte_identical(
-        self, text_dataset, tmp_path
-    ):
-        clean = compare(text_dataset)
-        checkpoints = tmp_path / "ckpt"
-        spec = FaultSpec(token_dir=tmp_path / "tokens", fail_on_call=1, times=1)
-        with pytest.raises(ExecutionError):
-            compare(
-                text_dataset,
-                model_factory=faulty_model_factory(spec),
-                checkpoint_dir=str(checkpoints),
-                n_jobs=2,
-            )
-        resumed = compare(
-            text_dataset,
-            checkpoint_dir=str(checkpoints),
-            resume=True,
-            n_jobs=2,
-        )
-        assert_results_identical(clean, resumed)
 
 
 class TestFaultHarness:

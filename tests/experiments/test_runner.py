@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.strategies import Entropy, Random
 from repro.experiments import ExperimentConfig, run_comparison
+from repro.experiments.distributed import run_distributed
 from repro.exceptions import ConfigurationError
 from repro.models.linear import LinearSoftmax
+from repro.specs import ExperimentSpec, Spec
 
 
 @pytest.fixture(scope="module")
@@ -101,19 +103,20 @@ class TestRunComparison:
 
 
 class TestParallelRunner:
-    def _run(self, text_dataset, n_jobs):
-        return run_comparison(
-            lambda: LinearSoftmax(epochs=4, seed=0),
-            {"Random": Random, "Entropy": Entropy},
-            text_dataset.subset(range(200)),
-            text_dataset.subset(range(200, 300)),
-            config=ExperimentConfig(batch_size=15, rounds=2, repeats=2, seed=9),
-            n_jobs=n_jobs,
-        )
+    """Parallel grids run as local workers of the work queue."""
 
-    def test_parallel_byte_identical_to_serial(self, text_dataset):
-        serial = self._run(text_dataset, n_jobs=1)
-        parallel = self._run(text_dataset, n_jobs=2)
+    def test_parallel_byte_identical_to_serial(self, tmp_path):
+        spec = ExperimentSpec(
+            dataset=Spec(kind="mr", params={"scale": 0.05, "seed": 7}),
+            model=Spec(kind="linear", params={"epochs": 4, "seed": 0}),
+            strategies={"Random": Spec(kind="random"), "Entropy": Spec(kind="entropy")},
+            config=ExperimentConfig(batch_size=15, rounds=2, repeats=2, seed=9),
+        )
+        train, test, _task = spec.build_datasets()
+        serial = run_comparison(
+            spec.resolved_model(), spec.strategies, train, test, config=spec.config
+        )
+        parallel = run_distributed(spec, tmp_path / "q", workers=2, poll=0.05)
         assert set(serial) == set(parallel)
         for name in serial:
             a, b = serial[name], parallel[name]
@@ -123,7 +126,3 @@ class TestParallelRunner:
                 for record_a, record_b in zip(run_a.records, run_b.records):
                     assert record_a.metric == record_b.metric
                     assert np.array_equal(record_a.selected, record_b.selected)
-
-    def test_invalid_n_jobs_rejected(self, text_dataset):
-        with pytest.raises(ConfigurationError):
-            self._run(text_dataset, n_jobs=0)

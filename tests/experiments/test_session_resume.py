@@ -8,8 +8,6 @@ cell — resumes from the last finished round instead of round zero, with
 byte-identical results.
 """
 
-import multiprocessing
-
 import pytest
 
 from repro.exceptions import CheckpointError, ExecutionError
@@ -21,11 +19,6 @@ from .test_checkpoint import (
     assert_results_identical,
     compare,
     plain_model,
-)
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="process-pool execution requires the fork start method",
 )
 
 #: rounds + 1 retrains per completed cell; 2 strategies x 2 repeats = 4 cells.
@@ -111,25 +104,6 @@ class TestMidCellResume:
         # Every cell recomputed in full: the stale snapshot was dropped.
         assert counter[0] == TOTAL_CELLS * FITS_PER_CELL
         assert_results_identical(compare(text_dataset), fresh)
-
-    @needs_fork
-    def test_dead_worker_resumes_mid_cell_on_fresh_pool(
-        self, text_dataset, tmp_path
-    ):
-        clean = compare(text_dataset)
-        spec = FaultSpec(
-            token_dir=tmp_path / "tokens", fail_on_call=2, mode="exit", times=1
-        )
-        recovered = compare(
-            text_dataset,
-            model_factory=counting_model_factory([0], spec=spec),
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            n_jobs=2,
-            retry=RetryPolicy(max_attempts=2),
-        )
-        assert_results_identical(clean, recovered)
-        assert (tmp_path / "tokens" / "claimed-0").exists()
-        assert list((tmp_path / "ckpt").glob("session_*.json")) == []
 
 
 class TestSessionSnapshotStore:

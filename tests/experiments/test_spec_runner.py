@@ -1,13 +1,14 @@
-"""Spec-described grids: spawn workers, spec-fingerprinted checkpoints.
+"""Spec-described grids: queue workers, spec-fingerprinted checkpoints.
 
 A grid whose model and strategies are all given as specs is pure data,
-so the worker pool can use the ``spawn`` start method (nothing relies on
-inherited closures) and checkpoints can embed the exact specs that
+so work-queue workers can rebuild it in any process (``spawn`` relies on
+no inherited closures) and checkpoints can embed the exact specs that
 produced them.  These tests pin down both properties, including the
-byte-identity of serial, fork, and spawn execution.
+byte-identity of serial, forked-worker, and spawned-worker execution.
 """
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -15,6 +16,13 @@ import pytest
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.experiments import ExperimentConfig, run_comparison
 from repro.experiments.checkpoint import CheckpointStore
+from repro.experiments.distributed import (
+    coordinate,
+    create_queue,
+    run_distributed,
+    run_worker,
+)
+from repro.specs import ExperimentSpec, Spec
 
 MODEL_SPEC = {"kind": "linear", "params": {"epochs": 2, "seed": 0}}
 STRATEGY_SPECS = {
@@ -42,63 +50,39 @@ def _assert_identical(left, right):
             )
 
 
+def _queue_grid() -> "tuple[dict, ExperimentSpec]":
+    """``(serial results, spec)`` of the spec grid on a dataset spec."""
+    spec = ExperimentSpec(
+        dataset=Spec(kind="mr", params={"scale": 0.05, "seed": 7}),
+        model=MODEL_SPEC,
+        strategies=STRATEGY_SPECS,
+        config=CONFIG,
+    )
+    train, test, _task = spec.build_datasets()
+    serial = run_comparison(MODEL_SPEC, STRATEGY_SPECS, train, test, config=CONFIG)
+    return serial, spec
+
+
 class TestSpawnPool:
-    def test_spawn_matches_serial(self, text_dataset):
-        train, test = _pool(text_dataset)
-        serial = run_comparison(
-            MODEL_SPEC, STRATEGY_SPECS, train, test, config=CONFIG, n_jobs=1
-        )
-        spawned = run_comparison(
-            MODEL_SPEC, STRATEGY_SPECS, train, test, config=CONFIG,
-            n_jobs=2, start_method="spawn",
-        )
-        _assert_identical(serial, spawned)
+    """Queue workers started with ``spawn`` or ``fork`` reproduce serial."""
 
-    def test_spawn_on_shared_history_backend_matches_local_serial(
-        self, text_dataset
-    ):
-        """Backends are result-neutral across process boundaries: spawn
-        workers running shared-memory history stores reproduce the
-        serial local-backend grid byte for byte, and the returned
-        histories keep their backend through the result pickling."""
-        train, test = _pool(text_dataset)
-        serial = run_comparison(
-            MODEL_SPEC, STRATEGY_SPECS, train, test, config=CONFIG, n_jobs=1
+    def test_spawn_matches_serial(self, tmp_path):
+        serial, spec = _queue_grid()
+        create_queue(tmp_path / "q", spec)
+        worker = multiprocessing.get_context("spawn").Process(
+            target=run_worker,
+            args=(str(tmp_path / "q"),),
+            kwargs={"owner": "spawned", "poll": 0.05},
         )
-        shared_config = ExperimentConfig(
-            batch_size=5, rounds=2, repeats=2, seed=11, history_backend="shared"
-        )
-        spawned = run_comparison(
-            MODEL_SPEC, STRATEGY_SPECS, train, test, config=shared_config,
-            n_jobs=2, start_method="spawn",
-        )
-        _assert_identical(serial, spawned)
-        for name in spawned:
-            for left, right in zip(serial[name].runs, spawned[name].runs):
-                assert right.history.backend == "shared"
-                np.testing.assert_array_equal(
-                    left.history._matrix, right.history._matrix
-                )
-                right.history.close()
+        worker.start()
+        worker.join(timeout=300)
+        assert worker.exitcode == 0
+        _assert_identical(serial, coordinate(tmp_path / "q", poll=0.05))
 
-    def test_fork_matches_serial(self, text_dataset):
-        train, test = _pool(text_dataset)
-        serial = run_comparison(
-            MODEL_SPEC, STRATEGY_SPECS, train, test, config=CONFIG, n_jobs=1
-        )
-        forked = run_comparison(
-            MODEL_SPEC, STRATEGY_SPECS, train, test, config=CONFIG,
-            n_jobs=2, start_method="fork",
-        )
+    def test_fork_matches_serial(self, tmp_path):
+        serial, spec = _queue_grid()
+        forked = run_distributed(spec, tmp_path / "q", workers=2, poll=0.05)
         _assert_identical(serial, forked)
-
-    def test_unknown_start_method_rejected(self, text_dataset):
-        train, test = _pool(text_dataset)
-        with pytest.raises(ConfigurationError, match="start_method"):
-            run_comparison(
-                MODEL_SPEC, STRATEGY_SPECS, train, test, config=CONFIG,
-                n_jobs=2, start_method="forkserver",
-            )
 
     def test_non_callable_component_rejected(self, text_dataset):
         train, test = _pool(text_dataset)

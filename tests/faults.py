@@ -1,8 +1,8 @@
 """Deterministic fault injection for exercising the runner's failure paths.
 
-The comparison runner promises retry, checkpoint/resume, broken-pool
-resubmission, and graceful degradation — all paths that only execute when
-something fails.  This module makes cells fail *on purpose* and
+The comparison runner and the work queue promise retry, checkpoint/
+resume, crash recovery, and graceful degradation — all paths that only
+execute when something fails.  This module makes cells fail *on purpose* and
 *deterministically* so those paths run in CI without flakiness:
 
 * :class:`FaultSpec` decides when a fault fires: on the Nth call of the
@@ -10,14 +10,13 @@ something fails.  This module makes cells fail *on purpose* and
   across the whole run.  The "at most ``times``" budget is claimed
   through one-shot token files created with ``O_CREAT | O_EXCL``, so it
   is atomic across processes — a fault armed once fires exactly once no
-  matter how many pool workers race for it, and a retried or resumed
+  matter how many queue workers race for it, and a retried or resumed
   cell sees the budget already spent and succeeds.
 * ``mode="raise"`` raises :class:`InjectedFault` (an
   :class:`~repro.exceptions.ExecutionError`), modelling an in-worker
   exception; ``mode="exit"`` kills the process with ``os._exit``,
-  modelling an OOM kill / segfault that surfaces to the parent as
-  ``BrokenProcessPool``.  Never use ``"exit"`` with a serial runner — it
-  terminates the test process itself.
+  modelling an OOM kill / segfault of a queue worker.  Never use
+  ``"exit"`` in the test process itself — it terminates the run.
 * :class:`FaultInjectingModel` counts ``fit`` calls (shared across the
   per-round clones of one cell, so "the Nth retrain of a cell"); pass an
   external counter to count across cells instead ("the Nth retrain of
@@ -58,7 +57,7 @@ class FaultSpec:
         fault triggers.
     mode:
         ``"raise"`` raises :class:`InjectedFault`; ``"exit"`` kills the
-        current process (pool runs only); ``"interrupt"`` raises
+        current process (worker processes only); ``"interrupt"`` raises
         :class:`KeyboardInterrupt`, modelling a Ctrl-C mid-operation.
     times:
         Total fires allowed across all processes; ``None`` means

@@ -281,7 +281,6 @@ class TestDistributedFlags:
             ["compare", "--dataset", "mr", "--strategies", "random"]
         )
         assert args.queue_dir is None
-        assert args.queue_backend == "file"
         assert args.local_workers == 1
         assert args.lease_ttl == 30.0
         assert args.backoff == 0.0
@@ -290,16 +289,26 @@ class TestDistributedFlags:
     def test_flags_parse(self, tmp_path):
         args = build_parser().parse_args([
             "compare", "--dataset", "mr", "--strategies", "random",
-            "--queue-dir", str(tmp_path), "--queue-backend", "sqlite",
+            "--queue-dir", str(tmp_path),
             "--local-workers", "3", "--lease-ttl", "5", "--backoff", "0.5",
             "--grid-timeout", "60",
         ])
         assert args.queue_dir == str(tmp_path)
-        assert args.queue_backend == "sqlite"
         assert args.local_workers == 3
         assert args.lease_ttl == 5.0
         assert args.backoff == 0.5
         assert args.grid_timeout == 60.0
+
+    @pytest.mark.parametrize(
+        "flag", [["--n-jobs", "2"], ["--queue-backend", "file"],
+                 ["--history-backend", "local"]],
+    )
+    def test_retired_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["compare", "--dataset", "mr", "--strategies", "random", *flag]
+            )
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_worker_parses(self, tmp_path):
         args = build_parser().parse_args(

@@ -1,5 +1,7 @@
 """Tests for the Mann-Kendall trend test."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,11 @@ from repro.timeseries.mann_kendall import (
     Trend,
     mann_kendall_batch,
     mann_kendall_test,
+    two_sided_p_value,
 )
+
+#: z values spanning [-10, 10], including both tails and zero.
+Z_GRID = np.linspace(-10.0, 10.0, 2001)
 
 
 class TestBasicTrends:
@@ -43,6 +49,25 @@ class TestBasicTrends:
     def test_p_value_range(self):
         result = mann_kendall_test([3, 1, 4, 1, 5, 9, 2, 6])
         assert 0.0 <= result.p_value <= 1.0
+
+
+class TestPValue:
+    """``erfc(|z| / sqrt 2)`` against the ``2 * (1 - Phi(|z|))`` it replaced."""
+
+    def test_matches_normal_cdf_formula(self):
+        phi = 0.5 * (1.0 + np.vectorize(math.erf)(np.abs(Z_GRID) / math.sqrt(2.0)))
+        old = 2.0 * (1.0 - phi)
+        assert np.abs(two_sided_p_value(Z_GRID) - old).max() <= 1e-12
+
+    def test_matches_scipy_formula(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        old = 2.0 * (1.0 - norm.cdf(np.abs(Z_GRID)))
+        assert np.abs(two_sided_p_value(Z_GRID) - old).max() <= 1e-12
+
+    def test_known_values(self):
+        assert two_sided_p_value(0.0) == 1.0
+        assert two_sided_p_value(1.959963984540054) == pytest.approx(0.05, abs=1e-15)
+        assert two_sided_p_value(-3.0) == two_sided_p_value(3.0)
 
 
 class TestVariance:
