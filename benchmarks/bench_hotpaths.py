@@ -11,9 +11,7 @@ retained ``_*_reference``/oracle implementations of the per-sample
 code paths, and writes the measurements to ``BENCH_hotpaths.json``,
 ``BENCH_seqmodels.json``, ``BENCH_poolscale.json``,
 ``BENCH_distscale.json``, ``BENCH_warmstart.json`` (cold-vs-warm
-end-to-end training per model family), and ``BENCH_service.json``
-(the AL session server: concurrent HTTP sessions/sec, request latency
-percentiles per store backend, byte-identity against serial runs), and
+end-to-end training per model family), and
 ``BENCH_sweep.json`` (scenario-grid sweeps: cells/sec cold vs resumed,
 per-cell transform and metric-pipeline overhead) at the repo root so
 later PRs can track the perf trajectory.
@@ -38,9 +36,7 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -73,16 +69,6 @@ from repro.experiments.distributed import (
     create_queue,
     run_distributed,
 )
-from repro.core.session import SessionEngine, run_to_completion
-from repro.experiments.checkpoint import result_to_dict
-from repro.service import (
-    JsonSessionStore,
-    SessionClient,
-    SessionService,
-    SqliteSessionStore,
-    build_session_components,
-    make_server,
-)
 from repro.specs import ExperimentSpec, Spec, SweepSpec
 from repro.ltr.lambdamart import (
     LambdaMART,
@@ -104,7 +90,6 @@ SEQ_OUTPUT_DEFAULT = Path(__file__).resolve().parent.parent / "BENCH_seqmodels.j
 POOL_OUTPUT_DEFAULT = Path(__file__).resolve().parent.parent / "BENCH_poolscale.json"
 DIST_OUTPUT_DEFAULT = Path(__file__).resolve().parent.parent / "BENCH_distscale.json"
 WARM_OUTPUT_DEFAULT = Path(__file__).resolve().parent.parent / "BENCH_warmstart.json"
-SERVICE_OUTPUT_DEFAULT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 SWEEP_OUTPUT_DEFAULT = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 
@@ -790,179 +775,6 @@ def run_dist_scale(quick: bool, output: Path) -> dict:
     return results
 
 
-# -- session-service suite --------------------------------------------------
-
-#: The per-session recipe the service suite drives: a tiny-but-real AL
-#: session (mr at 5% scale, two rounds of ten samples).  ``seed`` varies
-#: per session so concurrent sessions follow genuinely different
-#: trajectories.
-SERVICE_RECIPE = {
-    "dataset": "mr",
-    "scale": 0.05,
-    "strategy": "entropy",
-    "rounds": 2,
-    "batch_size": 10,
-    "epochs": 3,
-    "seed": 0,
-}
-
-
-def _serial_session_json(recipe: dict) -> str:
-    """The ground-truth audit trail: one plain in-process engine run."""
-    train, test, model, strategy, settings = build_session_components(recipe)
-    engine = SessionEngine(
-        model,
-        strategy,
-        train,
-        test,
-        batch_size=settings["batch_size"],
-        rounds=settings["rounds"],
-        initial_size=settings["initial_size"],
-        seed_or_rng=settings["seed"],
-        training_mode=settings["training_mode"],
-    )
-    return json.dumps(result_to_dict(run_to_completion(engine)))
-
-
-def _drive_service_session(base_url: str, index: int) -> dict:
-    """Create + auto-oracle one HTTP session; returns stats and result."""
-    client = SessionClient.http(base_url)
-    recipe = dict(SERVICE_RECIPE, seed=index)
-    store = "json" if index % 2 == 0 else "sqlite"
-    session_id = f"bench-{index}"
-    latencies: list[float] = []
-
-    def call(function, *args, **kwargs):
-        start = time.perf_counter()
-        payload = function(*args, **kwargs)
-        latencies.append((time.perf_counter() - start) * 1e3)
-        return payload
-
-    call(client.create, recipe, session_id=session_id, store=store)
-    while True:
-        payload = call(client.propose, session_id)
-        if payload.get("finished"):
-            return {
-                "store": store,
-                "latencies_ms": latencies,
-                "result_json": json.dumps(payload["result"]),
-                "recipe": recipe,
-            }
-        call(client.ingest, session_id, oracle=True)
-
-
-def bench_service_scale(n_sessions: int, identity_checks: int) -> dict:
-    """N concurrent HTTP sessions against one live server, mixed stores.
-
-    Measures sessions/sec and request latency percentiles, and — for
-    ``identity_checks`` of the sessions — asserts the served audit trail
-    is byte-identical to a serial in-process run of the same recipe.
-    """
-    workdir = Path(tempfile.mkdtemp(prefix="bench_service_"))
-    service = SessionService(
-        {
-            "json": JsonSessionStore(workdir / "json"),
-            "sqlite": SqliteSessionStore(workdir / "sessions.db"),
-        }
-    )
-    server = make_server(service)
-    server_thread = threading.Thread(target=server.serve_forever, daemon=True)
-    server_thread.start()
-    base_url = f"http://127.0.0.1:{server.server_address[1]}"
-    workers = min(16, n_sessions)
-    try:
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sessions = list(
-                pool.map(
-                    lambda index: _drive_service_session(base_url, index),
-                    range(n_sessions),
-                )
-            )
-        elapsed = time.perf_counter() - start
-    finally:
-        server.shutdown()
-        server.server_close()
-        server_thread.join(timeout=10)
-        shutil.rmtree(workdir, ignore_errors=True)
-
-    identical = True
-    for session in sessions[:identity_checks]:
-        if session["result_json"] != _serial_session_json(session["recipe"]):
-            identical = False
-    every = np.asarray(
-        [value for session in sessions for value in session["latencies_ms"]]
-    )
-    per_store = {}
-    for store in ("json", "sqlite"):
-        values = np.asarray(
-            [
-                value
-                for session in sessions
-                if session["store"] == store
-                for value in session["latencies_ms"]
-            ]
-        )
-        per_store[store] = {
-            "sessions": sum(1 for s in sessions if s["store"] == store),
-            "requests": int(values.size),
-            "p50_ms": float(np.percentile(values, 50)),
-            "p99_ms": float(np.percentile(values, 99)),
-        }
-    return {
-        "sessions": n_sessions,
-        "workers": workers,
-        "elapsed_seconds": elapsed,
-        "sessions_per_second": n_sessions / elapsed,
-        "requests": int(every.size),
-        "latency_p50_ms": float(np.percentile(every, 50)),
-        "latency_p99_ms": float(np.percentile(every, 99)),
-        "latency_mean_ms": float(every.mean()),
-        "stores": per_store,
-        "identity": {"checked": min(identity_checks, n_sessions), "identical": identical},
-    }
-
-
-def run_service_scale(quick: bool, output: Path) -> dict:
-    """Run the session-service suite and write ``BENCH_service.json``."""
-    print(f"[bench_service] mode={'quick' if quick else 'full'}")
-    n_sessions = 8 if quick else 64
-    results = {"scale": bench_service_scale(n_sessions, identity_checks=4)}
-    scale = results["scale"]
-    print(
-        f"  {scale['sessions']} concurrent sessions "
-        f"({scale['workers']} client threads, json+sqlite stores): "
-        f"{scale['sessions_per_second']:5.2f} sessions/s"
-    )
-    print(
-        f"  request latency: p50 {scale['latency_p50_ms']:6.1f} ms, "
-        f"p99 {scale['latency_p99_ms']:6.1f} ms over {scale['requests']} requests"
-    )
-    for store, entry in scale["stores"].items():
-        print(
-            f"  store {store:>6}: {entry['sessions']} sessions, "
-            f"p50 {entry['p50_ms']:6.1f} ms, p99 {entry['p99_ms']:6.1f} ms"
-        )
-    print(
-        f"  byte-identity vs serial runs: {scale['identity']['checked']} checked, "
-        f"identical: {scale['identity']['identical']}"
-    )
-    if not scale["identity"]["identical"]:
-        raise AssertionError("served session results diverged from serial runs")
-
-    payload = {
-        "benchmark": "service_scale",
-        "mode": "quick" if quick else "full",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count() or 1,
-        "results": results,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"[bench_service] wrote {output}")
-    return results
-
-
 # -- scenario-sweep suite (BENCH_sweep.json) ---------------------------------
 
 
@@ -1322,12 +1134,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="warm-start JSON output path",
     )
     parser.add_argument(
-        "--service-output",
-        type=Path,
-        default=SERVICE_OUTPUT_DEFAULT,
-        help="session-service JSON output path",
-    )
-    parser.add_argument(
         "--sweep-output",
         type=Path,
         default=SWEEP_OUTPUT_DEFAULT,
@@ -1342,7 +1148,6 @@ def main(argv: "list[str] | None" = None) -> int:
             "pool_scale",
             "dist_scale",
             "warm_start",
-            "service_scale",
             "sweep_scale",
         ),
         default="all",
@@ -1366,9 +1171,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
     if arguments.suite == "warm_start":
         run_warm_start(quick, arguments.warm_output)
-        return 0
-    if arguments.suite == "service_scale":
-        run_service_scale(quick, arguments.service_output)
         return 0
     if arguments.suite == "sweep_scale":
         run_sweep_scale(quick, arguments.sweep_output)
@@ -1445,7 +1247,6 @@ def main(argv: "list[str] | None" = None) -> int:
         run_pool_scale(quick, repeats, arguments.pool_output)
         run_dist_scale(quick, arguments.dist_output)
         run_warm_start(quick, arguments.warm_output)
-        run_service_scale(quick, arguments.service_output)
         run_sweep_scale(quick, arguments.sweep_output)
     return 0
 

@@ -39,7 +39,8 @@ machine can be rebooted between any two commands.
 
 The same commands drive sessions hosted on a running session server
 (``python -m repro serve``) by swapping ``--dir`` for ``--server`` +
-``--session``::
+``--session``.  A server keeps every session in one store: ``--sqlite
+FILE``, ``--json-dir DIR``, or (with neither) memory::
 
     python -m repro serve --port 8700 --sqlite sessions.db
     python -m repro session init --server http://127.0.0.1:8700 \
@@ -433,7 +434,7 @@ def _session_client(args: argparse.Namespace) -> "tuple[SessionClient, str, Path
         if not session_id:
             raise ConfigurationError("--server mode needs --session <id>")
         return SessionClient.http(server), session_id, None
-    service = SessionService({"json": JsonSessionStore(directory)})
+    service = SessionService(JsonSessionStore(directory))
     return SessionClient.in_process(service), _DIR_SESSION_ID, Path(directory)
 
 
@@ -549,18 +550,14 @@ def _cmd_session_init(args: argparse.Namespace) -> int:
                 f"{_session_file(directory)} already exists; use "
                 "'repro session propose/ingest/status' to continue it"
             )
-        service = SessionService({"json": JsonSessionStore(directory)})
+        service = SessionService(JsonSessionStore(directory))
         client = SessionClient.in_process(service)
         response = client.create(recipe, session_id=_DIR_SESSION_ID)
         where = str(directory)
     else:
         client = SessionClient.http(server)
         # --session is optional on init: the server generates an id.
-        response = client.create(
-            recipe,
-            session_id=getattr(args, "session", None),
-            store=getattr(args, "store", None),
-        )
+        response = client.create(recipe, session_id=getattr(args, "session", None))
         where = f"{response['id']} on {server}"
     print(
         f"initialised session in {where}: {recipe['strategy']} on "
@@ -677,23 +674,19 @@ def _cmd_session_result(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the AL session server until interrupted."""
-    stores = {}
+    if args.json_dir and args.sqlite:
+        raise ConfigurationError("pass at most one of --json-dir and --sqlite")
     if args.json_dir:
-        stores["json"] = JsonSessionStore(args.json_dir)
-    if args.sqlite:
-        stores["sqlite"] = SqliteSessionStore(args.sqlite)
-    if not stores:
+        store, where = JsonSessionStore(args.json_dir), f"json store {args.json_dir}"
+    elif args.sqlite:
+        store, where = SqliteSessionStore(args.sqlite), f"sqlite store {args.sqlite}"
+    else:
         # No durable store requested: host sessions in memory (they die
         # with the process — fine for demos and tests).
-        stores["memory"] = MemorySessionStore()
-    service = SessionService(stores, default_store=args.default_store)
-    server = make_server(service, host=args.host, port=args.port)
+        store, where = MemorySessionStore(), "memory store"
+    server = make_server(SessionService(store), host=args.host, port=args.port)
     host, port = server.server_address[:2]
-    print(
-        f"serving AL sessions on http://{host}:{port} "
-        f"(stores: {', '.join(sorted(stores))}; default {service.default_store})",
-        flush=True,
-    )
+    print(f"serving AL sessions on http://{host}:{port} ({where})", flush=True)
     try:
         server.serve_forever()
     finally:
@@ -925,9 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="'warm' resumes each round's retrain from the "
                            "previous round's parameters (faster ingest "
                            "turnaround); 'cold' (default) refits from scratch")
-    init.add_argument("--store", default=None,
-                      help="with --server: store backend to persist the "
-                           "session in (a name the server was started with)")
     init.set_defaults(handler=_cmd_session_init)
 
     propose = session_sub.add_parser(
@@ -969,22 +959,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run a multi-tenant session server.  Clients create "
                     "and drive sessions through the JSON API (or through "
                     "'repro session ... --server URL'); state persists in "
-                    "the configured store backends, so the server can be "
-                    "restarted without losing sessions.",
+                    "one store (--json-dir or --sqlite; memory with "
+                    "neither), so a durable server can be restarted "
+                    "without losing sessions.",
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8700,
                        help="TCP port (default 8700; 0 picks a free one)")
     serve.add_argument("--json-dir", default=None,
-                       help="expose a 'json' store: one <id>.json document "
-                            "per session in this directory")
+                       help="keep sessions as one <id>.json document each "
+                            "in this directory")
     serve.add_argument("--sqlite", default=None,
-                       help="expose a 'sqlite' store: sessions in this "
-                            "database file with transactional writes")
-    serve.add_argument("--default-store", default=None,
-                       help="store used when a create request names none "
-                            "(default: the first configured store)")
+                       help="keep sessions in this sqlite database file "
+                            "with transactional writes")
     serve.set_defaults(handler=_cmd_serve)
     return parser
 

@@ -215,6 +215,34 @@ def record_from_dict(payload: dict) -> RoundRecord:
     )
 
 
+def result_to_dict(result: ALResult) -> dict:
+    """Serialise an :class:`ALResult` (``final_model`` is dropped)."""
+    return {
+        "strategy_name": result.strategy_name,
+        "records": [record_to_dict(record) for record in result.records],
+        "selection_order": [selected.tolist() for selected in result.selection_order],
+        "history": result.history.to_dict(),
+    }
+
+
+def result_from_dict(payload: dict) -> ALResult:
+    """Rebuild an :class:`ALResult` written by :func:`result_to_dict`.
+
+    Floats round-trip exactly through JSON (``repr`` serialisation), so
+    curves and records compare byte-identical to the originals.
+    """
+    return ALResult(
+        strategy_name=str(payload["strategy_name"]),
+        records=[record_from_dict(record) for record in payload["records"]],
+        history=HistoryStore.from_dict(payload["history"]),
+        final_model=None,
+        selection_order=[
+            np.asarray(selected, dtype=np.int64)
+            for selected in payload["selection_order"]
+        ],
+    )
+
+
 def validated_model_history(strategy: QueryStrategy) -> int:
     """``strategy.requires_model_history`` as a checked non-negative int.
 

@@ -116,9 +116,10 @@ class ServiceError(ReproError):
     """An AL-service request failed; carries the HTTP status code.
 
     The service layer (:mod:`repro.service.app`) raises it for
-    request-level problems — unknown session id (404), malformed create
-    body (400), unknown store backend (400) — and the client re-raises
-    it for server-side errors that map to no more specific class.
+    request-level problems — unknown session id (404), illegal session
+    id, malformed create body or ``after`` query (400) — and the client
+    re-raises it for server-side errors that map to no more specific
+    class.
     """
 
     def __init__(self, message: str, status: int = 400) -> None:

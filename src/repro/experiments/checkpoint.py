@@ -34,12 +34,10 @@ snapshots* (``session_*.json``): the
 flight, written after every committed round.  A resumed or retried run
 restores the engine mid-cell instead of recomputing the finished rounds,
 and the snapshot is discarded the moment its cell completes — only
-in-flight cells ever have one on disk.  These snapshot documents persist
-through a :class:`repro.service.store.JsonSessionStore` — the same
-store contract the AL session service uses — so their on-disk handling
-(atomic writes, corrupt-document detection) is defined once; the
-envelope and fingerprint checks share the :mod:`repro.ioutil` helpers
-with the session CLI and the service.
+in-flight cells ever have one on disk.  Snapshots are written and read
+exactly like the cell files (atomic ``json.dumps`` writes, decoded and
+envelope-checked on load); the envelope and fingerprint checks share
+the :mod:`repro.ioutil` helpers with the session CLI and the service.
 """
 
 from __future__ import annotations
@@ -49,19 +47,16 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
-
-from ..core.history import HistoryStore
-from ..core.session import ALResult, record_from_dict, record_to_dict
-from ..exceptions import CheckpointError, HistoryError, StoreError
+# result_to_dict/result_from_dict are also imported from here by callers.
+from ..core.session import ALResult, result_from_dict, result_to_dict
+from ..exceptions import CheckpointError, HistoryError
 from ..formats import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
     SESSION_CHECKPOINT_FORMAT,
     SESSION_CHECKPOINT_VERSION,
 )
-from ..ioutil import atomic_write_text, check_fingerprint, validate_envelope
-from ..service.store import JsonSessionStore
+from ..ioutil import atomic_write_json, check_fingerprint, validate_envelope
 from .config import ExperimentConfig
 
 
@@ -80,49 +75,18 @@ def cell_stem(strategy: str, repeat: int) -> str:
     return f"{slug}.{digest}_r{int(repeat)}"
 
 
-# -- history store -----------------------------------------------------------
+def _read(path: Path, kind: str) -> "dict | None":
+    """The decoded JSON of ``path``, or ``None`` if the file is absent.
 
-
-def history_to_dict(history: HistoryStore) -> dict:
-    """Serialise a history store as per-round sparse (indices, scores) rows."""
-    return history.to_dict()
-
-
-def history_from_dict(payload: dict) -> HistoryStore:
-    """Rebuild a history store by replaying the recorded rounds."""
-    return HistoryStore.from_dict(payload)
-
-
-# -- ALResult ----------------------------------------------------------------
-
-
-def result_to_dict(result: ALResult) -> dict:
-    """Serialise an :class:`ALResult` (``final_model`` is dropped)."""
-    return {
-        "strategy_name": result.strategy_name,
-        "records": [record_to_dict(record) for record in result.records],
-        "selection_order": [selected.tolist() for selected in result.selection_order],
-        "history": history_to_dict(result.history),
-    }
-
-
-def result_from_dict(payload: dict) -> ALResult:
-    """Rebuild an :class:`ALResult` written by :func:`result_to_dict`.
-
-    Floats round-trip exactly through JSON (``repr`` serialisation), so
-    curves and records compare byte-identical to the originals.
+    An unreadable or undecodable file raises
+    :class:`~repro.exceptions.CheckpointError` naming ``kind``.
     """
-    records = [record_from_dict(record) for record in payload["records"]]
-    return ALResult(
-        strategy_name=str(payload["strategy_name"]),
-        records=records,
-        history=history_from_dict(payload["history"]),
-        final_model=None,
-        selection_order=[
-            np.asarray(selected, dtype=np.int64)
-            for selected in payload["selection_order"]
-        ],
-    )
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        return None
+    except (OSError, json.JSONDecodeError) as error:
+        raise CheckpointError(f"corrupt {kind} {path}: {error}") from error
 
 
 # -- the store ---------------------------------------------------------------
@@ -167,11 +131,6 @@ class CheckpointStore:
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: In-flight session snapshots persist through the generic
-        #: session-store contract (atomic writes, corruption detection);
-        #: ids are the ``session_<stem>`` file stems, so the layout on
-        #: disk is unchanged.
-        self._sessions = JsonSessionStore(self.directory)
         self._model_spec = model_spec
         self._strategy_specs = strategy_specs or {}
         self._scenario = scenario
@@ -232,7 +191,7 @@ class CheckpointStore:
         if self._scenario is not None:
             payload["scenario"] = self._scenario
         path = self.cell_path(strategy, repeat)
-        atomic_write_text(path, json.dumps(payload))
+        atomic_write_json(path, payload)
         return path
 
     def load(self, strategy: str, repeat: int, seed: int) -> "ALResult | None":
@@ -246,12 +205,9 @@ class CheckpointStore:
             does not match this run's strategy/repeat/seed/config).
         """
         path = self.cell_path(strategy, repeat)
-        if not path.exists():
+        payload = _read(path, "checkpoint")
+        if payload is None:
             return None
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise CheckpointError(f"corrupt checkpoint {path}: {error}") from error
         if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"{path} is not a comparison-cell checkpoint")
         if payload.get("version") != CHECKPOINT_VERSION:
@@ -272,18 +228,14 @@ class CheckpointStore:
 
     # -- in-flight session snapshots -----------------------------------------
 
-    def _session_id(self, strategy: str, repeat: int) -> str:
-        """The cell's id in the session store.
+    def session_path(self, strategy: str, repeat: int) -> Path:
+        """The round-level snapshot file of one in-flight cell.
 
         Prefixed ``session_`` so completed-cell bookkeeping (and
         anything globbing ``cell_*.json``) never mistakes an in-flight
         snapshot for a finished result.
         """
-        return f"session_{cell_stem(strategy, repeat)}"
-
-    def session_path(self, strategy: str, repeat: int) -> Path:
-        """The round-level snapshot file of one in-flight cell."""
-        return self._sessions.path(self._session_id(strategy, repeat))
+        return self.directory / f"session_{cell_stem(strategy, repeat)}.json"
 
     def save_session(
         self, strategy: str, repeat: int, seed: int, snapshot: dict
@@ -301,8 +253,9 @@ class CheckpointStore:
         }
         if self._scenario is not None:
             payload["scenario"] = self._scenario
-        self._sessions.save(self._session_id(strategy, repeat), payload)
-        return self.session_path(strategy, repeat)
+        path = self.session_path(strategy, repeat)
+        atomic_write_json(path, payload)
+        return path
 
     def load_session(self, strategy: str, repeat: int, seed: int) -> "dict | None":
         """The cell's mid-run session snapshot, or ``None`` if absent.
@@ -315,16 +268,11 @@ class CheckpointStore:
             differently fingerprinted run.
         """
         path = self.session_path(strategy, repeat)
-        try:
-            row = self._sessions.load(self._session_id(strategy, repeat))
-        except StoreError as error:
-            raise CheckpointError(
-                f"corrupt session snapshot {path}: {error}"
-            ) from error
-        if row is None:
+        payload = _read(path, "session snapshot")
+        if payload is None:
             return None
-        payload = validate_envelope(
-            row.document,
+        validate_envelope(
+            payload,
             SESSION_CHECKPOINT_FORMAT,
             SESSION_CHECKPOINT_VERSION,
             CheckpointError,
@@ -344,4 +292,4 @@ class CheckpointStore:
 
     def discard_session(self, strategy: str, repeat: int) -> None:
         """Remove the cell's in-flight snapshot once the cell completes."""
-        self._sessions.delete(self._session_id(strategy, repeat))
+        self.session_path(strategy, repeat).unlink(missing_ok=True)

@@ -1,19 +1,19 @@
-"""AL-as-a-service: a multi-tenant session server over pluggable stores.
+"""AL-as-a-service: a multi-tenant session server over one session store.
 
 This package turns the re-entrant
 :class:`~repro.core.session.SessionEngine` into a hosted service.  Three
 layers, each usable on its own:
 
 * :mod:`repro.service.store` — the :class:`SessionStore` persistence
-  contract (versioned documents, optimistic compare-and-swap writes)
-  with JSON-directory, sqlite3, and in-memory backends.  The checkpoint
-  store's round-level session snapshots and the ``repro session``
-  directory workflow persist through the same API.
+  contract (versioned documents, optimistic compare-and-swap writes,
+  atomic create) with JSON-directory, sqlite3, and in-memory backends;
+  the ``repro session`` directory workflow persists through it too.
 * :mod:`repro.service.app` — :class:`SessionService`, the
-  transport-independent application: create-from-recipe or
-  create-from-:class:`~repro.specs.ExperimentSpec`, propose / ingest /
-  status / events / result operations addressed by session id, with
-  per-session locking and store-level CAS for cross-process safety.
+  transport-independent application over exactly one store:
+  create-from-recipe or create-from-:class:`~repro.specs.ExperimentSpec`,
+  propose / ingest / status / events / result operations addressed by
+  session id, with per-session locking and store-level CAS for
+  cross-process safety.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a
   stdlib-only ``ThreadingHTTPServer`` front end and a
   :class:`SessionClient` that speaks either HTTP or an in-process

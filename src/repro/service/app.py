@@ -2,8 +2,8 @@
 
 :class:`SessionService` hosts many concurrent
 :class:`~repro.core.session.SessionEngine` sessions, each addressed by
-id and persisted through a pluggable
-:class:`~repro.service.store.SessionStore`.  Every mutation follows the
+id and persisted in one :class:`~repro.service.store.SessionStore`
+(json directory, sqlite, or memory).  Every mutation follows the
 same discipline: lock the session (serialising the threads of *this*
 process), drive the engine, then write the updated document back with a
 version-checked compare-and-swap (catching writers in *other*
@@ -21,12 +21,12 @@ byte-identical to one driven in process.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
-from functools import partial
 from types import SimpleNamespace
 
-from ..core.session import SessionEngine, SessionState
+from ..core.session import SessionEngine, SessionState, result_to_dict
 from ..eval.curves import LearningCurve
 from ..eval.pipeline import MetricContext
 from ..exceptions import (
@@ -53,7 +53,7 @@ from ..specs import (
     parse_strategy_shorthand,
 )
 from .events import SessionEventFeed
-from .store import SessionStore
+from .store import SessionStore, checked_session_id
 
 __all__ = [
     "RECIPE_DEFAULTS",
@@ -82,6 +82,14 @@ RECIPE_DEFAULTS = {
 
 #: Engine-shape settings every recipe flavour resolves to.
 _SETTING_KEYS = ("batch_size", "rounds", "initial_size", "seed", "training_mode")
+
+
+def _checked_id(session_id) -> str:
+    """``session_id`` if legal; a 400 before any store call otherwise."""
+    try:
+        return checked_session_id(session_id)
+    except StoreError as error:
+        raise ServiceError(str(error), status=400) from None
 
 
 def _normalized_recipe(recipe) -> dict:
@@ -225,23 +233,16 @@ def session_metrics(engine, recipe=None) -> dict:
 class _LiveSession:
     """One hosted session: engine + recipe + event feed + lock + version."""
 
-    def __init__(self, recipe, engine, feed, store_name, version) -> None:
+    def __init__(self, recipe, engine, feed, version) -> None:
         self.recipe = recipe
         self.engine = engine
         self.feed = feed
-        self.store_name = store_name
         self.version = version
         self.lock = threading.Lock()
 
 
 class SessionService:
-    """Multi-tenant session host over one or more named stores.
-
-    ``stores`` maps backend names (``"json"``, ``"sqlite"``, ...) to
-    :class:`~repro.service.store.SessionStore` instances; ``create``
-    requests pick one by name (``default_store`` otherwise).  Session
-    ids are unique across *all* stores — a session is addressed by id
-    alone, its store is an implementation detail recorded at creation.
+    """Multi-tenant session host over one :class:`~repro.service.store.SessionStore`.
 
     Engines are cached in memory per process and re-hydrated from the
     store on demand, so the service survives restarts and several
@@ -249,37 +250,13 @@ class SessionService:
     rejects whichever process lost a race.
     """
 
-    def __init__(self, stores: "dict[str, SessionStore]", default_store: "str | None" = None) -> None:
-        if not stores:
-            raise ConfigurationError("SessionService needs at least one store")
-        self.stores = dict(stores)
-        self.default_store = default_store if default_store is not None else next(iter(self.stores))
-        if self.default_store not in self.stores:
-            raise ConfigurationError(
-                f"default store {self.default_store!r} is not one of {sorted(self.stores)}"
-            )
+    def __init__(self, store: SessionStore) -> None:
+        self.store = store
         self._lock = threading.Lock()
         self._live: dict[str, _LiveSession] = {}
-        self._counter = 0
+        self._ids = itertools.count(1)  # next() is atomic under the GIL
 
     # -- store plumbing ----------------------------------------------------
-
-    def _store_named(self, name: str) -> SessionStore:
-        """The store registered under ``name`` (400 if unknown)."""
-        try:
-            return self.stores[name]
-        except KeyError:
-            raise ServiceError(
-                f"unknown store {name!r}; available: {sorted(self.stores)}", status=400
-            ) from None
-
-    def _find_store(self, session_id: str) -> "tuple[str, object] | None":
-        """``(store_name, StoredSession)`` holding ``session_id``, or ``None``."""
-        for name, store in self.stores.items():
-            row = store.load(session_id)
-            if row is not None:
-                return name, row
-        return None
 
     def _document(self, live: _LiveSession) -> dict:
         """The session's persistent document (the CLI's exact envelope)."""
@@ -292,9 +269,8 @@ class SessionService:
 
     def _save(self, session_id: str, live: _LiveSession) -> None:
         """CAS-write the session back; on conflict, drop the stale engine."""
-        store = self._store_named(live.store_name)
         try:
-            live.version = store.save(
+            live.version = self.store.save(
                 session_id, self._document(live), expected_version=live.version
             )
         except StoreConflictError:
@@ -311,10 +287,9 @@ class SessionService:
             live = self._live.get(session_id)
             if live is not None:
                 return live
-        found = self._find_store(session_id)
-        if found is None:
+        row = self.store.load(session_id)
+        if row is None:
             raise ServiceError(f"unknown session {session_id!r}", status=404)
-        store_name, row = found
         payload = validate_envelope(
             row.document,
             SESSION_DIR_FORMAT,
@@ -328,40 +303,43 @@ class SessionService:
         engine = SessionEngine.restore(
             payload["session"], model, strategy, train, test, observers=[feed]
         )
-        live = _LiveSession(recipe, engine, feed, store_name, row.version)
+        live = _LiveSession(recipe, engine, feed, row.version)
         with self._lock:
             # Another thread may have hydrated concurrently; keep the first.
             return self._live.setdefault(session_id, live)
 
-    def _generated_id(self) -> str:
-        """The next free ``session-N`` id across every store."""
+    def _store_new(self, session_id: "str | None", document: dict) -> "tuple[str, object]":
+        """``(id, version)`` of a new document; without an id, the first
+        free ``session-N`` (the store's atomic ``create`` decides)."""
         while True:
-            with self._lock:
-                self._counter += 1
-                candidate = f"session-{self._counter}"
-            if candidate not in self._live and self._find_store(candidate) is None:
-                return candidate
+            candidate = session_id or f"session-{next(self._ids)}"
+            try:
+                return candidate, self.store.create(candidate, document)
+            except StoreConflictError:
+                if session_id is not None:
+                    raise
 
     # -- operations --------------------------------------------------------
 
     def create(self, body: dict) -> dict:
-        """Create a session from ``{"recipe": ..., "id"?, "store"?}``.
+        """Create a session from ``{"recipe": ..., "id"?}``.
 
         Builds the components, runs the engine to its first proposal's
         doorstep (state ``PROPOSE``), and persists the initial document
-        with a conflict-checked create — an existing id anywhere is
-        refused with 409.
+        with the store's atomic create — an existing id is refused with
+        409.  Any other body key, or an illegal id, is a 400.
         """
         if not isinstance(body, dict):
             raise ServiceError("create body must be a JSON object", status=400)
+        unknown = sorted(set(body) - {"recipe", "id"})
+        if unknown:
+            raise ServiceError(
+                f"unknown create-body keys {unknown}; allowed: 'recipe', 'id'", status=400
+            )
         recipe = _normalized_recipe(body.get("recipe"))
-        store_name = body.get("store", self.default_store)
-        store = self._store_named(store_name)
         session_id = body.get("id")
-        if session_id is None:
-            session_id = self._generated_id()
-        elif self._find_store(session_id) is not None:
-            raise StoreConflictError(f"session {session_id!r} already exists")
+        if session_id is not None:
+            _checked_id(session_id)
         train, test, model, strategy, settings = build_session_components(recipe)
         feed = SessionEventFeed()
         engine = SessionEngine(
@@ -377,13 +355,12 @@ class SessionService:
             track_flips=settings.get("track_flips", False),
             observers=[feed],
         )
-        live = _LiveSession(recipe, engine, feed, store_name, version=None)
-        live.version = store.create(session_id, self._document(live))
+        live = _LiveSession(recipe, engine, feed, version=None)
+        session_id, live.version = self._store_new(session_id, self._document(live))
         with self._lock:
             self._live[session_id] = live
         return {
             "id": session_id,
-            "store": store_name,
             "state": engine.state.value,
             "round": engine.round_index,
             "n_train": len(train),
@@ -416,10 +393,6 @@ class SessionService:
 
     def _result_payload(self, session_id: str, live: _LiveSession) -> dict:
         """The finished session's audit trail as a JSON document."""
-        # Imported lazily: experiments.checkpoint persists through
-        # service.store, so a module-level import here would be circular.
-        from ..experiments.checkpoint import result_to_dict
-
         result = live.engine.result()
         curve = result.curve()
         return {
@@ -494,7 +467,6 @@ class SessionService:
             snapshot = live.engine.snapshot()
             return {
                 "id": session_id,
-                "store": live.store_name,
                 "state": snapshot["state"],
                 "round": snapshot["round_index"],
                 "recipe": live.recipe,
@@ -519,32 +491,21 @@ class SessionService:
         }
 
     def delete(self, session_id: str) -> dict:
-        """Remove the session from memory and its store (404 if unknown)."""
-        found = self._find_store(session_id)
-        if found is None and session_id not in self._live:
-            raise ServiceError(f"unknown session {session_id!r}", status=404)
+        """Remove the session from memory and the store (404 if unknown)."""
         with self._lock:
-            self._live.pop(session_id, None)
-        if found is not None:
-            self.stores[found[0]].delete(session_id)
+            live = self._live.pop(session_id, None)
+        if live is None and self.store.load(session_id) is None:
+            raise ServiceError(f"unknown session {session_id!r}", status=404)
+        self.store.delete(session_id)
         return {"id": session_id, "deleted": True}
 
     def list_sessions(self) -> dict:
-        """Every stored session id, tagged with its store."""
-        sessions = []
-        for name in sorted(self.stores):
-            for session_id in self.stores[name].list_ids():
-                sessions.append({"id": session_id, "store": name})
-        return {"sessions": sessions}
+        """Every stored session id."""
+        return {"sessions": [{"id": session_id} for session_id in self.store.list_ids()]}
 
     def health(self) -> dict:
-        """Liveness payload: store names and hosted-session count."""
-        return {
-            "status": "ok",
-            "stores": sorted(self.stores),
-            "default_store": self.default_store,
-            "live_sessions": len(self._live),
-        }
+        """Liveness payload: the hosted-session count."""
+        return {"status": "ok", "live_sessions": len(self._live)}
 
 
 #: Exception class -> HTTP status, checked in order (subclasses first).
@@ -574,6 +535,15 @@ def _error_response(error: ReproError) -> "tuple[int, dict]":
     return status, {"error": str(error), "error_type": type(error).__name__}
 
 
+def _after(query: dict) -> int:
+    """The events route's ``after`` query value (400 unless an integer)."""
+    raw = query.get("after", 0)
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ServiceError(f"'after' must be an integer, got {raw!r}", status=400) from None
+
+
 def dispatch(
     service: SessionService,
     method: str,
@@ -597,7 +567,9 @@ def dispatch(
         GET    /sessions/{id}/events       feed entries with seq > ``after``
 
     Domain errors become ``(status, {"error", "error_type"})`` — see
-    :func:`_error_response`; unknown paths 404, wrong methods 405.
+    :func:`_error_response`; unknown paths 404, wrong methods 405, and
+    illegal ids, unknown create-body keys or a non-integer ``after`` 400
+    before any store call.
     """
     query = query or {}
     parts = [part for part in path.split("/") if part]
@@ -614,7 +586,7 @@ def dispatch(
             if method == "POST":
                 return 201, service.create(body or {})
             raise ServiceError(f"{method} not allowed on /sessions", status=405)
-        session_id = parts[1]
+        session_id = _checked_id(parts[1])
         if len(parts) == 2:
             if method == "GET":
                 return 200, service.status(session_id)
@@ -625,12 +597,10 @@ def dispatch(
             )
         action = parts[2]
         handlers = {
-            ("POST", "propose"): partial(service.propose, session_id),
-            ("POST", "ingest"): partial(service.ingest, session_id, body or {}),
-            ("GET", "result"): partial(service.result, session_id),
-            ("GET", "events"): partial(
-                service.events, session_id, after=int(query.get("after", 0))
-            ),
+            ("POST", "propose"): lambda: service.propose(session_id),
+            ("POST", "ingest"): lambda: service.ingest(session_id, body or {}),
+            ("GET", "result"): lambda: service.result(session_id),
+            ("GET", "events"): lambda: service.events(session_id, after=_after(query)),
         }
         handler = handlers.get((method, action))
         if handler is None:

@@ -145,13 +145,11 @@ class SessionClient:
             raise error_cls(message)
         raise ServiceError(message, status=status)
 
-    def create(self, recipe: dict, session_id=None, store=None) -> dict:
+    def create(self, recipe: dict, session_id=None) -> dict:
         """Create a session; returns its id, shape, and stored recipe."""
         body = {"recipe": recipe}
         if session_id is not None:
             body["id"] = session_id
-        if store is not None:
-            body["store"] = store
         return self._call("POST", "/sessions", body=body)
 
     def propose(self, session_id: str) -> dict:
@@ -178,11 +176,11 @@ class SessionClient:
         )
 
     def delete(self, session_id: str) -> dict:
-        """Delete the session from its store."""
+        """Delete the session from the server's store."""
         return self._call("DELETE", f"/sessions/{session_id}")
 
     def list_sessions(self) -> list:
-        """All stored sessions as ``{"id", "store"}`` dicts."""
+        """All stored sessions as ``{"id"}`` dicts."""
         return self._call("GET", "/sessions")["sessions"]
 
     def health(self) -> dict:

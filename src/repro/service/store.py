@@ -17,19 +17,19 @@ The contract is deliberately small:
   :class:`~repro.exceptions.StoreConflictError` — the AL service maps
   that to HTTP 409 and the loser re-reads instead of silently clobbering
   the winner (the classic lost update);
-* :meth:`~SessionStore.create` refuses an existing id with the same
-  conflict error.
+* :meth:`~SessionStore.create` atomically refuses an existing id with
+  the same conflict error — it is the service's only id-uniqueness
+  check, so two racing creates of one id never both succeed.
 
-Three backends:
+A session server hosts exactly one store.  Three backends:
 
 * :class:`JsonSessionStore` — one ``<id>.json`` file per session,
   written through :func:`repro.ioutil.atomic_write_text` (crash-safe:
   readers see the old or the new document, never a torn one).  Versions
   are content hashes; CAS is serialized per process and best-effort
   across processes — use sqlite when multiple *processes* race on one
-  session.  This backend also carries the checkpoint store's round-level
-  ``session_*.json`` snapshots and the session CLI's ``session.json``,
-  byte-identical to their pre-service layout.
+  session.  This backend also carries the session CLI's
+  ``session.json``, byte-identical to its pre-service layout.
 * :class:`SqliteSessionStore` — a single ``sqlite3`` database with
   integer versions and transactional CAS (``BEGIN IMMEDIATE``), safe
   across processes and machines sharing the file.  A crash mid-write
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..exceptions import StoreConflictError, StoreError
-from ..ioutil import atomic_write_text, check_fingerprint, validate_envelope
+from ..ioutil import atomic_write_text
 
 __all__ = [
     "JsonSessionStore",
@@ -59,8 +59,6 @@ __all__ = [
     "SessionStore",
     "SqliteSessionStore",
     "StoredSession",
-    "check_fingerprint",
-    "validate_envelope",
 ]
 
 #: Legal session ids: filesystem- and URL-safe, bounded length.
@@ -136,12 +134,9 @@ class SessionStore:
 
         Raises :class:`~repro.exceptions.StoreConflictError` if the id
         already exists — creating must never overwrite a live session.
-        Backends with stronger primitives (sqlite ``INSERT``) override
-        this with a fully atomic variant.
+        The existence check and the write are one atomic step.
         """
-        if self.load(session_id) is not None:
-            raise StoreConflictError(f"session {session_id!r} already exists")
-        return self.save(session_id, document)
+        raise NotImplementedError
 
 
 class MemorySessionStore(SessionStore):
@@ -153,7 +148,7 @@ class MemorySessionStore(SessionStore):
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # re-entrant: create calls save
         self._rows: dict[str, tuple[str, int]] = {}
 
     def load(self, session_id: str) -> "StoredSession | None":
@@ -181,6 +176,13 @@ class MemorySessionStore(SessionStore):
             self._rows[session_id] = (text, version + 1)
             return version + 1
 
+    def create(self, session_id: str, document: dict) -> int:
+        """Check-and-insert a brand-new session under one lock hold."""
+        with self._lock:
+            if checked_session_id(session_id) in self._rows:
+                raise StoreConflictError(f"session {session_id!r} already exists")
+            return self.save(session_id, document)
+
     def delete(self, session_id: str) -> None:
         """Remove the session; idempotent."""
         checked_session_id(session_id)
@@ -204,22 +206,12 @@ class JsonSessionStore(SessionStore):
     within one process and best-effort across processes (the window
     between compare and rename).  Cross-process contention belongs on
     :class:`SqliteSessionStore`.
-
-    ``on_event`` is the deterministic crash-site hook used by the
-    fault-injection tests: it is called with ``"serialized"`` before the
-    atomic write and ``"written"`` after it, mirroring the distributed
-    worker's ``on_event`` seam.
     """
 
-    def __init__(
-        self,
-        directory: "str | Path",
-        on_event: "Callable[[str], None] | None" = None,
-    ) -> None:
+    def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._on_event = on_event
+        self._lock = threading.RLock()  # re-entrant: create calls save
 
     def path(self, session_id: str) -> Path:
         """The document file backing one session id."""
@@ -262,12 +254,15 @@ class JsonSessionStore(SessionStore):
                         f"concurrent update of session {session_id!r}: expected "
                         f"version {expected_version!r}, found {current!r}"
                     )
-            if self._on_event is not None:
-                self._on_event("serialized")
             atomic_write_text(path, text)
-            if self._on_event is not None:
-                self._on_event("written")
             return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def create(self, session_id: str, document: dict) -> str:
+        """Check-and-write a brand-new document under one lock hold."""
+        with self._lock:
+            if self.path(session_id).exists():
+                raise StoreConflictError(f"session {session_id!r} already exists")
+            return self.save(session_id, document)
 
     def delete(self, session_id: str) -> None:
         """Remove the session's document; idempotent."""

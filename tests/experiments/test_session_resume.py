@@ -8,6 +8,8 @@ cell — resumes from the last finished round instead of round zero, with
 byte-identical results.
 """
 
+import json
+
 import pytest
 
 from repro.exceptions import CheckpointError, ExecutionError
@@ -115,6 +117,17 @@ class TestSessionSnapshotStore:
         )
         with pytest.raises(CheckpointError, match="stale session snapshot"):
             other.load_session("wshs:entropy", 0, 123)
+
+    def test_snapshot_file_is_plain_json_dumps(self, tmp_path):
+        # The bytes every earlier version wrote: json.dumps, default
+        # separators, nothing else.
+        store = CheckpointStore(tmp_path, ExperimentConfig(**CONFIG_KWARGS))
+        path = store.save_session("s", 1, 9, {"state": "train", "round_index": 2})
+        assert path == store.session_path("s", 1)
+        assert path.name.startswith("session_")
+        payload = json.loads(path.read_text())
+        assert payload["session"] == {"state": "train", "round_index": 2}
+        assert path.read_text() == json.dumps(payload)
 
     def test_roundtrip_and_discard(self, tmp_path):
         store = CheckpointStore(tmp_path, ExperimentConfig(**CONFIG_KWARGS))

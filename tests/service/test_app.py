@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.core.session import SessionEngine, run_to_completion
+from repro.core.session import SessionEngine, result_to_dict, run_to_completion
 from repro.exceptions import (
     IngestError,
     ServiceError,
@@ -19,11 +19,11 @@ from repro.exceptions import (
     StoreConflictError,
 )
 from repro.experiments import ExperimentConfig
-from repro.experiments.checkpoint import result_to_dict
 from repro.service import (
     MemorySessionStore,
     SessionClient,
     SessionService,
+    SessionStore,
     SqliteSessionStore,
     build_session_components,
     dispatch,
@@ -69,8 +69,8 @@ def drive(client, session_id) -> dict:
 
 @pytest.fixture
 def service():
-    """A single-tenant in-memory service."""
-    return SessionService({"memory": MemorySessionStore()})
+    """A service over one in-memory store."""
+    return SessionService(MemorySessionStore())
 
 
 @pytest.fixture
@@ -83,7 +83,6 @@ class TestSessionLifecycle:
     def test_create_normalizes_recipe_and_reports_shape(self, client):
         created = client.create(RECIPE, session_id="s1")
         assert created["id"] == "s1"
-        assert created["store"] == "memory"
         assert created["round"] == 0
         # Caller keys keep their order; defaults are appended after.
         assert list(created["recipe"])[: len(RECIPE)] == list(RECIPE)
@@ -127,7 +126,7 @@ class TestSessionLifecycle:
         status = client.status("s1")
         assert status["state"] == "propose"
         assert status["session"]["format"] == "repro.al_session"
-        assert client.list_sessions() == [{"id": "s1", "store": "memory"}]
+        assert client.list_sessions() == [{"id": "s1"}]
         client.delete("s1")
         assert client.list_sessions() == []
 
@@ -142,9 +141,9 @@ class TestSessionLifecycle:
             client.ingest("s1", oracle=True)
 
     def test_health(self, client):
-        payload = client.health()
-        assert payload["status"] == "ok"
-        assert payload["stores"] == ["memory"]
+        assert client.health() == {"status": "ok", "live_sessions": 0}
+        client.create(RECIPE, session_id="s1")
+        assert client.health()["live_sessions"] == 1
 
 
 class TestExperimentRecipes:
@@ -195,21 +194,21 @@ class TestEvents:
 class TestPersistence:
     def test_restart_continues_byte_identically(self, tmp_path):
         store = SqliteSessionStore(tmp_path / "sessions.db")
-        first = SessionClient.in_process(SessionService({"sqlite": store}))
+        first = SessionClient.in_process(SessionService(store))
         first.create(RECIPE, session_id="s1")
         proposal = first.propose("s1")
         first.ingest("s1", oracle=True)
         assert proposal["round"] == 0
         # A fresh service over the same store re-hydrates the engine from
         # its persisted snapshot and finishes with the exact serial result.
-        second = SessionClient.in_process(SessionService({"sqlite": store}))
+        second = SessionClient.in_process(SessionService(store))
         finished = drive(second, "s1")
         assert json.dumps(finished["result"]) == serial_reference(RECIPE)
 
     def test_concurrent_services_cas_protects_lost_updates(self, tmp_path):
         store_path = tmp_path / "sessions.db"
-        service_a = SessionService({"sqlite": SqliteSessionStore(store_path)})
-        service_b = SessionService({"sqlite": SqliteSessionStore(store_path)})
+        service_a = SessionService(SqliteSessionStore(store_path))
+        service_b = SessionService(SqliteSessionStore(store_path))
         client_a = SessionClient.in_process(service_a)
         client_b = SessionClient.in_process(service_b)
         client_a.create(RECIPE, session_id="s1")
@@ -271,6 +270,64 @@ class TestDispatch:
         client.propose("s1")
         with pytest.raises(IngestError, match="indices"):
             client.ingest("s1")
+
+
+class TestMalformedRequests:
+    """Malformed requests are 400s, answered before any store call or
+    dataset build: the bare ``SessionStore`` raises on every method."""
+
+    @pytest.fixture
+    def untouchable(self, monkeypatch):
+        def no_build(recipe):
+            raise AssertionError("components built for a malformed request")
+
+        monkeypatch.setattr("repro.service.app.build_session_components", no_build)
+        return SessionService(SessionStore())
+
+    def assert_400(self, response, match):
+        status, payload = response
+        assert status == 400, payload
+        assert payload["error_type"] == "ServiceError"
+        assert match in payload["error"]
+
+    @pytest.mark.parametrize(
+        "method,path",
+        [
+            ("GET", "/sessions/bad id"),
+            ("DELETE", "/sessions/bad id"),
+            ("POST", "/sessions/bad id/propose"),
+            ("GET", "/sessions/" + "x" * 150 + "/events"),
+        ],
+        ids=["status", "delete", "propose", "events-150-chars"],
+    )
+    def test_illegal_path_id(self, untouchable, method, path):
+        self.assert_400(dispatch(untouchable, method, path), "illegal session id")
+
+    @pytest.mark.parametrize(
+        "session_id", ["bad id", "x" * 150, 7], ids=["space", "150-chars", "int"]
+    )
+    def test_illegal_create_id(self, untouchable, session_id):
+        body = {"recipe": RECIPE, "id": session_id}
+        self.assert_400(
+            dispatch(untouchable, "POST", "/sessions", body=body), "illegal session id"
+        )
+
+    def test_unknown_create_keys_are_named(self, untouchable):
+        body = {"recipe": RECIPE, "id": "s1", "store": "sqlite"}
+        self.assert_400(dispatch(untouchable, "POST", "/sessions", body=body), "'store'")
+
+    def test_non_integer_after(self, untouchable):
+        response = dispatch(
+            untouchable, "GET", "/sessions/s1/events", query={"after": "abc"}
+        )
+        self.assert_400(response, "'after' must be an integer")
+
+    def test_after_is_read_only_by_the_events_route(self, service):
+        dispatch(service, "POST", "/sessions", body={"recipe": RECIPE, "id": "s1"})
+        status, payload = dispatch(
+            service, "POST", "/sessions/s1/propose", query={"after": "abc"}
+        )
+        assert status == 200 and payload["finished"] is False
 
 
 class TestStatusMetrics:

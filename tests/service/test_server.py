@@ -1,10 +1,11 @@
 """End-to-end tests over a real HTTP server.
 
-A live :class:`ThreadingHTTPServer` hosts the service; many sessions
-with different seeds and mixed store backends run to completion from
-concurrent client threads, and every one must reproduce its serial
-in-process reference byte-for-byte.  Transport and tenancy must be
-invisible in the results.
+A live :class:`ThreadingHTTPServer` hosts the service over one store —
+every test runs once against a json-directory server and once against a
+sqlite server.  Many sessions with different seeds run to completion
+from concurrent client threads, and every one must reproduce its serial
+in-process reference byte-for-byte.  Transport, tenancy and backend must
+be invisible in the results.
 """
 
 import json
@@ -14,27 +15,16 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.exceptions import ServiceError, SessionError, StoreConflictError
-from repro.service import (
-    JsonSessionStore,
-    SessionClient,
-    SessionService,
-    SqliteSessionStore,
-    make_server,
-)
+from repro.service import SessionClient, SessionService, make_server
 
 from .test_app import RECIPE, drive, serial_reference
+from .test_store import make_store
 
 
-@pytest.fixture
-def http_client(tmp_path):
-    """A client talking HTTP to a live server with json + sqlite stores."""
-    service = SessionService(
-        {
-            "json": JsonSessionStore(tmp_path / "sessions"),
-            "sqlite": SqliteSessionStore(tmp_path / "sessions.db"),
-        }
-    )
-    server = make_server(service)
+@pytest.fixture(params=["json", "sqlite"])
+def http_client(request, tmp_path):
+    """A client talking HTTP to a live server over one json or sqlite store."""
+    server = make_server(SessionService(make_store(request.param, tmp_path)))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -47,13 +37,11 @@ def http_client(tmp_path):
 
 class TestHttpTransport:
     def test_health_over_http(self, http_client):
-        payload = http_client.health()
-        assert payload["status"] == "ok"
-        assert payload["stores"] == ["json", "sqlite"]
+        assert http_client.health() == {"status": "ok", "live_sessions": 0}
 
     def test_single_session_round_trip(self, http_client):
-        created = http_client.create(RECIPE, session_id="s1", store="sqlite")
-        assert created["store"] == "sqlite"
+        created = http_client.create(RECIPE, session_id="s1")
+        assert created["id"] == "s1"
         finished = drive(http_client, "s1")
         assert json.dumps(finished["result"]) == serial_reference(RECIPE)
         result = http_client.result("s1")
@@ -69,6 +57,20 @@ class TestHttpTransport:
         with pytest.raises(SessionError, match="not awaiting labels"):
             http_client.ingest("s1", oracle=True)
 
+    def test_malformed_requests_get_json_400s(self, http_client, capsys):
+        probes = [
+            ("GET", "/sessions/s1/events", {"after": "abc"}, None),
+            ("GET", "/sessions/bad%20id", None, None),
+            ("POST", "/sessions", None, {"recipe": RECIPE, "store": "sqlite"}),
+        ]
+        for method, path, query, body in probes:
+            # A JSON error body, not a dropped connection.
+            status, payload = http_client.transport.request(method, path, query, body)
+            assert status == 400, (path, payload)
+            assert set(payload) == {"error", "error_type"}
+            assert payload["error_type"] == "ServiceError"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_events_poll_over_http(self, http_client):
         http_client.create(RECIPE, session_id="s1")
         http_client.propose("s1")
@@ -82,15 +84,12 @@ class TestHttpTransport:
         with pytest.raises(ServiceError, match="cannot reach session server"):
             client.health()
 
-    def test_concurrent_mixed_store_sessions_match_serial_runs(self, http_client):
+    def test_concurrent_sessions_match_serial_runs(self, http_client):
         recipes = [dict(RECIPE, seed=seed) for seed in range(8)]
-        stores = ["json" if index % 2 == 0 else "sqlite" for index in range(8)]
 
         def run_one(index):
             session_id = f"con-{index}"
-            http_client.create(
-                recipes[index], session_id=session_id, store=stores[index]
-            )
+            http_client.create(recipes[index], session_id=session_id)
             return json.dumps(drive(http_client, session_id)["result"])
 
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -99,3 +98,6 @@ class TestHttpTransport:
         assert served == references
         # Different seeds genuinely exercise different trajectories.
         assert len(set(references)) > 1
+        assert [entry["id"] for entry in http_client.list_sessions()] == sorted(
+            f"con-{index}" for index in range(8)
+        )

@@ -10,6 +10,8 @@ sqlite.
 
 import json
 import multiprocessing
+import threading
+import time
 
 import pytest
 
@@ -54,6 +56,41 @@ class TestStoreContract:
         store.create("s1", DOC)
         with pytest.raises(StoreConflictError, match="already exists"):
             store.create("s1", {"other": True})
+
+    def test_racing_creates_of_one_id(self, store, monkeypatch):
+        # Slow every read: a create that checked existence with load()
+        # and wrote afterwards, outside one lock, lets both racers win.
+        load = store.load
+
+        def slow_load(session_id):
+            row = load(session_id)
+            time.sleep(0.05)
+            return row
+
+        monkeypatch.setattr(store, "load", slow_load)
+        racers = 4
+        barrier = threading.Barrier(racers, timeout=30)
+        created, conflicts = [], []
+
+        def create(document):
+            barrier.wait()
+            try:
+                store.create("s1", document)
+                created.append(document)
+            except StoreConflictError:
+                conflicts.append(document)
+
+        threads = [
+            threading.Thread(target=create, args=({"n": n},)) for n in range(racers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(created) == 1 and len(conflicts) == racers - 1
+        # The winner's document survives; no loser overwrote it.
+        assert store.load("s1").document == created[0]
 
     def test_unconditional_save_moves_version(self, store):
         first = store.create("s1", DOC)

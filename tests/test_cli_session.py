@@ -130,11 +130,22 @@ class TestSessionErrors:
         assert main(argv) == 2
         assert "exactly one of" in capsys.readouterr().err
 
+    def test_serve_takes_at_most_one_store(self, tmp_path, capsys):
+        argv = ["serve", "--port", "0", "--json-dir", str(tmp_path / "a"),
+                "--sqlite", str(tmp_path / "b.db")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: pass at most one of --json-dir and --sqlite"
+        ]
+        assert list(tmp_path.iterdir()) == []  # neither store was opened
+
 
 @pytest.fixture
 def server_url():
     """A live in-memory session server, yielded as its base URL."""
-    server = make_server(SessionService({"memory": MemorySessionStore()}))
+    server = make_server(SessionService(MemorySessionStore()))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

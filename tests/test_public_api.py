@@ -1,5 +1,8 @@
 """Tests for the top-level public API surface."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,17 @@ class TestTopLevel:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_import_leaves_the_session_server_unloaded(self):
+        # The library (experiments included) must not pull in the
+        # service layer, and with it sqlite3, http.server and urllib.
+        code = "import repro, sys; assert 'repro.service' not in sys.modules"
+        source_root = str(Path(repro.__file__).parents[1])
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env=dict(os.environ, PYTHONPATH=source_root),
+        )
 
     def test_strategies_all_resolve(self):
         for name in strategies_pkg.__all__:
