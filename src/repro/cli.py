@@ -13,15 +13,16 @@ Batch subcommands::
     python -m repro train-ranker --dataset subj --scale 0.1 \
         --base entropy --output ranker.json
 
-Strategy specs are ``name`` or ``wrapper:base`` using the registry keys
-(``random``, ``entropy``, ``lc``, ``egl``, ``hus``, ``wshs``, ``fhs``,
-``mnlp``, ...).  ``lhs:<base>`` needs ``--ranker <file>`` produced by
-``train-ranker``.
+Strategy specs are ``name`` or ``wrapper:base`` using the spec
+registry's kinds (``random``, ``entropy``, ``lc``, ``egl``, ``hus``,
+``wshs``, ``fhs``, ``mnlp``, ...).  ``lhs:<base>`` needs ``--ranker
+<file>`` produced by ``train-ranker``.
 
 ``compare`` flags and a ``run --config`` document are two front ends to
-the same :class:`~repro.specs.ExperimentSpec`: the flag parser builds the
-identical spec internally, so the two invocations produce byte-identical
-results.
+the same :class:`~repro.specs.ExperimentSpec`: the flags go through
+:func:`~repro.specs.shorthand_experiment` — the translator a flat
+``session init`` recipe uses too — so the two invocations produce
+byte-identical results.
 
 The ``session`` family drives one interactive annotation session through
 files on disk, for external (human) annotators::
@@ -60,10 +61,8 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
-
-from functools import partial
 
 from .core.ranker_training import RankerTrainingConfig, train_lhs_ranker
 from .core.strategies import create_strategy
@@ -113,43 +112,10 @@ from .specs import (
     Spec,
     SweepSpec,
     build_dataset,
-    build_model,
     build_split,
-    build_strategy,
     default_experiment_spec,
-    default_model_spec,
-    parse_strategy_shorthand,
+    shorthand_experiment,
 )
-
-
-def build_strategy_factory(
-    spec: str, window: int, ranker_path: "str | None"
-) -> Callable[[], object]:
-    """Turn a ``name`` / ``wrapper:base`` spec into a strategy factory.
-
-    Thin shim over :func:`repro.specs.parse_strategy_shorthand` +
-    :func:`repro.specs.build_strategy`; the returned factory is a
-    picklable partial over pure spec data.
-    """
-    parsed = parse_strategy_shorthand(spec, window=window, ranker_path=ranker_path)
-    return partial(build_strategy, parsed.to_dict())
-
-
-def _load_dataset(name: str, scale: float, seed: int):
-    """Build ``(dataset, task)`` from CLI flags (shim over dataset specs)."""
-    return build_dataset(Spec(kind=name, params={"scale": scale, "seed": seed}))
-
-
-def _split(dataset, test_fraction: float):
-    """Head/tail train-test split (shim over the ``fraction`` split spec)."""
-    return build_split(
-        Spec(kind="fraction", params={"test_fraction": test_fraction}), dataset
-    )
-
-
-def _model_factory(kind: str, epochs: int):
-    """The default model factory for a task family (shim over model specs)."""
-    return partial(build_model, default_model_spec(kind, epochs).to_dict())
 
 
 def _experiment_from_flags(args: argparse.Namespace) -> ExperimentSpec:
@@ -158,13 +124,15 @@ def _experiment_from_flags(args: argparse.Namespace) -> ExperimentSpec:
     ``repro run --config`` executes the same :class:`ExperimentSpec`, so
     flags and config files are interchangeable front ends.
     """
-    spec = ExperimentSpec(
-        dataset=Spec(kind=args.dataset, params={"scale": args.scale, "seed": args.seed}),
-        split=Spec(kind="fraction", params={"test_fraction": args.test_fraction}),
-        strategies={
-            text: parse_strategy_shorthand(text, args.window, args.ranker)
-            for text in args.strategies
-        },
+    return shorthand_experiment(
+        args.dataset,
+        args.strategies,
+        scale=args.scale,
+        seed=args.seed,
+        test_fraction=args.test_fraction,
+        window=args.window,
+        ranker=args.ranker,
+        epochs=args.epochs,
         config=ExperimentConfig(
             batch_size=args.batch_size,
             rounds=args.rounds,
@@ -185,8 +153,6 @@ def _experiment_from_flags(args: argparse.Namespace) -> ExperimentSpec:
         },
         report={"targets": list(args.targets), "plot": args.plot},
     )
-    spec.model = default_model_spec(spec.task, args.epochs)
-    return spec
 
 
 def _print_report(spec: ExperimentSpec, results: dict, train, task: str) -> None:
@@ -365,10 +331,14 @@ def _cmd_config_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_ranker(args: argparse.Namespace) -> int:
-    dataset, kind = _load_dataset(args.dataset, args.scale, args.seed)
+    dataset, kind = build_dataset(
+        Spec(kind=args.dataset, params={"scale": args.scale, "seed": args.seed})
+    )
     if kind != "text":
         raise ConfigurationError("train-ranker supports text datasets only")
-    train, test = _split(dataset, args.test_fraction)
+    train, test = build_split(
+        Spec(kind="fraction", params={"test_fraction": args.test_fraction}), dataset
+    )
     ranker = train_lhs_ranker(
         LinearSoftmax(epochs=args.epochs, batch_size=32, seed=0),
         train,

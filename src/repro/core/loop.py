@@ -30,21 +30,11 @@ import numpy as np
 from ..data.datasets import SequenceDataset, TextDataset
 from ..eval.metrics import evaluate_model
 from ..rng import ensure_rng
-from .session import (
-    ALResult,
-    RoundRecord,
-    SessionEngine,
-    run_to_completion,
-    validated_model_history,
-)
+from .session import ALResult, RoundRecord, SessionEngine, run_to_completion
 from .strategies.base import QueryStrategy
 
 # Re-exported for callers that historically imported these from here.
 __all__ = ["ALResult", "ActiveLearningLoop", "RoundRecord"]
-
-#: Backward-compatible alias; the checked accessor moved to
-#: :mod:`repro.core.session` with the engine.
-_validated_model_history = validated_model_history
 
 
 class ActiveLearningLoop:

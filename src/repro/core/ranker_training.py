@@ -40,6 +40,7 @@ from .features import RankingFeatureExtractor
 from .history import HistoryStore
 from .pool import Pool
 from .selection import top_k_indices
+from .session import TRAINING_MODES
 from .strategies.base import QueryStrategy, SelectionContext
 from .strategies.uncertainty import Entropy, LeastConfidence
 
@@ -136,9 +137,10 @@ class RankerTrainingConfig:
             raise ConfigurationError(
                 f"predictor must be 'lstm', 'ar', or None, got {self.predictor!r}"
             )
-        if self.training_mode not in ("cold", "warm"):
+        if self.training_mode not in TRAINING_MODES:
             raise ConfigurationError(
-                f"training_mode must be 'cold' or 'warm', got {self.training_mode!r}"
+                f"training_mode must be one of {TRAINING_MODES}, "
+                f"got {self.training_mode!r}"
             )
 
 

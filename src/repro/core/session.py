@@ -992,9 +992,7 @@ class SessionEngine:
             engine._pending = np.asarray(snapshot["pending"], dtype=np.int64)
         engine._metric_value = snapshot["metric_value"]
         for index, label in snapshot["ingested"]:
-            engine._write_label(
-                int(index), engine._validated_label(int(index), _as_label(label))
-            )
+            engine._write_label(int(index), engine._validated_label(int(index), label))
         engine._model_spec = snapshot["model"]
         engine._model_history_specs = [dict(s) for s in snapshot["model_history"]]
         engine._model_history = [
@@ -1048,11 +1046,6 @@ class SessionEngine:
             f"SessionEngine(strategy={self.strategy.name!r}, "
             f"state={self._state.value!r}, round={self._round_index})"
         )
-
-
-def _as_label(label):
-    """Normalise a JSON-decoded label (lists stay lists, ints stay ints)."""
-    return label
 
 
 def run_to_completion(engine: SessionEngine, on_round_committed=None) -> ALResult:

@@ -19,7 +19,6 @@ from .base import (
     QueryStrategy,
     SelectionContext,
     create_strategy,
-    register_strategy,
     registered_strategies,
 )
 from .density import DensityWeighted
@@ -56,6 +55,5 @@ __all__ = [
     "SelectionContext",
     "WSHS",
     "create_strategy",
-    "register_strategy",
     "registered_strategies",
 ]

@@ -20,10 +20,9 @@ from ...models.base import (
     SequenceLabeler,
     supports_stochastic_predictions,
 )
-from .base import QueryStrategy, SelectionContext, distribution_entropy, register_strategy
+from .base import QueryStrategy, SelectionContext, distribution_entropy
 
 
-@register_strategy("bald")
 class BALD(QueryStrategy):
     """MC-dropout mutual information.
 

@@ -1,4 +1,4 @@
-"""Query-strategy protocol, selection context, and registry.
+"""Query-strategy protocol, selection context, and lookup by kind.
 
 A strategy's job per round (Sec. 2 of the paper): assign every unlabeled
 sample a score and pick the ``batch_size`` best.  The
@@ -12,6 +12,11 @@ probabilities.
 History-aware strategies derive from :class:`HistoryAwareStrategy`: they
 wrap a base strategy, record its scores into the history store once per
 round, and combine the stored sequence with the current score.
+
+Strategy kinds are named, built and serialised by one registry,
+:data:`repro.specs.STRATEGY_REGISTRY`.  :func:`create_strategy` and
+:func:`registered_strategies` are lazy calls into it (the spec layer
+sits above this one).
 """
 
 from __future__ import annotations
@@ -265,55 +270,23 @@ def distribution_entropy(probabilities: np.ndarray) -> np.ndarray:
     return -(clipped * np.log(clipped)).sum(axis=-1)
 
 
-# -- registry -----------------------------------------------------------------
-
-_REGISTRY: dict[str, Callable[..., QueryStrategy]] = {}
+# -- lookup by kind ------------------------------------------------------------
 
 
-def _same_factory(a: Callable, b: Callable) -> bool:
-    """Whether two factories are the same recipe.
+def create_strategy(key: str, **params) -> QueryStrategy:
+    """``build_strategy(Spec(kind=key, params=params))``, case-insensitive.
 
-    Identity, or an identical ``__module__`` + ``__qualname__`` pair —
-    the latter so reloading a strategy module in a notebook (which
-    recreates every class object) re-registers cleanly instead of
-    raising.
+    ``params`` are spec params (a wrapper's ``base`` is a nested spec
+    dict); an unknown kind raises :class:`~repro.exceptions.SpecError`.
     """
-    if a is b:
-        return True
-    key_a = (getattr(a, "__module__", None), getattr(a, "__qualname__", None))
-    key_b = (getattr(b, "__module__", None), getattr(b, "__qualname__", None))
-    return None not in key_a and key_a == key_b
+    from ...specs.core import Spec
+    from ...specs.strategies import build_strategy
 
-
-def register_strategy(key: str) -> Callable:
-    """Class decorator registering a strategy factory under ``key``.
-
-    Re-registering the *same* factory (same class, or the same class
-    recreated by a module reload) under its key is an idempotent no-op;
-    registering a different factory under an existing key still raises
-    :class:`~repro.exceptions.ConfigurationError`.
-    """
-
-    def decorator(factory: Callable[..., QueryStrategy]) -> Callable[..., QueryStrategy]:
-        lowered = key.lower()
-        existing = _REGISTRY.get(lowered)
-        if existing is not None and not _same_factory(existing, factory):
-            raise ConfigurationError(f"strategy key {key!r} already registered")
-        _REGISTRY[lowered] = factory
-        return factory
-
-    return decorator
-
-
-def create_strategy(key: str, *args, **kwargs) -> QueryStrategy:
-    """Instantiate a registered strategy by key (case-insensitive)."""
-    lowered = key.lower()
-    if lowered not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ConfigurationError(f"unknown strategy {key!r}; known: {known}")
-    return _REGISTRY[lowered](*args, **kwargs)
+    return build_strategy(Spec(kind=key, params=params))
 
 
 def registered_strategies() -> list[str]:
-    """Sorted list of registered strategy keys."""
-    return sorted(_REGISTRY)
+    """Sorted strategy kinds (:func:`repro.specs.strategy_kinds`)."""
+    from ...specs.strategies import strategy_kinds
+
+    return strategy_kinds()

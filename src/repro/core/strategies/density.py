@@ -14,7 +14,7 @@ import numpy as np
 
 from ...data.datasets import SequenceDataset, TextDataset
 from ...exceptions import ConfigurationError
-from .base import QueryStrategy, SelectionContext, register_strategy
+from .base import QueryStrategy, SelectionContext
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -32,7 +32,6 @@ def candidate_vectors(dataset: "TextDataset | SequenceDataset") -> np.ndarray:
     return _unit_rows(matrix)
 
 
-@register_strategy("density")
 class DensityWeighted(QueryStrategy):
     """``phi_S(x) * mean_similarity(x, U)``.
 

@@ -12,10 +12,9 @@ import numpy as np
 
 from ...exceptions import StrategyError
 from ...models.base import Classifier, supports_gradient_lengths
-from .base import QueryStrategy, SelectionContext, register_strategy
+from .base import QueryStrategy, SelectionContext
 
 
-@register_strategy("egl")
 class EGL(QueryStrategy):
     """Expected loss-gradient norm over all candidate labels."""
 

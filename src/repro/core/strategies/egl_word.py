@@ -13,10 +13,9 @@ import numpy as np
 
 from ...exceptions import StrategyError
 from ...models.base import Classifier, supports_embedding_gradients
-from .base import QueryStrategy, SelectionContext, register_strategy
+from .base import QueryStrategy, SelectionContext
 
 
-@register_strategy("egl-word")
 class EGLWord(QueryStrategy):
     """Max-over-words expected embedding gradient."""
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...exceptions import ConfigurationError
-from .base import HistoryAwareStrategy, QueryStrategy, SelectionContext, register_strategy
+from .base import HistoryAwareStrategy, QueryStrategy, SelectionContext
 
 
-@register_strategy("fhs")
 class FHS(HistoryAwareStrategy):
     """Current score plus fluctuation of the history window.
 

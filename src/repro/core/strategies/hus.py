@@ -17,15 +17,9 @@ import numpy as np
 
 from ...exceptions import ConfigurationError, StrategyError
 from ...models.base import Classifier
-from .base import (
-    HistoryAwareStrategy,
-    QueryStrategy,
-    SelectionContext,
-    register_strategy,
-)
+from .base import HistoryAwareStrategy, QueryStrategy, SelectionContext
 
 
-@register_strategy("hus")
 class HUS(HistoryAwareStrategy):
     """Unweighted sum of the last ``window`` evaluation scores."""
 
@@ -39,7 +33,6 @@ class HUS(HistoryAwareStrategy):
         return np.nansum(window, axis=1)
 
 
-@register_strategy("hkld")
 class HKLD(QueryStrategy):
     """Average KL disagreement of the models from the last ``k`` rounds.
 

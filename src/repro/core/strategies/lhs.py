@@ -17,15 +17,9 @@ import numpy as np
 
 from ...exceptions import ConfigurationError, StrategyError
 from ..selection import top_k_indices
-from .base import (
-    HistoryAwareStrategy,
-    QueryStrategy,
-    SelectionContext,
-    register_strategy,
-)
+from .base import HistoryAwareStrategy, QueryStrategy, SelectionContext
 
 
-@register_strategy("lhs")
 class LHS(HistoryAwareStrategy):
     """Learned (LambdaMART) query strategy over historical features.
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from ...exceptions import ConfigurationError, StrategyError
-from .base import QueryStrategy, SelectionContext, register_strategy
+from .base import QueryStrategy, SelectionContext
 from .density import candidate_vectors
 
 
-@register_strategy("mmr")
 class MMR(QueryStrategy):
     """Diversity-aware batch selection around an informative base.
 

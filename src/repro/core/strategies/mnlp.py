@@ -16,10 +16,9 @@ import numpy as np
 
 from ...exceptions import StrategyError
 from ...models.base import SequenceLabeler
-from .base import QueryStrategy, SelectionContext, register_strategy
+from .base import QueryStrategy, SelectionContext
 
 
-@register_strategy("mnlp")
 class MNLP(QueryStrategy):
     """Length-normalised sequence uncertainty for NER."""
 

@@ -11,10 +11,9 @@ import numpy as np
 
 from ...exceptions import ConfigurationError, StrategyError
 from ...models.base import Classifier, supports_warm_start
-from .base import QueryStrategy, SelectionContext, register_strategy
+from .base import QueryStrategy, SelectionContext
 
 
-@register_strategy("qbc")
 class QBC(QueryStrategy):
     """Bootstrap committee disagreement for classifiers.
 

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import QueryStrategy, SelectionContext, register_strategy
+from .base import QueryStrategy, SelectionContext
 
 
-@register_strategy("random")
 class Random(QueryStrategy):
     """Uniform random scores: the paper's i.i.d. baseline."""
 

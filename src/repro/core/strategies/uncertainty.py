@@ -13,15 +13,9 @@ import numpy as np
 
 from ...models.base import Classifier, SequenceLabeler
 from ...exceptions import StrategyError
-from .base import (
-    QueryStrategy,
-    SelectionContext,
-    distribution_entropy,
-    register_strategy,
-)
+from .base import QueryStrategy, SelectionContext, distribution_entropy
 
 
-@register_strategy("entropy")
 class Entropy(QueryStrategy):
     """Predictive-distribution entropy (Eq. 4)."""
 
@@ -42,7 +36,6 @@ class Entropy(QueryStrategy):
         raise StrategyError(f"Entropy cannot score a {type(model).__name__}")
 
 
-@register_strategy("lc")
 class LeastConfidence(QueryStrategy):
     """1 - probability of the most likely prediction (Eq. 3)."""
 
@@ -60,7 +53,6 @@ class LeastConfidence(QueryStrategy):
         raise StrategyError(f"LC cannot score a {type(model).__name__}")
 
 
-@register_strategy("margin")
 class Margin(QueryStrategy):
     """1 - (top probability - runner-up probability); classifiers only."""
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import HistoryAwareStrategy, SelectionContext, register_strategy
+from .base import HistoryAwareStrategy, SelectionContext
 
 
-@register_strategy("wshs")
 class WSHS(HistoryAwareStrategy):
     """Exponentially decaying weighted history sum around any base."""
 

@@ -134,20 +134,10 @@ class CheckpointStore:
         self._model_spec = model_spec
         self._strategy_specs = strategy_specs or {}
         self._scenario = scenario
-        self._config_fingerprint = {
-            "batch_size": config.batch_size,
-            "rounds": config.rounds,
-            "initial_size": config.initial_size,
-            "repeats": config.repeats,
-            "seed": config.seed,
-            # Warm runs follow a different optimisation trajectory, so a
-            # cold checkpoint must not satisfy a warm run or vice versa.
-            "training_mode": config.training_mode,
-        }
-        if config.track_flips:
-            # Key present only when tracking, so fingerprints (and
-            # checkpoint bytes) of non-tracking runs are unchanged.
-            self._config_fingerprint["track_flips"] = True
+        # The whole shape, training_mode included: warm runs follow a
+        # different optimisation trajectory, so a cold checkpoint must
+        # not satisfy a warm run or vice versa.
+        self._config_fingerprint = config.to_dict()
 
     def _cell_specs(self, strategy: str) -> dict:
         """The spec fingerprint stored in (and expected of) a cell file."""

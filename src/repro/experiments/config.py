@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, SpecError
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         from ..core.session import TRAINING_MODES
 
+        optional = () if self.initial_size is None else ("initial_size",)
+        for name in ("batch_size", "rounds", "repeats", "seed", *optional):
+            value = getattr(self, name)
+            # JSON true/false decode to bools, which are ints in Python.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.track_flips, bool):
+            raise ConfigurationError(
+                f"track_flips must be true or false, got {self.track_flips!r}"
+            )
         if self.training_mode not in TRAINING_MODES:
             raise ConfigurationError(
                 f"training_mode must be one of {TRAINING_MODES}, "
@@ -61,8 +71,32 @@ class ExperimentConfig:
         if self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
 
+    def to_dict(self) -> dict:
+        """The shape as the ``experiment`` section of a document.
+
+        ``track_flips`` is emitted only when set, so documents and
+        checkpoint fingerprints of non-tracking runs keep their
+        historical bytes.
+        """
+        shape = asdict(self)
+        if not self.track_flips:
+            del shape["track_flips"]
+        return shape
+
+    @classmethod
+    def from_dict(cls, shape: dict) -> "ExperimentConfig":
+        """Parse an ``experiment`` section (:class:`SpecError` on unknown keys)."""
+        unknown = set(shape) - SHAPE_KEYS
+        if unknown:
+            raise SpecError(f"unknown experiment option(s): {sorted(unknown)}")
+        return cls(**shape)
+
     @property
     def labels_needed(self) -> int:
         """Pool size the experiment consumes."""
         initial = self.initial_size if self.initial_size is not None else self.batch_size
         return initial + self.rounds * self.batch_size
+
+
+#: The experiment-shape keys a document's ``experiment`` section may set.
+SHAPE_KEYS = frozenset(field.name for field in fields(ExperimentConfig))

@@ -28,10 +28,6 @@ from .models.lstm import LSTMRegressor
 from .timeseries.autoregressive import ARPredictor
 from .timeseries.predictor import ARNextScorePredictor, LSTMNextScorePredictor
 
-# The ranker document's schema constants live in :mod:`repro.formats`;
-# FORMAT_VERSION is kept as the historical alias of RANKER_VERSION.
-FORMAT_VERSION = RANKER_VERSION
-
 
 # -- trees -------------------------------------------------------------------
 
@@ -215,7 +211,7 @@ def save_lhs_ranker(ranker: LHSRanker, path: "str | Path") -> None:
     """
     payload = {
         "format": RANKER_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": RANKER_VERSION,
         "base_name": ranker.base_name,
         "training_rows": ranker.training_rows,
         "model": _ranker_model_to_dict(ranker.model),
@@ -238,7 +234,7 @@ def load_lhs_ranker(path: "str | Path") -> LHSRanker:
         raise DataError(f"cannot read ranker file {path}: {error}") from error
     if not isinstance(payload, dict) or payload.get("format") != RANKER_FORMAT:
         raise DataError(f"{path} is not an LHS ranker document")
-    if payload.get("version") != FORMAT_VERSION:
+    if payload.get("version") != RANKER_VERSION:
         raise DataError(
             f"unsupported ranker format version {payload.get('version')!r}"
         )

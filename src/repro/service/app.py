@@ -39,18 +39,15 @@ from ..exceptions import (
     StoreConflictError,
     StoreError,
 )
+from ..experiments.config import ExperimentConfig
 from ..formats import SESSION_DIR_FORMAT, SESSION_DIR_VERSION
 from ..ioutil import validate_envelope
 from ..specs import (
     ExperimentSpec,
-    Spec,
-    build_dataset,
     build_model,
     build_pipeline,
-    build_split,
     build_strategy,
-    default_model_spec,
-    parse_strategy_shorthand,
+    shorthand_experiment,
 )
 from .events import SessionEventFeed
 from .store import SessionStore, checked_session_id
@@ -79,9 +76,6 @@ RECIPE_DEFAULTS = {
     "ranker": None,
     "training_mode": "cold",
 }
-
-#: Engine-shape settings every recipe flavour resolves to.
-_SETTING_KEYS = ("batch_size", "rounds", "initial_size", "seed", "training_mode")
 
 
 def _checked_id(session_id) -> str:
@@ -117,71 +111,76 @@ def _normalized_recipe(recipe) -> dict:
     return normalized
 
 
+def _recipe_experiment(recipe: dict) -> "tuple[ExperimentSpec, str]":
+    """The experiment a normalized recipe describes, and its strategy's name."""
+    if "experiment" not in recipe:
+        spec = shorthand_experiment(
+            recipe["dataset"],
+            [recipe["strategy"]],
+            scale=recipe["scale"],
+            seed=recipe["seed"],
+            test_fraction=recipe["test_fraction"],
+            window=recipe["window"],
+            ranker=recipe["ranker"],
+            epochs=recipe["epochs"],
+            config=ExperimentConfig(
+                batch_size=recipe["batch_size"],
+                rounds=recipe["rounds"],
+                initial_size=recipe["initial_size"],
+                seed=recipe["seed"],
+                training_mode=recipe["training_mode"],
+            ),
+        )
+        return spec, recipe["strategy"]
+    spec = ExperimentSpec.from_dict(recipe["experiment"])
+    names = list(spec.strategies)
+    chosen = recipe.get("strategy")
+    if chosen is None:
+        if len(names) != 1:
+            raise ServiceError(
+                f"experiment document defines {len(names)} strategies "
+                f"({names}); pass 'strategy' to pick one",
+                status=400,
+            )
+        chosen = names[0]
+    if chosen not in names:
+        raise ServiceError(
+            f"unknown strategy {chosen!r}; the experiment defines {names}",
+            status=400,
+        )
+    return spec, chosen
+
+
 def build_session_components(recipe: dict):
     """Build ``(train, test, model, strategy, settings)`` from a recipe.
 
-    Two recipe flavours:
+    Two recipe flavours, one construction path (recipe ->
+    :class:`~repro.specs.ExperimentSpec` -> components):
 
     * a **flat recipe** — the dict the session CLI has always stored
-      (``dataset``, ``scale``, ``strategy``, ``window``, ...); built
-      through the identical spec shims the CLI used, so a recipe stored
-      before the service existed reconstructs the same components.
+      (``dataset``, ``scale``, ``strategy``, ``window``, ...); it names
+      its experiment through
+      :func:`~repro.specs.shorthand_experiment`, exactly as the
+      ``repro compare`` flags do, so a recipe stored before the service
+      existed reconstructs the same components.
     * an **experiment recipe** — ``{"experiment": <repro.experiment
       document>, "strategy": <name>}``: the session is created straight
       from a declarative :class:`~repro.specs.ExperimentSpec`, choosing
       one of its strategies (``strategy`` may be omitted when the
       document defines exactly one).
 
-    ``settings`` holds the engine-shape parameters (``batch_size``,
-    ``rounds``, ``initial_size``, ``seed``, ``training_mode``).
+    ``settings`` is the experiment shape,
+    :meth:`~repro.experiments.ExperimentConfig.to_dict` (``batch_size``,
+    ``rounds``, ``initial_size``, ``seed``, ``training_mode``, ...).
     Construction is deterministic given the recipe: every rebuild
     yields identical components, which is what lets a restored engine
     continue byte-identically.
     """
-    recipe = _normalized_recipe(recipe)
-    if "experiment" in recipe:
-        spec = ExperimentSpec.from_dict(recipe["experiment"])
-        names = list(spec.strategies)
-        chosen = recipe.get("strategy")
-        if chosen is None:
-            if len(names) != 1:
-                raise ServiceError(
-                    f"experiment document defines {len(names)} strategies "
-                    f"({names}); pass 'strategy' to pick one",
-                    status=400,
-                )
-            chosen = names[0]
-        if chosen not in spec.strategies:
-            raise ServiceError(
-                f"unknown strategy {chosen!r}; the experiment defines {names}",
-                status=400,
-            )
-        train, test, _task = spec.build_datasets()
-        model = build_model(spec.resolved_model().to_dict())
-        strategy = build_strategy(spec.strategies[chosen].to_dict())
-        settings = {
-            "batch_size": spec.config.batch_size,
-            "rounds": spec.config.rounds,
-            "initial_size": spec.config.initial_size,
-            "seed": spec.config.seed,
-            "training_mode": spec.config.training_mode,
-            "track_flips": spec.config.track_flips,
-        }
-        return train, test, model, strategy, settings
-    dataset, task = build_dataset(
-        Spec(kind=recipe["dataset"], params={"scale": recipe["scale"], "seed": recipe["seed"]})
-    )
-    train, test = build_split(
-        Spec(kind="fraction", params={"test_fraction": recipe["test_fraction"]}), dataset
-    )
-    model = build_model(default_model_spec(task, recipe["epochs"]).to_dict())
-    strategy = build_strategy(
-        parse_strategy_shorthand(
-            recipe["strategy"], window=recipe["window"], ranker_path=recipe["ranker"]
-        ).to_dict()
-    )
-    settings = {key: recipe[key] for key in _SETTING_KEYS}
-    return train, test, model, strategy, settings
+    spec, chosen = _recipe_experiment(_normalized_recipe(recipe))
+    train, test, _task = spec.build_datasets()
+    model = build_model(spec.resolved_model())
+    strategy = build_strategy(spec.strategies[chosen])
+    return train, test, model, strategy, spec.config.to_dict()
 
 
 def session_metrics(engine, recipe=None) -> dict:

@@ -30,6 +30,7 @@ from .experiment import (
     ExperimentSpec,
     default_experiment_spec,
     default_model_spec,
+    shorthand_experiment,
 )
 from .metrics import (
     METRIC_REGISTRY,
@@ -99,6 +100,7 @@ __all__ = [
     "register_model",
     "register_simple_strategy",
     "register_wrapper_strategy",
+    "shorthand_experiment",
     "spec_of_model",
     "spec_of_strategy",
     "strategy_kinds",

@@ -39,11 +39,19 @@ SPLIT_REGISTRY = SpecRegistry("split")
 DATASET_TASKS: dict[str, str] = {}
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float; a :class:`SpecError` if it is not numeric."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{name} must be a number, got {value!r}") from None
+
+
 def register_dataset(kind: str, generator, task: str) -> None:
     """Register a corpus generator under ``kind`` for task family ``task``."""
 
     def build(params: dict) -> object:
-        scale = float(params.pop("scale", 1.0))
+        scale = _number(params.pop("scale", 1.0), "dataset scale")
         seed = params.pop("seed", None)
         if params:
             raise SpecError(
@@ -66,7 +74,7 @@ for _kind, _generator in (
 
 
 def _build_fraction_split(params: dict):
-    test_fraction = float(params.pop("test_fraction", 0.3))
+    test_fraction = _number(params.pop("test_fraction", 0.3), "test_fraction")
     if params:
         raise SpecError(f"unknown split params: {sorted(params)}")
     if not 0.0 < test_fraction < 1.0:

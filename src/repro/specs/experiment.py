@@ -22,8 +22,8 @@ and runner/report options — into a single versioned document::
     }
 
 ``repro run --config file.json`` executes it; because the flag path
-builds the identical spec internally, a config run is byte-identical to
-the equivalent flag invocation.
+builds the identical spec internally (:func:`shorthand_experiment`), a
+config run is byte-identical to the equivalent flag invocation.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..ioutil import atomic_write_json
 from .core import Spec, as_spec
 from .data import DATASET_TASKS, build_dataset, build_split
 from .models import build_model
-from .strategies import build_strategy
+from .strategies import build_strategy, parse_strategy_shorthand
 from .transforms import ScenarioSpec
 
 # EXPERIMENT_FORMAT / EXPERIMENT_VERSION come from :mod:`repro.formats`
@@ -164,18 +164,6 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict:
         """The experiment as a plain JSON-compatible document."""
-        shape = {
-            "batch_size": self.config.batch_size,
-            "rounds": self.config.rounds,
-            "initial_size": self.config.initial_size,
-            "repeats": self.config.repeats,
-            "seed": self.config.seed,
-            "training_mode": self.config.training_mode,
-        }
-        if self.config.track_flips:
-            # Emitted only when set: default documents keep their exact
-            # historical byte shape.
-            shape["track_flips"] = True
         document = {
             "format": EXPERIMENT_FORMAT,
             "version": EXPERIMENT_VERSION,
@@ -185,7 +173,7 @@ class ExperimentSpec:
             "strategies": {
                 name: spec.to_dict() for name, spec in self.strategies.items()
             },
-            "experiment": shape,
+            "experiment": self.config.to_dict(),
             "runner": dict(self.runner),
             "report": dict(self.report),
         }
@@ -220,20 +208,14 @@ class ExperimentSpec:
         shape = payload.get("experiment", {})
         if not isinstance(shape, dict):
             raise SpecError("experiment 'experiment' section must be a dict")
-        shape = _without_retired("experiment", shape)
-        unknown_shape = set(shape) - {
-            "batch_size", "rounds", "initial_size", "repeats", "seed",
-            "training_mode", "track_flips",
-        }
-        if unknown_shape:
-            raise SpecError(f"unknown experiment option(s): {sorted(unknown_shape)}")
+        config = ExperimentConfig.from_dict(_without_retired("experiment", shape))
         scenario = payload.get("scenario")
         return cls(
             dataset=as_spec(payload["dataset"]),
             split=as_spec(payload.get("split", {"kind": "fraction"})),
             model=None if payload.get("model") is None else as_spec(payload["model"]),
             strategies={name: as_spec(spec) for name, spec in strategies.items()},
-            config=ExperimentConfig(**shape),
+            config=config,
             runner=_section(payload, "runner", RUNNER_DEFAULTS),
             report=_section(payload, "report", REPORT_DEFAULTS),
             scenario=None if scenario is None else ScenarioSpec.from_dict(scenario),
@@ -361,3 +343,43 @@ def default_experiment_spec() -> ExperimentSpec:
         },
         config=ExperimentConfig(batch_size=25, rounds=10, repeats=3, seed=7),
     )
+
+
+def shorthand_experiment(
+    dataset: str,
+    strategies,
+    *,
+    scale: float,
+    seed: int,
+    test_fraction: float,
+    window: int,
+    ranker: "str | None",
+    epochs: int,
+    config: ExperimentConfig,
+    runner: "dict | None" = None,
+    report: "dict | None" = None,
+) -> ExperimentSpec:
+    """The experiment a flag-style shorthand describes.
+
+    ``repro compare`` flags and a flat session recipe both name an
+    experiment this way: a dataset kind generated at ``scale`` from
+    ``seed``, the ``fraction`` split, ``name`` / ``wrapper:base``
+    strategy strings (keyed by their text; see
+    :func:`~repro.specs.strategies.parse_strategy_shorthand`), and the
+    task family's default model trained for ``epochs``.
+    """
+    for name, value in (("window", window), ("epochs", epochs)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SpecError(f"{name} must be an integer, got {value!r}")
+    spec = ExperimentSpec(
+        dataset=Spec(kind=dataset, params={"scale": scale, "seed": seed}),
+        split=Spec(kind="fraction", params={"test_fraction": test_fraction}),
+        strategies={
+            text: parse_strategy_shorthand(text, window, ranker) for text in strategies
+        },
+        config=config,
+        runner=runner or {},
+        report=report or {},
+    )
+    spec.model = default_model_spec(spec.task, epochs)
+    return spec

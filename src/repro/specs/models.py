@@ -2,7 +2,8 @@
 
 Each registered kind maps a JSON params dict straight onto the model
 constructor, and ``params_of`` reads the same names back off the
-instance, so ``build_model(spec_of_model(m))`` reproduces a model whose
+instance (plus ``warm_epochs``, the warm-start epoch budget, when it is
+set), so ``build_model(spec_of_model(m))`` reproduces a model whose
 training and predictions are byte-identical to ``m``'s (training in this
 package is deterministic given the constructor arguments).
 
@@ -26,7 +27,12 @@ def register_model(kind: str, cls: type, param_names: "tuple[str, ...]") -> None
         return cls(**params)
 
     def params_of(model: object) -> dict:
-        return {name: getattr(model, name) for name in param_names}
+        params = {name: getattr(model, name) for name in param_names}
+        warm_epochs = getattr(model, "warm_epochs", None)
+        if warm_epochs is not None:
+            # Emitted only when set, so default specs keep their bytes.
+            params["warm_epochs"] = warm_epochs
+        return params
 
     MODEL_REGISTRY.register(kind, build, cls=cls, params_of=params_of)
 

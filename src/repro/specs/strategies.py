@@ -148,20 +148,6 @@ def spec_of_strategy(strategy: object) -> Spec:
     return STRATEGY_REGISTRY.spec_of(strategy)
 
 
-def capabilities_of(spec) -> dict:
-    """Capability flags of the strategy a spec describes.
-
-    Builds the strategy and reads its
-    :func:`~repro.core.strategies.base.strategy_capabilities` — the
-    declared optimisation surface (model-only rescoring short-circuit,
-    model-history retention) of a grid document's entries, without
-    running anything.
-    """
-    from ..core.strategies.base import strategy_capabilities
-
-    return strategy_capabilities(build_strategy(spec))
-
-
 def strategy_kinds() -> list[str]:
     """Sorted registered strategy kinds."""
     return STRATEGY_REGISTRY.kinds()
@@ -176,6 +162,8 @@ def parse_strategy_shorthand(
     additionally needs ``ranker_path``.  The plain-``name`` form builds
     the kind with default params.
     """
+    if not isinstance(text, str):
+        raise SpecError(f"a strategy shorthand must be a string, got {text!r}")
     wrapper_key, _, base_key = text.lower().partition(":")
     if not base_key:
         return Spec(kind=wrapper_key)

@@ -47,18 +47,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..exceptions import SpecError
+from ..experiments.config import SHAPE_KEYS
 from ..formats import SWEEP_FORMAT, SWEEP_VERSION
 from ..ioutil import atomic_write_json
 from .core import Spec, as_spec
 from .experiment import ExperimentSpec
 from .metrics import build_pipeline
 from .transforms import build_transform
-
-#: Experiment-shape keys a cell's ``experiment`` override may set.
-_SHAPE_KEYS = {
-    "batch_size", "rounds", "initial_size", "repeats", "seed",
-    "training_mode", "track_flips",
-}
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,7 @@ class SweepAxisCell:
         experiment = payload.get("experiment", {})
         if not isinstance(experiment, Mapping):
             raise SpecError(f"axis {axis!r} cell {name!r}: 'experiment' must be a dict")
-        unknown_shape = set(experiment) - _SHAPE_KEYS
+        unknown_shape = set(experiment) - SHAPE_KEYS
         if unknown_shape:
             raise SpecError(
                 f"axis {axis!r} cell {name!r}: unknown experiment "

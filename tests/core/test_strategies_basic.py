@@ -19,6 +19,7 @@ from repro.core.strategies.base import distribution_entropy
 from repro.exceptions import ConfigurationError, StrategyError
 from repro.models.crf import LinearChainCRF
 from repro.models.linear import LinearSoftmax
+from repro.specs import Spec, spec_of_strategy, strategy_kinds
 
 from .helpers import make_context
 
@@ -39,6 +40,13 @@ class TestRegistry:
     def test_unknown_key(self):
         with pytest.raises(ConfigurationError):
             create_strategy("nope")
+
+    def test_lookup_is_the_spec_registry(self):
+        assert registered_strategies() == strategy_kinds()
+        wrapped = create_strategy("wshs", base={"kind": "entropy"}, window=2)
+        assert spec_of_strategy(wrapped) == Spec(
+            kind="wshs", params={"base": Spec(kind="entropy").to_dict(), "window": 2}
+        )
 
 
 class TestSelectContract:

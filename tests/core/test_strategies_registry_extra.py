@@ -1,37 +1,15 @@
-"""Extra coverage: registry collision handling and strategy determinism."""
+"""Extra coverage: case-insensitive strategy lookup and strategy determinism."""
 
 import numpy as np
 import pytest
 
-from repro.core.strategies import QBC, BALD, Entropy, Random, register_strategy
-from repro.core.strategies.base import QueryStrategy
-from repro.exceptions import ConfigurationError
+from repro.core.strategies import QBC, BALD, Entropy, Random
 from repro.models.mlp import MLPClassifier
 
 from .helpers import make_context
 
 
 class TestRegistryCollisions:
-    def test_duplicate_key_rejected(self):
-        @register_strategy("collision-test-key")
-        class First(QueryStrategy):
-            @property
-            def name(self):
-                return "first"
-
-            def scores(self, model, context):
-                return np.zeros(len(context.unlabeled))
-
-        with pytest.raises(ConfigurationError):
-            @register_strategy("collision-test-key")
-            class Second(QueryStrategy):
-                @property
-                def name(self):
-                    return "second"
-
-                def scores(self, model, context):
-                    return np.zeros(len(context.unlabeled))
-
     def test_keys_case_insensitive(self):
         from repro.core.strategies import create_strategy
 

@@ -176,6 +176,28 @@ class TestWarmSnapshotRestore:
         with pytest.raises(SessionError, match="warm"):
             SessionEngine.restore(payload, _model(), Entropy(), train, test)
 
+    def test_restore_rejects_other_warm_epochs(self, text_dataset):
+        # warm_epochs is part of the model spec: a snapshot only resumes
+        # with a prototype that trains the same warm epoch budget.
+        train, test = _splits(text_dataset)
+        engine = _loop(
+            text_dataset, "warm", model=LinearSoftmax(epochs=8, warm_epochs=2, seed=0)
+        ).build_engine()
+        engine.propose()
+        payload = json.loads(json.dumps(engine.snapshot()))
+        with pytest.raises(SessionError, match="model spec"):
+            SessionEngine.restore(
+                payload, LinearSoftmax(epochs=8, warm_epochs=3, seed=0), Entropy(),
+                train, test,
+            )
+        with pytest.raises(SessionError, match="model spec"):
+            SessionEngine.restore(payload, _model(), Entropy(), train, test)
+        resumed = SessionEngine.restore(
+            payload, LinearSoftmax(epochs=8, warm_epochs=2, seed=0), Entropy(),
+            train, test,
+        )
+        assert resumed.model_prototype.warm_epochs == 2
+
 
 class TestSerializedParamRestore:
     def test_cold_restore_matches_refit_exactly(self, text_dataset):

@@ -41,6 +41,18 @@ RECIPE = {
 }
 
 
+#: Malformed flat recipes (patches to ``RECIPE``) and the domain error
+#: each must surface as: a typed 400, never an escaped exception.
+MALFORMED_RECIPES = {
+    "scale-not-a-number": ({"scale": "abc"}, "SpecError"),
+    "test-fraction-not-a-number": ({"test_fraction": "abc"}, "SpecError"),
+    "rounds-null": ({"rounds": None}, "ConfigurationError"),
+    "batch-size-string": ({"batch_size": "5"}, "ConfigurationError"),
+    "strategy-not-a-string": ({"strategy": 5}, "SpecError"),
+    "epochs-float": ({"epochs": 1.5}, "SpecError"),
+}
+
+
 def serial_reference(recipe) -> str:
     """The JSON audit trail of a plain engine run — the ground truth."""
     train, test, model, strategy, settings = build_session_components(recipe)
@@ -328,6 +340,57 @@ class TestMalformedRequests:
             service, "POST", "/sessions/s1/propose", query={"after": "abc"}
         )
         assert status == 200 and payload["finished"] is False
+
+
+class TestMalformedRecipes:
+    """A malformed recipe fails at create with a typed 400 and stores nothing."""
+
+    @pytest.mark.parametrize(
+        "patch,error_type", list(MALFORMED_RECIPES.values()), ids=list(MALFORMED_RECIPES)
+    )
+    def test_flat_recipe(self, service, patch, error_type):
+        body = {"recipe": dict(RECIPE, **patch)}
+        status, payload = dispatch(service, "POST", "/sessions", body=body)
+        assert status == 400, payload
+        assert set(payload) == {"error", "error_type"}
+        assert payload["error_type"] == error_type
+        assert service.store.list_ids() == []
+
+    def test_unhashable_experiment_strategy(self, service):
+        document = ExperimentSpec(
+            dataset=Spec(kind="mr", params={"scale": 0.05, "seed": 3}),
+            strategies={"entropy": Spec(kind="entropy")},
+        ).to_dict()
+        body = {"recipe": {"experiment": document, "strategy": ["entropy"]}}
+        status, payload = dispatch(service, "POST", "/sessions", body=body)
+        assert status == 400
+        assert payload["error_type"] == "ServiceError"
+
+
+class TestOneConstructionPath:
+    """Flat recipes and ``repro compare`` flags name experiments one way."""
+
+    def test_flat_recipe_matches_compare_flags(self):
+        from repro.cli import _experiment_from_flags, build_parser
+        from repro.service.app import _normalized_recipe, _recipe_experiment
+
+        recipe = dict(RECIPE, strategy="wshs:entropy", window=4, training_mode="warm")
+        spec, chosen = _recipe_experiment(_normalized_recipe(recipe))
+        args = build_parser().parse_args([
+            "compare", "--dataset", "mr", "--scale", "0.05", "--seed", "3",
+            "--strategies", "wshs:entropy", "--window", "4", "--rounds", "2",
+            "--batch-size", "10", "--epochs", "3", "--training-mode", "warm",
+        ])
+
+        def shape(document):
+            return {k: v for k, v in document.items() if k not in ("runner", "report")}
+
+        assert chosen == "wshs:entropy"
+        assert shape(spec.to_dict()) == shape(_experiment_from_flags(args).to_dict())
+
+    def test_settings_are_the_experiment_shape(self):
+        *_components, settings = build_session_components(RECIPE)
+        assert settings == ExperimentConfig(batch_size=10, rounds=2, seed=3).to_dict()
 
 
 class TestStatusMetrics:

@@ -17,7 +17,7 @@ import pytest
 from repro.exceptions import ServiceError, SessionError, StoreConflictError
 from repro.service import SessionClient, SessionService, make_server
 
-from .test_app import RECIPE, drive, serial_reference
+from .test_app import MALFORMED_RECIPES, RECIPE, drive, serial_reference
 from .test_store import make_store
 
 
@@ -69,6 +69,16 @@ class TestHttpTransport:
             assert status == 400, (path, payload)
             assert set(payload) == {"error", "error_type"}
             assert payload["error_type"] == "ServiceError"
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_malformed_recipes_get_typed_json_400s(self, http_client, capsys):
+        for patch, error_type in MALFORMED_RECIPES.values():
+            body = {"recipe": dict(RECIPE, **patch)}
+            status, payload = http_client.transport.request("POST", "/sessions", None, body)
+            assert status == 400, (patch, payload)
+            assert set(payload) == {"error", "error_type"}
+            assert payload["error_type"] == error_type
+        assert http_client.list_sessions() == []
         assert "Traceback" not in capsys.readouterr().err
 
     def test_events_poll_over_http(self, http_client):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, SpecError
 from repro.experiments import ExperimentConfig, run_comparison
+from repro.experiments.config import SHAPE_KEYS
 from repro.specs import ExperimentSpec, Spec, default_experiment_spec
 
 
@@ -93,6 +94,54 @@ class TestExperimentSpec:
             spec.validate()
 
 
+#: Malformed ``experiment`` sections and the message each must raise.
+MALFORMED_SHAPES = {
+    "batch-size-string": ({"batch_size": "25"}, "batch_size must be an integer, got '25'"),
+    "rounds-null": ({"rounds": None}, "rounds must be an integer, got None"),
+    "repeats-float": ({"repeats": 1.5}, "repeats must be an integer, got 1.5"),
+    "seed-bool": ({"seed": True}, "seed must be an integer, got True"),
+    "initial-size-string": ({"initial_size": "5"}, "initial_size must be an integer, got '5'"),
+    "track-flips-int": ({"track_flips": 1}, "track_flips must be true or false, got 1"),
+}
+
+
+class TestExperimentShape:
+    """``ExperimentConfig`` is the one (de)serialiser of the shape section."""
+
+    def test_to_dict_key_order(self):
+        config = ExperimentConfig(batch_size=5, rounds=2, repeats=1, seed=7)
+        assert list(config.to_dict()) == [
+            "batch_size", "rounds", "initial_size", "repeats", "seed", "training_mode",
+        ]
+        tracking = ExperimentConfig(batch_size=5, rounds=2, track_flips=True)
+        assert list(tracking.to_dict())[-1] == "track_flips"
+        assert tracking.to_dict()["track_flips"] is True
+
+    def test_from_dict_round_trips(self):
+        for config in (
+            ExperimentConfig(),
+            ExperimentConfig(initial_size=4, training_mode="warm", track_flips=True),
+        ):
+            assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def test_shape_keys_are_the_fields(self):
+        assert SHAPE_KEYS == set(ExperimentConfig(track_flips=True).to_dict())
+
+    def test_unknown_option_rejected(self):
+        with pytest.raises(SpecError, match="unknown experiment option"):
+            ExperimentConfig.from_dict({"batch_size": 5, "bogus": 1})
+
+    @pytest.mark.parametrize(
+        "shape,message", list(MALFORMED_SHAPES.values()), ids=list(MALFORMED_SHAPES)
+    )
+    def test_malformed_shape_is_a_configuration_error(self, shape, message):
+        payload = _small_spec().to_dict()
+        payload["experiment"].update(shape)
+        with pytest.raises(ConfigurationError) as caught:
+            ExperimentSpec.from_dict(payload)
+        assert str(caught.value) == message
+
+
 class TestRunComparisonValidation:
     def test_oversized_grid_rejected_up_front(self, text_dataset):
         config = ExperimentConfig(batch_size=400, rounds=2, repeats=1, seed=0)
@@ -147,6 +196,20 @@ class TestConfigCli:
         path.write_text(json.dumps(payload))
         assert main(["config", "validate", str(path)]) == 2
         assert "unknown strategy kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["batch-size-string", "rounds-null", "repeats-float"])
+    def test_validate_malformed_shape_is_one_error_line(self, tmp_path, capsys, case):
+        from repro.cli import main
+
+        shape, message = MALFORMED_SHAPES[case]
+        path = tmp_path / "experiment.json"
+        payload = _small_spec().to_dict()
+        payload["experiment"].update(shape)
+        path.write_text(json.dumps(payload))
+        assert main(["config", "validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     def test_run_config_matches_compare_flags(self, tmp_path, capsys):
         from repro.cli import main

@@ -103,6 +103,16 @@ def test_strategy_selections_survive_roundtrip(kind, text_dataset, ner_dataset):
 
 
 @pytest.mark.parametrize("kind", list(MODEL_CASES))
+def test_warm_epochs_survive_roundtrip(kind):
+    spec, _task = MODEL_CASES[kind]
+    assert "warm_epochs" not in spec_of_model(build_model(spec)).params
+    warm = {**spec, "params": {**spec["params"], "warm_epochs": 1}}
+    roundtrip_spec = spec_of_model(build_model(warm))
+    assert roundtrip_spec.params["warm_epochs"] == 1
+    assert build_model(roundtrip_spec.to_dict()).warm_epochs == 1
+
+
+@pytest.mark.parametrize("kind", list(MODEL_CASES))
 def test_model_predictions_survive_roundtrip(kind, text_dataset, ner_dataset):
     spec, task = MODEL_CASES[kind]
     original = build_model(spec)

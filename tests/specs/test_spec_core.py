@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.strategies import Entropy, Random
-from repro.core.strategies.base import _REGISTRY, register_strategy
-from repro.exceptions import ConfigurationError, SpecError
+from repro.exceptions import SpecError
 from repro.specs import SPEC_VERSION, Spec, SpecRegistry, as_spec, is_spec_like
 
 
@@ -118,30 +117,3 @@ class TestSpecRegistry:
                 cls=Entropy,
                 params_of=lambda strategy: {},
             )
-
-
-class TestStrategyFactoryRegistry:
-    """`register_strategy` mirrors the registries' idempotency rules."""
-
-    def test_reregister_same_factory_is_noop(self):
-        factory = _REGISTRY["entropy"]
-        register_strategy("entropy")(factory)
-        assert _REGISTRY["entropy"] is factory
-
-    def test_reloaded_class_reregisters_cleanly(self):
-        original = _REGISTRY["entropy"]
-
-        class Reloaded:
-            pass
-
-        Reloaded.__module__ = original.__module__
-        Reloaded.__qualname__ = original.__qualname__
-        try:
-            register_strategy("entropy")(Reloaded)
-            assert _REGISTRY["entropy"] is Reloaded
-        finally:
-            _REGISTRY["entropy"] = original
-
-    def test_conflicting_factory_raises(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_strategy("entropy")(lambda: Entropy())

@@ -2,39 +2,45 @@
 
 import pytest
 
-from repro.cli import build_parser, build_strategy_factory, main
+from repro.cli import build_parser, main
 from repro.core.strategies import FHS, HUS, LHS, Entropy, Random, WSHS
 from repro.exceptions import ConfigurationError
+from repro.specs import build_strategy, parse_strategy_shorthand
+
+
+def _shorthand(text, window=3, ranker=None):
+    """The strategy a ``compare --strategies`` entry builds."""
+    return build_strategy(parse_strategy_shorthand(text, window, ranker))
 
 
 class TestStrategySpecs:
     def test_plain_name(self):
-        assert isinstance(build_strategy_factory("random", 3, None)(), Random)
+        assert isinstance(_shorthand("random"), Random)
 
     def test_case_insensitive(self):
-        assert isinstance(build_strategy_factory("ENTROPY", 3, None)(), Entropy)
+        assert isinstance(_shorthand("ENTROPY"), Entropy)
 
     def test_wshs_wrapper(self):
-        strategy = build_strategy_factory("wshs:entropy", 4, None)()
+        strategy = _shorthand("wshs:entropy", window=4)
         assert isinstance(strategy, WSHS)
         assert isinstance(strategy.base, Entropy)
         assert strategy.window == 4
 
     def test_hus_and_fhs_wrappers(self):
-        assert isinstance(build_strategy_factory("hus:lc", 3, None)(), HUS)
-        assert isinstance(build_strategy_factory("fhs:lc", 3, None)(), FHS)
+        assert isinstance(_shorthand("hus:lc"), HUS)
+        assert isinstance(_shorthand("fhs:lc"), FHS)
 
     def test_lhs_requires_ranker(self):
         with pytest.raises(ConfigurationError):
-            build_strategy_factory("lhs:entropy", 3, None)
+            parse_strategy_shorthand("lhs:entropy", 3, None)
 
     def test_unknown_wrapper(self):
         with pytest.raises(ConfigurationError):
-            build_strategy_factory("boost:entropy", 3, None)
+            parse_strategy_shorthand("boost:entropy", 3, None)
 
     def test_unknown_base(self):
         with pytest.raises(ConfigurationError):
-            build_strategy_factory("wshs:nope", 3, None)()
+            _shorthand("wshs:nope")
 
 
 class TestEntryPoints:
@@ -401,8 +407,7 @@ class TestTrainRankerCommand:
             "--epochs", "3", "--predictor", "ar",
             "--output", str(ranker_path),
         ])
-        factory = build_strategy_factory("lhs:entropy", 3, str(ranker_path))
-        assert isinstance(factory(), LHS)
+        assert isinstance(_shorthand("lhs:entropy", ranker=str(ranker_path)), LHS)
 
 
 class TestSweepCommands:
