@@ -133,24 +133,3 @@ def check_fingerprint(
             f"(expected {expected}, found {actual}); {hint}"
         )
 
-
-def read_json_document(
-    path: "str | Path",
-    expected_format: str,
-    expected_version: int,
-    error_cls: type[Exception],
-) -> dict:
-    """Read a versioned JSON document, validating its format marker.
-
-    The file-based front end of :func:`validate_envelope`: reads and
-    decodes ``path`` (unreadable file → ``error_cls``), then validates
-    the envelope with the path itself as the error source.
-    """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise error_cls(f"cannot read {path}: {error}") from error
-    return validate_envelope(
-        payload, expected_format, expected_version, error_cls, source=str(path)
-    )

@@ -1,19 +1,16 @@
-"""Learning-to-rank substrate: regression trees, boosting, LambdaMART.
+"""Learning-to-rank substrate: regression trees, NDCG and LambdaMART.
 
 The LHS strategy uses LambdaMART (Wu et al., 2010) as its learning-to-rank
 model.  This package is a from-scratch implementation: a CART regression
-tree with Newton leaf values, a plain gradient-boosting regressor (used in
-tests and as a building block), NDCG utilities, and the LambdaMART ranker
-that combines them with LambdaRank gradients.
+tree with Newton leaf values, NDCG utilities, and the LambdaMART ranker
+that boosts those trees on LambdaRank gradients.
 """
 
-from .gbm import GradientBoostingRegressor
 from .lambdamart import LambdaMART, RankingDataset
 from .ndcg import dcg_at_k, ndcg_at_k
 from .trees import RegressionTree
 
 __all__ = [
-    "GradientBoostingRegressor",
     "LambdaMART",
     "RankingDataset",
     "RegressionTree",

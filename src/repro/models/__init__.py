@@ -12,8 +12,15 @@ equivalents from scratch in numpy:
   backprop (EGL-word- and BALD-capable).
 * :class:`~repro.models.crf.LinearChainCRF` — feature-based linear-chain
   CRF sequence labeler (LC/MNLP-capable).
+* :class:`~repro.models.bilstm_crf.BiLSTMCRF` — BiLSTM encoder with a CRF
+  output layer and true MC dropout (the higher-fidelity NER model).
 * :class:`~repro.models.lstm.LSTMRegressor` — tiny LSTM used by the LHS
   strategy to predict the next evaluation score.
+
+All six share one skeleton, :class:`~repro.models.base.NumpyModel`
+(clone, parameter state, construction-time argument checks); the two
+CRF taggers also share one decoding head,
+:class:`~repro.models.crf_core.CRFTagger`.
 """
 
 from .base import (

@@ -26,16 +26,23 @@ Every fit (cold or warm) and every ``set_params`` bumps a monotonically
 increasing ``_fit_generation`` counter (see :func:`fit_generation`); the
 prediction cache keys on it so a model refitted in place can never serve
 stale forward passes.
+
+:class:`NumpyModel` is the skeleton every numpy family in this package
+builds on: a constructor-argument ``clone``, the parameter-state codec,
+the not-fitted and warm-start-source checks, and the construction-time
+:data:`ARGUMENT_RULES`.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from ..data.datasets import SequenceDataset, TextDataset
+from ..exceptions import ConfigurationError, NotFittedError
 
 
 class Classifier(ABC):
@@ -210,3 +217,112 @@ def params_from_jsonable(payload: dict) -> "dict[str, np.ndarray]":
     return {
         name: np.asarray(value, dtype=np.float64) for name, value in payload.items()
     }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, bool
+    )
+
+
+_POSITIVE_INT = (lambda value: _is_int(value) and value > 0, "a positive integer")
+_POSITIVE_INT_OR_NULL = (
+    lambda value: value is None or _POSITIVE_INT[0](value),
+    "a positive integer or null",
+)
+_POSITIVE = (lambda value: _is_number(value) and value > 0, "a positive number")
+_NON_NEGATIVE = (
+    lambda value: _is_number(value) and value >= 0, "a non-negative number"
+)
+_FRACTION = (lambda value: _is_number(value) and 0 <= value < 1, "a number in [0, 1)")
+
+#: Construction-time rules for the hyper-parameters the families share:
+#: constructor argument -> (check, the rule as error messages state it).
+ARGUMENT_RULES = {
+    "epochs": _POSITIVE_INT,
+    "batch_size": _POSITIVE_INT,
+    "hidden_dim": _POSITIVE_INT,
+    "embedding_dim": _POSITIVE_INT,
+    "filters": _POSITIVE_INT,
+    "warm_epochs": _POSITIVE_INT_OR_NULL,
+    "max_length": _POSITIVE_INT_OR_NULL,
+    "learning_rate": _POSITIVE,
+    "l2": _NON_NEGATIVE,
+    "dropout": _FRACTION,
+    "feature_dropout": _FRACTION,
+}
+
+
+@functools.cache
+def init_arguments(cls: type) -> "tuple[str, ...]":
+    """Names of ``cls``'s constructor arguments, in signature order."""
+    return tuple(inspect.signature(cls).parameters)
+
+
+class NumpyModel:
+    """Shared skeleton of the numpy model families.
+
+    A subclass stores every constructor argument under its own name and
+    calls :meth:`_check_arguments` once they are stored; keeps its
+    fitted arrays in ``self._params``; and names in :attr:`STATE_META`
+    the integer attributes (each stored as ``_<name>``) that its
+    parameter state carries beside the arrays.
+    """
+
+    #: Integer attributes saved in the ``meta`` of :meth:`get_params`.
+    STATE_META: "tuple[str, ...]" = ()
+    _params: "dict[str, np.ndarray] | None"
+
+    def _check_arguments(self) -> None:
+        """Apply :data:`ARGUMENT_RULES` to the stored constructor arguments.
+
+        Raises
+        ------
+        ConfigurationError
+            Naming the class, the argument and its rule.
+        """
+        for name in init_arguments(type(self)):
+            check, rule = ARGUMENT_RULES.get(name, (None, None))
+            value = getattr(self, name)
+            if check is not None and not check(value):
+                raise ConfigurationError(
+                    f"{type(self).__name__} {name} must be {rule}, got {value!r}"
+                )
+
+    def clone(self):
+        """Return an unfitted copy with the same constructor arguments."""
+        cls = type(self)
+        return cls(**{name: getattr(self, name) for name in init_arguments(cls)})
+
+    def _require_fitted(self) -> "dict[str, np.ndarray]":
+        if self._params is None:
+            raise NotFittedError(f"{type(self).__name__} used before fit()")
+        return self._params
+
+    def _warm_source(self, init_from) -> "dict[str, np.ndarray]":
+        """The fitted arrays of ``init_from``, which must be of this class."""
+        if not isinstance(init_from, type(self)):
+            raise ConfigurationError(
+                f"cannot warm-start {type(self).__name__} from "
+                f"{type(init_from).__name__}"
+            )
+        return init_from._require_fitted()
+
+    def get_params(self) -> dict:
+        """The fitted parameter state as a pure-JSON document."""
+        return {
+            "arrays": params_to_jsonable(self._require_fitted()),
+            "meta": {name: int(getattr(self, f"_{name}")) for name in self.STATE_META},
+        }
+
+    def set_params(self, state: dict):
+        """Restore the state produced by :meth:`get_params` and return ``self``."""
+        self._params = params_from_jsonable(state["arrays"])
+        for name in self.STATE_META:
+            setattr(self, f"_{name}", int(state["meta"][name]))
+        bump_fit_generation(self)
+        return self

@@ -62,8 +62,3 @@ def length_buckets(lengths: Sequence[int]) -> list[tuple[int, np.ndarray]]:
         return []
     unique = np.unique(length_array)
     return [(int(value), np.flatnonzero(length_array == value)) for value in unique]
-
-
-def stack_bucket(sentences: Sequence[np.ndarray], positions: np.ndarray) -> np.ndarray:
-    """Stack same-length sequences at ``positions`` into one 2-D array."""
-    return np.stack([np.asarray(sentences[int(p)]) for p in positions])

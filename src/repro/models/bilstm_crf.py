@@ -18,25 +18,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.datasets import SequenceDataset
-from ..exceptions import ConfigurationError, NotFittedError
+from ..exceptions import ConfigurationError
 from ..rng import ensure_rng
-from .base import (
-    SequenceLabeler,
-    bump_fit_generation,
-    params_from_jsonable,
-    params_to_jsonable,
-    resolve_warm_epochs,
-)
+from .base import bump_fit_generation, resolve_warm_epochs
 from .batching import length_buckets
 from .crf_core import (
-    crf_decode_buckets,
-    crf_forward,
-    crf_forward_batch,
+    CRFTagger,
     crf_marginals,
     crf_marginals_batch,
     crf_sentence_gradients,
-    crf_viterbi,
-    crf_viterbi_batch,
 )
 from .embeddings import pretrained_for_dataset
 from .layers import Adam, dropout_mask, glorot_init, minibatches, sigmoid
@@ -133,7 +123,7 @@ def _lstm_back(
     return d_inputs
 
 
-class BiLSTMCRF(SequenceLabeler):
+class BiLSTMCRF(CRFTagger):
     """Bidirectional-LSTM encoder with a CRF output layer.
 
     Parameters
@@ -160,14 +150,6 @@ class BiLSTMCRF(SequenceLabeler):
         embedding_matrix: np.ndarray | None = None,
         warm_epochs: "int | None" = None,
     ) -> None:
-        if hidden_dim < 1 or embedding_dim < 1:
-            raise ConfigurationError("embedding_dim and hidden_dim must be >= 1")
-        if not 0 <= dropout < 1:
-            raise ConfigurationError(f"dropout must be in [0, 1), got {dropout}")
-        if epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-        if warm_epochs is not None and warm_epochs <= 0:
-            raise ConfigurationError(f"warm_epochs must be positive, got {warm_epochs}")
         self.embedding_dim = embedding_dim
         self.hidden_dim = hidden_dim
         self.dropout = dropout
@@ -176,24 +158,20 @@ class BiLSTMCRF(SequenceLabeler):
         self.batch_size = batch_size
         self.l2 = l2
         self.seed = seed
+        self.embedding_matrix = embedding_matrix
         self.warm_epochs = warm_epochs
-        self._initial_embedding = embedding_matrix
+        self._check_arguments()
         self._params: dict[str, np.ndarray] | None = None
         self._num_tags: int | None = None
 
     # -- plumbing -----------------------------------------------------------
 
-    def _require_fitted(self) -> dict[str, np.ndarray]:
-        if self._params is None:
-            raise NotFittedError("BiLSTMCRF used before fit()")
-        return self._params
-
     def _init_params(self, dataset: SequenceDataset, rng: np.random.Generator) -> None:
-        if self._initial_embedding is None:
-            self._initial_embedding = pretrained_for_dataset(
+        if self.embedding_matrix is None:
+            self.embedding_matrix = pretrained_for_dataset(
                 dataset, dim=self.embedding_dim, seed_or_rng=self.seed
             )
-        embedding = self._initial_embedding
+        embedding = self.embedding_matrix
         if embedding.shape[0] != len(dataset.vocab):
             raise ConfigurationError(
                 f"embedding table has {embedding.shape[0]} rows for a "
@@ -243,6 +221,9 @@ class BiLSTMCRF(SequenceLabeler):
         }
         return emissions, cache
 
+    def _sentence_emissions(self, sentence: np.ndarray) -> np.ndarray:
+        return self._encode(sentence, None)[0]
+
     # -- training --------------------------------------------------------------
 
     def fit(
@@ -256,11 +237,7 @@ class BiLSTMCRF(SequenceLabeler):
             self._init_params(dataset, rng)
         else:
             epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            if not isinstance(init_from, BiLSTMCRF):
-                raise ConfigurationError(
-                    f"cannot warm-start BiLSTMCRF from {type(init_from).__name__}"
-                )
-            previous = init_from._require_fitted()
+            previous = self._warm_source(init_from)
             if previous["E"].shape[0] != len(dataset.vocab) or previous[
                 "Wo"
             ].shape[1] != dataset.num_tags:
@@ -271,8 +248,8 @@ class BiLSTMCRF(SequenceLabeler):
                 )
             self._params = {name: value.copy() for name, value in previous.items()}
             self._num_tags = dataset.num_tags
-            if self._initial_embedding is None:
-                self._initial_embedding = init_from._initial_embedding
+            if self.embedding_matrix is None:
+                self.embedding_matrix = init_from.embedding_matrix
         params = self._params
         optimizer = Adam(learning_rate=self.learning_rate)
         hidden = self.hidden_dim
@@ -325,35 +302,12 @@ class BiLSTMCRF(SequenceLabeler):
         np.add.at(grads["E"], cache["sentence"], d_embedded)
         grads["E"][0] = 0.0  # PAD stays zero
 
-    def clone(self) -> "BiLSTMCRF":
-        return BiLSTMCRF(
-            embedding_dim=self.embedding_dim,
-            hidden_dim=self.hidden_dim,
-            dropout=self.dropout,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            l2=self.l2,
-            seed=self.seed,
-            embedding_matrix=self._initial_embedding,
-            warm_epochs=self.warm_epochs,
-        )
-
-    # -- parameter state -----------------------------------------------------------
-
-    def get_params(self) -> dict:
-        params = self._require_fitted()
-        return {
-            "arrays": params_to_jsonable(params),
-            "meta": {"num_tags": int(self._num_tags)},
-        }
+    # -- parameter state -----------------------------------------------------
 
     def set_params(self, state: dict) -> "BiLSTMCRF":
-        self._params = params_from_jsonable(state["arrays"])
-        self._num_tags = int(state["meta"]["num_tags"])
-        if self._initial_embedding is None:
-            self._initial_embedding = self._params["E"].copy()
-        bump_fit_generation(self)
+        super().set_params(state)
+        if self.embedding_matrix is None:
+            self.embedding_matrix = self._params["E"].copy()
         return self
 
     # -- inference ------------------------------------------------------------------
@@ -393,91 +347,6 @@ class BiLSTMCRF(SequenceLabeler):
             for states in self.encoder_states(dataset)
         ]
 
-    def predict_tags(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> list[np.ndarray]:
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        paths: list[np.ndarray | None] = [None] * len(dataset)
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            bucket_paths, _ = crf_viterbi_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            for row, path in zip(rows, bucket_paths):
-                paths[int(row)] = path.copy()
-        return paths
-
-    def best_path_log_proba(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> np.ndarray:
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        log_probas = np.empty(len(dataset))
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            _, best_scores = crf_viterbi_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            _, log_z = crf_forward_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            log_probas[rows] = best_scores - log_z
-        return log_probas
-
-
-    def decode(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> "tuple[list[np.ndarray], np.ndarray]":
-        """Fused ``(predict_tags, best_path_log_proba)`` in one pass.
-
-        Runs each length bucket through the Viterbi and forward lattices
-        once, so callers needing both tags and path confidences (e.g.
-        the per-round :class:`~repro.core.prediction_cache.PredictionCache`)
-        pay for a single decode instead of two.  Outputs are bit-for-bit
-        the separate methods' results.
-        """
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        return crf_decode_buckets(
-            emissions,
-            length_buckets([len(s) for s in dataset.sentences]),
-            params["A"],
-            params["start"],
-            params["end"],
-        )
-
-    def token_marginals(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> list[np.ndarray]:
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        output: list[np.ndarray | None] = [None] * len(dataset)
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            marginals = crf_marginals_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            for row, matrix in zip(rows, marginals):
-                output[int(row)] = matrix
-        return output
-
     def token_marginal_samples(
         self, dataset: SequenceDataset, n_samples: int, rng: np.random.Generator
     ) -> list[np.ndarray]:
@@ -509,36 +378,7 @@ class BiLSTMCRF(SequenceLabeler):
             )
         return results
 
-    # -- per-sentence reference paths (oracles for the batched kernels) -----
-
-    def _predict_tags_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        params = self._require_fitted()
-        paths = []
-        for sentence in dataset.sentences:
-            emissions, _ = self._encode(sentence, None)
-            path, _ = crf_viterbi(emissions, params["A"], params["start"], params["end"])
-            paths.append(path)
-        return paths
-
-    def _best_path_log_proba_reference(self, dataset: SequenceDataset) -> np.ndarray:
-        params = self._require_fitted()
-        log_probas = np.empty(len(dataset))
-        for index, sentence in enumerate(dataset.sentences):
-            emissions, _ = self._encode(sentence, None)
-            _, best = crf_viterbi(emissions, params["A"], params["start"], params["end"])
-            _, log_z = crf_forward(emissions, params["A"], params["start"], params["end"])
-            log_probas[index] = best - log_z
-        return log_probas
-
-    def _token_marginals_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        params = self._require_fitted()
-        return [
-            crf_marginals(
-                self._encode(sentence, None)[0],
-                params["A"], params["start"], params["end"],
-            )
-            for sentence in dataset.sentences
-        ]
+    # -- per-sentence reference path (oracle for the batched sampler) -------
 
     def _token_marginal_samples_reference(
         self, dataset: SequenceDataset, n_samples: int, rng: np.random.Generator
@@ -560,15 +400,6 @@ class BiLSTMCRF(SequenceLabeler):
                 )
             results.append(draws)
         return results
-
-    def token_accuracy(self, dataset: SequenceDataset) -> float:
-        """Fraction of tokens whose Viterbi tag matches gold."""
-        predicted = self.predict_tags(dataset)
-        correct = sum(
-            int((p == g).sum()) for p, g in zip(predicted, dataset.tag_sequences)
-        )
-        total = dataset.total_tokens()
-        return correct / total if total else 0.0
 
     def __repr__(self) -> str:
         state = "fitted" if self._params is not None else "unfitted"

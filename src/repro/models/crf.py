@@ -20,34 +20,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.datasets import SequenceDataset
-from ..exceptions import ConfigurationError, NotFittedError
+from ..exceptions import ConfigurationError
 from ..rng import ensure_rng
-from .base import (
-    SequenceLabeler,
-    bump_fit_generation,
-    params_from_jsonable,
-    params_to_jsonable,
-    resolve_warm_epochs,
-)
+from .base import bump_fit_generation, resolve_warm_epochs
 from .batching import length_buckets
 from .crf_core import (
-    crf_decode_buckets,
-    crf_backward,
-    crf_forward,
-    crf_forward_batch,
+    CRFTagger,
     crf_marginals,
     crf_marginals_batch,
-    crf_path_score,
     crf_sentence_gradients,
-    crf_viterbi,
-    crf_viterbi_batch,
 )
 from .layers import Adam, minibatches
 
 _COMPONENTS = ("U_curr", "U_prev", "U_next")
 
 
-class LinearChainCRF(SequenceLabeler):
+class LinearChainCRF(CRFTagger):
     """CRF over word-identity context features.
 
     Parameters
@@ -77,14 +65,6 @@ class LinearChainCRF(SequenceLabeler):
         seed: int = 0,
         warm_epochs: "int | None" = None,
     ) -> None:
-        if epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-        if not 0 <= feature_dropout < 1:
-            raise ConfigurationError(
-                f"feature_dropout must be in [0, 1), got {feature_dropout}"
-            )
-        if warm_epochs is not None and warm_epochs <= 0:
-            raise ConfigurationError(f"warm_epochs must be positive, got {warm_epochs}")
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.l2 = l2
@@ -92,15 +72,11 @@ class LinearChainCRF(SequenceLabeler):
         self.feature_dropout = feature_dropout
         self.seed = seed
         self.warm_epochs = warm_epochs
+        self._check_arguments()
         self._params: dict[str, np.ndarray] | None = None
         self._num_tags: int | None = None
 
     # -- scores --------------------------------------------------------------
-
-    def _require_fitted(self) -> dict[str, np.ndarray]:
-        if self._params is None:
-            raise NotFittedError("LinearChainCRF used before fit()")
-        return self._params
 
     def _emission_parts(
         self, sentence: np.ndarray
@@ -115,7 +91,7 @@ class LinearChainCRF(SequenceLabeler):
             params["U_next"][next_ids],
         )
 
-    def _emissions(
+    def _sentence_emissions(
         self, sentence: np.ndarray, component_mask: np.ndarray | None = None
     ) -> np.ndarray:
         """Emission scores, shape ``(length, num_tags)``.
@@ -136,7 +112,7 @@ class LinearChainCRF(SequenceLabeler):
 
         Sentences are grouped into exact-length buckets and each bucket's
         three component tables are gathered in one fancy-indexing pass —
-        bit-for-bit equal to calling :meth:`_emissions` per sentence.
+        bit-for-bit equal to calling :meth:`_sentence_emissions` per sentence.
         """
         params = self._require_fitted()
         sentences = dataset.sentences
@@ -155,21 +131,6 @@ class LinearChainCRF(SequenceLabeler):
             for row, matrix in zip(rows, batch):
                 output[int(row)] = matrix
         return output
-
-    def _forward_log(self, emissions: np.ndarray) -> tuple[np.ndarray, float]:
-        """Forward pass: alpha table and log partition (via crf_core)."""
-        params = self._require_fitted()
-        return crf_forward(emissions, params["A"], params["start"], params["end"])
-
-    def _backward_log(self, emissions: np.ndarray) -> np.ndarray:
-        params = self._require_fitted()
-        return crf_backward(emissions, params["A"], params["end"])
-
-    def _path_score(self, emissions: np.ndarray, tags: np.ndarray) -> float:
-        params = self._require_fitted()
-        return crf_path_score(
-            emissions, tags, params["A"], params["start"], params["end"]
-        )
 
     # -- training --------------------------------------------------------------
 
@@ -195,11 +156,7 @@ class LinearChainCRF(SequenceLabeler):
             }
         else:
             epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            if not isinstance(init_from, LinearChainCRF):
-                raise ConfigurationError(
-                    f"cannot warm-start LinearChainCRF from {type(init_from).__name__}"
-                )
-            previous = init_from._require_fitted()
+            previous = self._warm_source(init_from)
             if previous["U_curr"].shape != (vocab_size, num_tags):
                 raise ConfigurationError(
                     "warm-start shape mismatch: previous CRF is "
@@ -233,7 +190,7 @@ class LinearChainCRF(SequenceLabeler):
     ) -> None:
         """Add the NLL gradient of one sentence into ``grads``."""
         params = self._require_fitted()
-        emissions = self._emissions(sentence)
+        emissions = self._sentence_emissions(sentence)
         d_emissions, d_transitions, d_start, d_end, _ = crf_sentence_gradients(
             emissions, tags, params["A"], params["start"], params["end"]
         )
@@ -248,130 +205,7 @@ class LinearChainCRF(SequenceLabeler):
         grads["start"] += scale * d_start
         grads["end"] += scale * d_end
 
-    def clone(self) -> "LinearChainCRF":
-        return LinearChainCRF(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            l2=self.l2,
-            batch_size=self.batch_size,
-            feature_dropout=self.feature_dropout,
-            seed=self.seed,
-            warm_epochs=self.warm_epochs,
-        )
-
-    # -- parameter state ----------------------------------------------------------
-
-    def get_params(self) -> dict:
-        params = self._require_fitted()
-        return {
-            "arrays": params_to_jsonable(params),
-            "meta": {"num_tags": int(self._num_tags)},
-        }
-
-    def set_params(self, state: dict) -> "LinearChainCRF":
-        self._params = params_from_jsonable(state["arrays"])
-        self._num_tags = int(state["meta"]["num_tags"])
-        bump_fit_generation(self)
-        return self
-
     # -- inference ----------------------------------------------------------------
-
-    def _viterbi(self, emissions: np.ndarray) -> tuple[np.ndarray, float]:
-        params = self._require_fitted()
-        return crf_viterbi(emissions, params["A"], params["start"], params["end"])
-
-    def predict_tags(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> list[np.ndarray]:
-        """Viterbi paths, decoded one length bucket at a time.
-
-        ``emissions`` lets a caller (e.g. the per-round
-        :class:`~repro.core.prediction_cache.PredictionCache`) reuse
-        matrices from :meth:`emissions` across decode/marginal calls.
-        """
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        paths: list[np.ndarray | None] = [None] * len(dataset)
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            bucket_paths, _ = crf_viterbi_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            for row, path in zip(rows, bucket_paths):
-                paths[int(row)] = path.copy()
-        return paths
-
-    def best_path_log_proba(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> np.ndarray:
-        """``log p(y*|x)`` per sentence — longer sentences score lower,
-        which reproduces the length bias MNLP (Eq. 13) corrects."""
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        log_probas = np.empty(len(dataset))
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            _, best_scores = crf_viterbi_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            _, log_z = crf_forward_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            log_probas[rows] = best_scores - log_z
-        return log_probas
-
-
-    def decode(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> "tuple[list[np.ndarray], np.ndarray]":
-        """Fused ``(predict_tags, best_path_log_proba)`` in one pass.
-
-        Runs each length bucket through the Viterbi and forward lattices
-        once, so callers needing both tags and path confidences (e.g.
-        the per-round :class:`~repro.core.prediction_cache.PredictionCache`)
-        pay for a single decode instead of two.  Outputs are bit-for-bit
-        the separate methods' results.
-        """
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        return crf_decode_buckets(
-            emissions,
-            length_buckets([len(s) for s in dataset.sentences]),
-            params["A"],
-            params["start"],
-            params["end"],
-        )
-
-    def token_marginals(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> list[np.ndarray]:
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        output: list[np.ndarray | None] = [None] * len(dataset)
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            marginals = crf_marginals_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            for row, matrix in zip(rows, marginals):
-                output[int(row)] = matrix
-        return output
 
     def token_marginal_samples(
         self, dataset: SequenceDataset, n_samples: int, rng: np.random.Generator
@@ -407,32 +241,7 @@ class LinearChainCRF(SequenceLabeler):
             )
         return results
 
-    # -- per-sentence reference paths (oracles for the batched kernels) -----
-
-    def _predict_tags_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        return [
-            self._viterbi(self._emissions(sentence))[0]
-            for sentence in dataset.sentences
-        ]
-
-    def _best_path_log_proba_reference(self, dataset: SequenceDataset) -> np.ndarray:
-        log_probas = np.empty(len(dataset))
-        for index, sentence in enumerate(dataset.sentences):
-            emissions = self._emissions(sentence)
-            _, best_score = self._viterbi(emissions)
-            _, log_z = self._forward_log(emissions)
-            log_probas[index] = best_score - log_z
-        return log_probas
-
-    def _token_marginals_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        params = self._require_fitted()
-        return [
-            crf_marginals(
-                self._emissions(sentence),
-                params["A"], params["start"], params["end"],
-            )
-            for sentence in dataset.sentences
-        ]
+    # -- per-sentence reference path (oracle for the batched sampler) -------
 
     def _token_marginal_samples_reference(
         self, dataset: SequenceDataset, n_samples: int, rng: np.random.Generator
@@ -449,22 +258,12 @@ class LinearChainCRF(SequenceLabeler):
                 if not keep.any():
                     keep[rng.integers(3)] = True  # never drop every component
                 mask = keep / max(keep.mean(), 1e-12)
-                emissions = self._emissions(sentence, component_mask=mask)
+                emissions = self._sentence_emissions(sentence, component_mask=mask)
                 draws[t] = crf_marginals(
                     emissions, params["A"], params["start"], params["end"]
                 )
             results.append(draws)
         return results
-
-    def token_accuracy(self, dataset: SequenceDataset) -> float:
-        """Fraction of tokens whose Viterbi tag matches gold."""
-        predicted = self.predict_tags(dataset)
-        correct = sum(
-            int((p == g).sum())
-            for p, g in zip(predicted, dataset.tag_sequences)
-        )
-        total = dataset.total_tokens()
-        return correct / total if total else 0.0
 
     def __repr__(self) -> str:
         state = "fitted" if self._params is not None else "unfitted"

@@ -1,4 +1,4 @@
-"""Linear-chain CRF primitives shared by the CRF-output models.
+"""Linear-chain CRF primitives and the decoding head of the CRF taggers.
 
 Pure functions over an emission matrix ``(L, T)`` and transition
 parameters (``A`` of shape ``(T, T)``, plus start/end vectors): log-space
@@ -6,7 +6,9 @@ forward/backward recursions, Viterbi decoding, gold-path scoring, and the
 negative-log-likelihood gradient w.r.t. emissions and transitions.  Both
 :class:`~repro.models.crf.LinearChainCRF` (log-linear emissions) and
 :class:`~repro.models.bilstm_crf.BiLSTMCRF` (neural emissions) are thin
-parameterisations around these.
+parameterisations around these: each subclasses :class:`CRFTagger`,
+which holds every bucketed decode and its per-sentence oracles, and
+supplies only its emissions, training and stochastic marginals.
 
 Each recursion also has a batched counterpart (``*_batch``) over an
 ``(B, L, T)`` emission tensor of same-length sequences — the models
@@ -20,7 +22,13 @@ equality.
 
 from __future__ import annotations
 
+from abc import abstractmethod
+
 import numpy as np
+
+from ..data.datasets import SequenceDataset
+from .base import NumpyModel, SequenceLabeler
+from .batching import length_buckets
 
 
 def logsumexp_axis(matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -255,3 +263,148 @@ def crf_sentence_gradients(
     d_end[tags[-1]] -= 1.0
     nll = log_z - crf_path_score(emissions, tags, transitions, start, end)
     return d_emissions, d_transitions, d_start, d_end, nll
+
+
+class CRFTagger(NumpyModel, SequenceLabeler):
+    """A sequence labeler whose output layer is a linear-chain CRF.
+
+    Subclasses keep the CRF's ``A``, ``start`` and ``end`` in their
+    fitted ``_params`` and provide two views of their emission scores:
+    :meth:`emissions` (every sentence of a dataset, batched,
+    dropout-free) and :meth:`_sentence_emissions` (one sentence, the
+    path the ``*_reference`` oracles run).  Decoding groups sentences
+    into exact-length buckets and runs each bucket through the lattice
+    as one ``(B, L, T)`` tensor; the batched kernels reduce in the same
+    order as the per-sentence ones, so both paths agree bit for bit.
+
+    Every decode takes an optional ``emissions`` list so a caller (e.g.
+    the per-round :class:`~repro.core.prediction_cache.PredictionCache`)
+    can reuse matrices from :meth:`emissions` across calls.
+    """
+
+    STATE_META = ("num_tags",)
+
+    @abstractmethod
+    def emissions(self, dataset: SequenceDataset) -> list[np.ndarray]:
+        """Dropout-free emission matrices ``(L, T)`` for every sentence."""
+
+    @abstractmethod
+    def _sentence_emissions(self, sentence: np.ndarray) -> np.ndarray:
+        """Dropout-free emission matrix ``(L, T)`` of one sentence."""
+
+    def _transitions(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The fitted ``(A, start, end)`` transition parameters."""
+        params = self._require_fitted()
+        return params["A"], params["start"], params["end"]
+
+    def _buckets(
+        self, dataset: SequenceDataset, emissions: "list[np.ndarray] | None"
+    ):
+        """``(rows, (B, L, T) emission batch)`` per exact-length bucket."""
+        if emissions is None:
+            emissions = self.emissions(dataset)
+        for _length, rows in length_buckets([len(s) for s in dataset.sentences]):
+            yield rows, np.stack([emissions[int(row)] for row in rows])
+
+    def predict_tags(
+        self,
+        dataset: SequenceDataset,
+        *,
+        emissions: "list[np.ndarray] | None" = None,
+    ) -> list[np.ndarray]:
+        """Viterbi paths, decoded one length bucket at a time."""
+        transitions = self._transitions()
+        paths: list[np.ndarray | None] = [None] * len(dataset)
+        for rows, batch in self._buckets(dataset, emissions):
+            bucket_paths, _ = crf_viterbi_batch(batch, *transitions)
+            for row, path in zip(rows, bucket_paths):
+                paths[int(row)] = path.copy()
+        return paths
+
+    def best_path_log_proba(
+        self,
+        dataset: SequenceDataset,
+        *,
+        emissions: "list[np.ndarray] | None" = None,
+    ) -> np.ndarray:
+        """``log p(y*|x)`` per sentence — longer sentences score lower,
+        which reproduces the length bias MNLP (Eq. 13) corrects."""
+        transitions = self._transitions()
+        log_probas = np.empty(len(dataset))
+        for rows, batch in self._buckets(dataset, emissions):
+            _, best_scores = crf_viterbi_batch(batch, *transitions)
+            _, log_z = crf_forward_batch(batch, *transitions)
+            log_probas[rows] = best_scores - log_z
+        return log_probas
+
+    def decode(
+        self,
+        dataset: SequenceDataset,
+        *,
+        emissions: "list[np.ndarray] | None" = None,
+    ) -> "tuple[list[np.ndarray], np.ndarray]":
+        """Fused ``(predict_tags, best_path_log_proba)`` in one pass.
+
+        Runs each length bucket through the Viterbi and forward lattices
+        once, so callers needing both tags and path confidences pay for
+        a single decode instead of two.  Outputs are bit-for-bit the
+        separate methods' results.
+        """
+        transitions = self._transitions()
+        if emissions is None:
+            emissions = self.emissions(dataset)
+        return crf_decode_buckets(
+            emissions,
+            length_buckets([len(s) for s in dataset.sentences]),
+            *transitions,
+        )
+
+    def token_marginals(
+        self,
+        dataset: SequenceDataset,
+        *,
+        emissions: "list[np.ndarray] | None" = None,
+    ) -> list[np.ndarray]:
+        """Per-sentence ``(L, T)`` token marginals by forward-backward."""
+        transitions = self._transitions()
+        output: list[np.ndarray | None] = [None] * len(dataset)
+        for rows, batch in self._buckets(dataset, emissions):
+            marginals = crf_marginals_batch(batch, *transitions)
+            for row, matrix in zip(rows, marginals):
+                output[int(row)] = matrix
+        return output
+
+    def token_accuracy(self, dataset: SequenceDataset) -> float:
+        """Fraction of tokens whose Viterbi tag matches gold."""
+        predicted = self.predict_tags(dataset)
+        correct = sum(
+            int((p == g).sum()) for p, g in zip(predicted, dataset.tag_sequences)
+        )
+        total = dataset.total_tokens()
+        return correct / total if total else 0.0
+
+    # -- per-sentence reference paths (oracles for the batched kernels) -----
+
+    def _predict_tags_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
+        transitions = self._transitions()
+        return [
+            crf_viterbi(self._sentence_emissions(sentence), *transitions)[0]
+            for sentence in dataset.sentences
+        ]
+
+    def _best_path_log_proba_reference(self, dataset: SequenceDataset) -> np.ndarray:
+        transitions = self._transitions()
+        log_probas = np.empty(len(dataset))
+        for index, sentence in enumerate(dataset.sentences):
+            emissions = self._sentence_emissions(sentence)
+            _, best_score = crf_viterbi(emissions, *transitions)
+            _, log_z = crf_forward(emissions, *transitions)
+            log_probas[index] = best_score - log_z
+        return log_probas
+
+    def _token_marginals_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
+        transitions = self._transitions()
+        return [
+            crf_marginals(self._sentence_emissions(sentence), *transitions)
+            for sentence in dataset.sentences
+        ]

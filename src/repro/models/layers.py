@@ -1,6 +1,6 @@
 """Numerical building blocks shared by the numpy models.
 
-Contains the softmax / cross-entropy primitives, parameter initialisers,
+Contains the softmax and one-hot primitives, parameter initialisers,
 and a from-scratch Adam optimiser.  Every model in this package trains via
 manual backpropagation, so these helpers are deliberately small, explicit
 functions rather than an autograd framework.
@@ -23,19 +23,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of ``labels`` under ``probabilities``."""
-    n = len(labels)
-    picked = probabilities[np.arange(n), labels]
-    return float(-np.log(np.clip(picked, 1e-12, None)).mean())
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -108,12 +95,6 @@ class Adam:
             m_hat = m / correction1
             v_hat = v / correction2
             params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-    def reset(self) -> None:
-        """Clear moment state (used when a model is re-fit from scratch)."""
-        self._step = 0
-        self._m.clear()
-        self._v.clear()
 
 
 def minibatches(

@@ -12,19 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.datasets import TextDataset
-from ..exceptions import ConfigurationError, NotFittedError
+from ..exceptions import ConfigurationError
 from ..rng import ensure_rng
-from .base import (
-    Classifier,
-    bump_fit_generation,
-    params_from_jsonable,
-    params_to_jsonable,
-    resolve_warm_epochs,
-)
+from .base import Classifier, NumpyModel, bump_fit_generation, resolve_warm_epochs
 from .layers import Adam, minibatches, one_hot, softmax
 
 
-class LinearSoftmax(Classifier):
+class LinearSoftmax(NumpyModel, Classifier):
     """Multinomial logistic regression on L1-normalised token counts.
 
     Parameters
@@ -45,6 +39,8 @@ class LinearSoftmax(Classifier):
         ``epochs // 4`` (at least 1).
     """
 
+    STATE_META = ("num_classes",)
+
     def __init__(
         self,
         epochs: int = 30,
@@ -54,20 +50,14 @@ class LinearSoftmax(Classifier):
         seed: int = 0,
         warm_epochs: "int | None" = None,
     ) -> None:
-        if epochs <= 0:
-            raise ConfigurationError(f"epochs must be positive, got {epochs}")
-        if l2 < 0:
-            raise ConfigurationError(f"l2 must be non-negative, got {l2}")
-        if warm_epochs is not None and warm_epochs <= 0:
-            raise ConfigurationError(f"warm_epochs must be positive, got {warm_epochs}")
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.l2 = l2
         self.batch_size = batch_size
         self.seed = seed
         self.warm_epochs = warm_epochs
-        self._weights: np.ndarray | None = None  # (V, C)
-        self._bias: np.ndarray | None = None  # (C,)
+        self._check_arguments()
+        self._params: dict[str, np.ndarray] | None = None  # W (V, C), b (C,)
         self._num_classes: int | None = None
 
     # -- training ---------------------------------------------------------
@@ -84,80 +74,46 @@ class LinearSoftmax(Classifier):
         self._num_classes = dataset.num_classes
         if init_from is None:
             epochs = self.epochs
-            self._weights = np.zeros((vocab_size, dataset.num_classes))
-            self._bias = np.zeros(dataset.num_classes)
+            self._params = {
+                "W": np.zeros((vocab_size, dataset.num_classes)),
+                "b": np.zeros(dataset.num_classes),
+            }
         else:
             epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            if not isinstance(init_from, LinearSoftmax):
+            previous = self._warm_source(init_from)
+            if previous["W"].shape != (vocab_size, dataset.num_classes):
                 raise ConfigurationError(
-                    f"cannot warm-start LinearSoftmax from {type(init_from).__name__}"
+                    f"warm-start shape mismatch: previous model is "
+                    f"{previous['W'].shape}, dataset needs "
+                    f"{(vocab_size, dataset.num_classes)}"
                 )
-            weights, bias = init_from._require_fitted()
-            if weights.shape != (vocab_size, dataset.num_classes):
-                raise ConfigurationError(
-                    f"warm-start shape mismatch: previous model is {weights.shape}, "
-                    f"dataset needs {(vocab_size, dataset.num_classes)}"
-                )
-            self._weights = weights.copy()
-            self._bias = bias.copy()
+            self._params = {name: value.copy() for name, value in previous.items()}
         optimizer = Adam(learning_rate=self.learning_rate)
-        params = {"W": self._weights, "b": self._bias}
+        params = self._params
         for _ in range(epochs):
             for batch in minibatches(len(dataset), self.batch_size, rng):
                 x = features[batch]
-                probabilities = softmax(x @ self._weights + self._bias)
+                probabilities = softmax(x @ params["W"] + params["b"])
                 delta = (probabilities - targets[batch]) / len(batch)
                 grads = {
-                    "W": x.T @ delta + self.l2 * self._weights,
+                    "W": x.T @ delta + self.l2 * params["W"],
                     "b": delta.sum(axis=0),
                 }
                 optimizer.update(params, grads)
         bump_fit_generation(self)
         return self
 
-    def clone(self) -> "LinearSoftmax":
-        return LinearSoftmax(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            l2=self.l2,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            warm_epochs=self.warm_epochs,
-        )
-
-    # -- parameter state --------------------------------------------------
-
-    def get_params(self) -> dict:
-        weights, bias = self._require_fitted()
-        return {
-            "arrays": params_to_jsonable({"W": weights, "b": bias}),
-            "meta": {"num_classes": int(self._num_classes)},
-        }
-
-    def set_params(self, state: dict) -> "LinearSoftmax":
-        arrays = params_from_jsonable(state["arrays"])
-        self._weights = arrays["W"]
-        self._bias = arrays["b"]
-        self._num_classes = int(state["meta"]["num_classes"])
-        bump_fit_generation(self)
-        return self
-
     # -- inference --------------------------------------------------------
 
-    def _require_fitted(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._weights is None or self._bias is None:
-            raise NotFittedError("LinearSoftmax used before fit()")
-        return self._weights, self._bias
-
     def predict_proba(self, dataset: TextDataset) -> np.ndarray:
-        weights, bias = self._require_fitted()
+        params = self._require_fitted()
         features = dataset.bag_of_words()
-        if features.shape[1] != weights.shape[0]:
+        if features.shape[1] != params["W"].shape[0]:
             raise ConfigurationError(
-                f"vocabulary mismatch: model has {weights.shape[0]} features, "
+                f"vocabulary mismatch: model has {params['W'].shape[0]} features, "
                 f"dataset has {features.shape[1]}"
             )
-        return softmax(features @ weights + bias)
+        return softmax(features @ params["W"] + params["b"])
 
     def expected_gradient_lengths(self, dataset: TextDataset) -> np.ndarray:
         """Eq. (5) in closed form for a log-linear model.
@@ -167,9 +123,9 @@ class LinearSoftmax(Classifier):
         ``||p - e_y|| * sqrt(||x||^2 + 1)``.  The EGL score marginalises
         the norm over labels with weights ``p_y``.
         """
-        weights, bias = self._require_fitted()
+        params = self._require_fitted()
         features = dataset.bag_of_words()
-        probabilities = softmax(features @ weights + bias)
+        probabilities = softmax(features @ params["W"] + params["b"])
         feature_norms = np.sqrt((features**2).sum(axis=1) + 1.0)
         # ||p - e_y||^2 = ||p||^2 - 2 p_y + 1, per candidate label y.
         squared = (probabilities**2).sum(axis=1, keepdims=True) - 2 * probabilities + 1.0
@@ -180,9 +136,8 @@ class LinearSoftmax(Classifier):
     @property
     def weights(self) -> np.ndarray:
         """The fitted ``(V, C)`` weight matrix (read-only view)."""
-        weights, _ = self._require_fitted()
-        return weights
+        return self._require_fitted()["W"]
 
     def __repr__(self) -> str:
-        state = "fitted" if self._weights is not None else "unfitted"
+        state = "fitted" if self._params is not None else "unfitted"
         return f"LinearSoftmax(epochs={self.epochs}, lr={self.learning_rate}, {state})"

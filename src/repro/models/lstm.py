@@ -25,19 +25,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, NotFittedError
+from ..exceptions import ConfigurationError
 from ..rng import ensure_rng
-from .base import (
-    bump_fit_generation,
-    params_from_jsonable,
-    params_to_jsonable,
-    resolve_warm_epochs,
-)
+from .base import NumpyModel, bump_fit_generation, resolve_warm_epochs
 from .batching import pad_sequences
 from .layers import Adam, glorot_init, sigmoid
 
 
-class LSTMRegressor:
+class LSTMRegressor(NumpyModel):
     """Predict the next value of a scalar sequence with an LSTM.
 
     Parameters
@@ -62,17 +57,12 @@ class LSTMRegressor:
         seed: int = 0,
         warm_epochs: "int | None" = None,
     ) -> None:
-        if hidden_dim < 1:
-            raise ConfigurationError(f"hidden_dim must be >= 1, got {hidden_dim}")
-        if epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-        if warm_epochs is not None and warm_epochs <= 0:
-            raise ConfigurationError(f"warm_epochs must be positive, got {warm_epochs}")
         self.hidden_dim = hidden_dim
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.seed = seed
         self.warm_epochs = warm_epochs
+        self._check_arguments()
         self._params: dict[str, np.ndarray] | None = None
 
     # -- parameter layout: gates stacked [i, f, g, o] -----------------------
@@ -279,20 +269,13 @@ class LSTMRegressor:
             params = self._init_params(rng)
         else:
             epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            if not isinstance(init_from, LSTMRegressor):
-                raise ConfigurationError(
-                    f"cannot warm-start LSTMRegressor from {type(init_from).__name__}"
-                )
-            if init_from._params is None:
-                raise NotFittedError("init_from LSTMRegressor is unfitted")
+            previous = self._warm_source(init_from)
             if init_from.hidden_dim != self.hidden_dim:
                 raise ConfigurationError(
                     f"warm-start hidden_dim mismatch: {init_from.hidden_dim} "
                     f"vs {self.hidden_dim}"
                 )
-            params = {
-                name: value.copy() for name, value in init_from._params.items()
-            }
+            params = {name: value.copy() for name, value in previous.items()}
         optimizer = Adam(learning_rate=self.learning_rate)
         n = len(arrays)
         for _ in range(epochs):
@@ -308,28 +291,6 @@ class LSTMRegressor:
             self._bptt_batch(params, caches, dh_last, lengths, grads)
             optimizer.update(params, grads)
         self._params = params
-        bump_fit_generation(self)
-        return self
-
-    def clone(self) -> "LSTMRegressor":
-        """Return an unfitted copy with the same hyper-parameters."""
-        return LSTMRegressor(
-            hidden_dim=self.hidden_dim,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-            warm_epochs=self.warm_epochs,
-        )
-
-    def get_params(self) -> dict:
-        """The fitted parameter state as a pure-JSON document."""
-        if self._params is None:
-            raise NotFittedError("LSTMRegressor used before fit()")
-        return {"arrays": params_to_jsonable(self._params), "meta": {}}
-
-    def set_params(self, state: dict) -> "LSTMRegressor":
-        """Restore the state produced by :meth:`get_params`."""
-        self._params = params_from_jsonable(state["arrays"])
         bump_fit_generation(self)
         return self
 
@@ -358,8 +319,7 @@ class LSTMRegressor:
 
     def predict(self, sequences: Sequence[np.ndarray]) -> np.ndarray:
         """Predict the next value of every sequence in one batched pass."""
-        if self._params is None:
-            raise NotFittedError("LSTMRegressor used before fit()")
+        self._require_fitted()
         if not len(sequences):
             return np.empty(0)
         arrays = [np.asarray(s, dtype=np.float64).ravel() for s in sequences]
@@ -375,9 +335,7 @@ class LSTMRegressor:
         each (the layout :meth:`repro.core.history.HistoryStore.padded_sequences`
         produces); padding content is ignored.
         """
-        params = self._params
-        if params is None:
-            raise NotFittedError("LSTMRegressor used before fit()")
+        params = self._require_fitted()
         values = np.asarray(values, dtype=np.float64)
         lengths = np.asarray(lengths, dtype=np.int64)
         if values.ndim != 2 or len(values) != len(lengths):
@@ -393,15 +351,14 @@ class LSTMRegressor:
 
     def _predict_reference(self, sequences: Sequence[np.ndarray]) -> np.ndarray:
         """Per-sequence scalar prediction loop (oracle for :meth:`predict`)."""
-        if self._params is None:
-            raise NotFittedError("LSTMRegressor used before fit()")
+        params = self._require_fitted()
         predictions = np.empty(len(sequences))
         for index, sequence in enumerate(sequences):
             array = np.asarray(sequence, dtype=np.float64).ravel()
             if len(array) == 0:
                 raise ConfigurationError("cannot predict from an empty sequence")
-            h_last, _ = self._unroll(self._params, array)
-            predictions[index] = h_last @ self._params["Wy"][:, 0] + self._params["by"][0]
+            h_last, _ = self._unroll(params, array)
+            predictions[index] = h_last @ params["Wy"][:, 0] + params["by"][0]
         return predictions
 
     def mse(self, sequences: Sequence[np.ndarray], targets: Sequence[float]) -> float:

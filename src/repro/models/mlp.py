@@ -13,20 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.datasets import TextDataset
-from ..exceptions import ConfigurationError, NotFittedError
+from ..exceptions import ConfigurationError
 from ..rng import ensure_rng
-from .base import (
-    Classifier,
-    bump_fit_generation,
-    params_from_jsonable,
-    params_to_jsonable,
-    resolve_warm_epochs,
-)
+from .base import Classifier, NumpyModel, bump_fit_generation, resolve_warm_epochs
 from .embeddings import pretrained_for_dataset
 from .layers import Adam, dropout_mask, glorot_init, minibatches, one_hot, softmax
 
 
-class MLPClassifier(Classifier):
+class MLPClassifier(NumpyModel, Classifier):
     """Embedding-mean -> Dense -> ReLU -> Dropout -> Dense -> softmax.
 
     Parameters
@@ -43,6 +37,8 @@ class MLPClassifier(Classifier):
         Optimisation hyper-parameters (Adam).
     """
 
+    STATE_META = ("num_classes",)
+
     def __init__(
         self,
         hidden_dim: int = 32,
@@ -56,12 +52,6 @@ class MLPClassifier(Classifier):
         embedding_matrix: np.ndarray | None = None,
         warm_epochs: "int | None" = None,
     ) -> None:
-        if hidden_dim < 1:
-            raise ConfigurationError(f"hidden_dim must be >= 1, got {hidden_dim}")
-        if not 0 <= dropout < 1:
-            raise ConfigurationError(f"dropout must be in [0, 1), got {dropout}")
-        if warm_epochs is not None and warm_epochs <= 0:
-            raise ConfigurationError(f"warm_epochs must be positive, got {warm_epochs}")
         self.hidden_dim = hidden_dim
         self.embedding_dim = embedding_dim
         self.dropout = dropout
@@ -70,27 +60,29 @@ class MLPClassifier(Classifier):
         self.batch_size = batch_size
         self.l2 = l2
         self.seed = seed
+        self.embedding_matrix = embedding_matrix
         self.warm_epochs = warm_epochs
-        self._embedding = embedding_matrix
+        self._check_arguments()
         self._params: dict[str, np.ndarray] | None = None
         self._num_classes: int | None = None
 
     # -- features ---------------------------------------------------------
 
     def _features(self, dataset: TextDataset) -> np.ndarray:
-        if self._embedding is None:
-            self._embedding = pretrained_for_dataset(
+        if self.embedding_matrix is None:
+            self.embedding_matrix = pretrained_for_dataset(
                 dataset, dim=self.embedding_dim, seed_or_rng=self.seed
             )
-        if self._embedding.shape[0] != len(dataset.vocab):
+        embedding = self.embedding_matrix
+        if embedding.shape[0] != len(dataset.vocab):
             raise ConfigurationError(
-                f"embedding table has {self._embedding.shape[0]} rows for a "
+                f"embedding table has {embedding.shape[0]} rows for a "
                 f"vocabulary of {len(dataset.vocab)}"
             )
-        features = np.zeros((len(dataset), self._embedding.shape[1]))
+        features = np.zeros((len(dataset), embedding.shape[1]))
         for row, sentence in enumerate(dataset.sentences):
             if len(sentence):
-                features[row] = self._embedding[sentence].mean(axis=0)
+                features[row] = embedding[sentence].mean(axis=0)
         return features
 
     # -- training ---------------------------------------------------------
@@ -102,13 +94,10 @@ class MLPClassifier(Classifier):
             raise ConfigurationError("cannot fit on an empty dataset")
         rng = ensure_rng(self.seed)
         if init_from is not None:
-            if not isinstance(init_from, MLPClassifier):
-                raise ConfigurationError(
-                    f"cannot warm-start MLPClassifier from {type(init_from).__name__}"
-                )
+            previous = self._warm_source(init_from)
             # Inherit the frozen embedding so features stay in the same space.
-            if self._embedding is None:
-                self._embedding = init_from._embedding
+            if self.embedding_matrix is None:
+                self.embedding_matrix = init_from.embedding_matrix
         features = self._features(dataset)
         targets = one_hot(dataset.labels, dataset.num_classes)
         dim = features.shape[1]
@@ -123,7 +112,6 @@ class MLPClassifier(Classifier):
             }
         else:
             epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            previous = init_from._require_fitted()
             if previous["W1"].shape != (dim, self.hidden_dim) or previous[
                 "W2"
             ].shape != (self.hidden_dim, dataset.num_classes):
@@ -155,45 +143,21 @@ class MLPClassifier(Classifier):
         bump_fit_generation(self)
         return self
 
-    def clone(self) -> "MLPClassifier":
-        return MLPClassifier(
-            hidden_dim=self.hidden_dim,
-            embedding_dim=self.embedding_dim,
-            dropout=self.dropout,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            l2=self.l2,
-            seed=self.seed,
-            embedding_matrix=self._embedding,
-            warm_epochs=self.warm_epochs,
-        )
-
-    # -- parameter state --------------------------------------------------
+    # -- parameter state: the frozen embedding travels with the weights ----
 
     def get_params(self) -> dict:
-        params = self._require_fitted()
-        if self._embedding is None:  # pragma: no cover - embedding set by fit
-            raise NotFittedError("MLPClassifier has no embedding table")
+        state = super().get_params()
         return {
-            "arrays": params_to_jsonable(params),
-            "embedding": np.asarray(self._embedding).tolist(),
-            "meta": {"num_classes": int(self._num_classes)},
+            "arrays": state["arrays"],
+            "embedding": np.asarray(self.embedding_matrix).tolist(),
+            "meta": state["meta"],
         }
 
     def set_params(self, state: dict) -> "MLPClassifier":
-        self._params = params_from_jsonable(state["arrays"])
-        self._embedding = np.asarray(state["embedding"], dtype=np.float64)
-        self._num_classes = int(state["meta"]["num_classes"])
-        bump_fit_generation(self)
-        return self
+        self.embedding_matrix = np.asarray(state["embedding"], dtype=np.float64)
+        return super().set_params(state)
 
     # -- inference --------------------------------------------------------
-
-    def _require_fitted(self) -> dict[str, np.ndarray]:
-        if self._params is None:
-            raise NotFittedError("MLPClassifier used before fit()")
-        return self._params
 
     def _forward(
         self, features: np.ndarray, mask: np.ndarray | None = None

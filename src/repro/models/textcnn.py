@@ -22,15 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.datasets import TextDataset
-from ..exceptions import ConfigurationError, NotFittedError
+from ..exceptions import ConfigurationError
 from ..rng import ensure_rng
-from .base import (
-    Classifier,
-    bump_fit_generation,
-    params_from_jsonable,
-    params_to_jsonable,
-    resolve_warm_epochs,
-)
+from .base import Classifier, NumpyModel, bump_fit_generation, resolve_warm_epochs
 from .embeddings import pretrained_for_dataset
 from .layers import Adam, dropout_mask, glorot_init, minibatches, one_hot, softmax
 
@@ -50,7 +44,7 @@ class _ForwardCache:
     probabilities: np.ndarray  # (n, C)
 
 
-class TextCNN(Classifier):
+class TextCNN(NumpyModel, Classifier):
     """Convolutional sentence classifier trained by manual backprop.
 
     Parameters
@@ -70,6 +64,8 @@ class TextCNN(Classifier):
         training sentence).
     """
 
+    STATE_META = ("num_classes", "fit_length")
+
     def __init__(
         self,
         embedding_dim: int = 24,
@@ -87,12 +83,6 @@ class TextCNN(Classifier):
     ) -> None:
         if not widths or min(widths) < 1:
             raise ConfigurationError(f"widths must be positive, got {widths}")
-        if filters < 1:
-            raise ConfigurationError(f"filters must be >= 1, got {filters}")
-        if not 0 <= dropout < 1:
-            raise ConfigurationError(f"dropout must be in [0, 1), got {dropout}")
-        if warm_epochs is not None and warm_epochs <= 0:
-            raise ConfigurationError(f"warm_epochs must be positive, got {warm_epochs}")
         self.embedding_dim = embedding_dim
         self.filters = filters
         self.widths = tuple(widths)
@@ -103,8 +93,9 @@ class TextCNN(Classifier):
         self.l2 = l2
         self.seed = seed
         self.max_length = max_length
+        self.embedding_matrix = embedding_matrix
         self.warm_epochs = warm_epochs
-        self._initial_embedding = embedding_matrix
+        self._check_arguments()
         self._params: dict[str, np.ndarray] | None = None
         self._num_classes: int | None = None
         self._fit_length: int | None = None
@@ -115,21 +106,16 @@ class TextCNN(Classifier):
     def _hidden_dim(self) -> int:
         return self.filters * len(self.widths)
 
-    def _require_fitted(self) -> dict[str, np.ndarray]:
-        if self._params is None:
-            raise NotFittedError("TextCNN used before fit()")
-        return self._params
-
     def _padded_ids(self, dataset: TextDataset) -> np.ndarray:
         length = self._fit_length or max(dataset.max_length(), max(self.widths))
         return dataset.padded(max_length=max(length, max(self.widths)))
 
     def _init_params(self, dataset: TextDataset, rng: np.random.Generator) -> None:
-        if self._initial_embedding is None:
-            self._initial_embedding = pretrained_for_dataset(
+        if self.embedding_matrix is None:
+            self.embedding_matrix = pretrained_for_dataset(
                 dataset, dim=self.embedding_dim, seed_or_rng=self.seed
             )
-        embedding = self._initial_embedding
+        embedding = self.embedding_matrix
         if embedding.shape[0] != len(dataset.vocab):
             raise ConfigurationError(
                 f"embedding table has {embedding.shape[0]} rows for a "
@@ -269,11 +255,7 @@ class TextCNN(Classifier):
             self._init_params(dataset, rng)
         else:
             epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            if not isinstance(init_from, TextCNN):
-                raise ConfigurationError(
-                    f"cannot warm-start TextCNN from {type(init_from).__name__}"
-                )
-            previous = init_from._require_fitted()
+            previous = self._warm_source(init_from)
             if previous["E"].shape[0] != len(dataset.vocab) or previous[
                 "Wo"
             ].shape[1] != dataset.num_classes:
@@ -283,8 +265,8 @@ class TextCNN(Classifier):
                 )
             self._params = {name: value.copy() for name, value in previous.items()}
             self._num_classes = dataset.num_classes
-            if self._initial_embedding is None:
-                self._initial_embedding = init_from._initial_embedding
+            if self.embedding_matrix is None:
+                self.embedding_matrix = init_from.embedding_matrix
         ids = self._padded_ids(dataset)
         targets = one_hot(dataset.labels, dataset.num_classes)
         optimizer = Adam(learning_rate=self.learning_rate)
@@ -298,44 +280,15 @@ class TextCNN(Classifier):
         bump_fit_generation(self)
         return self
 
-    def clone(self) -> "TextCNN":
-        return TextCNN(
-            embedding_dim=self.embedding_dim,
-            filters=self.filters,
-            widths=self.widths,
-            dropout=self.dropout,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            l2=self.l2,
-            seed=self.seed,
-            max_length=self.max_length,
-            embedding_matrix=self._initial_embedding,
-            warm_epochs=self.warm_epochs,
-        )
-
     # -- parameter state -----------------------------------------------------
 
-    def get_params(self) -> dict:
-        params = self._require_fitted()
-        return {
-            "arrays": params_to_jsonable(params),
-            "meta": {
-                "num_classes": int(self._num_classes),
-                "fit_length": int(self._fit_length),
-            },
-        }
-
     def set_params(self, state: dict) -> "TextCNN":
-        self._params = params_from_jsonable(state["arrays"])
-        self._num_classes = int(state["meta"]["num_classes"])
-        self._fit_length = int(state["meta"]["fit_length"])
-        if self._initial_embedding is None:
+        super().set_params(state)
+        if self.embedding_matrix is None:
             # Keep warm restarts possible after a restore without the
             # prototype's embedding table: reuse the restored (trained)
             # embedding as the initial table for future cold fits.
-            self._initial_embedding = self._params["E"].copy()
-        bump_fit_generation(self)
+            self.embedding_matrix = self._params["E"].copy()
         return self
 
     # -- inference -------------------------------------------------------------

@@ -143,7 +143,7 @@ def _predictor_to_dict(predictor) -> "dict | None":
             "epochs": inner.epochs,
             "learning_rate": inner.learning_rate,
             "seed": inner.seed,
-            "params": {name: value.tolist() for name, value in inner._params.items()},
+            "params": inner.get_params()["arrays"],
         }
     raise DataError(f"cannot serialise predictor of type {type(predictor).__name__}")
 
@@ -166,10 +166,7 @@ def _predictor_from_dict(payload: "dict | None"):
         )
         inner: LSTMRegressor = predictor._model
         inner.learning_rate = float(payload["learning_rate"])
-        inner._params = {
-            name: np.asarray(value, dtype=np.float64)
-            for name, value in payload["params"].items()
-        }
+        inner.set_params({"arrays": payload["params"], "meta": {}})
         return predictor
     raise DataError(f"unknown predictor kind {payload['kind']!r}")
 

@@ -178,7 +178,9 @@ class TestCRFBatchedBitwise:
     def test_emissions(self, fitted_crf, seq_dataset):
         batched = fitted_crf.emissions(seq_dataset)
         for sentence, matrix in zip(seq_dataset.sentences, batched):
-            np.testing.assert_array_equal(matrix, fitted_crf._emissions(sentence))
+            np.testing.assert_array_equal(
+                matrix, fitted_crf._sentence_emissions(sentence)
+            )
 
     def test_predict_tags(self, fitted_crf, seq_dataset):
         batched = fitted_crf.predict_tags(seq_dataset)

@@ -169,7 +169,7 @@ class TestProbabilisticInterface:
         model, dataset = tiny_model_and_data
         sampler = BiLSTMCRF(
             embedding_dim=4, hidden_dim=3, dropout=0.4, epochs=1, seed=0,
-            embedding_matrix=model._initial_embedding,
+            embedding_matrix=model.embedding_matrix,
         ).fit(dataset)
         draws = sampler.token_marginal_samples(dataset.subset([0]), 4, rng)[0]
         assert draws.shape[0] == 4

@@ -9,6 +9,7 @@ from repro.data.datasets import SequenceDataset
 from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.models.crf import LinearChainCRF
+from repro.models.crf_core import crf_forward, crf_path_score, crf_viterbi
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +27,13 @@ def tiny_crf():
 
 
 def brute_force_log_z(model, sentence):
-    emissions = model._emissions(sentence)
+    emissions = model._sentence_emissions(sentence)
     params = model._params
     num_tags = emissions.shape[1]
     total = -np.inf
     for path in itertools.product(range(num_tags), repeat=len(sentence)):
-        total = np.logaddexp(total, model._path_score(emissions, np.array(path)))
+        score = crf_path_score(emissions, np.array(path), *model._transitions())
+        total = np.logaddexp(total, score)
     return total
 
 
@@ -39,16 +41,17 @@ class TestInference:
     def test_partition_matches_brute_force(self, tiny_crf):
         model, dataset = tiny_crf
         for sentence in dataset.sentences:
-            _, log_z = model._forward_log(model._emissions(sentence))
+            emissions = model._sentence_emissions(sentence)
+            _, log_z = crf_forward(emissions, *model._transitions())
             assert np.isclose(log_z, brute_force_log_z(model, sentence), atol=1e-9)
 
     def test_viterbi_matches_brute_force(self, tiny_crf):
         model, dataset = tiny_crf
         for sentence in dataset.sentences:
-            emissions = model._emissions(sentence)
-            path, score = model._viterbi(emissions)
+            emissions = model._sentence_emissions(sentence)
+            path, score = crf_viterbi(emissions, *model._transitions())
             best = max(
-                (model._path_score(emissions, np.array(p)), p)
+                (crf_path_score(emissions, np.array(p), *model._transitions()), p)
                 for p in itertools.product(range(3), repeat=len(sentence))
             )
             assert np.isclose(score, best[0], atol=1e-9)
@@ -57,12 +60,13 @@ class TestInference:
     def test_marginals_match_brute_force(self, tiny_crf):
         model, dataset = tiny_crf
         sentence = dataset.sentences[0]
-        emissions = model._emissions(sentence)
-        _, log_z = model._forward_log(emissions)
+        emissions = model._sentence_emissions(sentence)
+        _, log_z = crf_forward(emissions, *model._transitions())
         marginals = model.token_marginals(dataset.subset([0]))[0]
         brute = np.zeros_like(marginals)
         for path in itertools.product(range(3), repeat=len(sentence)):
-            weight = np.exp(model._path_score(emissions, np.array(path)) - log_z)
+            score = crf_path_score(emissions, np.array(path), *model._transitions())
+            weight = np.exp(score - log_z)
             for position, tag in enumerate(path):
                 brute[position, tag] += weight
         assert np.allclose(marginals, brute, atol=1e-9)
@@ -87,9 +91,9 @@ class TestGradient:
         model._accumulate_sentence_grads(sentence, tags, grads, scale=1.0)
 
         def nll() -> float:
-            emissions = model._emissions(sentence)
-            _, log_z = model._forward_log(emissions)
-            return log_z - model._path_score(emissions, tags)
+            emissions = model._sentence_emissions(sentence)
+            _, log_z = crf_forward(emissions, *model._transitions())
+            return log_z - crf_path_score(emissions, tags, *model._transitions())
 
         rng = np.random.default_rng(2)
         epsilon = 1e-6

@@ -118,4 +118,4 @@ class TestValidation:
 
     def test_clone_shares_embedding(self, fitted_mlp):
         clone = fitted_mlp.clone()
-        assert clone._embedding is fitted_mlp._embedding
+        assert clone.embedding_matrix is fitted_mlp.embedding_matrix

@@ -104,6 +104,30 @@ MALFORMED_SHAPES = {
     "track-flips-int": ({"track_flips": 1}, "track_flips must be true or false, got 1"),
 }
 
+#: Malformed model arguments in the default document: (model, error line).
+MALFORMED_MODELS = {
+    "learning-rate-zero": (
+        {"learning_rate": 0},
+        "LinearSoftmax learning_rate must be a positive number, got 0",
+    ),
+    "batch-size-zero": (
+        {"batch_size": 0}, "LinearSoftmax batch_size must be a positive integer, got 0"
+    ),
+    "epochs-float": (
+        {"epochs": 2.5}, "LinearSoftmax epochs must be a positive integer, got 2.5"
+    ),
+    "epochs-string": (
+        {"epochs": "5"}, "LinearSoftmax epochs must be a positive integer, got '5'"
+    ),
+    "epochs-null": (
+        {"epochs": None}, "LinearSoftmax epochs must be a positive integer, got None"
+    ),
+    "mlp-epochs-zero": (
+        {"kind": "mlp", "params": {"epochs": 0}},
+        "MLPClassifier epochs must be a positive integer, got 0",
+    ),
+}
+
 
 class TestExperimentShape:
     """``ExperimentConfig`` is the one (de)serialiser of the shape section."""
@@ -205,6 +229,23 @@ class TestConfigCli:
         path = tmp_path / "experiment.json"
         payload = _small_spec().to_dict()
         payload["experiment"].update(shape)
+        path.write_text(json.dumps(payload))
+        assert main(["config", "validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("case", list(MALFORMED_MODELS))
+    def test_validate_malformed_model_is_one_error_line(self, tmp_path, capsys, case):
+        from repro.cli import main
+
+        model, message = MALFORMED_MODELS[case]
+        payload = default_experiment_spec().to_dict()
+        if "kind" in model:
+            payload["model"] = model
+        else:
+            payload["model"]["params"].update(model)
+        path = tmp_path / "experiment.json"
         path.write_text(json.dumps(payload))
         assert main(["config", "validate", str(path)]) == 2
         captured = capsys.readouterr()
