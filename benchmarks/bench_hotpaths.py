@@ -65,7 +65,6 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.experiments.distributed import (
-    LeaseConfig,
     create_queue,
     run_distributed,
 )
@@ -697,9 +696,9 @@ def bench_dist_reclaim(repeats_per_strategy: int) -> dict:
     reap overhead is the difference.
     """
     spec = _dist_spec(repeats_per_strategy, rounds=2, scale=0.05, epochs=2)
-    lease = LeaseConfig(ttl=600.0)  # ample: only backdated leases go stale
+    ttl = 600.0  # ample: only backdated leases go stale
     with tempfile.TemporaryDirectory(prefix="bench-reclaim-") as scratch:
-        fresh = create_queue(Path(scratch) / "fresh", spec, lease=lease)
+        fresh = create_queue(Path(scratch) / "fresh", spec, lease_ttl=ttl)
         fresh_latencies = []
         while True:
             start = time.perf_counter()
@@ -708,10 +707,10 @@ def bench_dist_reclaim(repeats_per_strategy: int) -> dict:
                 break
             fresh_latencies.append(time.perf_counter() - start)
 
-        queue = create_queue(Path(scratch) / "queue", spec, lease=lease)
+        queue = create_queue(Path(scratch) / "queue", spec, lease_ttl=ttl)
         while queue.claim("dead") is not None:
             pass
-        _backdate_leases(queue, seconds=lease.ttl * 4)
+        _backdate_leases(queue, seconds=ttl * 4)
         reclaim_latencies = []
         while True:
             start = time.perf_counter()

@@ -144,7 +144,6 @@ def _experiment_from_flags(args: argparse.Namespace) -> ExperimentSpec:
             "checkpoint_dir": args.checkpoint_dir,
             "resume": args.resume,
             "max_retries": args.max_retries,
-            "backoff": args.backoff,
             "on_error": args.on_error,
             "queue_dir": args.queue_dir,
             "local_workers": args.local_workers,
@@ -568,7 +567,14 @@ def _cmd_session_ingest(args: argparse.Namespace) -> int:
                 f"labels file {args.labels} still has null labels for "
                 f"indices {unfilled[:5]}"
             )
-        indices = [int(key) for key in mapping]
+        indices = []
+        for key in mapping:
+            try:
+                indices.append(int(key))
+            except ValueError:
+                raise IngestError(
+                    f"labels file {args.labels}: key {key!r} is not a sample index"
+                ) from None
         labels = [mapping[key] for key in mapping]
     try:
         response = client.ingest(
@@ -707,13 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="reuse completed cells already checkpointed in "
                               "--checkpoint-dir instead of recomputing them")
     compare.add_argument("--max-retries", type=int, default=0,
-                         help="extra attempts for a failing cell before it "
-                              "counts as permanently failed (default 0)")
-    compare.add_argument("--backoff", type=float, default=0.0,
-                         help="base delay in seconds before retrying a failed "
-                              "cell; doubles per failure with deterministic "
-                              "jitter (default 0: retry immediately, the old "
-                              "behavior)")
+                         help="extra attempts for a failing cell, each run at "
+                              "once, before it counts as permanently failed "
+                              "(default 0)")
     compare.add_argument("--queue-dir", default=None,
                          help="run the grid in parallel through a broker-less "
                               "work queue materialized in this directory "
@@ -726,8 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "elsewhere; default 1)")
     compare.add_argument("--lease-ttl", type=float, default=30.0,
                          help="seconds without a heartbeat before a worker's "
-                              "cell lease is considered stale and reclaimed "
-                              "(default 30)")
+                              "cell lease is considered stale and reclaimed; "
+                              "workers renew every third of it, and a "
+                              "heartbeat more than one TTL in the future is "
+                              "stale too (default 30)")
     compare.add_argument("--grid-timeout", type=float, default=None,
                          help="give up coordinating after this many seconds; "
                               "with --on-error skip, unfinished cells are "

@@ -394,29 +394,3 @@ def train_lhs_ranker(
         base_name=base.name,
         training_rows=len(data.features),
     )
-
-
-def refresh_lhs_ranker(
-    ranker: LHSRanker,
-    data: RankingDataset,
-    n_estimators: "int | None" = None,
-) -> LHSRanker:
-    """Incrementally refresh a trained LHS ranker on newly collected history.
-
-    The warm-start counterpart of :func:`train_lhs_ranker`: instead of
-    rebuilding the LambdaMART ensemble from scratch on every new batch of
-    (candidate, delta) pairs, the existing trees are kept and
-    :meth:`~repro.ltr.lambdamart.LambdaMART.refresh` appends
-    ``n_estimators`` boosting stages (default a quarter of the ensemble
-    size) fitted against the new data.  The extractor — including its
-    fitted next-score predictor — is reused as-is, so a refresh costs a
-    handful of tree fits rather than a full Algorithm 1 pass.
-
-    Returns the same :class:`LHSRanker` with updated ``model`` and
-    ``training_rows``; ``source`` is cleared because the in-memory model
-    no longer matches the file it was loaded from.
-    """
-    ranker.model.refresh(data, n_estimators=n_estimators)
-    ranker.training_rows += len(data.features)
-    ranker.source = None
-    return ranker

@@ -486,19 +486,31 @@ class SessionEngine:
         SessionError
             If no proposal is pending.
         IngestError
-            On any validation failure: index never proposed or already
-            labeled, duplicated indices, label/indices length mismatch,
-            or label values invalid for the dataset.  The session state
-            is unchanged — nothing is partially ingested.
+            On any validation failure: an index that is not an integer,
+            ``labels`` that is not a list, index never proposed or
+            already labeled, duplicated indices, label/indices length
+            mismatch, or label values invalid for the dataset.  The
+            session state is unchanged — nothing is partially ingested.
         """
         if self._state is not SessionState.AWAIT_LABELS:
             raise SessionError(
                 f"no proposal is awaiting labels (state={self._state.value!r})"
             )
         started = time.perf_counter()
-        index_array = np.asarray(list(np.atleast_1d(indices)), dtype=np.int64)
+        items = indices.tolist() if isinstance(indices, np.ndarray) else indices
+        if not isinstance(items, (list, tuple)):
+            raise IngestError(f"indices must be a list, got {indices!r}")
+        for index in items:
+            if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+                raise IngestError(f"indices must be integers, got {index!r}")
+        if labels is not None and not isinstance(labels, (list, tuple, np.ndarray)):
+            raise IngestError(f"labels must be a list, got {labels!r}")
         pending = self._pending
-        if index_array.ndim != 1 or len(index_array) != len(pending):
+        try:
+            index_array = np.asarray(items, dtype=np.int64)
+        except OverflowError:
+            raise IngestError(f"indices were never proposed: {items[:5]}") from None
+        if len(index_array) != len(pending):
             raise IngestError(
                 f"proposal has {len(pending)} samples but {index_array.size} "
                 "indices were ingested"

@@ -1,4 +1,4 @@
-"""Dataset substrates: vocabularies, synthetic corpora, splits, tagging.
+"""Dataset substrates: vocabularies, synthetic corpora, tagging.
 
 The paper evaluates on public corpora (MR, SST-2, Subj, TREC for text
 classification; CoNLL-2002/2003 for NER).  This environment is offline, so
@@ -9,7 +9,6 @@ profile of those corpora (see DESIGN.md, "Substitutions").
 
 from .datasets import SequenceDataset, TextDataset
 from .ner import NERCorpusSpec, conll2002_dutch, conll2002_spanish, conll2003_english, make_ner_corpus
-from .splits import kfold_indices, train_dev_test_split
 from .tagging import TagScheme, bio_to_bioes, bioes_to_bio, validate_tags
 from .text import TextCorpusSpec, make_text_corpus, mr, sst2, subj, trec
 from .vocab import Vocabulary
@@ -26,13 +25,11 @@ __all__ = [
     "conll2002_dutch",
     "conll2002_spanish",
     "conll2003_english",
-    "kfold_indices",
     "make_ner_corpus",
     "make_text_corpus",
     "mr",
     "sst2",
     "subj",
     "trec",
-    "train_dev_test_split",
     "validate_tags",
 ]

@@ -5,7 +5,6 @@ from .checkpoint import CheckpointStore
 from .config import ExperimentConfig
 from .distributed import (
     CellTicket,
-    LeaseConfig,
     coordinate,
     create_queue,
     open_queue,
@@ -19,7 +18,7 @@ from .reporting import (
     format_table,
     format_target_table,
 )
-from .runner import CellFailure, RetryPolicy, StrategyResult, run_comparison
+from .runner import CellFailure, StrategyResult, run_comparison
 from .sweep import (
     SweepCellResult,
     SweepResult,
@@ -34,8 +33,6 @@ __all__ = [
     "CellTicket",
     "CheckpointStore",
     "ExperimentConfig",
-    "LeaseConfig",
-    "RetryPolicy",
     "StrategyResult",
     "SweepCellResult",
     "SweepResult",

@@ -3,14 +3,14 @@
 :func:`~repro.experiments.runner.run_comparison` runs a comparison grid
 serially in one process.  This module runs the same grid in parallel, on
 one host or many, without introducing a broker: the *coordinator*
-materializes one pure-JSON spec document per (strategy, repeat) cell
-into a queue directory on a shared filesystem, and independent *worker*
-processes — started on any host that can see that directory, via
-:func:`run_worker` or the ``repro worker`` CLI — claim cells, execute
-them through the exact spec-built runner path serial execution uses, and
-commit their results atomically into the existing
-:class:`~repro.experiments.checkpoint.CheckpointStore`.  The coordinator
-just watches the checkpoint store fill in.
+materializes the grid — its experiment document and one ticket
+(strategy, repeat, seed) per cell — into a queue directory on a shared
+filesystem, and independent *worker* processes — started on any host
+that can see that directory, via :func:`run_worker` or the ``repro
+worker`` CLI — claim cells, execute them through the exact spec-built
+runner path serial execution uses, and commit their results atomically
+into the existing :class:`~repro.experiments.checkpoint.CheckpointStore`.
+The coordinator just watches the checkpoint store fill in.
 
 Queue state is plain files.  A cell is claimed by creating its lease
 file with ``O_CREAT | O_EXCL`` (atomic on POSIX, including NFS v3+); the
@@ -39,20 +39,21 @@ serial run, because
   settle the ``done`` marker with ``O_EXCL`` — last writer loses and
   records a ``duplicate-commit`` audit event, nothing is double-counted.
 
-Clock skew: lease staleness is judged by ``abs(now - heartbeat)`` — a
-lease whose heartbeat sits *in the future* beyond the skew tolerance was
-written by an untrustworthy clock and is reaped like an expired one.
-Reaping a live worker by mistake costs duplicated work, never
-correctness (see above), so the queue errs toward reclaiming.
+Both lease timings follow the one ``lease_ttl``: a worker renews its
+heartbeat every ``ttl / 3``, and a lease is stale once
+``abs(now - heartbeat)`` exceeds the TTL — a heartbeat *in the future*
+by more than that was written by an untrustworthy clock and is reaped
+like an expired one.  Reaping a live worker by mistake costs duplicated
+work, never correctness (see above), so the queue errs toward
+reclaiming.
 
-Cells that fail repeatedly are *quarantined*: after
-``RetryPolicy.max_attempts`` failures (counted across workers via
-``O_EXCL`` attempt tokens, paced by the policy's jittered exponential
-backoff) the cell gets a permanent :class:`CellFailure` audit record
-instead of stalling the grid, and the coordinator applies the usual
-``on_error`` semantics — ``"raise"`` aborts, ``"skip"`` aggregates the
-survivors with the failures attached to their
-:class:`~repro.experiments.runner.StrategyResult`.
+A failed cell is claimable again at once.  Cells that fail repeatedly
+are *quarantined*: after ``max_retries + 1`` failures (counted across
+workers via ``O_EXCL`` attempt tokens) the cell gets a permanent
+:class:`CellFailure` audit record instead of stalling the grid, and the
+coordinator applies the usual ``on_error`` semantics — ``"raise"``
+aborts, ``"skip"`` aggregates the survivors with the failures attached
+to their :class:`~repro.experiments.runner.StrategyResult`.
 
 Every protocol event (claim, heartbeat loss, reap, commit, quarantine,
 release) is appended to ``audit.log`` in the queue directory as one JSON
@@ -76,85 +77,40 @@ from pathlib import Path
 
 from ..exceptions import ConfigurationError, ExecutionError, QueueError
 from ..ioutil import atomic_write_json, fsync_directory
-from ..specs.experiment import ExperimentSpec
+from ..specs.experiment import OPTION_RULES, ExperimentSpec, check_option
 from ..specs.models import build_model
 from ..specs.strategies import build_strategy
 from .checkpoint import CheckpointStore, cell_stem
 from .runner import (
     CellFailure,
-    RetryPolicy,
     StrategyResult,
     _run_cell,
     aggregate_strategy_results,
     grid_repeat_seeds,
 )
 
-# Queue and ticket schema constants live in :mod:`repro.formats` and are
-# re-exported here by the module that owns their readers.
-from ..formats import CELL_FORMAT, CELL_VERSION, QUEUE_FORMAT, QUEUE_VERSION
+# The queue schema constants live in :mod:`repro.formats` and are
+# re-exported here by the module that owns their reader.
+from ..formats import QUEUE_FORMAT, QUEUE_VERSION
 
 #: The ``backend`` every queue envelope records.  Earlier versions also
 #: wrote ``"sqlite"``; such queues are refused with a :class:`QueueError`.
 QUEUE_BACKEND = "file"
 
-
-@dataclass(frozen=True)
-class LeaseConfig:
-    """How long a claim stays valid without a heartbeat.
-
-    Attributes
-    ----------
-    ttl:
-        Seconds after the last heartbeat at which a lease counts as
-        stale and its cell may be reclaimed.  Must comfortably exceed
-        ``renewal_interval``; a TTL shorter than one engine round only
-        costs duplicated work (commits are idempotent), never
-        correctness.
-    renewal_interval:
-        Seconds between heartbeat renewals (default ``ttl / 3``).
-    skew_tolerance:
-        How far *in the future* a heartbeat may sit before the writer's
-        clock is declared untrustworthy and the lease reaped (default:
-        ``ttl``).
-    """
-
-    ttl: float = 30.0
-    renewal_interval: "float | None" = None
-    skew_tolerance: "float | None" = None
-
-    def __post_init__(self) -> None:
-        if self.ttl <= 0:
-            raise ConfigurationError(f"lease ttl must be > 0, got {self.ttl}")
-        if self.renewal_interval is not None and not (
-            0 < self.renewal_interval < self.ttl
-        ):
-            raise ConfigurationError(
-                f"renewal_interval must be in (0, ttl), got {self.renewal_interval}"
-            )
-        if self.skew_tolerance is not None and self.skew_tolerance <= 0:
-            raise ConfigurationError(
-                f"skew_tolerance must be > 0, got {self.skew_tolerance}"
-            )
-
-    @property
-    def renewal(self) -> float:
-        return self.renewal_interval if self.renewal_interval is not None else self.ttl / 3.0
-
-    @property
-    def skew(self) -> float:
-        return self.skew_tolerance if self.skew_tolerance is not None else self.ttl
-
-    def to_dict(self) -> dict:
-        """The JSON form stored in the queue envelope."""
-        return {
-            "ttl": self.ttl,
-            "renewal_interval": self.renewal_interval,
-            "skew_tolerance": self.skew_tolerance,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LeaseConfig":
-        return cls(**payload)
+#: The envelope fields a queue reads: dotted path -> (rule, test).  A
+#: queue written by an earlier version carries more ``lease``/``retry``
+#: keys (renewal and skew overrides, a retry delay schedule); they are
+#: ignored.
+_ENVELOPE_RULES = {
+    "experiment": ("an object", lambda value: isinstance(value, dict)),
+    "lease.ttl": OPTION_RULES["lease_ttl"],
+    "retry.max_attempts": (
+        "an int >= 1",
+        lambda value: type(value) is int and value >= 1,
+    ),
+    "cells": ("a list of cell tickets", lambda value: isinstance(value, list)),
+    "checkpoint_dir": ("a string", lambda value: isinstance(value, str)),
+}
 
 
 @dataclass(frozen=True)
@@ -168,7 +124,7 @@ class CellTicket:
     seed: int
 
     def to_dict(self) -> dict:
-        """The JSON form stored in the queue envelope and cell documents."""
+        """The JSON form stored in the queue envelope."""
         return {
             "cell_id": self.cell_id,
             "strategy": self.strategy,
@@ -197,29 +153,18 @@ class Claim:
     attempt: int
 
 
-def _retry_to_dict(policy: RetryPolicy) -> dict:
-    return {
-        "max_attempts": policy.max_attempts,
-        "backoff": policy.backoff,
-        "backoff_factor": policy.backoff_factor,
-        "max_delay": policy.max_delay,
-        "jitter": policy.jitter,
-    }
-
-
 class CellQueue:
     """The file-lease work queue of one grid (see module docstring).
 
     Construction loads the queue's envelope (``queue.json``): the
-    experiment document every worker rebuilds its datasets from, the
-    lease and retry policies, the ordered cell tickets, and where the
+    experiment document every worker rebuilds its cells from, the lease
+    TTL and the attempt budget, the ordered cell tickets, and where the
     checkpoint store lives.  Every state transition is a file operation.
     Layout under the queue directory::
 
         queue.json          envelope (experiment doc, lease/retry, tickets)
-        cells/<id>.json     one self-contained spec document per cell
         leases/<id>.json    O_CREAT|O_EXCL claim; mtime = heartbeat
-        retry/<id>.json     backoff state; .attempt-<n> tokens count failures
+        retry/<id>.attempt-<n>  O_EXCL tokens counting failed attempts
         done/<id>.json      commit marker (created durably, after the result)
         failed/<id>.json    quarantine record (a CellFailure, as JSON)
         audit.log           append-only JSONL protocol trace
@@ -230,7 +175,7 @@ class CellQueue:
     hosts sharing the directory.
     """
 
-    _SUBDIRS = ("cells", "leases", "retry", "done", "failed")
+    _SUBDIRS = ("leases", "retry", "done", "failed")
 
     def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
@@ -255,12 +200,29 @@ class CellQueue:
                 "queue is supported, so re-materialize the grid in a fresh "
                 "queue directory"
             )
-        self.experiment: dict = envelope["experiment"]
-        self.lease = LeaseConfig.from_dict(envelope["lease"])
-        self.retry = RetryPolicy(**envelope["retry"])
-        self.tickets = [CellTicket.from_dict(cell) for cell in envelope["cells"]]
+        fields = {}
+        for path, (rule, valid) in _ENVELOPE_RULES.items():
+            value = envelope
+            for key in path.split("."):
+                value = value.get(key) if isinstance(value, dict) else None
+            if not valid(value):
+                raise QueueError(
+                    f"{envelope_path}: {path} must be {rule}, got {value!r}"
+                )
+            fields[path] = value
+        self.experiment: dict = fields["experiment"]
+        #: Seconds without a heartbeat (or ahead of this clock) before a
+        #: lease is stale; workers renew theirs every third of it.
+        self.lease_ttl: float = fields["lease.ttl"]
+        self.max_attempts: int = fields["retry.max_attempts"]
+        try:
+            self.tickets = [CellTicket.from_dict(cell) for cell in fields["cells"]]
+        except (KeyError, TypeError, ValueError) as error:
+            raise QueueError(
+                f"{envelope_path}: malformed cell ticket: {error!r}"
+            ) from error
         self._tickets_by_id = {ticket.cell_id: ticket for ticket in self.tickets}
-        self._checkpoint_dir = str(envelope["checkpoint_dir"])
+        self._checkpoint_dir: str = fields["checkpoint_dir"]
         for name in self._SUBDIRS:
             (self.directory / name).mkdir(exist_ok=True)
         self._reap_counter = itertools.count()
@@ -315,8 +277,8 @@ class CellQueue:
         return records
 
     def _lease_stale(self, age: float) -> bool:
-        """Stale = expired, or heartbeat from the future beyond tolerance."""
-        return age > self.lease.ttl or -age > self.lease.skew
+        """Stale = heartbeat more than one TTL old, or one TTL in the future."""
+        return abs(age) > self.lease_ttl
 
     # -- paths -------------------------------------------------------------
 
@@ -328,9 +290,6 @@ class CellQueue:
 
     def _failed_path(self, cell_id: str) -> Path:
         return self.directory / "failed" / f"{cell_id}.json"
-
-    def _retry_path(self, cell_id: str) -> Path:
-        return self.directory / "retry" / f"{cell_id}.json"
 
     # -- claim / lease lifecycle -------------------------------------------
 
@@ -347,15 +306,8 @@ class CellQueue:
             1 for _ in retry_dir.glob(f"{cell_id}.attempt-*")
         )
 
-    def _eligible(self, ticket: CellTicket, now: float) -> bool:
-        if self._done_path(ticket.cell_id).exists():
-            return False
-        if self._failed_path(ticket.cell_id).exists():
-            return False
-        state = self._read_json(self._retry_path(ticket.cell_id))
-        if state and float(state.get("not_before", 0.0)) > now:
-            return False
-        return True
+    def _settled(self, cell_id: str) -> bool:
+        return self._done_path(cell_id).exists() or self._failed_path(cell_id).exists()
 
     def _try_reap(self, cell_id: str) -> bool:
         """Reclaim one stale lease via atomic rename (single winner)."""
@@ -381,7 +333,7 @@ class CellQueue:
         now = time.time()
         for ticket in self.tickets:
             cell_id = ticket.cell_id
-            if not self._eligible(ticket, now):
+            if self._settled(cell_id):
                 continue
             lease = self._lease_path(cell_id)
             try:
@@ -478,21 +430,15 @@ class CellQueue:
                 continue
             break
         message = f"{type(error).__name__}: {error}"
-        if attempts >= self.retry.max_attempts:
-            failure = CellFailure(
-                strategy=claim.ticket.strategy,
-                repeat=claim.ticket.repeat,
-                attempts=attempts,
-                error=message,
-            )
+        if attempts >= self.max_attempts:
             atomic_write_json(
                 self._failed_path(cell_id),
                 {
                     "cell_id": cell_id,
-                    "strategy": failure.strategy,
-                    "repeat": failure.repeat,
-                    "attempts": failure.attempts,
-                    "error": failure.error,
+                    "strategy": claim.ticket.strategy,
+                    "repeat": claim.ticket.repeat,
+                    "attempts": attempts,
+                    "error": message,
                     "owner": claim.owner,
                 },
                 durable=True,
@@ -503,18 +449,8 @@ class CellQueue:
             )
             self._drop_lease(claim)
             return "quarantined"
-        delay = self.retry.delay(attempts, key=cell_id)
-        atomic_write_json(
-            self._retry_path(cell_id),
-            {
-                "attempts": attempts,
-                "not_before": time.time() + delay,
-                "last_error": message,
-            },
-        )
         self.audit(
-            "failed", cell=cell_id, owner=claim.owner,
-            attempts=attempts, retry_in=delay, error=message,
+            "failed", cell=cell_id, owner=claim.owner, attempts=attempts, error=message
         )
         self._drop_lease(claim)
         return "retry"
@@ -564,10 +500,7 @@ class CellQueue:
 
     def settled(self) -> bool:
         """True when every cell is done or permanently failed."""
-        return all(
-            self._done_path(t.cell_id).exists() or self._failed_path(t.cell_id).exists()
-            for t in self.tickets
-        )
+        return all(self._settled(ticket.cell_id) for ticket in self.tickets)
 
     def counts(self) -> dict:
         """Cell-state tallies: total/done/failed/claimed/pending."""
@@ -608,7 +541,7 @@ class CellQueue:
         quarantined = 0
         for ticket in self.tickets:
             cell_id = ticket.cell_id
-            if self._done_path(cell_id).exists() or self._failed_path(cell_id).exists():
+            if self._settled(cell_id):
                 continue
             atomic_write_json(
                 self._failed_path(cell_id),
@@ -647,28 +580,6 @@ def _grid_tickets(spec: ExperimentSpec) -> "list[CellTicket]":
     return tickets
 
 
-def _cell_document(spec: ExperimentSpec, ticket: CellTicket) -> dict:
-    """One self-contained pure-JSON description of a cell: everything a
-    worker on another host needs to reproduce it bit-for-bit."""
-    document = {
-        "format": CELL_FORMAT,
-        "version": CELL_VERSION,
-        **ticket.to_dict(),
-        "specs": {
-            "dataset": spec.dataset.to_dict(),
-            "split": spec.split.to_dict(),
-            "model": spec.resolved_model().to_dict(),
-            "strategy": spec.strategies[ticket.strategy].to_dict(),
-        },
-        "experiment": spec.to_dict()["experiment"],
-    }
-    if spec.scenario is not None:
-        # Key present only when a scenario perturbs the cell: documents
-        # of unperturbed grids keep their exact historical byte shape.
-        document["scenario"] = spec.scenario.to_dict()
-    return document
-
-
 def _queue_spec(experiment_doc: dict) -> ExperimentSpec:
     """The experiment a queue runs, parsed from its envelope document.
 
@@ -702,19 +613,23 @@ def _science_document(experiment_doc: dict) -> dict:
 def create_queue(
     directory: "str | Path",
     spec: ExperimentSpec,
-    lease: "LeaseConfig | None" = None,
-    retry: "RetryPolicy | None" = None,
+    lease_ttl: float = 30.0,
+    max_retries: int = 0,
     checkpoint_dir: "str | Path | None" = None,
 ) -> CellQueue:
     """Materialize a comparison grid into a queue directory (idempotent).
 
-    Writes one spec document per cell plus the ``queue.json`` envelope —
-    the envelope goes last, so workers polling for it never see a
-    half-materialized queue.  Re-materializing an existing queue with
-    the same experiment document simply reopens it (that is how a
-    coordinator resumes); a *different* experiment raises
-    :class:`~repro.exceptions.QueueError` rather than mixing grids.
+    Writes the ``queue.json`` envelope: the experiment document, the
+    lease TTL, the attempt budget (``max_retries + 1``) and one ticket
+    per cell.  Workers rebuild every cell from it, and it is written
+    atomically, so workers polling for it never see a half-materialized
+    queue.  Re-materializing an existing queue with the same experiment
+    document simply reopens it (that is how a coordinator resumes); a
+    *different* experiment raises :class:`~repro.exceptions.QueueError`
+    rather than mixing grids.
     """
+    check_option("lease_ttl", lease_ttl)
+    check_option("max_retries", max_retries)
     directory = Path(directory)
     experiment_doc = spec.to_dict()
     envelope_path = directory / "queue.json"
@@ -728,12 +643,6 @@ def create_queue(
         return queue
     directory.mkdir(parents=True, exist_ok=True)
     tickets = _grid_tickets(spec)
-    cells_dir = directory / "cells"
-    cells_dir.mkdir(exist_ok=True)
-    for ticket in tickets:
-        atomic_write_json(
-            cells_dir / f"{ticket.cell_id}.json", _cell_document(spec, ticket)
-        )
     if checkpoint_dir is None:
         stored_checkpoint = "checkpoints"
         (directory / "checkpoints").mkdir(exist_ok=True)
@@ -746,8 +655,8 @@ def create_queue(
             "version": QUEUE_VERSION,
             "backend": QUEUE_BACKEND,
             "experiment": experiment_doc,
-            "lease": (lease or LeaseConfig()).to_dict(),
-            "retry": _retry_to_dict(retry or RetryPolicy()),
+            "lease": {"ttl": lease_ttl},
+            "retry": {"max_attempts": max_retries + 1},
             "checkpoint_dir": stored_checkpoint,
             "cells": [ticket.to_dict() for ticket in tickets],
         },
@@ -767,7 +676,7 @@ def open_queue(directory: "str | Path") -> CellQueue:
 
 
 class _LeaseHeartbeat(threading.Thread):
-    """Renews a claim's lease in the background while the cell runs.
+    """Renews a claim's lease every third of its TTL while the cell runs.
 
     Losing the lease (reaped by a skew-suspicious peer, or the file
     vanished) flips :attr:`lost` and stops renewing; execution carries
@@ -775,12 +684,11 @@ class _LeaseHeartbeat(threading.Thread):
     are identical to whatever the replacement worker produces.
     """
 
-    def __init__(self, queue: CellQueue, claim: Claim, interval: float,
-                 on_event=None) -> None:
+    def __init__(self, queue: CellQueue, claim: Claim, on_event=None) -> None:
         super().__init__(daemon=True, name=f"lease-{claim.ticket.cell_id}")
         self._queue = queue
         self._claim = claim
-        self._interval = interval
+        self._interval = queue.lease_ttl / 3
         self._on_event = on_event
         self._stop_event = threading.Event()
         self.lost = False
@@ -824,9 +732,9 @@ def run_worker(
     write the result checkpoint atomically, and settle the ``done``
     marker.  A claimed cell whose checkpoint already exists — its
     previous owner died between saving and committing — is committed
-    without recomputation.  Failures are charged to the queue's retry
-    policy (jittered exponential backoff, quarantine past the poison
-    threshold).  ``KeyboardInterrupt`` releases the held lease with a
+    without recomputation.  A failure is charged to the queue's attempt
+    budget: the cell is claimable again at once, and quarantined once
+    the budget is spent.  ``KeyboardInterrupt`` releases the held lease with a
     ``"interrupted"`` audit annotation before propagating, so a Ctrl-C'd
     worker never strands its cell for a full lease TTL.
 
@@ -879,7 +787,7 @@ def run_worker(
                 summary["completed"] += 1
                 summary["recovered"] += 1
                 continue
-            heartbeat = _LeaseHeartbeat(queue, claim, queue.lease.renewal, on_event)
+            heartbeat = _LeaseHeartbeat(queue, claim, on_event)
             heartbeat.start()
             try:
                 result = _run_cell(
@@ -1018,8 +926,8 @@ def run_distributed(
     spec: ExperimentSpec,
     queue_dir: "str | Path",
     workers: int = 1,
-    lease: "LeaseConfig | None" = None,
-    retry: "RetryPolicy | None" = None,
+    lease_ttl: float = 30.0,
+    max_retries: int = 0,
     on_error: str = "raise",
     timeout: "float | None" = None,
     poll: float = 0.2,
@@ -1032,7 +940,8 @@ def run_distributed(
     ``repro worker --queue-dir <shared dir>``); any additional worker
     may also join an in-flight grid at any time.  Results are
     byte-identical to :func:`run_comparison` on the same spec, whatever
-    the worker census did mid-run.
+    the worker census did mid-run.  ``lease_ttl`` and ``max_retries``
+    go into the queue envelope (see :func:`create_queue`).
 
     Interrupting the coordinator (Ctrl-C) terminates the local workers,
     releases the leases they still hold with an ``"interrupted"`` audit
@@ -1046,8 +955,8 @@ def run_distributed(
     queue = create_queue(
         queue_dir,
         spec,
-        lease=lease,
-        retry=retry,
+        lease_ttl=lease_ttl,
+        max_retries=max_retries,
         checkpoint_dir=checkpoint_dir,
     )
     start_methods = multiprocessing.get_all_start_methods()

@@ -17,16 +17,14 @@ them.  Factory-built grids run serially.
 
 The grid is also fault tolerant.  Completed cells can be checkpointed to
 a directory as they finish (``checkpoint_dir``) and skipped on restart;
-failing cells are retried up to :class:`RetryPolicy` bounds; and
-``on_error="skip"`` degrades gracefully, aggregating the surviving
+a failing cell runs again at once, up to ``max_retries`` extra times;
+and ``on_error="skip"`` degrades gracefully, aggregating the surviving
 repeats and attaching a per-cell failure log to each
 :class:`StrategyResult` instead of raising.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import partial
@@ -38,6 +36,7 @@ from ..eval.curves import LearningCurve, curve_std, mean_curve
 from ..exceptions import ConfigurationError, ExecutionError
 from ..rng import ensure_rng
 from ..specs.core import as_spec, is_spec_like
+from ..specs.experiment import check_option
 from ..specs.models import build_model
 from ..specs.strategies import build_strategy
 from .checkpoint import CheckpointStore
@@ -47,75 +46,6 @@ StrategyFactory = Callable[[], object]
 
 #: Recognised partial-failure handling modes of :func:`run_comparison`.
 _ON_ERROR_MODES = ("raise", "skip")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry budget and pacing for failing (strategy, repeat) cells.
-
-    Attributes
-    ----------
-    max_attempts:
-        Total attempts per cell, including the first; ``1`` disables
-        retries.
-    backoff:
-        Base delay in seconds before the second attempt of a cell.
-        ``0.0`` (the default) keeps the historical immediate-retry
-        behaviour.  Subsequent attempts wait exponentially longer
-        (``backoff * backoff_factor ** (failures - 1)``), capped at
-        ``max_delay``.
-    backoff_factor:
-        Multiplier between consecutive delays (must be >= 1).
-    max_delay:
-        Upper bound on any single delay, in seconds.
-    jitter:
-        Fraction of each delay that is randomised *deterministically*
-        from the cell's identity and attempt number, in ``[0, 1]``.  A
-        delay ``d`` becomes a value in ``[d * (1 - jitter), d]``, the
-        same value on every host for the same cell — retries de-herd
-        without introducing nondeterminism into test runs.
-    """
-
-    max_attempts: int = 1
-    backoff: float = 0.0
-    backoff_factor: float = 2.0
-    max_delay: float = 60.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff < 0:
-            raise ConfigurationError(f"backoff must be >= 0, got {self.backoff}")
-        if self.backoff_factor < 1:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.max_delay < 0:
-            raise ConfigurationError(f"max_delay must be >= 0, got {self.max_delay}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
-
-    def delay(self, failures: int, key: str = "") -> float:
-        """Seconds to wait before the attempt following ``failures`` failures.
-
-        Deterministic: the jitter fraction is derived from a hash of
-        ``(key, failures)``, so the same cell waits the same time on
-        every host and every rerun, while different cells spread out.
-        """
-        if self.backoff <= 0 or failures < 1:
-            return 0.0
-        raw = self.backoff * self.backoff_factor ** (failures - 1)
-        delay = min(self.max_delay, raw)
-        if self.jitter > 0:
-            digest = hashlib.sha256(f"{key}:{failures}".encode("utf-8")).digest()
-            fraction = int.from_bytes(digest[:8], "big") / 2**64
-            delay *= 1.0 - self.jitter * fraction
-        return delay
 
 
 @dataclass(frozen=True)
@@ -260,150 +190,6 @@ def _run_cell(
     return run_to_completion(engine, on_round_committed=on_round_committed)
 
 
-class _CellGrid:
-    """Bookkeeping for one grid execution: pending cells, retries, results.
-
-    A *cell* is a ``(strategy_index, repeat_index)`` tuple.  Cells move
-    from ``pending`` to either ``results`` (success, checkpointed if a
-    store is attached) or ``failures`` (permanent failure under
-    ``on_error="skip"``); under ``on_error="raise"`` a permanent failure
-    raises :class:`ExecutionError` instead.
-    """
-
-    def __init__(
-        self,
-        names: list[str],
-        repeat_seeds: np.ndarray,
-        policy: RetryPolicy,
-        on_error: str,
-        store: "CheckpointStore | None",
-    ) -> None:
-        self.names = names
-        self.repeat_seeds = repeat_seeds
-        self.policy = policy
-        self.on_error = on_error
-        self.store = store
-        self.pending: list[tuple[int, int]] = [
-            (strategy_index, repeat_index)
-            for strategy_index in range(len(names))
-            for repeat_index in range(len(repeat_seeds))
-        ]
-        self.results: dict[tuple[int, int], ALResult] = {}
-        self.failures: dict[tuple[int, int], CellFailure] = {}
-        self.attempts: dict[tuple[int, int], int] = {}
-
-    def describe(self, cell: "tuple[int, int]") -> str:
-        return f"({self.names[cell[0]]!r}, repeat {cell[1]})"
-
-    def retry_delay(self, cell: "tuple[int, int]") -> float:
-        """Backoff before this cell's next attempt (0.0 = retry now)."""
-        return self.policy.delay(
-            self.attempts.get(cell, 0), key=f"{self.names[cell[0]]}:{cell[1]}"
-        )
-
-    def cell_seed(self, cell: "tuple[int, int]") -> int:
-        return int(self.repeat_seeds[cell[1]])
-
-    def resume(self) -> None:
-        """Load already-completed cells from the checkpoint store."""
-        if self.store is None:
-            return
-        for cell in list(self.pending):
-            loaded = self.store.load(
-                self.names[cell[0]], cell[1], self.cell_seed(cell)
-            )
-            if loaded is not None:
-                self.results[cell] = loaded
-                self.pending.remove(cell)
-                self.store.discard_session(self.names[cell[0]], cell[1])
-
-    def drop_stale_sessions(self) -> None:
-        """Discard leftover mid-cell snapshots of every pending cell.
-
-        Called when ``resume=False``: snapshots from a previous run must
-        not leak into a run that explicitly asked to start over.
-        """
-        if self.store is None:
-            return
-        for cell in self.pending:
-            self.store.discard_session(self.names[cell[0]], cell[1])
-
-    def record_success(self, cell: "tuple[int, int]", result: ALResult) -> None:
-        self.results[cell] = result
-        self.pending.remove(cell)
-        if self.store is not None:
-            self.store.save(self.names[cell[0]], cell[1], self.cell_seed(cell), result)
-            self.store.discard_session(self.names[cell[0]], cell[1])
-
-    def record_error(self, cell: "tuple[int, int]", error: Exception) -> bool:
-        """Count one failed attempt; True if the cell should be retried.
-
-        Raises
-        ------
-        ExecutionError
-            When the retry budget is exhausted and ``on_error="raise"``.
-        """
-        attempts = self.attempts.get(cell, 0) + 1
-        self.attempts[cell] = attempts
-        if attempts < self.policy.max_attempts:
-            return True
-        message = (
-            f"cell {self.describe(cell)} failed after {attempts} "
-            f"attempt{'s' if attempts != 1 else ''}: {error}"
-        )
-        if self.on_error == "raise":
-            raise ExecutionError(message) from error
-        self.failures[cell] = CellFailure(
-            strategy=self.names[cell[0]],
-            repeat=cell[1],
-            attempts=attempts,
-            error=f"{type(error).__name__}: {error}",
-        )
-        self.pending.remove(cell)
-        return False
-
-
-def _run_serial(
-    grid: _CellGrid,
-    model_factory,
-    factories,
-    train_dataset,
-    test_dataset,
-    config,
-    metric,
-) -> None:
-    """In-process execution with per-cell retry.
-
-    A retry of a cell whose engine snapshotted committed rounds resumes
-    from the last snapshot rather than recomputing them.  Retries wait
-    out the policy's (jittered, deterministic) backoff first.
-    """
-    for cell in list(grid.pending):
-        while True:
-            try:
-                result = _run_cell(
-                    model_factory,
-                    factories[cell[0]],
-                    train_dataset,
-                    test_dataset,
-                    config,
-                    metric,
-                    grid.cell_seed(cell),
-                    store=grid.store,
-                    strategy_name=grid.names[cell[0]],
-                    repeat=cell[1],
-                )
-            except Exception as error:
-                if grid.record_error(cell, error):
-                    delay = grid.retry_delay(cell)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                break
-            grid.record_success(cell, result)
-            break
-
-
 def run_comparison(
     model_factory: "Callable[[], object] | Mapping | object",
     strategy_factories: "Mapping[str, StrategyFactory | Mapping]",
@@ -413,7 +199,7 @@ def run_comparison(
     metric: "Callable[[object, object], float] | None" = None,
     checkpoint_dir: "str | None" = None,
     resume: bool = True,
-    retry: "RetryPolicy | None" = None,
+    max_retries: int = 0,
     on_error: str = "raise",
     scenario: "dict | None" = None,
 ) -> dict[str, StrategyResult]:
@@ -453,10 +239,11 @@ def run_comparison(
         Checkpoints whose fingerprint does not match this run raise
         :class:`~repro.exceptions.CheckpointError` rather than being
         silently reused.
-    retry:
-        Per-cell retry budget (default: no retries).  Retrying reruns
-        the whole cell from its seed, so a successful retry is
-        indistinguishable from a first-attempt success.
+    max_retries:
+        Extra attempts for a failing cell (default 0: none).  A retry
+        runs at once and resumes the cell from its seed (or its last
+        round snapshot), so a successful retry is indistinguishable from
+        a first-attempt success.
     on_error:
         ``"raise"`` (default) aborts the grid on the first permanently
         failed cell.  ``"skip"`` drops the failed cells, aggregates
@@ -475,6 +262,7 @@ def run_comparison(
         raise ConfigurationError(
             f"on_error must be one of {_ON_ERROR_MODES}, got {on_error!r}"
         )
+    check_option("max_retries", max_retries)
     config = config or ExperimentConfig()
     needed = config.labels_needed
     if needed > len(train_dataset):
@@ -504,18 +292,55 @@ def run_comparison(
         if checkpoint_dir
         else None
     )
-
-    grid = _CellGrid(names, repeat_seeds, retry or RetryPolicy(), on_error, store)
-    if resume:
-        grid.resume()
-    else:
-        grid.drop_stale_sessions()
-
-    _run_serial(
-        grid, model_factory, factories, train_dataset, test_dataset, config, metric
-    )
-
-    return aggregate_strategy_results(names, config.repeats, grid.results, grid.failures)
+    cells = [
+        (strategy_index, repeat)
+        for strategy_index in range(len(names))
+        for repeat in range(config.repeats)
+    ]
+    results: dict[tuple[int, int], ALResult] = {}
+    failures: dict[tuple[int, int], CellFailure] = {}
+    # Settle checkpointed cells before any cell runs, so a stale
+    # checkpoint fails the grid up front.  Without resume, leftover
+    # mid-cell snapshots of an earlier run must not leak into this one.
+    if store is not None:
+        for strategy_index, repeat in cells:
+            name, seed = names[strategy_index], int(repeat_seeds[repeat])
+            loaded = store.load(name, repeat, seed) if resume else None
+            if loaded is not None:
+                results[(strategy_index, repeat)] = loaded
+            if loaded is not None or not resume:
+                store.discard_session(name, repeat)
+    for cell in cells:
+        if cell in results:
+            continue
+        strategy_index, repeat = cell
+        name, seed = names[strategy_index], int(repeat_seeds[repeat])
+        for attempt in range(1, max_retries + 2):
+            try:
+                result = _run_cell(
+                    model_factory, factories[strategy_index], train_dataset,
+                    test_dataset, config, metric, seed, store=store,
+                    strategy_name=name, repeat=repeat,
+                )
+            except Exception as error:
+                if attempt <= max_retries:
+                    continue
+                if on_error == "raise":
+                    raise ExecutionError(
+                        f"cell ({name!r}, repeat {repeat}) failed after {attempt} "
+                        f"attempt{'s' if attempt != 1 else ''}: {error}"
+                    ) from error
+                failures[cell] = CellFailure(
+                    strategy=name, repeat=repeat, attempts=attempt,
+                    error=f"{type(error).__name__}: {error}",
+                )
+                break
+            results[cell] = result
+            if store is not None:
+                store.save(name, repeat, seed, result)
+                store.discard_session(name, repeat)
+            break
+    return aggregate_strategy_results(names, config.repeats, results, failures)
 
 
 def aggregate_strategy_results(

@@ -27,8 +27,8 @@ from ..eval.pipeline import MetricContext
 from ..exceptions import ConfigurationError
 from ..specs.experiment import ExperimentSpec
 from ..specs.sweep import SweepCell, SweepSpec
-from .distributed import LeaseConfig, run_distributed
-from .runner import RetryPolicy, StrategyResult, run_comparison
+from .distributed import run_distributed
+from .runner import StrategyResult, run_comparison
 
 
 def execute_experiment(
@@ -54,17 +54,14 @@ def execute_experiment(
         runner["resume"] = bool(resume)
     if runner["resume"] and not runner["checkpoint_dir"]:
         raise ConfigurationError("--resume requires --checkpoint-dir")
-    retry = RetryPolicy(
-        max_attempts=runner["max_retries"] + 1, backoff=runner["backoff"]
-    )
     train, test, task = spec.build_datasets()
     if runner["queue_dir"]:
         results = run_distributed(
             spec,
             runner["queue_dir"],
             workers=runner["local_workers"],
-            lease=LeaseConfig(ttl=runner["lease_ttl"]),
-            retry=retry,
+            lease_ttl=runner["lease_ttl"],
+            max_retries=runner["max_retries"],
             on_error=runner["on_error"],
             timeout=runner["timeout"],
             checkpoint_dir=runner["checkpoint_dir"],
@@ -78,7 +75,7 @@ def execute_experiment(
             config=spec.config,
             checkpoint_dir=runner["checkpoint_dir"],
             resume=runner["resume"],
-            retry=retry,
+            max_retries=runner["max_retries"],
             on_error=runner["on_error"],
             scenario=spec.scenario_fingerprint(),
         )

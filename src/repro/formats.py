@@ -1,7 +1,7 @@
 """Every on-disk document format marker and schema version, in one place.
 
 All persistent artifacts of this package — saved rankers, experiment
-documents, session snapshots, per-cell checkpoints, queue tickets, and
+documents, session snapshots, per-cell checkpoints, queue envelopes, and
 stored service sessions — share the same JSON envelope: an object with
 ``format`` (a stable ``repro.*`` marker naming the document kind) and
 ``version`` (an integer schema version readers refuse to misread).
@@ -56,10 +56,6 @@ SESSION_RESULT_VERSION = 1
 QUEUE_FORMAT = "repro.cell_queue"
 QUEUE_VERSION = 1
 
-#: Distributed per-cell tickets (:mod:`repro.experiments.distributed`).
-CELL_FORMAT = "repro.cell_ticket"
-CELL_VERSION = 1
-
 #: Scenario-grid sweep documents (:mod:`repro.specs.sweep`).
 SWEEP_FORMAT = "repro.sweep"
 SWEEP_VERSION = 1
@@ -74,6 +70,5 @@ DOCUMENT_VERSIONS = {
     SESSION_DIR_FORMAT: SESSION_DIR_VERSION,
     SESSION_RESULT_FORMAT: SESSION_RESULT_VERSION,
     QUEUE_FORMAT: QUEUE_VERSION,
-    CELL_FORMAT: CELL_VERSION,
     SWEEP_FORMAT: SWEEP_VERSION,
 }

@@ -212,32 +212,6 @@ class LambdaMART:
             self._boost_round(data, groups, scores)
         return self
 
-    def refresh(
-        self, data: RankingDataset, n_estimators: int | None = None
-    ) -> "LambdaMART":
-        """Append boosting stages on ``data`` without rebuilding the ensemble.
-
-        The incremental path of the warm-start layer: the existing trees
-        are kept, current ensemble scores on ``data`` seed the gradients,
-        and ``n_estimators`` new trees (default ``self.n_estimators // 4``,
-        at least 1) are boosted on top.  Falls back to a full :meth:`fit`
-        when the ranker has never been fitted.
-        """
-        if not self._trees:
-            return self.fit(data)
-        if n_estimators is not None and n_estimators < 1:
-            raise ConfigurationError(
-                f"n_estimators must be >= 1, got {n_estimators}"
-            )
-        rounds = (
-            n_estimators if n_estimators is not None else max(1, self.n_estimators // 4)
-        )
-        groups = data.groups()
-        scores = self.predict(data.features)
-        for _ in range(rounds):
-            self._boost_round(data, groups, scores)
-        return self
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Ranking scores (higher = ranked earlier)."""
         if not self._trees:

@@ -441,7 +441,10 @@ class SessionService:
                     f"session is not awaiting labels (state={engine.state.value!r}); "
                     "propose first"
                 )
-            if body.get("oracle"):
+            oracle = body.get("oracle", False)
+            if not isinstance(oracle, bool):
+                raise IngestError(f"'oracle' must be true or false, got {oracle!r}")
+            if oracle:
                 engine.ingest_labels(engine.pending)
             else:
                 indices = body.get("indices")

@@ -21,7 +21,6 @@ from .data import (
     SPLIT_REGISTRY,
     build_dataset,
     build_split,
-    dataset_kinds,
     register_dataset,
 )
 from .experiment import (
@@ -42,7 +41,6 @@ from .metrics import (
 from .models import (
     MODEL_REGISTRY,
     build_model,
-    model_kinds,
     register_model,
     spec_of_model,
 )
@@ -88,13 +86,11 @@ __all__ = [
     "build_split",
     "build_strategy",
     "build_transform",
-    "dataset_kinds",
     "default_experiment_spec",
     "default_metric_specs",
     "default_model_spec",
     "is_spec_like",
     "metric_kinds",
-    "model_kinds",
     "parse_strategy_shorthand",
     "register_dataset",
     "register_model",

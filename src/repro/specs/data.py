@@ -100,8 +100,3 @@ def build_dataset(spec) -> tuple[object, str]:
 def build_split(spec, dataset) -> tuple[object, object]:
     """Apply a split spec to ``dataset``; returns ``(train, test)``."""
     return SPLIT_REGISTRY.build(spec)(dataset)
-
-
-def dataset_kinds() -> list[str]:
-    """Sorted registered dataset kinds."""
-    return DATASET_REGISTRY.kinds()

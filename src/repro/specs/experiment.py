@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.strategies.base import strategy_capabilities
-from ..exceptions import SpecError
+from ..exceptions import ConfigurationError, SpecError
 from ..experiments.config import ExperimentConfig
 from ..formats import EXPERIMENT_FORMAT, EXPERIMENT_VERSION
 from ..ioutil import atomic_write_json
@@ -51,7 +51,6 @@ RUNNER_DEFAULTS = {
     "checkpoint_dir": None,
     "resume": False,
     "max_retries": 0,
-    "backoff": 0.0,
     "on_error": "raise",
     # A non-null queue_dir runs the grid in parallel through the
     # broker-less work queue (repro.experiments.distributed) with
@@ -65,8 +64,8 @@ RUNNER_DEFAULTS = {
 #: Settings earlier versions wrote that no longer select anything:
 #: ``(section, key) -> (value of the path that stayed, what replaces it)``.
 #: A document may still carry a key with that value — ``repro config
-#: show --defaults`` always emitted all four — and it is dropped; any
-#: other value is a :class:`SpecError`.
+#: show --defaults`` used to emit every one of them — and it is dropped;
+#: any other value is a :class:`SpecError`.
 RETIRED_KEYS = {
     ("runner", "n_jobs"): (
         1, "run parallel grids on the work queue: set runner.queue_dir and "
@@ -79,6 +78,9 @@ RETIRED_KEYS = {
     ("runner", "queue_backend"): (
         "file", "the file-lease queue is the only queue backend",
     ),
+    ("runner", "backoff"): (
+        0.0, "a failed cell runs again at once, up to runner.max_retries times",
+    ),
     ("experiment", "history_backend"): (
         "local", "history scores always live in a process-local array",
     ),
@@ -86,6 +88,42 @@ RETIRED_KEYS = {
 
 #: Report options an experiment document may set (with their defaults).
 REPORT_DEFAULTS = {"targets": [], "plot": False}
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+#: What each runner and report option must hold: ``key -> (rule, test)``.
+OPTION_RULES = {
+    "checkpoint_dir": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "queue_dir": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "resume": ("a bool", lambda v: isinstance(v, bool)),
+    "plot": ("a bool", lambda v: isinstance(v, bool)),
+    "max_retries": ("an int >= 0", _count),
+    "local_workers": ("an int >= 0", _count),
+    "lease_ttl": ("a number > 0", lambda v: _number(v) and v > 0),
+    "timeout": ("a number > 0 or null", lambda v: v is None or (_number(v) and v > 0)),
+    "on_error": ("'raise' or 'skip'", lambda v: v in ("raise", "skip")),
+    "targets": (
+        "a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v))
+    ),
+}
+
+
+def check_option(name: str, value) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` obeys its rule.
+
+    For the runners' keyword arguments (``max_retries``, ``lease_ttl``),
+    which take the same values as the document options of that name.
+    """
+    rule, valid = OPTION_RULES[name]
+    if not valid(value):
+        raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
 
 
 def default_model_spec(task: str, epochs: int = 5) -> Spec:
@@ -118,8 +156,25 @@ def _without_retired(key: str, section: dict) -> dict:
     return section
 
 
+def _options(key: str, section: dict, defaults: dict) -> dict:
+    """``section`` over its defaults, each value checked by its rule.
+
+    Raises
+    ------
+    SpecError
+        For a retired setting's other values (see :data:`RETIRED_KEYS`)
+        or a value that breaks its :data:`OPTION_RULES` entry.
+    """
+    options = {**defaults, **_without_retired(key, section)}
+    for name in defaults:
+        rule, valid = OPTION_RULES[name]
+        if not valid(options[name]):
+            raise SpecError(f"{key}.{name} must be {rule}, got {options[name]!r}")
+    return options
+
+
 def _section(payload: dict, key: str, defaults: dict) -> dict:
-    """Validate one options section against its known keys + defaults."""
+    """One options section of ``payload``, refused if it names an unknown key."""
     section = payload.get(key, {})
     if not isinstance(section, dict):
         raise SpecError(f"experiment {key!r} section must be a dict")
@@ -127,7 +182,7 @@ def _section(payload: dict, key: str, defaults: dict) -> dict:
     unknown = set(section) - set(defaults)
     if unknown:
         raise SpecError(f"unknown {key} option(s): {sorted(unknown)}")
-    return {**defaults, **section}
+    return section
 
 
 @dataclass
@@ -155,8 +210,8 @@ class ExperimentSpec:
         self.strategies = {
             str(name): as_spec(spec) for name, spec in self.strategies.items()
         }
-        self.runner = {**RUNNER_DEFAULTS, **_without_retired("runner", self.runner)}
-        self.report = {**REPORT_DEFAULTS, **self.report}
+        self.runner = _options("runner", self.runner, RUNNER_DEFAULTS)
+        self.report = _options("report", self.report, REPORT_DEFAULTS)
         if self.scenario is not None:
             self.scenario = ScenarioSpec.from_dict(self.scenario)
 

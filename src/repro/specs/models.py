@@ -54,8 +54,3 @@ def build_model(spec) -> object:
 def spec_of_model(model: object) -> Spec:
     """The spec that rebuilds ``model`` (raises :class:`SpecError` if none)."""
     return MODEL_REGISTRY.spec_of(model)
-
-
-def model_kinds() -> list[str]:
-    """Sorted registered model kinds."""
-    return MODEL_REGISTRY.kinds()

@@ -8,7 +8,6 @@ from repro.core.ranker_training import (
     LHSRanker,
     RankerTrainingConfig,
     _delta_levels,
-    refresh_lhs_ranker,
     train_lhs_ranker,
 )
 from repro.core.strategies import Entropy, LHS, LeastConfidence
@@ -185,27 +184,6 @@ class TestWarmTraining:
         assert not np.array_equal(
             warm.model.predict(features), cold.model.predict(features)
         )
-
-    def test_refresh_lhs_ranker_updates_in_place(self, trained_ranker, text_dataset):
-        import copy
-
-        from repro.ltr.lambdamart import RankingDataset
-
-        ranker = copy.deepcopy(trained_ranker)
-        ranker.source = "ranker.json"
-        rows_before = ranker.training_rows
-        trees_before = len(ranker.model._trees)
-        rng = np.random.default_rng(5)
-        data = RankingDataset(
-            rng.random((12, ranker.extractor.dim)),
-            rng.integers(0, 3, 12).astype(float),
-            np.repeat(np.arange(3), 4),
-        )
-        refreshed = refresh_lhs_ranker(ranker, data, n_estimators=2)
-        assert refreshed is ranker
-        assert len(ranker.model._trees) == trees_before + 2
-        assert ranker.training_rows == rows_before + 12
-        assert ranker.source is None
 
 
 class TestLHSStrategy:

@@ -18,10 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ConfigurationError, ExecutionError, QueueError
-from repro.experiments import ExperimentConfig, RetryPolicy, run_comparison
+from repro.experiments import ExperimentConfig, run_comparison
 from repro.experiments.checkpoint import cell_stem
 from repro.experiments.distributed import (
-    LeaseConfig,
     collect_results,
     coordinate,
     create_queue,
@@ -98,6 +97,30 @@ def set_envelope_backend(queue, backend: str) -> None:
     path.write_text(json.dumps({**json.loads(path.read_text()), "backend": backend}))
 
 
+#: Damage to a queue envelope -> the field its one error line names.
+BROKEN_ENVELOPES = {
+    "no-lease": (lambda e: e.pop("lease"), "lease.ttl must be a number > 0, got None"),
+    "string-ttl": (
+        lambda e: e["lease"].update(ttl="30"), "lease.ttl must be a number > 0, got '30'"
+    ),
+    "no-retry": (
+        lambda e: e.pop("retry"), "retry.max_attempts must be an int >= 1, got None"
+    ),
+    "no-cells": (
+        lambda e: e.pop("cells"), "cells must be a list of cell tickets, got None"
+    ),
+    "list-experiment": (
+        lambda e: e.update(experiment=[]), "experiment must be an object, got []"
+    ),
+    "string-checkpoint-dir": (
+        lambda e: e.update(checkpoint_dir=7), "checkpoint_dir must be a string, got 7"
+    ),
+    "bad-ticket": (
+        lambda e: e.update(cells=[{"cell_id": "x"}]), "malformed cell ticket: KeyError"
+    ),
+}
+
+
 # -- worker crash entry points (module-level: fork targets) ------------------
 
 
@@ -134,13 +157,12 @@ class TestQueueMaterialization:
         for ticket in queue.tickets:
             seeds.setdefault(ticket.repeat, set()).add(ticket.seed)
         assert all(len(values) == 1 for values in seeds.values())
-        # One self-contained document per cell.
-        for ticket in queue.tickets:
-            document = json.loads(
-                (tmp_path / "q" / "cells" / f"{ticket.cell_id}.json").read_text()
-            )
-            assert document["strategy"] == ticket.strategy
-            assert document["specs"]["dataset"] == grid_spec.dataset.to_dict()
+        # The envelope is all a worker reads: no per-cell documents.
+        envelope = json.loads((tmp_path / "q" / "queue.json").read_text())
+        assert envelope["lease"] == {"ttl": 30.0}
+        assert envelope["retry"] == {"max_attempts": 1}
+        assert envelope["experiment"]["dataset"] == grid_spec.dataset.to_dict()
+        assert not (tmp_path / "q" / "cells").exists()
 
     def test_cell_ids_match_checkpoint_stems(self, grid_spec, tmp_path):
         queue = create_queue(tmp_path / "q", grid_spec)
@@ -189,6 +211,37 @@ class TestQueueMaterialization:
     def test_missing_envelope_raises(self, tmp_path):
         with pytest.raises(QueueError, match="cannot read"):
             open_queue(tmp_path / "nothing-here")
+
+    def test_old_envelope_keys_are_ignored(self, grid_spec, tmp_path):
+        queue = create_queue(tmp_path / "q", grid_spec, lease_ttl=9.0, max_retries=1)
+        path = queue.directory / "queue.json"
+        envelope = json.loads(path.read_text())
+        envelope["lease"].update(renewal_interval=1.0, skew_tolerance=2.0)
+        envelope["retry"].update(
+            backoff=0.5, backoff_factor=2.0, max_delay=60.0, jitter=0.5
+        )
+        path.write_text(json.dumps(envelope))
+        reopened = open_queue(tmp_path / "q")
+        assert (reopened.lease_ttl, reopened.max_attempts) == (9.0, 2)
+
+    @pytest.mark.parametrize("case", list(BROKEN_ENVELOPES))
+    def test_broken_envelope_is_one_error_line(self, grid_spec, tmp_path, capsys, case):
+        from repro.cli import main
+
+        damage, message = BROKEN_ENVELOPES[case]
+        queue = create_queue(tmp_path / "q", grid_spec)
+        path = queue.directory / "queue.json"
+        envelope = json.loads(path.read_text())
+        damage(envelope)
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(QueueError) as error:
+            open_queue(tmp_path / "q")
+        assert str(error.value).startswith(f"{path}: {message}")
+        assert main(["worker", "--queue-dir", str(tmp_path / "q")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {path}: {message}")
 
     def test_external_checkpoint_dir_recorded(self, grid_spec, tmp_path):
         queue = create_queue(
@@ -251,7 +304,7 @@ class TestLeases:
     def test_live_lease_is_not_stolen(self, grid_spec, tmp_path):
         queue = create_queue(
             tmp_path / "q", grid_spec,
-            lease=LeaseConfig(ttl=60.0),
+            lease_ttl=60.0,
         )
         claim = queue.claim("a")
         assert queue.reap_stale() == 0
@@ -261,7 +314,7 @@ class TestLeases:
     def test_stale_lease_is_reaped_and_reclaimed(self, grid_spec, tmp_path):
         queue = create_queue(
             tmp_path / "q", grid_spec,
-            lease=LeaseConfig(ttl=0.2, renewal_interval=0.05),
+            lease_ttl=0.2,
         )
         claim = queue.claim("dead-worker")
         time.sleep(0.4)
@@ -276,7 +329,7 @@ class TestLeases:
     def test_heartbeat_keeps_lease_alive(self, grid_spec, tmp_path):
         queue = create_queue(
             tmp_path / "q", grid_spec,
-            lease=LeaseConfig(ttl=0.6, renewal_interval=0.1),
+            lease_ttl=0.6,
         )
         claim = queue.claim("a")
         deadline = time.monotonic() + 1.5
@@ -288,7 +341,7 @@ class TestLeases:
     def test_heartbeat_reports_lost_lease(self, grid_spec, tmp_path):
         queue = create_queue(
             tmp_path / "q", grid_spec,
-            lease=LeaseConfig(ttl=0.2, renewal_interval=0.05),
+            lease_ttl=0.2,
         )
         claim = queue.claim("slow-worker")
         time.sleep(0.4)
@@ -298,10 +351,10 @@ class TestLeases:
 
 class TestClockSkew:
     def test_future_dated_lease_is_reaped(self, grid_spec, tmp_path):
-        queue = create_queue(tmp_path / "q", grid_spec)  # ttl 30, skew 30
+        queue = create_queue(tmp_path / "q", grid_spec)  # ttl 30
         claim = queue.claim("skewed-host")
         lease = tmp_path / "q" / "leases" / f"{claim.ticket.cell_id}.json"
-        future = time.time() + 120.0  # beyond skew tolerance
+        future = time.time() + 120.0  # more than one TTL ahead
         os.utime(lease, (future, future))
         assert queue.reap_stale() == 1
         (record,) = audit_events(queue, "reaped")
@@ -311,32 +364,15 @@ class TestClockSkew:
         queue = create_queue(tmp_path / "q", grid_spec)
         claim = queue.claim("slightly-ahead")
         lease = tmp_path / "q" / "leases" / f"{claim.ticket.cell_id}.json"
-        near_future = time.time() + 5.0  # within tolerance
+        near_future = time.time() + 5.0  # within one TTL
         os.utime(lease, (near_future, near_future))
         assert queue.reap_stale() == 0
         assert queue.heartbeat(claim) is True
 
 
 class TestRetryAndQuarantine:
-    def test_failure_respects_backoff_schedule(self, grid_spec, tmp_path):
-        policy = RetryPolicy(max_attempts=3, backoff=30.0, jitter=0.0)
-        queue = create_queue(tmp_path / "q", grid_spec, retry=policy)
-        claim = queue.claim("a")
-        assert queue.fail(claim, RuntimeError("boom")) == "retry"
-        # The failed cell is backing off: it must not be claimable now,
-        # but the *other* cells still are.
-        others = set()
-        while (reclaim := queue.claim("a")) is not None:
-            assert reclaim.ticket.cell_id != claim.ticket.cell_id
-            others.add(reclaim.ticket.cell_id)
-        assert len(others) == 3
-        (record,) = audit_events(queue, "failed")
-        assert record["attempts"] == 1
-        assert "boom" in record["error"]
-
     def test_poison_cell_quarantined_at_threshold(self, grid_spec, tmp_path):
-        policy = RetryPolicy(max_attempts=2, backoff=0.0)
-        queue = create_queue(tmp_path / "q", grid_spec, retry=policy)
+        queue = create_queue(tmp_path / "q", grid_spec, max_retries=1)
         claim = queue.claim("a")
         cell_id = claim.ticket.cell_id
         assert queue.fail(claim, RuntimeError("poison")) == "retry"
@@ -353,25 +389,6 @@ class TestRetryAndQuarantine:
             remaining.add(other.ticket.cell_id)
         assert cell_id not in remaining
         assert len(audit_events(queue, "quarantined")) == 1
-
-    def test_backoff_retry_matches_serial(self, grid_spec, serial_reference, tmp_path):
-        """A backed-off retry changes timing only, never the result bytes."""
-        serial_results, serial_dir = serial_reference
-        queue_dir = tmp_path / "q"
-        queue = create_queue(
-            queue_dir, grid_spec, retry=RetryPolicy(max_attempts=2, backoff=0.05)
-        )
-        fault = WorkerFault(
-            "claimed", FaultSpec(token_dir=tmp_path / "tokens", fail_on_call=1)
-        )
-        summary = run_worker(queue_dir, owner="w", poll=0.05, on_event=fault)
-        assert summary["failed"] == 1
-        assert summary["completed"] == 4
-        (record,) = audit_events(queue, "failed")
-        assert record["retry_in"] > 0
-        assert_results_match(coordinate(queue_dir, poll=0.05), serial_results)
-        assert_checkpoints_byte_identical(queue.checkpoint_directory, serial_dir)
-
 
 # -- end-to-end execution ----------------------------------------------------
 
@@ -434,9 +451,7 @@ class TestCrashEquivalence:
     ):
         _, serial_dir = serial_reference
         queue_dir = tmp_path / "q"
-        queue = create_queue(
-            queue_dir, grid_spec, lease=LeaseConfig(ttl=1.0, renewal_interval=0.1)
-        )
+        queue = create_queue(queue_dir, grid_spec, lease_ttl=1.0)
         victim = fork_process(
             _crashing_worker, str(queue_dir), str(tmp_path / "tokens"), "saved"
         )
@@ -456,11 +471,10 @@ class TestCrashEquivalence:
     ):
         _, serial_dir = serial_reference
         queue_dir = tmp_path / "q"
-        # Cells run in ~10ms here, so the renewal interval must be far
-        # smaller for a heartbeat tick to land inside a running cell.
-        queue = create_queue(
-            queue_dir, grid_spec, lease=LeaseConfig(ttl=1.0, renewal_interval=0.001)
-        )
+        # Cells run in ~10ms here, so the renewal interval (a third of
+        # the TTL) must be far smaller for a heartbeat tick to land
+        # inside a running cell.
+        queue = create_queue(queue_dir, grid_spec, lease_ttl=0.003)
         victim = fork_process(
             _crashing_worker, str(queue_dir), str(tmp_path / "tokens"), "heartbeat"
         )
@@ -480,9 +494,7 @@ class TestCrashEquivalence:
         and commit, one joining late — bytes identical to serial."""
         serial_results, serial_dir = serial_reference
         queue_dir = tmp_path / "q"
-        queue = create_queue(
-            queue_dir, grid_spec, lease=LeaseConfig(ttl=1.0, renewal_interval=0.1)
-        )
+        queue = create_queue(queue_dir, grid_spec, lease_ttl=1.0)
         victim = fork_process(
             _crashing_worker, str(queue_dir), str(tmp_path / "tokens"), "saved"
         )
@@ -545,9 +557,7 @@ class TestPoisonedCell:
         serial_results, _ = serial_reference
         target = cell_stem("entropy", 1)
         queue_dir = tmp_path / "q"
-        queue = create_queue(
-            queue_dir, grid_spec, retry=RetryPolicy(max_attempts=2)
-        )
+        queue = create_queue(queue_dir, grid_spec, max_retries=1)
         poison = FaultSpec(
             token_dir=tmp_path / "tokens", fail_on_call=1, mode="raise",
             times=None,
@@ -606,10 +616,13 @@ class TestCoordinator:
         with pytest.raises(ExecutionError, match="unsettled"):
             collect_results(queue)
 
-    def test_lease_config_validation(self):
-        with pytest.raises(ConfigurationError, match="ttl"):
-            LeaseConfig(ttl=0)
-        with pytest.raises(ConfigurationError, match="renewal_interval"):
-            LeaseConfig(ttl=1.0, renewal_interval=2.0)
-        assert LeaseConfig(ttl=30.0).renewal == pytest.approx(10.0)
-        assert LeaseConfig(ttl=30.0).skew == pytest.approx(30.0)
+    def test_lease_config_validation(self, grid_spec, tmp_path):
+        for lease_ttl in (0, -1.0, "30", True, None):
+            with pytest.raises(ConfigurationError, match="lease_ttl must be"):
+                create_queue(tmp_path / "q", grid_spec, lease_ttl=lease_ttl)
+        for max_retries in (-1, 1.0, "1"):
+            with pytest.raises(ConfigurationError, match="max_retries must be"):
+                create_queue(tmp_path / "q", grid_spec, max_retries=max_retries)
+        assert not (tmp_path / "q").exists()
+        queue = create_queue(tmp_path / "q", grid_spec, lease_ttl=6.0, max_retries=2)
+        assert (queue.lease_ttl, queue.max_attempts) == (6.0, 3)

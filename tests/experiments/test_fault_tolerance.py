@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.strategies import Entropy, Random, WSHS
 from repro.exceptions import ConfigurationError, ExecutionError
-from repro.experiments import ExperimentConfig, RetryPolicy, run_comparison
+from repro.experiments import ExperimentConfig, run_comparison
 from tests.faults import (
     FaultInjectingModel,
     FaultInjectingStrategy,
@@ -34,66 +34,14 @@ def faulty_model_factory(spec, counter=None):
 
 
 class TestRetryPolicy:
-    def test_zero_attempts_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
+    def test_zero_attempts_rejected(self, text_dataset):
+        for max_retries in (-1, 1.5, True, "2", None):
+            with pytest.raises(ConfigurationError, match="max_retries must be"):
+                compare(text_dataset, max_retries=max_retries)
 
     def test_unknown_on_error_rejected(self, text_dataset):
         with pytest.raises(ConfigurationError, match="on_error"):
             compare(text_dataset, on_error="abort")
-
-    def test_invalid_backoff_parameters_rejected(self):
-        with pytest.raises(ConfigurationError, match="backoff"):
-            RetryPolicy(max_attempts=2, backoff=-1.0)
-        with pytest.raises(ConfigurationError, match="backoff_factor"):
-            RetryPolicy(max_attempts=2, backoff=1.0, backoff_factor=0.5)
-        with pytest.raises(ConfigurationError, match="jitter"):
-            RetryPolicy(max_attempts=2, backoff=1.0, jitter=1.5)
-
-
-class TestBackoffSchedule:
-    """Jittered exponential backoff: deterministic, growing, capped."""
-
-    def test_default_policy_never_delays(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert [policy.delay(n, key="cell") for n in range(4)] == [0.0] * 4
-
-    def test_delay_is_deterministic_per_key(self):
-        policy = RetryPolicy(max_attempts=5, backoff=1.0)
-        assert policy.delay(2, key="a") == policy.delay(2, key="a")
-        # Different cells land on different points of the jitter window,
-        # so a whole grid's retries do not synchronise.
-        assert policy.delay(2, key="a") != policy.delay(2, key="b")
-
-    def test_delay_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=5, backoff=1.0, backoff_factor=2.0, jitter=0.0
-        )
-        assert [policy.delay(n) for n in (1, 2, 3)] == [1.0, 2.0, 4.0]
-
-    def test_delay_is_capped_by_max_delay(self):
-        policy = RetryPolicy(
-            max_attempts=9, backoff=1.0, max_delay=5.0, jitter=0.0
-        )
-        assert policy.delay(8) == 5.0
-
-    def test_jitter_only_shrinks_the_delay(self):
-        policy = RetryPolicy(max_attempts=5, backoff=2.0, jitter=0.5)
-        for failures in (1, 2, 3):
-            base = 2.0 * 2.0 ** (failures - 1)
-            delay = policy.delay(failures, key="cell")
-            assert base * 0.5 <= delay <= base
-
-    def test_retry_with_backoff_matches_clean_run(self, text_dataset, tmp_path):
-        """A backoff pause changes timing only, never the result bytes."""
-        clean = compare(text_dataset)
-        spec = FaultSpec(token_dir=tmp_path / "tokens", fail_on_call=1, times=1)
-        retried = compare(
-            text_dataset,
-            model_factory=faulty_model_factory(spec),
-            retry=RetryPolicy(max_attempts=2, backoff=0.01),
-        )
-        assert_results_identical(clean, retried)
 
 
 class TestRetry:
@@ -108,7 +56,7 @@ class TestRetry:
         retried = compare(
             text_dataset,
             model_factory=faulty_model_factory(spec),
-            retry=RetryPolicy(max_attempts=2),
+            max_retries=1,
         )
         assert_results_identical(clean, retried)
         for result in retried.values():
@@ -120,7 +68,7 @@ class TestRetry:
             compare(
                 text_dataset,
                 model_factory=faulty_model_factory(spec),
-                retry=RetryPolicy(max_attempts=3),
+                max_retries=2,
             )
 
 

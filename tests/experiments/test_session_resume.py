@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.exceptions import CheckpointError, ExecutionError
-from repro.experiments import CheckpointStore, ExperimentConfig, RetryPolicy
+from repro.experiments import CheckpointStore, ExperimentConfig
 from tests.faults import FaultInjectingModel, FaultSpec
 
 from .test_checkpoint import (
@@ -78,7 +78,7 @@ class TestMidCellResume:
             text_dataset,
             model_factory=counting_model_factory(counter, spec=spec),
             checkpoint_dir=str(tmp_path / "ckpt"),
-            retry=RetryPolicy(max_attempts=2),
+            max_retries=1,
         )
         assert_results_identical(clean, retried)
         # Attempt 1 spends 2 fits and dies in round 1; the retry resumes

@@ -359,12 +359,10 @@ class TestPerturbedCellDistribution:
         serial_dir = tmp_path / "serial"
         execute_experiment(spec, checkpoint_dir=serial_dir)
 
-        from repro.experiments.distributed import LeaseConfig, create_queue
+        from repro.experiments.distributed import create_queue
 
         queue_dir = tmp_path / "q"
-        queue = create_queue(
-            queue_dir, spec, lease=LeaseConfig(ttl=1.0, renewal_interval=0.1)
-        )
+        queue = create_queue(queue_dir, spec, lease_ttl=1.0)
         victim = multiprocessing.get_context("fork").Process(
             target=_crashing_worker,
             args=(str(queue_dir), str(tmp_path / "tokens")),

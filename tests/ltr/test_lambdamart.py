@@ -117,58 +117,6 @@ class TestTraining:
         assert 0 <= model.mean_ndcg(data) <= 1
 
 
-class TestRefresh:
-    def test_appends_default_tree_count(self):
-        data = synthetic_ranking_data(seed=1)
-        model = LambdaMART(n_estimators=40).fit(data)
-        model.refresh(data)
-        assert len(model._trees) == 40 + 10  # n_estimators // 4 appended
-
-    def test_appends_explicit_tree_count(self):
-        data = synthetic_ranking_data(seed=1)
-        model = LambdaMART(n_estimators=8).fit(data)
-        model.refresh(data, n_estimators=5)
-        assert len(model._trees) == 13
-
-    def test_unfitted_refresh_falls_back_to_fit(self):
-        data = synthetic_ranking_data(seed=2)
-        refreshed = LambdaMART(n_estimators=12)
-        refreshed.refresh(data)
-        fitted = LambdaMART(n_estimators=12).fit(data)
-        probe = np.random.default_rng(3).normal(size=(20, data.features.shape[1]))
-        np.testing.assert_array_equal(refreshed.predict(probe), fitted.predict(probe))
-
-    def test_refresh_improves_on_new_data(self):
-        old = synthetic_ranking_data(seed=4)
-        combined = RankingDataset(
-            np.vstack([old.features, synthetic_ranking_data(seed=5).features]),
-            np.concatenate([old.relevance, synthetic_ranking_data(seed=5).relevance]),
-            np.concatenate([
-                old.query_ids, synthetic_ranking_data(seed=5).query_ids + 1000
-            ]),
-        )
-        model = LambdaMART(n_estimators=30).fit(old)
-        before = model.mean_ndcg(combined)
-        model.refresh(combined, n_estimators=15)
-        assert model.mean_ndcg(combined) >= before
-
-    def test_refresh_deterministic(self):
-        data = synthetic_ranking_data(seed=6)
-        probe = np.random.default_rng(7).normal(size=(15, data.features.shape[1]))
-
-        def run():
-            model = LambdaMART(n_estimators=10).fit(data)
-            return model.refresh(data, n_estimators=3).predict(probe)
-
-        np.testing.assert_array_equal(run(), run())
-
-    def test_refresh_rejects_bad_estimators(self):
-        data = synthetic_ranking_data(seed=8)
-        model = LambdaMART(n_estimators=5).fit(data)
-        with pytest.raises(ConfigurationError):
-            model.refresh(data, n_estimators=0)
-
-
 class TestValidation:
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):

@@ -53,6 +53,50 @@ MALFORMED_RECIPES = {
 }
 
 
+#: Malformed ingest bodies, built from the pending batch, and a fragment
+#: of the ``IngestError`` each must be: a 400 that writes nothing.
+MALFORMED_INGESTS = {
+    "string-index": (
+        lambda p: {"indices": [str(p[0]), *p[1:]], "labels": None},
+        "indices must be integers",
+    ),
+    "word-index": (
+        lambda p: {"indices": ["first", *p[1:]], "labels": None},
+        "indices must be integers, got 'first'",
+    ),
+    "null-index": (
+        lambda p: {"indices": [None, *p[1:]], "labels": None},
+        "indices must be integers, got None",
+    ),
+    "float-index": (
+        lambda p: {"indices": [p[0] + 0.5, *p[1:]], "labels": None},
+        "indices must be integers",
+    ),
+    "huge-index": (
+        lambda p: {"indices": [2**70, *p[1:]], "labels": None},
+        "indices were never proposed",
+    ),
+    "bool-index": (
+        lambda p: {"indices": [True, *p[1:]], "labels": None},
+        "indices must be integers, got True",
+    ),
+    "labels-number": (
+        lambda p: {"indices": p, "labels": 5}, "labels must be a list, got 5"
+    ),
+    "labels-string": (
+        lambda p: {"indices": p, "labels": "0" * len(p)}, "labels must be a list"
+    ),
+    "oracle-string": (
+        lambda p: {"oracle": "no"}, "'oracle' must be true or false, got 'no'"
+    ),
+}
+
+
+def malformed_ingest(case: str, pending: list) -> "tuple[dict, str]":
+    build, message = MALFORMED_INGESTS[case]
+    return build(pending), message
+
+
 def serial_reference(recipe) -> str:
     """The JSON audit trail of a plain engine run — the ground truth."""
     train, test, model, strategy, settings = build_session_components(recipe)
@@ -276,6 +320,21 @@ class TestDispatch:
         status, payload = dispatch(service, "POST", "/sessions/s1/ingest", body={})
         assert status == 400
         assert payload["error_type"] == "IngestError"
+
+    @pytest.mark.parametrize("case", list(MALFORMED_INGESTS))
+    def test_malformed_ingest_is_typed_400(self, service, case):
+        dispatch(service, "POST", "/sessions", body={"recipe": RECIPE, "id": "s1"})
+        _, proposal = dispatch(service, "POST", "/sessions/s1/propose")
+        _, before = dispatch(service, "GET", "/sessions/s1")
+        body, message = malformed_ingest(case, proposal["indices"])
+        status, payload = dispatch(service, "POST", "/sessions/s1/ingest", body=body)
+        assert status == 400
+        assert set(payload) == {"error", "error_type"}
+        assert payload["error_type"] == "IngestError"
+        assert message in payload["error"]
+        _, after = dispatch(service, "GET", "/sessions/s1")
+        assert after["state"] == "await_labels"
+        assert after == before
 
     def test_client_re_raises_domain_exceptions(self, client):
         client.create(RECIPE, session_id="s1")

@@ -17,7 +17,14 @@ import pytest
 from repro.exceptions import ServiceError, SessionError, StoreConflictError
 from repro.service import SessionClient, SessionService, make_server
 
-from .test_app import MALFORMED_RECIPES, RECIPE, drive, serial_reference
+from .test_app import (
+    MALFORMED_INGESTS,
+    MALFORMED_RECIPES,
+    RECIPE,
+    drive,
+    malformed_ingest,
+    serial_reference,
+)
 from .test_store import make_store
 
 
@@ -80,6 +87,21 @@ class TestHttpTransport:
             assert payload["error_type"] == error_type
         assert http_client.list_sessions() == []
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_malformed_ingests_get_typed_json_400s(self, http_client, capsys):
+        http_client.create(RECIPE, session_id="s1")
+        pending = http_client.propose("s1")["indices"]
+        for case in MALFORMED_INGESTS:
+            body, message = malformed_ingest(case, pending)
+            status, payload = http_client.transport.request(
+                "POST", "/sessions/s1/ingest", None, body
+            )
+            assert status == 400, (case, payload)
+            assert payload["error_type"] == "IngestError"
+            assert message in payload["error"]
+        assert http_client.status("s1")["state"] == "await_labels"
+        assert "Traceback" not in capsys.readouterr().err
+        http_client.ingest("s1", oracle=True)  # the session still works
 
     def test_events_poll_over_http(self, http_client):
         http_client.create(RECIPE, session_id="s1")

@@ -193,6 +193,89 @@ class TestRunComparisonValidation:
         assert set(results) == {"random"}
 
 
+#: Malformed runner/report options: (section, options, the one error line).
+MALFORMED_OPTIONS = {
+    "max-retries-string": (
+        "runner", {"max_retries": "2"}, "runner.max_retries must be an int >= 0, got '2'"
+    ),
+    "max-retries-negative": (
+        "runner", {"max_retries": -1}, "runner.max_retries must be an int >= 0, got -1"
+    ),
+    "max-retries-bool": (
+        "runner", {"max_retries": True},
+        "runner.max_retries must be an int >= 0, got True",
+    ),
+    "lease-ttl-string": (
+        "runner", {"lease_ttl": "x"}, "runner.lease_ttl must be a number > 0, got 'x'"
+    ),
+    "lease-ttl-zero": (
+        "runner", {"lease_ttl": 0}, "runner.lease_ttl must be a number > 0, got 0"
+    ),
+    "local-workers-string": (
+        "runner", {"local_workers": "2"},
+        "runner.local_workers must be an int >= 0, got '2'",
+    ),
+    "timeout-string": (
+        "runner", {"timeout": "soon"},
+        "runner.timeout must be a number > 0 or null, got 'soon'",
+    ),
+    "on-error-ignore": (
+        "runner", {"on_error": "ignore"},
+        "runner.on_error must be 'raise' or 'skip', got 'ignore'",
+    ),
+    "resume-string": ("runner", {"resume": "yes"}, "runner.resume must be a bool, got 'yes'"),
+    "queue-dir-number": (
+        "runner", {"queue_dir": 5}, "runner.queue_dir must be a string or null, got 5"
+    ),
+    "targets-string": (
+        "report", {"targets": "0.8"}, "report.targets must be a list of numbers, got '0.8'"
+    ),
+    "targets-of-strings": (
+        "report", {"targets": ["0.8"]},
+        "report.targets must be a list of numbers, got ['0.8']",
+    ),
+    "plot-string": ("report", {"plot": "yes"}, "report.plot must be a bool, got 'yes'"),
+    "backoff-retired": (
+        "runner", {"backoff": 0.5},
+        "runner.backoff = 0.5 is no longer supported: a failed cell runs again "
+        "at once, up to runner.max_retries times",
+    ),
+}
+
+
+class TestRunnerOptions:
+    @pytest.mark.parametrize("case", list(MALFORMED_OPTIONS))
+    def test_malformed_option_is_a_spec_error(self, case):
+        section, options, message = MALFORMED_OPTIONS[case]
+        payload = default_experiment_spec().to_dict()
+        payload[section].update(options)
+        with pytest.raises(SpecError) as error:
+            ExperimentSpec.from_dict(payload)
+        assert str(error.value) == message
+
+    def test_constructor_checks_options(self):
+        with pytest.raises(SpecError, match="runner.local_workers must be"):
+            _small_spec(runner={"local_workers": -1})
+        with pytest.raises(SpecError, match="report.plot must be"):
+            _small_spec(report={"plot": 1})
+
+    @pytest.mark.parametrize("backoff", [0.0, 0])
+    def test_retired_backoff_default_is_dropped(self, backoff):
+        payload = default_experiment_spec().to_dict()
+        payload["runner"]["backoff"] = backoff
+        spec = ExperimentSpec.from_dict(payload)
+        assert "backoff" not in spec.to_dict()["runner"]
+        assert spec.to_dict() == default_experiment_spec().to_dict()
+
+    def test_valid_options_accepted(self):
+        spec = _small_spec(
+            runner={"max_retries": 2, "lease_ttl": 5, "timeout": 0.5,
+                    "queue_dir": "q", "local_workers": 0, "on_error": "skip"},
+            report={"targets": [0.5, 1], "plot": True},
+        )
+        assert ExperimentSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
+
+
 class TestConfigCli:
     def test_show_defaults_is_valid_json(self, capsys):
         from repro.cli import main
@@ -248,6 +331,49 @@ class TestConfigCli:
         path = tmp_path / "experiment.json"
         path.write_text(json.dumps(payload))
         assert main(["config", "validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "command", [["config", "validate"], ["run", "--config"]], ids=["validate", "run"]
+    )
+    @pytest.mark.parametrize("case", list(MALFORMED_OPTIONS))
+    def test_malformed_option_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, command, case
+    ):
+        from repro.cli import main
+
+        def unreachable(spec):
+            raise AssertionError("datasets built before the document was checked")
+
+        monkeypatch.setattr(ExperimentSpec, "build_datasets", unreachable)
+        section, options, message = MALFORMED_OPTIONS[case]
+        payload = default_experiment_spec().to_dict()
+        payload[section].update(options)
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(payload))
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--max-retries", "-1"], "runner.max_retries must be an int >= 0, got -1"),
+            (["--local-workers", "-1"], "runner.local_workers must be an int >= 0, got -1"),
+            (["--lease-ttl", "0"], "runner.lease_ttl must be a number > 0, got 0.0"),
+            (["--grid-timeout", "0"], "runner.timeout must be a number > 0 or null, got 0.0"),
+        ],
+        ids=["max-retries", "local-workers", "lease-ttl", "grid-timeout"],
+    )
+    def test_malformed_compare_flag_is_one_error_line(self, capsys, flags, message):
+        from repro.cli import main
+
+        assert main(
+            ["compare", "--dataset", "mr", "--strategies", "random", *flags]
+        ) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]

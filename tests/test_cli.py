@@ -289,25 +289,23 @@ class TestDistributedFlags:
         assert args.queue_dir is None
         assert args.local_workers == 1
         assert args.lease_ttl == 30.0
-        assert args.backoff == 0.0
         assert args.grid_timeout is None
 
     def test_flags_parse(self, tmp_path):
         args = build_parser().parse_args([
             "compare", "--dataset", "mr", "--strategies", "random",
             "--queue-dir", str(tmp_path),
-            "--local-workers", "3", "--lease-ttl", "5", "--backoff", "0.5",
+            "--local-workers", "3", "--lease-ttl", "5",
             "--grid-timeout", "60",
         ])
         assert args.queue_dir == str(tmp_path)
         assert args.local_workers == 3
         assert args.lease_ttl == 5.0
-        assert args.backoff == 0.5
         assert args.grid_timeout == 60.0
 
     @pytest.mark.parametrize(
         "flag", [["--n-jobs", "2"], ["--queue-backend", "file"],
-                 ["--history-backend", "local"]],
+                 ["--history-backend", "local"], ["--backoff", "0.5"]],
     )
     def test_retired_flags_rejected(self, flag, capsys):
         with pytest.raises(SystemExit):

@@ -121,6 +121,22 @@ class TestSessionErrors:
                      "--labels", str(labels_file)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_integer_key_named(self, tmp_path, capsys):
+        directory = init_session(tmp_path)
+        proposal = json.loads((directory / "proposal.json").read_text())
+        labels = {key: 0 for key in proposal["labels_template"]}
+        labels["first"] = labels.pop(next(iter(labels)))
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(json.dumps(labels))
+        before = (directory / "session.json").read_bytes()
+        capsys.readouterr()
+        assert main(["session", "ingest", "--dir", str(directory),
+                     "--labels", str(labels_file)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: labels file {labels_file}: key 'first' is not a sample index"
+        ]
+        assert (directory / "session.json").read_bytes() == before
+
     def test_status_on_missing_session(self, tmp_path, capsys):
         assert main(["session", "status", "--dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
