@@ -51,9 +51,9 @@ from repro.core.features import (
     _backfill_reference,
 )
 from repro.core.history import HistoryStore
-from repro.core.loop import ActiveLearningLoop
 from repro.core.prediction_cache import PredictionCache
 from repro.core.selection import top_k_indices, top_k_reference
+from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies import Entropy, Random, WSHS
 from repro.core.strategies.base import SelectionContext
 from repro.data.ner import NERCorpusSpec, make_ner_corpus
@@ -964,7 +964,7 @@ def _bench_warm_loop_family(
     """Cold-vs-warm end-to-end multi-round AL runs for one classifier family."""
     entry: dict = {"family": family, "rounds": rounds, "batch_size": batch_size}
     for mode in ("cold", "warm"):
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             model_factory(),
             Random(),
             train,
@@ -975,7 +975,7 @@ def _bench_warm_loop_family(
             training_mode=mode,
         )
         start = time.perf_counter()
-        result = loop.run()
+        result = run_to_completion(engine)
         entry[f"{mode}_seconds"] = time.perf_counter() - start
         entry[f"{mode}_final_metric"] = float(result.records[-1].metric)
     entry["speedup"] = entry["cold_seconds"] / max(entry["warm_seconds"], 1e-9)

@@ -11,7 +11,7 @@ practice, which is the premise of the whole paper.
 
 from __future__ import annotations
 
-from repro.core.loop import ActiveLearningLoop
+from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies import Entropy, WSHS
 from repro.experiments.reporting import format_table
 from repro.timeseries import TrendShape, classify_trends
@@ -23,7 +23,7 @@ def test_figure2_trend_shapes(benchmark):
     train, test = text_split(BENCH_MR)
 
     def run():
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             text_model(),
             WSHS(Entropy(), window=3),
             train,
@@ -32,7 +32,7 @@ def test_figure2_trend_shapes(benchmark):
             rounds=12,
             seed_or_rng=BENCH_SEED,
         )
-        history = loop.run().history
+        history = run_to_completion(engine).history
         sequences = [
             history.sequence(i)
             for i in range(history.n_samples)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.loop import ActiveLearningLoop
 from repro.core.ranker_training import RankerTrainingConfig, train_lhs_ranker
+from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies import Entropy, FHS, LHS, LeastConfidence, WSHS
 from repro.experiments.reporting import format_table
 
@@ -69,11 +69,10 @@ def test_table6_selection_scores(benchmark):
         rows = []
         measured = {}
         for name, strategy in strategies.items():
-            loop = ActiveLearningLoop(
+            result = run_to_completion(SessionEngine(
                 text_model(), strategy, train, test,
                 batch_size=25, rounds=14, seed_or_rng=BENCH_SEED,
-            )
-            result = loop.run()
+            ))
             wshs_score, fluctuation = _selection_scores(result)
             measured[name] = (wshs_score, fluctuation)
             rows.append([name, wshs_score, f"{fluctuation:.6f}"])

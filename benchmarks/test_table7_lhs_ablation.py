@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.ranker_training import RankerTrainingConfig, train_lhs_ranker
 from repro.core.strategies import Entropy, LHS, LeastConfidence
 from repro.eval.curves import area_under_curve, mean_curve
-from repro.core.loop import ActiveLearningLoop
+from repro.core.session import SessionEngine, run_to_completion
 from repro.experiments.reporting import format_curve_table
 
 from .common import (
@@ -57,13 +57,13 @@ def _ranker(feature_flags, predictor, seed):
 def _lhs_curve(ranker, train, test):
     curves = []
     for repeat in range(REPEATS):
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             text_model(),
             LHS(Entropy(), ranker, candidate_strategies=[LeastConfidence()]),
             train, test, batch_size=25, rounds=14,
             seed_or_rng=BENCH_SEED + 100 + repeat,
         )
-        curves.append(loop.run().curve())
+        curves.append(run_to_completion(engine).curve())
     return mean_curve(curves)
 
 

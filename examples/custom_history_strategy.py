@@ -4,14 +4,14 @@ The paper's WSHS and FHS are two points in a family: "combine the current
 score with some statistic of the historical sequence".  This example
 implements a third member — selecting by the *Mann-Kendall trend* of the
 sequence (prefer samples whose uncertainty keeps rising) — in ~25 lines,
-and drops it into the standard loop next to the built-ins.
+and drops it into the standard session engine next to the built-ins.
 
 Run with:  python examples/custom_history_strategy.py
 """
 
 import numpy as np
 
-from repro import ActiveLearningLoop, LinearSoftmax, mr
+from repro import LinearSoftmax, SessionEngine, mr, run_to_completion
 from repro.core.strategies import Entropy, WSHS
 from repro.core.strategies.base import HistoryAwareStrategy, SelectionContext
 from repro.timeseries.mann_kendall import mann_kendall_test
@@ -45,11 +45,11 @@ def main() -> None:
         WSHS(Entropy(), window=3),
         RisingTrend(Entropy(), window=3),
     ):
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             LinearSoftmax(epochs=5), strategy, train, test,
             batch_size=25, rounds=10, seed_or_rng=3,
         )
-        curve = loop.run().curve()
+        curve = run_to_completion(engine).curve()
         print(f"{strategy.name:22s} acc@150 {curve.value_at(150):.3f}  "
               f"final {curve.values[-1]:.3f}")
 

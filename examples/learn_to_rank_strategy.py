@@ -12,7 +12,14 @@ Walks through the paper's Sec. 4.4 end to end:
 Run with:  python examples/learn_to_rank_strategy.py
 """
 
-from repro import ActiveLearningLoop, LinearSoftmax, mr, subj, train_lhs_ranker
+from repro import (
+    LinearSoftmax,
+    SessionEngine,
+    mr,
+    run_to_completion,
+    subj,
+    train_lhs_ranker,
+)
 from repro.core.ranker_training import RankerTrainingConfig
 from repro.core.strategies import Entropy, LHS, LeastConfidence
 
@@ -46,11 +53,11 @@ def main() -> None:
         Entropy(),
         LHS(Entropy(), ranker, candidate_strategies=[LeastConfidence()]),
     ):
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             LinearSoftmax(epochs=5), strategy, train, test,
             batch_size=25, rounds=10, seed_or_rng=9,
         )
-        curve = loop.run().curve()
+        curve = run_to_completion(engine).curve()
         print(f"{strategy.name:14s} final acc {curve.values[-1]:.3f}  "
               f"acc@250 {curve.value_at(250):.3f}")
 

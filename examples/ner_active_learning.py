@@ -12,7 +12,7 @@ but with true MC-dropout BALD support.
 Run with:  python examples/ner_active_learning.py
 """
 
-from repro import ActiveLearningLoop, LinearChainCRF, conll2003_english
+from repro import LinearChainCRF, SessionEngine, conll2003_english, run_to_completion
 from repro.core.strategies import LeastConfidence, MNLP, Random, WSHS
 
 
@@ -31,7 +31,7 @@ def main() -> None:
         WSHS(MNLP(), window=3),
     ]
     for strategy in strategies:
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             LinearChainCRF(epochs=3),
             strategy,
             train,
@@ -40,7 +40,7 @@ def main() -> None:
             rounds=8,
             seed_or_rng=7,
         )
-        curve = loop.run().curve()
+        curve = run_to_completion(engine).curve()
         checkpoints = ", ".join(
             f"{count}:{value:.3f}" for count, value in
             zip(curve.counts[::2], curve.values[::2])

@@ -7,7 +7,7 @@ comparing plain entropy sampling against the paper's WSHS strategy
 Run with:  python examples/quickstart.py
 """
 
-from repro import ActiveLearningLoop, LinearSoftmax, mr
+from repro import LinearSoftmax, SessionEngine, mr, run_to_completion
 from repro.core.strategies import Entropy, WSHS
 
 
@@ -17,7 +17,7 @@ def main() -> None:
     train, test = data.subset(range(1_400)), data.subset(range(1_400, len(data)))
 
     for strategy in (Entropy(), WSHS(Entropy(), window=3)):
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             LinearSoftmax(epochs=5),
             strategy,
             train,
@@ -26,7 +26,7 @@ def main() -> None:
             rounds=10,
             seed_or_rng=42,
         )
-        curve = loop.run().curve()
+        curve = run_to_completion(engine).curve()
         print(f"\n{strategy.name}")
         for count, value in zip(curve.counts, curve.values):
             bar = "#" * int(40 * value)

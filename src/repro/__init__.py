@@ -6,23 +6,22 @@ ICDE 2023 extended abstract).
 
 Quickstart::
 
-    from repro import mr, LinearSoftmax, ActiveLearningLoop
+    from repro import mr, LinearSoftmax, SessionEngine, run_to_completion
     from repro.core.strategies import Entropy, WSHS
 
     data = mr(scale=0.1, seed_or_rng=0)
     train, test = data.subset(range(0, 800)), data.subset(range(800, 1000))
-    loop = ActiveLearningLoop(
+    result = run_to_completion(SessionEngine(
         LinearSoftmax(), WSHS(Entropy(), window=3), train, test,
         batch_size=25, rounds=10, seed_or_rng=0,
-    )
-    print(loop.run().curve())
+    ))
+    print(result.curve())
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
 from .core import (
-    ActiveLearningLoop,
     ALResult,
     EventLog,
     HistoryStore,
@@ -33,6 +32,7 @@ from .core import (
     SessionEngine,
     SessionObserver,
     SessionState,
+    run_to_completion,
     train_lhs_ranker,
 )
 from .data import (
@@ -70,7 +70,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALResult",
-    "ActiveLearningLoop",
     "EventLog",
     "ExperimentConfig",
     "ExperimentSpec",
@@ -102,6 +101,7 @@ __all__ = [
     "evaluate_model",
     "mr",
     "run_comparison",
+    "run_to_completion",
     "samples_to_target",
     "span_f1",
     "spec_of_model",

@@ -90,13 +90,9 @@ from .experiments.sweep import (
     metric_matrices,
     run_sweep,
 )
-from .formats import (
-    SESSION_DIR_FORMAT,
-    SESSION_DIR_VERSION,
-    SESSION_RESULT_FORMAT,
-    SESSION_RESULT_VERSION,
-)
-from .ioutil import atomic_write_json, validate_envelope
+from .core.session import check_snapshot
+from .formats import SESSION_RESULT_FORMAT, SESSION_RESULT_VERSION
+from .ioutil import atomic_write_json
 from .models import LinearSoftmax
 from .persistence import save_lhs_ranker
 from .service import (
@@ -107,6 +103,7 @@ from .service import (
     SqliteSessionStore,
     make_server,
 )
+from .service.app import checked_document
 from .specs import (
     ExperimentSpec,
     Spec,
@@ -586,10 +583,18 @@ def _cmd_session_ingest(args: argparse.Namespace) -> int:
     return _advance_session(client, session_id, directory, getattr(args, "output", None))
 
 
+def _recipe_dataset(recipe: dict) -> str:
+    """``<dataset> (scale <s>)`` of a flat recipe or of its experiment document."""
+    if "experiment" in recipe:
+        dataset = ExperimentSpec.from_dict(recipe["experiment"]).dataset
+        return f"{dataset.kind} (scale {dataset.params.get('scale', 1.0)})"
+    return f"{recipe.get('dataset')} (scale {recipe.get('scale')})"
+
+
 def _print_status(recipe: dict, snapshot: dict) -> int:
     """Print one session's state from its recipe + snapshot document."""
     pending = snapshot["pending"]
-    print(f"dataset:  {recipe['dataset']} (scale {recipe['scale']})")
+    print(f"dataset:  {_recipe_dataset(recipe)}")
     print(f"strategy: {snapshot['config']['strategy']}")
     print(f"state:    {snapshot['state']}")
     print(
@@ -617,13 +622,8 @@ def _cmd_session_status(args: argparse.Namespace) -> int:
                 f"no session in {directory} (missing {_session_file(directory)}); "
                 f"run 'repro session init --dir {directory}' first"
             )
-        payload = validate_envelope(
-            row.document,
-            SESSION_DIR_FORMAT,
-            SESSION_DIR_VERSION,
-            SessionError,
-            source=str(_session_file(directory)),
-        )
+        payload = checked_document(row.document, str(_session_file(directory)))
+        check_snapshot(payload["session"], f"session snapshot in {_session_file(directory)}")
         return _print_status(payload["recipe"], payload["session"])
     client, session_id, _directory = _session_client(args)
     try:

@@ -7,9 +7,9 @@
   the historical baselines (HUS/HKLD), and the proposed WSHS/FHS/LHS.
 * :mod:`repro.core.features` — ranking-feature extraction for LHS.
 * :mod:`repro.core.session` — the re-entrant session engine (state
-  machine, snapshots, external-annotator workflow).
+  machine, snapshots, external-annotator workflow) and its auto-oracle
+  driver ``run_to_completion``.
 * :mod:`repro.core.events` — lifecycle observer seam over the engine.
-* :mod:`repro.core.loop` — the closed auto-oracle driver over the engine.
 * :mod:`repro.core.prediction_cache` — per-round forward-pass memoisation.
 * :mod:`repro.core.selection` — partial top-k batch selection.
 * :mod:`repro.core.ranker_training` — Algorithm 1 (training the LHS ranker).
@@ -18,16 +18,14 @@
 from .events import EventLog, SessionObserver
 from .features import RankingFeatureExtractor
 from .history import HistoryStore
-from .loop import ActiveLearningLoop
 from .pool import Pool
 from .prediction_cache import PredictionCache
 from .ranker_training import LHSRanker, train_lhs_ranker
 from .selection import top_k_indices, top_k_reference
-from .session import ALResult, RoundRecord, SessionEngine, SessionState
+from .session import ALResult, RoundRecord, SessionEngine, SessionState, run_to_completion
 
 __all__ = [
     "ALResult",
-    "ActiveLearningLoop",
     "EventLog",
     "HistoryStore",
     "LHSRanker",
@@ -38,6 +36,7 @@ __all__ = [
     "SessionEngine",
     "SessionObserver",
     "SessionState",
+    "run_to_completion",
     "top_k_indices",
     "top_k_reference",
     "train_lhs_ranker",

@@ -303,39 +303,6 @@ class HistoryStore:
             self._buffer.nbytes + self._round_ids.nbytes + self._last_score.nbytes
         )
 
-    def prune(self, keep_rounds: int) -> int:
-        """Drop all but the most recent ``keep_rounds`` rounds in place.
-
-        The paper's space argument (Table 2) is that only the last ``l``
-        rounds are ever read, so a deployment can cap the store at
-        O(l*N) instead of O(rounds*N).  Returns the number of rounds
-        dropped.
-
-        Raises
-        ------
-        ConfigurationError
-            If ``keep_rounds`` is not positive.
-        """
-        if keep_rounds < 1:
-            raise ConfigurationError(f"keep_rounds must be >= 1, got {keep_rounds}")
-        dropped = max(0, self._size - keep_rounds)
-        if dropped:
-            keep = self._size - dropped
-            oldest_kept = int(self._round_ids[dropped])
-            # In-place shift keeps the allocated capacity for future appends.
-            self._buffer[:keep] = self._buffer[dropped : self._size]
-            self._round_ids[:keep] = self._round_ids[dropped : self._size]
-            self._size = keep
-            # A sample whose only observations were in dropped rounds must
-            # go back to "never recorded".
-            self._recompute_last_scores()
-            # Label rounds follow the score window: records older than
-            # the oldest kept score round are dropped with it.
-            self._label_rounds = [
-                entry for entry in self._label_rounds if entry[0] >= oldest_kept
-            ]
-        return dropped
-
     def as_of(self, round_index: int) -> "HistoryStore":
         """A copy containing only rounds recorded up to ``round_index``.
 

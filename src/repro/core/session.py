@@ -8,12 +8,11 @@ decomposed into an explicit state machine::
 
 A fresh session starts in ``PROPOSE`` with the *bootstrap* round: the
 random initial batch is proposed for annotation exactly like any later
-batch, so a human annotator labels it too (the closed
-:class:`~repro.core.loop.ActiveLearningLoop` answers it from the oracle
-labels instead).  After the bootstrap commit every round runs
+batch, so a human annotator labels it too (:func:`run_to_completion`
+answers it from the dataset's own labels instead).  After the bootstrap
+commit every round runs
 ``TRAIN -> EVALUATE -> PROPOSE -> AWAIT_LABELS -> COMMIT``; the final
-round stops after ``EVALUATE`` with the evaluation-only record, exactly
-as the monolithic loop did.
+round stops after ``EVALUATE`` with the evaluation-only record.
 
 The public driving surface is :meth:`step` (execute one phase),
 :meth:`propose` (advance until a batch awaits labels, return it),
@@ -21,6 +20,9 @@ The public driving surface is :meth:`step` (execute one phase),
 externally supplied labels into the training dataset), and
 :meth:`result` (the finished :class:`ALResult`).  Lifecycle observers
 (:class:`~repro.core.events.SessionObserver`) hear about every phase.
+:func:`run_to_completion` drives an engine to the end with the
+dataset's own labels (the simulation oracle of the paper's experiments);
+it is the one way to run a whole session.
 
 :meth:`snapshot` serialises the *complete* mid-run state — pool, history
 store, RNG bit-generator state, model specs (with serialized parameter
@@ -53,10 +55,10 @@ records the round the cache belonged to for diagnostics.
 from __future__ import annotations
 
 import enum
-import inspect
+import json
 import time
 import zlib
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +68,7 @@ from ..eval.curves import LearningCurve
 from ..eval.metrics import evaluate_model
 from ..exceptions import ConfigurationError, IngestError, SessionError
 from ..formats import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
-from ..ioutil import validate_envelope
+from ..ioutil import check_fields, is_int, is_number, validate_envelope
 from ..models.base import supports_param_state, supports_warm_start
 from ..rng import ensure_rng, rng_from_state, rng_state
 from .events import emit
@@ -265,41 +267,95 @@ def validated_model_history(strategy: QueryStrategy) -> int:
     return int(keep)
 
 
-def metric_accepts_cache(metric: Callable) -> bool:
-    """Whether ``metric``'s signature has an explicit ``cache`` parameter.
+def _count(value, low: int = 0) -> bool:
+    return is_int(value) and value >= low
 
-    The engine passes its per-round :class:`PredictionCache` to any
-    metric that declares the keyword — including wrapped or partial
-    variants of :func:`~repro.eval.metrics.evaluate_model`, which an
-    identity check (``metric is evaluate_model``) silently misses.  A
-    bare ``**kwargs`` does not count: it gives no evidence the metric
-    understands the keyword.
-    """
-    try:
-        signature = inspect.signature(metric)
-    except (TypeError, ValueError):
-        return False
-    parameter = signature.parameters.get("cache")
-    return parameter is not None and parameter.kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        inspect.Parameter.KEYWORD_ONLY,
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+def _optional(test):
+    return lambda value: value is None or test(value)
+
+
+def _object(**fields):
+    """A test for an object whose named fields pass their own tests."""
+    return lambda value: isinstance(value, dict) and all(
+        test(value.get(key)) for key, test in fields.items()
     )
+
+
+_indices, _scores = _list_of(_count), _list_of(is_number)
+_model_spec = _object(seed=_optional(_count), labeled=_indices)
+_STATES = [state.value for state in SessionState]
+
+#: Snapshot config keys of retired engine options, with the one value
+#: each still holds.  Snapshot version 3 always writes them.
+RETIRED_CONFIG_KEYS = {"reseed_model": True, "history_limit": None, "default_metric": True}
+
+#: Every snapshot field :meth:`SessionEngine.restore` reads: dotted path
+#: -> (rule, test).  An absent field reads as ``None``.
+SNAPSHOT_RULES = {
+    "config": ("an object", _object()),
+    "config.strategy": ("a string", lambda value: isinstance(value, str)),
+    "config.n_train": ("an int >= 0", _count),
+    "config.n_test": ("an int >= 0", _count),
+    "config.batch_size": ("an int >= 1", lambda value: _count(value, 1)),
+    "config.rounds": ("an int >= 1", lambda value: _count(value, 1)),
+    "config.initial_size": ("an int >= 1", lambda value: _count(value, 1)),
+    "config.training_mode": ("absent, 'cold' or 'warm'", _optional(TRAINING_MODES.__contains__)),
+    "config.track_flips": ("absent or a bool", _optional(lambda v: isinstance(v, bool))),
+    **{f"config.{key}": (f"absent or {json.dumps(kept)} (a retired option)",
+                         lambda value, kept=kept: value is None or value is kept)
+       for key, kept in RETIRED_CONFIG_KEYS.items()},
+    "state": (f"one of {_STATES}", _STATES.__contains__),
+    "round_index": ("an int >= 0", _count),
+    "bootstrap_done": ("a bool", lambda value: isinstance(value, bool)),
+    "rng": ("a bit-generator state", _object(bit_generator=lambda v: isinstance(v, str))),
+    "pool": ("a pool", _object(n=_count, labeled=_indices)),
+    "history": ("a history store", _object(
+        n_samples=lambda v: _count(v, 1),
+        strategy_name=lambda v: isinstance(v, str),
+        rounds=_list_of(_object(round=_count, indices=_indices, scores=_scores)),
+        labels=_optional(_list_of(_object(round=_count, indices=_indices, labels=_indices))),
+    )),
+    "records": ("a list of round records", _list_of(_object(
+        round_index=_count, labeled_count=_count, metric=is_number,
+        selected=_indices, selected_scores=_scores,
+    ))),
+    "selection_order": ("a list of index lists", _list_of(_indices)),
+    "pending": ("null or a list of indices", _optional(_indices)),
+    "metric_value": ("null or a number", _optional(is_number)),
+    "model": ("null or a model spec", _optional(_model_spec)),
+    "model_history": ("a list of model specs", _list_of(_model_spec)),
+    "ingested": ("a list of [index, label] pairs", _list_of(
+        lambda pair: isinstance(pair, list) and len(pair) == 2 and _count(pair[0])
+    )),
+}
+
+
+def check_snapshot(snapshot, source: str = "session snapshot") -> dict:
+    """``snapshot`` if well formed; a ``SessionError`` naming the field otherwise."""
+    validate_envelope(snapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, SessionError, source=source)
+    check_fields(snapshot, SNAPSHOT_RULES, SessionError, source)
+    return snapshot
 
 
 class SessionEngine:
     """Explicit state machine over one pool-based active-learning run.
 
-    Constructor parameters match
-    :class:`~repro.core.loop.ActiveLearningLoop` (which is now a thin
-    auto-oracle driver over this class); ``observers`` is a sequence of
-    :class:`~repro.core.events.SessionObserver` instances notified of
-    every lifecycle event.
+    Each round fits a clone of ``model_prototype`` — reseeded from the
+    run RNG when it has a ``seed``: the per-round training noise the
+    paper's history averages out — and scores it on ``test_dataset``
+    with :func:`~repro.eval.metrics.evaluate_model`.  ``initial_size``
+    (default ``batch_size``) is the random first batch; ``observers``
+    are :class:`~repro.core.events.SessionObserver` instances.
 
     The engine owns the run's mutable state (pool, history, RNG, model
-    window, records); the model prototype, strategy, datasets, and
-    metric are *components* — they are not serialised by
-    :meth:`snapshot` and must be supplied again, identically configured,
-    to :meth:`restore`.
+    window, records); the model prototype, strategy and datasets are
+    *components* — they are not serialised by :meth:`snapshot` and must
+    be supplied again, identically configured, to :meth:`restore`.
     """
 
     def __init__(
@@ -311,10 +367,7 @@ class SessionEngine:
         batch_size: int = 25,
         rounds: int = 20,
         initial_size: "int | None" = None,
-        metric: "Callable[[object, object], float] | None" = None,
         seed_or_rng: "int | np.random.Generator | None" = None,
-        reseed_model: bool = True,
-        history_limit: "int | None" = None,
         training_mode: str = "cold",
         track_flips: bool = False,
         observers: Sequence = (),
@@ -335,12 +388,6 @@ class SessionEngine:
             raise ConfigurationError(
                 f"run needs {needed} samples but the pool has {len(train_dataset)}"
             )
-        window = getattr(strategy, "window", None)
-        if history_limit is not None and window is not None and history_limit < window:
-            raise ConfigurationError(
-                f"history_limit {history_limit} is below the strategy window "
-                f"{window}; windowed statistics would be truncated"
-            )
         self.model_prototype = model_prototype
         self.strategy = strategy
         self.train_dataset = train_dataset
@@ -348,16 +395,12 @@ class SessionEngine:
         self.batch_size = batch_size
         self.rounds = rounds
         self.initial_size = initial
-        self.metric = metric or evaluate_model
-        self.reseed_model = reseed_model
-        self.history_limit = history_limit
         self.training_mode = training_mode
         #: Record each round's predicted labels for the unlabeled pool
         #: (contradiction-rate metric).  Prediction consumes no RNG, so
         #: enabling this never changes curves or selections.
         self.track_flips = bool(track_flips)
         self.observers = list(observers)
-        self._metric_wants_cache = metric_accepts_cache(self.metric)
         self._keep_models = validated_model_history(strategy)
         self._rng = ensure_rng(seed_or_rng)
 
@@ -501,7 +544,7 @@ class SessionEngine:
         if not isinstance(items, (list, tuple)):
             raise IngestError(f"indices must be a list, got {indices!r}")
         for index in items:
-            if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            if not is_int(index):
                 raise IngestError(f"indices must be integers, got {index!r}")
         if labels is not None and not isinstance(labels, (list, tuple, np.ndarray)):
             raise IngestError(f"labels must be a list, got {labels!r}")
@@ -596,7 +639,7 @@ class SessionEngine:
         self._cache.advance_round(self._round_index)
         model = self.model_prototype.clone()
         seed = None
-        if self.reseed_model and hasattr(model, "seed"):
+        if hasattr(model, "seed"):
             seed = int(self._rng.integers(2**31))
             model.seed = seed
         labeled = self._pool.labeled_indices
@@ -634,12 +677,7 @@ class SessionEngine:
 
     def _step_evaluate(self) -> None:
         started = time.perf_counter()
-        if self._metric_wants_cache:
-            metric_value = self.metric(
-                self._model, self.test_dataset, cache=self._cache
-            )
-        else:
-            metric_value = self.metric(self._model, self.test_dataset)
+        metric_value = evaluate_model(self._model, self.test_dataset, cache=self._cache)
         self._metric_value = metric_value
         if self._keep_models:
             self._model_history.append(self._model)
@@ -756,8 +794,6 @@ class SessionEngine:
             self._bootstrap_done = True
             emit(self.observers, "round_committed", self._round_index, None)
         else:
-            if self.history_limit is not None:
-                self._history.prune(self.history_limit)
             emit(
                 self.observers,
                 "round_committed",
@@ -778,7 +814,7 @@ class SessionEngine:
         """
         dataset = self.train_dataset
         if isinstance(dataset, TextDataset):
-            if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+            if not is_int(label):
                 raise IngestError(
                     f"sample {index}: label must be a class id, got {label!r}"
                 )
@@ -839,7 +875,7 @@ class SessionEngine:
 
         Legal in every state; :meth:`restore` resumes from it with
         byte-identical continuation.  Components (model prototype,
-        strategy, datasets, metric) are fingerprinted, not serialised.
+        strategy, datasets) are fingerprinted, not serialised.
         """
         history_payloads = [
             self._spec_with_state(spec, model)
@@ -871,12 +907,12 @@ class SessionEngine:
                 "batch_size": self.batch_size,
                 "rounds": self.rounds,
                 "initial_size": self.initial_size,
-                "reseed_model": self.reseed_model,
-                "history_limit": self.history_limit,
+                "reseed_model": True,
+                "history_limit": None,
                 "training_mode": self.training_mode,
                 **config_extra,
                 "capabilities": strategy_capabilities(self.strategy),
-                "default_metric": self.metric is evaluate_model,
+                "default_metric": True,
             },
             "state": self._state.value,
             "round_index": self._round_index,
@@ -905,7 +941,6 @@ class SessionEngine:
         strategy: QueryStrategy,
         train_dataset: "TextDataset | SequenceDataset",
         test_dataset: "TextDataset | SequenceDataset",
-        metric: "Callable[[object, object], float] | None" = None,
         observers: Sequence = (),
     ) -> "SessionEngine":
         """Resume a session from a :meth:`snapshot` payload.
@@ -923,52 +958,24 @@ class SessionEngine:
         ------
         SessionError
             If the payload is not a session snapshot, is from an
-            unsupported version, or does not match the components.
+            unsupported version, has a malformed field (see
+            :func:`check_snapshot`), or does not match the components.
         """
-        validate_envelope(
-            snapshot,
-            SNAPSHOT_FORMAT,
-            SNAPSHOT_VERSION,
-            SessionError,
-            source="session snapshot",
+        config = check_snapshot(snapshot)["config"]
+        # Specs are compared only when both sides are spec-describable —
+        # factory-built custom components keep the name/size fingerprint.
+        fingerprint = (
+            ("strategy", strategy.name, config["strategy"]),
+            ("strategy spec", _try_strategy_spec(strategy), config.get("strategy_spec")),
+            ("model spec", _try_model_spec(model_prototype), config.get("model")),
+            ("train size", len(train_dataset), config["n_train"]),
+            ("test size", len(test_dataset), config["n_test"]),
         )
-        config = snapshot["config"]
-        mismatches = []
-        if strategy.name != config["strategy"]:
-            mismatches.append(
-                f"strategy {strategy.name!r} != {config['strategy']!r}"
-            )
-        # Structured spec comparison: only when both sides are
-        # spec-describable — factory-built custom components keep the
-        # name/size fingerprint alone.
-        strategy_spec = _try_strategy_spec(strategy)
-        recorded_strategy_spec = config.get("strategy_spec")
-        if (
-            strategy_spec is not None
-            and recorded_strategy_spec is not None
-            and strategy_spec != recorded_strategy_spec
-        ):
-            mismatches.append(
-                f"strategy spec {strategy_spec!r} != {recorded_strategy_spec!r}"
-            )
-        model_spec = _try_model_spec(model_prototype)
-        recorded_model_spec = config.get("model")
-        if (
-            model_spec is not None
-            and recorded_model_spec is not None
-            and model_spec != recorded_model_spec
-        ):
-            mismatches.append(
-                f"model spec {model_spec!r} != {recorded_model_spec!r}"
-            )
-        if len(train_dataset) != config["n_train"]:
-            mismatches.append(
-                f"train size {len(train_dataset)} != {config['n_train']}"
-            )
-        if len(test_dataset) != config["n_test"]:
-            mismatches.append(f"test size {len(test_dataset)} != {config['n_test']}")
-        if (metric is None) != bool(config["default_metric"]):
-            mismatches.append("default/custom metric mismatch")
+        mismatches = [
+            f"{label} {supplied!r} != {recorded!r}"
+            for label, supplied, recorded in fingerprint
+            if supplied is not None and recorded is not None and supplied != recorded
+        ]
         if mismatches:
             raise SessionError(
                 "snapshot does not match the supplied components: "
@@ -982,12 +989,9 @@ class SessionEngine:
             batch_size=int(config["batch_size"]),
             rounds=int(config["rounds"]),
             initial_size=int(config["initial_size"]),
-            metric=metric,
             seed_or_rng=rng_from_state(snapshot["rng"]),
-            reseed_model=bool(config["reseed_model"]),
-            history_limit=config["history_limit"],
-            training_mode=str(config.get("training_mode", "cold")),
-            track_flips=bool(config.get("track_flips", False)),
+            training_mode=config.get("training_mode") or "cold",
+            track_flips=bool(config.get("track_flips")),
             observers=observers,
         )
         engine._state = SessionState(snapshot["state"])

@@ -4,7 +4,7 @@ A comparison grid retrains the task model ``strategies * repeats *
 (rounds + 1)`` times, so a crash near the end of ``run_comparison``
 throws away hours of work.  This module snapshots every completed
 ``(strategy, repeat)`` cell to its own JSON file as it finishes — the
-full :class:`~repro.core.loop.ALResult` audit trail: per-round records,
+full :class:`~repro.core.session.ALResult` audit trail: per-round records,
 selection order, and the history store contents — so a restarted run can
 load the finished cells and recompute only the missing ones, with
 results byte-identical to an uninterrupted run.

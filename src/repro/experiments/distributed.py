@@ -76,7 +76,7 @@ from functools import partial
 from pathlib import Path
 
 from ..exceptions import ConfigurationError, ExecutionError, QueueError
-from ..ioutil import atomic_write_json, fsync_directory
+from ..ioutil import atomic_write_json, check_fields, fsync_directory
 from ..specs.experiment import OPTION_RULES, ExperimentSpec, check_option
 from ..specs.models import build_model
 from ..specs.strategies import build_strategy
@@ -200,29 +200,20 @@ class CellQueue:
                 "queue is supported, so re-materialize the grid in a fresh "
                 "queue directory"
             )
-        fields = {}
-        for path, (rule, valid) in _ENVELOPE_RULES.items():
-            value = envelope
-            for key in path.split("."):
-                value = value.get(key) if isinstance(value, dict) else None
-            if not valid(value):
-                raise QueueError(
-                    f"{envelope_path}: {path} must be {rule}, got {value!r}"
-                )
-            fields[path] = value
-        self.experiment: dict = fields["experiment"]
+        check_fields(envelope, _ENVELOPE_RULES, QueueError, str(envelope_path))
+        self.experiment: dict = envelope["experiment"]
         #: Seconds without a heartbeat (or ahead of this clock) before a
         #: lease is stale; workers renew theirs every third of it.
-        self.lease_ttl: float = fields["lease.ttl"]
-        self.max_attempts: int = fields["retry.max_attempts"]
+        self.lease_ttl: float = envelope["lease"]["ttl"]
+        self.max_attempts: int = envelope["retry"]["max_attempts"]
         try:
-            self.tickets = [CellTicket.from_dict(cell) for cell in fields["cells"]]
+            self.tickets = [CellTicket.from_dict(cell) for cell in envelope["cells"]]
         except (KeyError, TypeError, ValueError) as error:
             raise QueueError(
                 f"{envelope_path}: malformed cell ticket: {error!r}"
             ) from error
         self._tickets_by_id = {ticket.cell_id: ticket for ticket in self.tickets}
-        self._checkpoint_dir: str = fields["checkpoint_dir"]
+        self._checkpoint_dir: str = envelope["checkpoint_dir"]
         for name in self._SUBDIRS:
             (self.directory / name).mkdir(exist_ok=True)
         self._reap_counter = itertools.count()
@@ -796,7 +787,6 @@ def run_worker(
                     train_dataset,
                     test_dataset,
                     spec.config,
-                    None,
                     ticket.seed,
                     store=store,
                     strategy_name=ticket.strategy,

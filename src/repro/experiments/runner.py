@@ -141,7 +141,6 @@ def _run_cell(
     train_dataset,
     test_dataset,
     config: ExperimentConfig,
-    metric,
     seed: int,
     store: "CheckpointStore | None" = None,
     strategy_name: "str | None" = None,
@@ -156,17 +155,10 @@ def _run_cell(
     byte-identical to running the cell uninterrupted, so a resumed retry
     is indistinguishable from a first-attempt success.
     """
-    snapshot = None
-    if store is not None:
-        snapshot = store.load_session(strategy_name, repeat, int(seed))
+    snapshot = None if store is None else store.load_session(strategy_name, repeat, int(seed))
     if snapshot is not None:
         engine = SessionEngine.restore(
-            snapshot,
-            model_factory(),
-            strategy_factory(),
-            train_dataset,
-            test_dataset,
-            metric=metric,
+            snapshot, model_factory(), strategy_factory(), train_dataset, test_dataset
         )
     else:
         engine = SessionEngine(
@@ -177,7 +169,6 @@ def _run_cell(
             batch_size=config.batch_size,
             rounds=config.rounds,
             initial_size=config.initial_size,
-            metric=metric,
             seed_or_rng=int(seed),
             training_mode=config.training_mode,
             track_flips=config.track_flips,
@@ -196,7 +187,6 @@ def run_comparison(
     train_dataset,
     test_dataset,
     config: ExperimentConfig | None = None,
-    metric: "Callable[[object, object], float] | None" = None,
     checkpoint_dir: "str | None" = None,
     resume: bool = True,
     max_retries: int = 0,
@@ -319,7 +309,7 @@ def run_comparison(
             try:
                 result = _run_cell(
                     model_factory, factories[strategy_index], train_dataset,
-                    test_dataset, config, metric, seed, store=store,
+                    test_dataset, config, seed, store=store,
                     strategy_name=name, repeat=repeat,
                 )
             except Exception as error:

@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 
 def fsync_directory(directory: "str | Path") -> None:
@@ -108,6 +111,32 @@ def validate_envelope(
             f"in {source} (expected {expected_version})"
         )
     return payload
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer (numpy integers included), not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number (numpy numbers included), not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, bool
+    )
+
+
+def check_fields(document: dict, rules: dict, error_cls: type[Exception], source: str) -> None:
+    """Raise ``error_cls`` naming the first field of ``document`` that breaks its rule.
+
+    ``rules`` maps a dotted field path (``"lease.ttl"``) to ``(rule,
+    test)``; an absent field reads as ``None``.
+    """
+    for path, (rule, valid) in rules.items():
+        value = document
+        for key in path.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if not valid(value):
+            raise error_cls(f"{source}: {path} must be {rule}, got {reprlib.repr(value)}")
 
 
 def check_fingerprint(

@@ -43,6 +43,7 @@ import numpy as np
 
 from ..data.datasets import SequenceDataset, TextDataset
 from ..exceptions import ConfigurationError, NotFittedError
+from ..ioutil import is_int, is_number
 
 
 class Classifier(ABC):
@@ -219,26 +220,16 @@ def params_from_jsonable(payload: dict) -> "dict[str, np.ndarray]":
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
-        value, bool
-    )
-
-
-_POSITIVE_INT = (lambda value: _is_int(value) and value > 0, "a positive integer")
+_POSITIVE_INT = (lambda value: is_int(value) and value > 0, "a positive integer")
 _POSITIVE_INT_OR_NULL = (
     lambda value: value is None or _POSITIVE_INT[0](value),
     "a positive integer or null",
 )
-_POSITIVE = (lambda value: _is_number(value) and value > 0, "a positive number")
+_POSITIVE = (lambda value: is_number(value) and value > 0, "a positive number")
 _NON_NEGATIVE = (
-    lambda value: _is_number(value) and value >= 0, "a non-negative number"
+    lambda value: is_number(value) and value >= 0, "a non-negative number"
 )
-_FRACTION = (lambda value: _is_number(value) and 0 <= value < 1, "a number in [0, 1)")
+_FRACTION = (lambda value: is_number(value) and 0 <= value < 1, "a number in [0, 1)")
 
 #: Construction-time rules for the hyper-parameters the families share:
 #: constructor argument -> (check, the rule as error messages state it).

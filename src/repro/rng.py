@@ -66,7 +66,7 @@ def rng_from_state(state: dict) -> np.random.Generator:
     Raises
     ------
     ConfigurationError
-        If the state names an unknown bit-generator class.
+        If the state names an unknown bit generator or does not fit it.
     """
     if not isinstance(state, dict) or "bit_generator" not in state:
         raise ConfigurationError("not a bit-generator state dict")
@@ -75,7 +75,10 @@ def rng_from_state(state: dict) -> np.random.Generator:
     if bit_generator_cls is None or not isinstance(bit_generator_cls, type):
         raise ConfigurationError(f"unknown bit generator {name!r}")
     bit_generator = bit_generator_cls()
-    bit_generator.state = _state_from_jsonable(state)
+    try:
+        bit_generator.state = _state_from_jsonable(state)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ConfigurationError(f"malformed {name} state: {error!r}") from None
     return np.random.Generator(bit_generator)
 
 

@@ -41,7 +41,7 @@ from ..exceptions import (
 )
 from ..experiments.config import ExperimentConfig
 from ..formats import SESSION_DIR_FORMAT, SESSION_DIR_VERSION
-from ..ioutil import validate_envelope
+from ..ioutil import check_fields, validate_envelope
 from ..specs import (
     ExperimentSpec,
     build_model,
@@ -76,6 +76,21 @@ RECIPE_DEFAULTS = {
     "ranker": None,
     "training_mode": "cold",
 }
+
+
+#: The fields of a stored session document besides its envelope; the
+#: snapshot's own fields are checked by ``SessionEngine.restore``.
+_DOCUMENT_RULES = {
+    "recipe": ("an object", lambda value: isinstance(value, dict)),
+    "session": ("an object", lambda value: isinstance(value, dict)),
+}
+
+
+def checked_document(document, source: str) -> dict:
+    """``document`` if it is a stored session; a ``SessionError`` naming the field otherwise."""
+    validate_envelope(document, SESSION_DIR_FORMAT, SESSION_DIR_VERSION, SessionError, source)
+    check_fields(document, _DOCUMENT_RULES, SessionError, source)
+    return document
 
 
 def _checked_id(session_id) -> str:
@@ -289,13 +304,7 @@ class SessionService:
         row = self.store.load(session_id)
         if row is None:
             raise ServiceError(f"unknown session {session_id!r}", status=404)
-        payload = validate_envelope(
-            row.document,
-            SESSION_DIR_FORMAT,
-            SESSION_DIR_VERSION,
-            SessionError,
-            source=f"stored session {session_id!r}",
-        )
+        payload = checked_document(row.document, f"stored session {session_id!r}")
         recipe = payload["recipe"]
         train, test, model, strategy, _settings = build_session_components(recipe)
         feed = SessionEventFeed()

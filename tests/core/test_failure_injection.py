@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.loop import ActiveLearningLoop
 from repro.core.pool import Pool
+from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies.base import QueryStrategy, SelectionContext
 from repro.exceptions import PoolError, StrategyError
 from repro.models.linear import LinearSoftmax
@@ -47,30 +47,30 @@ class DuplicateSelectingStrategy(QueryStrategy):
         return np.full(batch_size, first)
 
 
-def _loop(dataset, strategy, **overrides):
+def _run(dataset, strategy, **overrides):
     options = dict(batch_size=10, rounds=2, seed_or_rng=0)
     options.update(overrides)
-    return ActiveLearningLoop(
+    return run_to_completion(SessionEngine(
         LinearSoftmax(epochs=3, seed=0),
         strategy,
         dataset.subset(range(200)),
         dataset.subset(range(200, 260)),
         **options,
-    )
+    ))
 
 
 class TestLoopFailures:
     def test_wrong_shape_raises_strategy_error(self, text_dataset):
         with pytest.raises(StrategyError):
-            _loop(text_dataset, WrongShapeStrategy()).run()
+            _run(text_dataset, WrongShapeStrategy())
 
     def test_duplicate_selection_raises_pool_error(self, text_dataset):
         with pytest.raises(PoolError):
-            _loop(text_dataset, DuplicateSelectingStrategy()).run()
+            _run(text_dataset, DuplicateSelectingStrategy())
 
     def test_nan_scores_still_select_legal_batch(self, text_dataset):
         """NaN scores are a degenerate tie: lexsort still yields a batch."""
-        result = _loop(text_dataset, NaNStrategy()).run()
+        result = _run(text_dataset, NaNStrategy())
         for selected in result.selection_order:
             assert len(np.unique(selected)) == len(selected)
 
@@ -88,7 +88,7 @@ class TestContextIsFreshEachRound:
                 seen_sizes.append(len(context.unlabeled))
                 return context.rng.random(len(context.unlabeled))
 
-        _loop(text_dataset, Spy(), rounds=3).run()
+        _run(text_dataset, Spy(), rounds=3)
         assert seen_sizes == sorted(seen_sizes, reverse=True)
         assert seen_sizes[0] - seen_sizes[1] == 10
 
@@ -104,5 +104,5 @@ class TestContextIsFreshEachRound:
                 rounds_seen.append(context.round_index)
                 return context.rng.random(len(context.unlabeled))
 
-        _loop(text_dataset, Spy(), rounds=3).run()
+        _run(text_dataset, Spy(), rounds=3)
         assert rounds_seen == [1, 2, 3]

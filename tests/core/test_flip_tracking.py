@@ -89,14 +89,6 @@ class TestHistoryLabelRounds:
         restored = pickle.loads(pickle.dumps(history))
         assert [r for r, _, _ in restored.label_rounds()] == [2]
 
-    def test_prune_drops_label_rounds_with_scores(self):
-        history = HistoryStore(8)
-        for round_index in (1, 2, 3):
-            history.append(round_index, np.array([0]), np.array([0.1]))
-            history.append_labels(round_index, np.array([0]), np.array([round_index]))
-        history.prune(keep_rounds=2)
-        assert [r for r, _, _ in history.label_rounds()] == [2, 3]
-
     def test_as_of_truncates_label_rounds(self):
         history = HistoryStore(8)
         for round_index in (1, 2, 3):

@@ -120,17 +120,6 @@ class TestAmortizedGrowth:
 
 
 class TestCurrentScoresFastPath:
-    def test_after_prune_drops_stale_observations(self):
-        history = HistoryStore(3)
-        history.append(1, np.array([0, 1]), np.array([0.1, 0.2]))
-        history.append(2, np.array([1]), np.array([0.3]))
-        history.prune(1)
-        current = history.current_scores(np.arange(3))
-        # Sample 0's only observation was in the dropped round.
-        assert np.isnan(current[0])
-        assert current[1] == 0.3
-        assert np.isnan(current[2])
-
     def test_as_of_copy_consistent(self, store):
         truncated = store.as_of(2)
         np.testing.assert_array_equal(

@@ -2,49 +2,49 @@
 
 import numpy as np
 
-from repro.core.loop import ActiveLearningLoop
+from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies import Entropy, WSHS
 from repro.eval.curves import samples_to_target
 from repro.models.linear import LinearSoftmax
 
 
-def run_loop(dataset, strategy, **overrides):
+def run_session(dataset, strategy, **overrides):
     options = dict(batch_size=20, rounds=3, seed_or_rng=1)
     options.update(overrides)
-    return ActiveLearningLoop(
+    return run_to_completion(SessionEngine(
         LinearSoftmax(epochs=4, seed=0),
         strategy,
         dataset.subset(range(300)),
         dataset.subset(range(300, 400)),
         **options,
-    ).run()
+    ))
 
 
 class TestALResult:
     def test_curve_label_defaults_to_strategy_name(self, text_dataset):
-        result = run_loop(text_dataset, WSHS(Entropy(), window=2))
+        result = run_session(text_dataset, WSHS(Entropy(), window=2))
         assert result.curve().label == "WSHS(Entropy)"
 
     def test_curve_label_override(self, text_dataset):
-        result = run_loop(text_dataset, Entropy())
+        result = run_session(text_dataset, Entropy())
         assert result.curve(label="custom").label == "custom"
 
     def test_selection_order_matches_records(self, text_dataset):
-        result = run_loop(text_dataset, Entropy())
+        result = run_session(text_dataset, Entropy())
         recorded = [r.selected for r in result.records if len(r.selected)]
         assert len(recorded) == len(result.selection_order)
         for a, b in zip(recorded, result.selection_order):
             assert np.array_equal(a, b)
 
     def test_selected_never_in_earlier_labeled(self, text_dataset):
-        result = run_loop(text_dataset, Entropy(), rounds=4)
+        result = run_session(text_dataset, Entropy(), rounds=4)
         labeled: set[int] = set()
         for batch in result.selection_order:
             assert not labeled & set(batch.tolist())
             labeled |= set(batch.tolist())
 
     def test_samples_to_target_consistent_with_curve(self, text_dataset):
-        result = run_loop(text_dataset, Entropy(), rounds=4)
+        result = run_session(text_dataset, Entropy(), rounds=4)
         curve = result.curve()
         midpoint = float(np.median(curve.values))
         needed = samples_to_target(curve, midpoint)
@@ -52,50 +52,5 @@ class TestALResult:
         assert curve.value_at(needed) >= midpoint
 
     def test_history_strategy_name_propagated(self, text_dataset):
-        result = run_loop(text_dataset, WSHS(Entropy(), window=2))
+        result = run_session(text_dataset, WSHS(Entropy(), window=2))
         assert result.history.strategy_name == "WSHS(Entropy)"
-
-
-class TestHistoryLimit:
-    def test_limit_caps_store_size(self, text_dataset):
-        result = run_loop(
-            text_dataset, WSHS(Entropy(), window=2), rounds=5, history_limit=2
-        )
-        assert result.history.num_rounds <= 2
-
-    def test_limit_equal_to_window_preserves_selections(self, text_dataset):
-        """Pruning to the window must not change any decision (O(l*N) claim)."""
-        full = run_loop(text_dataset, WSHS(Entropy(), window=3), rounds=5)
-        capped = run_loop(
-            text_dataset, WSHS(Entropy(), window=3), rounds=5, history_limit=3
-        )
-        for a, b in zip(full.selection_order, capped.selection_order):
-            assert np.array_equal(a, b)
-        assert np.allclose(full.curve().values, capped.curve().values)
-
-    def test_limit_below_window_rejected(self, text_dataset):
-        import pytest
-
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            run_loop(text_dataset, WSHS(Entropy(), window=4), history_limit=2)
-
-    def test_prune_method_direct(self):
-        from repro.core.history import HistoryStore
-
-        store = HistoryStore(3)
-        for round_index in range(1, 6):
-            store.append(round_index, np.arange(3), np.full(3, float(round_index)))
-        dropped = store.prune(2)
-        assert dropped == 3
-        assert store.rounds == [4, 5]
-        assert store.sequence(0).tolist() == [4.0, 5.0]
-
-    def test_prune_noop_when_small(self):
-        from repro.core.history import HistoryStore
-
-        store = HistoryStore(2)
-        store.append(1, np.arange(2), np.zeros(2))
-        assert store.prune(5) == 0
-        assert store.num_rounds == 1

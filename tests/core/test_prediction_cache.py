@@ -1,14 +1,13 @@
-"""PredictionCache behaviour and its wiring through the AL loop."""
+"""PredictionCache behaviour and its wiring through the session engine."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.loop import ActiveLearningLoop
 from repro.core.prediction_cache import PredictionCache
+from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies.mnlp import MNLP
-from repro.core.strategies.uncertainty import Entropy
 from repro.data.ner import NERCorpusSpec, make_ner_corpus
 from repro.eval.metrics import evaluate_model
 from repro.models import LinearSoftmax
@@ -191,38 +190,9 @@ class TestContextDelegation:
 
 
 class TestLoopWiring:
-    def test_loop_with_cache_matches_uncached_metric(self, text_dataset):
-        """The default (cached) metric path reproduces an uncached run."""
-
-        def run(metric):
-            return ActiveLearningLoop(
-                model_prototype=LinearSoftmax(epochs=5, seed=0),
-                strategy=Entropy(),
-                train_dataset=text_dataset.subset(range(300)),
-                test_dataset=text_dataset.subset(range(300, 420)),
-                batch_size=20,
-                rounds=3,
-                seed_or_rng=5,
-            ).run() if metric is None else ActiveLearningLoop(
-                model_prototype=LinearSoftmax(epochs=5, seed=0),
-                strategy=Entropy(),
-                train_dataset=text_dataset.subset(range(300)),
-                test_dataset=text_dataset.subset(range(300, 420)),
-                batch_size=20,
-                rounds=3,
-                metric=metric,
-                seed_or_rng=5,
-            ).run()
-
-        cached = run(None)
-        uncached = run(lambda model, dataset: evaluate_model(model, dataset))
-        assert [r.metric for r in cached.records] == [r.metric for r in uncached.records]
-        for a, b in zip(cached.selection_order, uncached.selection_order):
-            np.testing.assert_array_equal(a, b)
-
     def test_sequence_loop_deterministic(self, small_ner):
         def run():
-            return ActiveLearningLoop(
+            return run_to_completion(SessionEngine(
                 model_prototype=LinearChainCRF(epochs=1, seed=0),
                 strategy=MNLP(),
                 train_dataset=small_ner.subset(range(90)),
@@ -230,7 +200,7 @@ class TestLoopWiring:
                 batch_size=10,
                 rounds=2,
                 seed_or_rng=3,
-            ).run()
+            ))
 
         first, second = run(), run()
         assert [r.metric for r in first.records] == [r.metric for r in second.records]

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.loop import ActiveLearningLoop
 from repro.core.ranker_training import (
     LHSRanker,
     RankerTrainingConfig,
     _delta_levels,
     train_lhs_ranker,
 )
+from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies import Entropy, LHS, LeastConfidence
 from repro.exceptions import ConfigurationError
 from repro.models.linear import LinearSoftmax
@@ -191,7 +191,7 @@ class TestLHSStrategy:
         strategy = LHS(
             Entropy(), trained_ranker, candidate_strategies=[LeastConfidence()]
         )
-        loop = ActiveLearningLoop(
+        result = run_to_completion(SessionEngine(
             LinearSoftmax(epochs=4, seed=0),
             strategy,
             text_dataset.subset(range(400)),
@@ -199,8 +199,7 @@ class TestLHSStrategy:
             batch_size=15,
             rounds=3,
             seed_or_rng=0,
-        )
-        result = loop.run()
+        ))
         assert len(result.curve()) == 4
         assert result.history.num_rounds == 3
 

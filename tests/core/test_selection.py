@@ -153,7 +153,7 @@ class TestStrategySelect:
     def test_loop_unchanged_by_partial_selection(self, text_dataset):
         """End to end: a run's selections equal replaying every round
         through the reference oracle."""
-        from repro.core.loop import ActiveLearningLoop
+        from repro.core.session import SessionEngine, run_to_completion
         from repro.core.strategies.uncertainty import Entropy
 
         class ReferenceEntropy(Entropy):
@@ -161,7 +161,7 @@ class TestStrategySelect:
                 return self.select_reference(model, context, batch_size)
 
         def run(strategy):
-            return ActiveLearningLoop(
+            return run_to_completion(SessionEngine(
                 model_prototype=LinearSoftmax(epochs=4, seed=0),
                 strategy=strategy,
                 train_dataset=text_dataset.subset(range(300)),
@@ -169,7 +169,7 @@ class TestStrategySelect:
                 batch_size=20,
                 rounds=3,
                 seed_or_rng=17,
-            ).run()
+            ))
 
         fast, slow = run(Entropy()), run(ReferenceEntropy())
         assert [r.metric for r in fast.records] == [r.metric for r in slow.records]

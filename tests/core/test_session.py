@@ -7,14 +7,12 @@ computed.  ``_reference_run`` below is that monolith's body, kept
 verbatim as an oracle (the repo's convention for hot-path rewrites).
 """
 
-import functools
 import json
 
 import numpy as np
 import pytest
 
 from repro.core.history import HistoryStore
-from repro.core.loop import ActiveLearningLoop
 from repro.core.pool import Pool
 from repro.core.prediction_cache import PredictionCache
 from repro.core.ranker_training import RankerTrainingConfig, train_lhs_ranker
@@ -23,7 +21,6 @@ from repro.core.session import (
     RoundRecord,
     SessionEngine,
     SessionState,
-    metric_accepts_cache,
     run_to_completion,
 )
 from repro.core.strategies import Entropy, LHS, WSHS
@@ -45,12 +42,9 @@ def _reference_run(
     batch_size,
     rounds,
     initial_size=None,
-    metric=None,
     seed_or_rng=None,
-    history_limit=None,
 ) -> ALResult:
     """The pre-engine monolithic loop body, preserved as an oracle."""
-    metric = metric or evaluate_model
     rng = ensure_rng(seed_or_rng)
     initial_size = batch_size if initial_size is None else initial_size
     keep_models = int(strategy.requires_model_history)
@@ -70,10 +64,7 @@ def _reference_run(
         if hasattr(model, "seed"):
             model.seed = int(rng.integers(2**31))
         model = model.fit(train_dataset.subset(pool.labeled_indices))
-        if metric is evaluate_model:
-            metric_value = evaluate_model(model, test_dataset, cache=cache)
-        else:
-            metric_value = metric(model, test_dataset)
+        metric_value = evaluate_model(model, test_dataset, cache=cache)
         if keep_models:
             model_history.append(model)
             del model_history[:-keep_models]
@@ -111,8 +102,6 @@ def _reference_run(
         )
         selection_order.append(selected)
         pool.label(selected)
-        if history_limit is not None:
-            history.prune(history_limit)
 
     return ALResult(
         strategy_name=strategy.name,
@@ -189,9 +178,9 @@ class TestEngineEquivalence:
         expected = _reference_run(
             LinearSoftmax(epochs=3, seed=0), factory(), train, test, **LOOP_KWARGS
         )
-        actual = ActiveLearningLoop(
+        actual = run_to_completion(SessionEngine(
             LinearSoftmax(epochs=3, seed=0), factory(), train, test, **LOOP_KWARGS
-        ).run()
+        ))
         assert_result_identical(expected, actual)
 
     @pytest.mark.parametrize("key", ["entropy", "wshs", "lhs"])
@@ -215,12 +204,15 @@ class TestEngineEquivalence:
         assert_result_identical(expected, engine.result())
 
     def test_repeated_runs_continue_one_rng_stream(self, text_dataset):
-        """Two run() calls on one loop never repeat the first run's draws."""
+        """Two engines sharing one generator never repeat the first run's draws."""
         train, test = _splits(text_dataset)
-        loop = ActiveLearningLoop(
-            LinearSoftmax(epochs=3, seed=0), Entropy(), train, test, **LOOP_KWARGS
+        kwargs = {**LOOP_KWARGS, "seed_or_rng": ensure_rng(LOOP_KWARGS["seed_or_rng"])}
+        first, second = (
+            run_to_completion(SessionEngine(
+                LinearSoftmax(epochs=3, seed=0), Entropy(), train, test, **kwargs
+            ))
+            for _ in range(2)
         )
-        first, second = loop.run(), loop.run()
         assert (
             first.records[0].selected.tobytes()
             != second.records[0].selected.tobytes()
@@ -317,17 +309,27 @@ class TestSnapshotRestore:
             SessionEngine.restore(
                 snapshot, prototype, factory(), train.subset(range(100)), test
             )
-        with pytest.raises(SessionError, match="metric"):
-            SessionEngine.restore(
-                snapshot, prototype, factory(), train, test,
-                metric=lambda model, dataset: 0.0,
-            )
         with pytest.raises(SessionError, match="version"):
             SessionEngine.restore(
                 dict(snapshot, version=99), prototype, factory(), train, test
             )
         with pytest.raises(SessionError, match="snapshot"):
             SessionEngine.restore({"format": "bogus"}, prototype, factory(), train, test)
+
+    @pytest.mark.parametrize(
+        "key, value", [("reseed_model", False), ("history_limit", 2), ("default_metric", False)]
+    )
+    def test_restore_refuses_retired_option_values(
+        self, text_dataset, session_ranker, key, value
+    ):
+        """The retired options' snapshot keys hold only their kept value."""
+        train, test, factory = self._components(text_dataset, session_ranker, "wshs")
+        snapshot = self._fresh_engine(text_dataset, session_ranker, "wshs").snapshot()
+        snapshot["config"][key] = value
+        with pytest.raises(SessionError, match=f"config.{key} must be"):
+            SessionEngine.restore(
+                snapshot, LinearSoftmax(epochs=3, seed=0), factory(), train, test
+            )
 
     def test_external_labels_survive_restore(self, text_dataset):
         """Annotator-supplied labels are replayed into a rebuilt dataset."""
@@ -447,74 +449,11 @@ class TestIngestValidation:
         assert result.records
 
 
-class TestMetricCache:
-    """Satellite regression: cache dispatch is by signature, not identity."""
-
-    def test_signature_inspection(self):
-        assert metric_accepts_cache(evaluate_model)
-        assert metric_accepts_cache(functools.partial(evaluate_model))
-        assert metric_accepts_cache(lambda model, dataset, cache=None: 0.0)
-        assert not metric_accepts_cache(lambda model, dataset: 0.0)
-        assert not metric_accepts_cache(lambda model, dataset, **kwargs: 0.0)
-        assert not metric_accepts_cache(42)  # no signature at all
-
-    def test_partial_of_evaluate_model_gets_cache(self, text_dataset):
-        """A wrapped default metric must hit the cache path, and the run
-        must be byte-identical to the plain default-metric run — the bug
-        the old ``metric is evaluate_model`` identity check caused."""
-        train, test = _splits(text_dataset)
-        plain = ActiveLearningLoop(
-            LinearSoftmax(epochs=3, seed=0), Entropy(), train, test, **LOOP_KWARGS
-        ).run()
-        wrapped = ActiveLearningLoop(
-            LinearSoftmax(epochs=3, seed=0),
-            Entropy(),
-            train,
-            test,
-            metric=functools.partial(evaluate_model),
-            **LOOP_KWARGS,
-        ).run()
-        assert_result_identical(plain, wrapped)
-
-    def test_custom_metric_receives_live_cache(self, text_dataset):
-        train, test = _splits(text_dataset)
-        seen = []
-
-        def recording_metric(model, dataset, cache=None):
-            seen.append(cache)
-            return evaluate_model(model, dataset, cache=cache)
-
-        ActiveLearningLoop(
-            LinearSoftmax(epochs=3, seed=0),
-            Entropy(),
-            train,
-            test,
-            metric=recording_metric,
-            **LOOP_KWARGS,
-        ).run()
-        assert seen and all(cache is not None for cache in seen)
-
-    def test_cacheless_metric_still_works(self, text_dataset):
-        train, test = _splits(text_dataset)
-        result = ActiveLearningLoop(
-            LinearSoftmax(epochs=3, seed=0),
-            Entropy(),
-            train,
-            test,
-            metric=lambda model, dataset: evaluate_model(model, dataset),
-            **LOOP_KWARGS,
-        ).run()
-        baseline = ActiveLearningLoop(
-            LinearSoftmax(epochs=3, seed=0), Entropy(), train, test, **LOOP_KWARGS
-        ).run()
-        assert_result_identical(baseline, result)
-
-
 class TestEvents:
     def test_lifecycle_order(self, text_dataset):
         train, test = _splits(text_dataset)
         log = EventLog()
-        ActiveLearningLoop(
+        run_to_completion(SessionEngine(
             LinearSoftmax(epochs=3, seed=0),
             WSHS(Entropy(), window=2),
             train,
@@ -522,7 +461,8 @@ class TestEvents:
             batch_size=10,
             rounds=2,
             seed_or_rng=11,
-        ).run(observers=[log])
+            observers=[log],
+        ))
         expected = [("batch_selected", 0), ("round_committed", 0)]
         for r in range(2):
             expected += [

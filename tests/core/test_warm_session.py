@@ -16,7 +16,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.loop import ActiveLearningLoop
 from repro.core.session import (
     SessionEngine,
     SessionState,
@@ -39,9 +38,9 @@ def _model():
     return LinearSoftmax(epochs=8, seed=0)
 
 
-def _loop(text_dataset, mode, strategy=None, model=None):
+def _engine(text_dataset, mode, strategy=None, model=None):
     train, test = _splits(text_dataset)
-    return ActiveLearningLoop(
+    return SessionEngine(
         model if model is not None else _model(),
         strategy if strategy is not None else Entropy(),
         train,
@@ -78,19 +77,15 @@ class TestWarmMode:
             SessionEngine(
                 _model(), Entropy(), train, test, training_mode="hot", **KWARGS
             )
-        with pytest.raises(ConfigurationError, match="training_mode"):
-            ActiveLearningLoop(
-                _model(), Entropy(), train, test, training_mode="hot", **KWARGS
-            )
 
     def test_warm_run_is_deterministic(self, text_dataset):
-        first = _loop(text_dataset, "warm").run()
-        second = _loop(text_dataset, "warm").run()
+        first = run_to_completion(_engine(text_dataset, "warm"))
+        second = run_to_completion(_engine(text_dataset, "warm"))
         _assert_identical(first, second)
 
     def test_warm_differs_from_cold_but_stays_close(self, text_dataset):
-        cold = _loop(text_dataset, "cold").run()
-        warm = _loop(text_dataset, "warm").run()
+        cold = run_to_completion(_engine(text_dataset, "cold"))
+        warm = run_to_completion(_engine(text_dataset, "warm"))
         # Different optimisation trajectory after round 0...
         assert any(
             rec_c.metric != rec_w.metric
@@ -101,10 +96,8 @@ class TestWarmMode:
 
     def test_cold_default_unchanged_by_knob(self, text_dataset):
         train, test = _splits(text_dataset)
-        implicit = ActiveLearningLoop(
-            _model(), Entropy(), train, test, **KWARGS
-        ).run()
-        explicit = _loop(text_dataset, "cold").run()
+        implicit = run_to_completion(SessionEngine(_model(), Entropy(), train, test, **KWARGS))
+        explicit = run_to_completion(_engine(text_dataset, "cold"))
         _assert_identical(implicit, explicit)
 
     def test_warm_falls_back_to_cold_for_unsupported_models(self, text_dataset):
@@ -117,26 +110,26 @@ class TestWarmMode:
                     epochs=self.epochs, batch_size=self.batch_size, seed=self.seed
                 )
 
-        cold = _loop(
+        cold = run_to_completion(_engine(
             text_dataset, "cold", model=ColdOnly(epochs=8, seed=0)
-        ).run()
-        warm = _loop(
+        ))
+        warm = run_to_completion(_engine(
             text_dataset, "warm", model=ColdOnly(epochs=8, seed=0)
-        ).run()
+        ))
         _assert_identical(cold, warm)
 
 
 class TestWarmSnapshotRestore:
     def test_restore_at_every_boundary_is_byte_identical(self, text_dataset):
         train, test = _splits(text_dataset)
-        baseline = _loop(text_dataset, "warm").build_engine()
+        baseline = _engine(text_dataset, "warm")
         boundaries = 0
         while _advance(baseline):
             boundaries += 1
         expected = baseline.result()
 
         for stop_after in range(boundaries):
-            engine = _loop(text_dataset, "warm").build_engine()
+            engine = _engine(text_dataset, "warm")
             for _ in range(stop_after):
                 _advance(engine)
             payload = json.loads(json.dumps(engine.snapshot()))
@@ -150,7 +143,7 @@ class TestWarmSnapshotRestore:
             _assert_identical(expected, resumed.result())
 
     def test_warm_snapshot_carries_provenance(self, text_dataset):
-        engine = _loop(text_dataset, "warm").build_engine()
+        engine = _engine(text_dataset, "warm")
         engine.propose()           # bootstrap
         engine.ingest_labels(engine.pending)
         engine.propose()           # first warm-capable training round
@@ -164,7 +157,7 @@ class TestWarmSnapshotRestore:
 
     def test_restore_warm_without_params_raises(self, text_dataset):
         train, test = _splits(text_dataset)
-        engine = _loop(text_dataset, "warm").build_engine()
+        engine = _engine(text_dataset, "warm")
         engine.propose()
         engine.ingest_labels(engine.pending)
         engine.propose()
@@ -180,9 +173,9 @@ class TestWarmSnapshotRestore:
         # warm_epochs is part of the model spec: a snapshot only resumes
         # with a prototype that trains the same warm epoch budget.
         train, test = _splits(text_dataset)
-        engine = _loop(
+        engine = _engine(
             text_dataset, "warm", model=LinearSoftmax(epochs=8, warm_epochs=2, seed=0)
-        ).build_engine()
+        )
         engine.propose()
         payload = json.loads(json.dumps(engine.snapshot()))
         with pytest.raises(SessionError, match="model spec"):
@@ -203,7 +196,7 @@ class TestSerializedParamRestore:
     def test_cold_restore_matches_refit_exactly(self, text_dataset):
         """set_params-based restore == the historical refit, byte for byte."""
         train, test = _splits(text_dataset)
-        engine = _loop(text_dataset, "cold").build_engine()
+        engine = _engine(text_dataset, "cold")
         run_to_completion(engine)
         payload = json.loads(json.dumps(engine.snapshot()))
         spec = payload["model"]
@@ -222,7 +215,7 @@ class TestSerializedParamRestore:
 
 class TestPhaseTimings:
     def test_round_records_carry_phase_wall_times(self, text_dataset):
-        result = _loop(text_dataset, "cold").run()
+        result = run_to_completion(_engine(text_dataset, "cold"))
         timed = [rec for rec in result.records if rec.timings]
         assert timed, "no round recorded phase timings"
         for record in timed:
@@ -232,7 +225,7 @@ class TestPhaseTimings:
         assert all("train" in rec.timings for rec in result.records if rec.timings)
 
     def test_timings_stay_out_of_serialised_records(self, text_dataset):
-        result = _loop(text_dataset, "cold").run()
+        result = run_to_completion(_engine(text_dataset, "cold"))
         payload = record_to_dict(result.records[0])
         assert "timings" not in payload
 
@@ -253,9 +246,9 @@ class TestWarmCommittee:
 
 class TestWarmHistoryStrategies:
     def test_wshs_runs_warm(self, text_dataset):
-        result = _loop(text_dataset, "warm", strategy=WSHS(Entropy(), window=2)).run()
+        result = run_to_completion(_engine(text_dataset, "warm", strategy=WSHS(Entropy(), window=2)))
         assert len(result.records) == KWARGS["rounds"] + 1
 
     def test_random_runs_warm(self, text_dataset):
-        result = _loop(text_dataset, "warm", strategy=Random()).run()
+        result = run_to_completion(_engine(text_dataset, "warm", strategy=Random()))
         assert len(result.records) == KWARGS["rounds"] + 1

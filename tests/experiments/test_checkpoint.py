@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.loop import ActiveLearningLoop
+from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies import Entropy, Random, WSHS
 from repro.exceptions import CheckpointError
 from repro.experiments import CheckpointStore, ExperimentConfig, run_comparison
@@ -64,7 +64,7 @@ def assert_results_identical(expected, actual):
 
 @pytest.fixture(scope="module")
 def small_result(text_dataset):
-    loop = ActiveLearningLoop(
+    return run_to_completion(SessionEngine(
         LinearSoftmax(epochs=3, seed=0),
         WSHS(Entropy(), window=2),
         text_dataset.subset(range(120)),
@@ -72,8 +72,7 @@ def small_result(text_dataset):
         batch_size=10,
         rounds=2,
         seed_or_rng=3,
-    )
-    return loop.run()
+    ))
 
 
 class TestResultRoundtrip:

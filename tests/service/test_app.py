@@ -92,6 +92,66 @@ MALFORMED_INGESTS = {
 }
 
 
+def _set(path: str, value):
+    """Damage that sets the dotted ``path`` of a stored document to ``value``."""
+
+    def damage(document):
+        *parents, key = path.split(".")
+        for parent in parents:
+            document = document[parent]
+        document[key] = value
+
+    return damage
+
+
+def _drop(path: str):
+    """Damage that removes the dotted ``path`` of a stored document."""
+    parent, _, key = path.rpartition(".")
+    return lambda document: (document[parent] if parent else document).pop(key)
+
+
+#: Damage to a stored session document (saved right after the first
+#: proposal) and the start of the field rule the ``SessionError`` names:
+#: a typed 409 on the next re-hydration, never an escaped exception.
+MALFORMED_DOCUMENTS = {
+    "no-config": (_drop("session.config"), "config must be an object"),
+    "no-rng": (_drop("session.rng"), "rng must be"),
+    "no-pool": (_drop("session.pool"), "pool must be"),
+    "bogus-state": (_set("session.state", "bogus"), "state must be one of"),
+    "string-records": (_set("session.records", "x"), "records must be a list"),
+    "null-model-history": (_set("session.model_history", None), "model_history must be"),
+    "short-ingested-pair": (_set("session.ingested", [[1]]), "ingested must be"),
+    "string-in-pending": (_set("session.pending", ["x"]), "pending must be"),
+    "string-batch-size": (_set("session.config.batch_size", "five"), "config.batch_size must be"),
+    "no-recipe": (_drop("recipe"), "recipe must be an object"),
+    "reseed-model-false": (
+        _set("session.config.reseed_model", False), "config.reseed_model must be"
+    ),
+    "history-limit-2": (_set("session.config.history_limit", 2), "config.history_limit must be"),
+    "default-metric-false": (
+        _set("session.config.default_metric", False), "config.default_metric must be"
+    ),
+}
+
+
+def damage_document(document: dict, case: str) -> "tuple[dict, str]":
+    """A deep copy of ``document`` with ``case``'s damage, and its message."""
+    damage, message = MALFORMED_DOCUMENTS[case]
+    damaged = json.loads(json.dumps(document))
+    damage(damaged)
+    return damaged, message
+
+
+@pytest.fixture(scope="module")
+def proposed_document():
+    """The stored document of a session right after its first proposal."""
+    store = MemorySessionStore()
+    client = SessionClient.in_process(SessionService(store))
+    client.create(RECIPE, session_id="s1")
+    client.propose("s1")
+    return store.load("s1").document
+
+
 def malformed_ingest(case: str, pending: list) -> "tuple[dict, str]":
     build, message = MALFORMED_INGESTS[case]
     return build(pending), message
@@ -279,6 +339,25 @@ class TestPersistence:
         # round and the session finishes with the exact serial result.
         finished = drive(client_a, "s1")
         assert json.dumps(finished["result"]) == serial_reference(RECIPE)
+
+
+class TestMalformedStoredDocuments:
+    @pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+    def test_rehydration_is_a_typed_409(self, proposed_document, case):
+        document, message = damage_document(proposed_document, case)
+        store = MemorySessionStore()
+        store.create("s1", document)
+        status, payload = dispatch(SessionService(store), "GET", "/sessions/s1")
+        assert status == 409, payload
+        assert payload["error_type"] == "SessionError"
+        assert message in payload["error"]
+
+    def test_undamaged_document_rehydrates(self, proposed_document):
+        store = MemorySessionStore()
+        store.create("s1", proposed_document)
+        status, payload = dispatch(SessionService(store), "GET", "/sessions/s1")
+        assert status == 200, payload
+        assert payload["state"] == "await_labels"
 
 
 class TestDispatch:

@@ -18,11 +18,14 @@ from repro.exceptions import ServiceError, SessionError, StoreConflictError
 from repro.service import SessionClient, SessionService, make_server
 
 from .test_app import (
+    MALFORMED_DOCUMENTS,
     MALFORMED_INGESTS,
     MALFORMED_RECIPES,
     RECIPE,
+    damage_document,
     drive,
     malformed_ingest,
+    proposed_document,  # noqa: F401 - fixture
     serial_reference,
 )
 from .test_store import make_store
@@ -102,6 +105,28 @@ class TestHttpTransport:
         assert http_client.status("s1")["state"] == "await_labels"
         assert "Traceback" not in capsys.readouterr().err
         http_client.ingest("s1", oracle=True)  # the session still works
+
+    @pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+    def test_restart_on_malformed_document_is_a_typed_409(
+        self, proposed_document, tmp_path, capsys, case
+    ):
+        """A server restarted over a damaged ``<id>.json`` answers 409."""
+        document, message = damage_document(proposed_document, case)
+        make_store("json", tmp_path).create("s1", document)
+        server = make_server(SessionService(make_store("json", tmp_path)))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = SessionClient.http(f"http://127.0.0.1:{server.server_address[1]}")
+            status, payload = client.transport.request("GET", "/sessions/s1", None, None)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert status == 409, payload
+        assert payload["error_type"] == "SessionError"
+        assert message in payload["error"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_events_poll_over_http(self, http_client):
         http_client.create(RECIPE, session_id="s1")

@@ -13,7 +13,20 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.service import MemorySessionStore, SessionService, make_server
+from repro.experiments import ExperimentConfig
+from repro.service import (
+    JsonSessionStore,
+    MemorySessionStore,
+    SessionClient,
+    SessionService,
+    make_server,
+)
+from repro.specs import ExperimentSpec, Spec
+from tests.service.test_app import (
+    MALFORMED_DOCUMENTS,
+    damage_document,
+    proposed_document,  # noqa: F401 - fixture
+)
 
 #: A tiny-but-real session: mr at 5% scale, two rounds of ten samples.
 INIT_ARGV = [
@@ -137,6 +150,18 @@ class TestSessionErrors:
         ]
         assert (directory / "session.json").read_bytes() == before
 
+    @pytest.mark.parametrize("command", ["propose", "status"])
+    @pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+    def test_malformed_session_file_is_one_error_line(
+        self, proposed_document, tmp_path, capsys, case, command
+    ):
+        document, message = damage_document(proposed_document, case)
+        JsonSessionStore(tmp_path).create("session", document)
+        assert main(["session", command, "--dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
     def test_status_on_missing_session(self, tmp_path, capsys):
         assert main(["session", "status", "--dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
@@ -238,6 +263,22 @@ class TestServerMode:
             payload = json.loads(capsys.readouterr().out)
             assert payload["format"] == "repro.session_result"
             assert [r["round_index"] for r in payload["result"]["records"]] == [0, 1, 2]
+
+    def test_status_of_an_experiment_recipe_session(self, server_url, capsys):
+        spec = ExperimentSpec(
+            dataset=Spec(kind="mr", params={"scale": 0.05, "seed": 3}),
+            strategies={"entropy": Spec(kind="entropy")},
+            config=ExperimentConfig(batch_size=10, rounds=2, repeats=1, seed=3),
+        )
+        recipe = {"experiment": spec.to_dict(), "strategy": "entropy"}
+        SessionClient.http(server_url).create(recipe, session_id="exp")
+        assert main(["session", "status", "--server", server_url,
+                     "--session", "exp"]) == 0
+        out = capsys.readouterr().out
+        assert "dataset:  mr (scale 0.05)" in out
+        assert "strategy: Entropy" in out
+        assert "state:    propose" in out
+        assert "round:    0 of 2" in out
 
     def test_server_requires_session_id_after_init(self, server_url, capsys):
         assert main(["session", "status", "--server", server_url]) == 2

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro import (
-    ActiveLearningLoop,
     ExperimentConfig,
     LinearChainCRF,
     LinearSoftmax,
     MLPClassifier,
+    SessionEngine,
     run_comparison,
+    run_to_completion,
     train_lhs_ranker,
 )
 from repro.core.ranker_training import RankerTrainingConfig
@@ -48,7 +49,7 @@ class TestTextClassificationPipeline:
             assert np.isfinite(result.curve.values).all()
 
     def test_learning_happens(self, text_dataset):
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             LinearSoftmax(epochs=8, seed=0),
             Entropy(),
             text_dataset.subset(range(400)),
@@ -57,11 +58,11 @@ class TestTextClassificationPipeline:
             rounds=6,
             seed_or_rng=0,
         )
-        curve = loop.run().curve()
+        curve = run_to_completion(engine).curve()
         assert curve.values[-1] > curve.values[0]
 
     def test_bald_with_mlp(self, text_dataset):
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             MLPClassifier(epochs=10, hidden_dim=12, seed=0),
             WSHS(BALD(n_draws=4), window=3),
             text_dataset.subset(range(300)),
@@ -70,13 +71,13 @@ class TestTextClassificationPipeline:
             rounds=3,
             seed_or_rng=0,
         )
-        result = loop.run()
+        result = run_to_completion(engine)
         assert result.history.num_rounds == 3
 
 
 class TestNERPipeline:
     def test_crf_active_learning(self, ner_dataset):
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             LinearChainCRF(epochs=2, seed=0),
             WSHS(LeastConfidence(), window=3),
             ner_dataset.subset(range(180)),
@@ -85,7 +86,7 @@ class TestNERPipeline:
             rounds=3,
             seed_or_rng=0,
         )
-        result = loop.run()
+        result = run_to_completion(engine)
         curve = result.curve()
         assert len(curve) == 4
         assert curve.values[-1] > 0.2  # span F1 is learnable
@@ -93,7 +94,7 @@ class TestNERPipeline:
     def test_bilstm_crf_active_learning(self, ner_dataset):
         from repro.models import BiLSTMCRF
 
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             BiLSTMCRF(embedding_dim=10, hidden_dim=8, epochs=2, seed=0),
             WSHS(MNLP(), window=2),
             ner_dataset.subset(range(120)),
@@ -102,12 +103,12 @@ class TestNERPipeline:
             rounds=2,
             seed_or_rng=0,
         )
-        result = loop.run()
+        result = run_to_completion(engine)
         assert len(result.curve()) == 3
         assert result.history.num_rounds == 2
 
     def test_mnlp_strategy(self, ner_dataset):
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             LinearChainCRF(epochs=2, seed=0),
             MNLP(),
             ner_dataset.subset(range(180)),
@@ -116,7 +117,7 @@ class TestNERPipeline:
             rounds=2,
             seed_or_rng=0,
         )
-        assert len(loop.run().curve()) == 3
+        assert len(run_to_completion(engine).curve()) == 3
 
 
 class TestLHSPipeline:
@@ -133,7 +134,7 @@ class TestLHSPipeline:
             ),
             seed_or_rng=3,
         )
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             LinearSoftmax(epochs=4, seed=0),
             LHS(Entropy(), ranker, candidate_strategies=[LeastConfidence()]),
             text_dataset.subset(range(350, 550)),
@@ -142,7 +143,7 @@ class TestLHSPipeline:
             rounds=3,
             seed_or_rng=4,
         )
-        result = loop.run()
+        result = run_to_completion(engine)
         assert len(result.curve()) == 4
         assert area_under_curve(result.curve()) > 0.4
 
@@ -150,7 +151,7 @@ class TestLHSPipeline:
 class TestReproducibility:
     def test_whole_pipeline_bit_reproducible(self, text_dataset):
         def run():
-            loop = ActiveLearningLoop(
+            engine = SessionEngine(
                 LinearSoftmax(epochs=5, seed=0),
                 FHS(Entropy(), window=3),
                 text_dataset.subset(range(300)),
@@ -159,7 +160,7 @@ class TestReproducibility:
                 rounds=3,
                 seed_or_rng=77,
             )
-            return loop.run()
+            return run_to_completion(engine)
 
         a, b = run(), run()
         assert np.array_equal(a.curve().values, b.curve().values)

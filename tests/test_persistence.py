@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.ranker_training import RankerTrainingConfig, train_lhs_ranker
 from repro.core.strategies import Entropy, LHS
-from repro.core.loop import ActiveLearningLoop
+from repro.core.session import SessionEngine, run_to_completion
 from repro.exceptions import DataError
 from repro.ltr.lambdamart import LambdaMART
 from repro.ltr.trees import RegressionTree, _Node
@@ -120,7 +120,7 @@ class TestRankerRoundtrip:
         path = tmp_path / "ranker.json"
         save_lhs_ranker(ranker, path)
         restored = load_lhs_ranker(path)
-        loop = ActiveLearningLoop(
+        engine = SessionEngine(
             LinearSoftmax(epochs=3, seed=0),
             LHS(Entropy(), restored),
             text_dataset.subset(range(350, 550)),
@@ -129,7 +129,7 @@ class TestRankerRoundtrip:
             rounds=2,
             seed_or_rng=0,
         )
-        assert len(loop.run().curve()) == 3
+        assert len(run_to_completion(engine).curve()) == 3
 
     def test_file_is_plain_json(self, ranker, tmp_path):
         path = tmp_path / "ranker.json"

@@ -47,7 +47,7 @@ class TestTopLevel:
 
     def test_quickstart_names_available(self):
         # The README quickstart must keep working.
-        from repro import ActiveLearningLoop, LinearSoftmax, mr  # noqa: F401
+        from repro import LinearSoftmax, SessionEngine, mr, run_to_completion  # noqa: F401
         from repro.core.strategies import Entropy, WSHS  # noqa: F401
 
     def test_registry_covers_paper_strategies(self):
