@@ -24,14 +24,13 @@ behaviour exactly; committee strategies that retain past models can run
 with a larger window so the retained models' passes survive alongside
 them.
 
-For CRF-output labelers that expose ``emissions(dataset)``
-(:class:`~repro.models.crf.LinearChainCRF`,
-:class:`~repro.models.bilstm_crf.BiLSTMCRF`), the emission matrices are
-cached once and shared by Viterbi decoding, path log-probabilities, and
-token marginals, so e.g. span-F1 evaluation plus an MNLP score reuse the
-same encoder pass.  Models exposing the fused ``decode()`` additionally
-share one Viterbi lattice walk between ``predict_tags`` and
-``best_path_log_proba`` — asking for both costs a single decode.
+For a sequence labeler, the emission matrices
+(:meth:`~repro.models.base.SequenceLabeler.emissions`) are cached once
+and shared by Viterbi decoding, path log-probabilities and token
+marginals, so e.g. span-F1 evaluation plus an MNLP score reuse the same
+encoder pass; ``predict_tags`` and ``best_path_log_proba`` also share
+one fused ``decode()`` lattice walk — asking for both costs a single
+decode.
 """
 
 from __future__ import annotations
@@ -120,17 +119,13 @@ class PredictionCache:
     # -- sequence-labeler passes -------------------------------------------
 
     def _emissions(self, model: SequenceLabeler, dataset: SequenceDataset):
-        """Cached emission matrices, or ``None`` if the model has none."""
-        if not hasattr(model, "emissions"):
-            return None
+        """Cached emission matrices."""
         return self._memo(
             "emissions", model, dataset, lambda: model.emissions(dataset)
         )
 
     def _decode(self, model: SequenceLabeler, dataset: SequenceDataset):
-        """Cached fused ``(paths, log_probas)``, or ``None`` without it."""
-        if not hasattr(model, "decode"):
-            return None
+        """Cached fused ``(paths, log_probas)`` over the cached emissions."""
         emissions = self._emissions(model, dataset)
         return self._memo(
             "decode",
@@ -142,42 +137,23 @@ class PredictionCache:
     def predict_tags(
         self, model: SequenceLabeler, dataset: SequenceDataset
     ) -> list[np.ndarray]:
-        """Cached Viterbi decode, sharing emissions and the fused pass."""
-        decoded = self._decode(model, dataset)
-        if decoded is not None:
-            return decoded[0]
-        emissions = self._emissions(model, dataset)
-        if emissions is None:
-            compute = lambda: model.predict_tags(dataset)  # noqa: E731
-        else:
-            compute = lambda: model.predict_tags(dataset, emissions=emissions)  # noqa: E731
-        return self._memo("tags", model, dataset, compute)
+        """Cached Viterbi decode, from the shared fused pass."""
+        return self._decode(model, dataset)[0]
 
     def best_path_log_proba(
         self, model: SequenceLabeler, dataset: SequenceDataset
     ) -> np.ndarray:
-        """Cached Viterbi-path log-probabilities via the shared decode."""
-        decoded = self._decode(model, dataset)
-        if decoded is not None:
-            return decoded[1]
-        emissions = self._emissions(model, dataset)
-        if emissions is None:
-            compute = lambda: model.best_path_log_proba(dataset)  # noqa: E731
-        else:
-            compute = lambda: model.best_path_log_proba(  # noqa: E731
-                dataset, emissions=emissions
-            )
-        return self._memo("logp", model, dataset, compute)
+        """Cached Viterbi-path log-probabilities, from the shared fused pass."""
+        return self._decode(model, dataset)[1]
 
     def token_marginals(
         self, model: SequenceLabeler, dataset: SequenceDataset
     ) -> list[np.ndarray]:
-        """Cached token marginals, sharing cached emissions when available."""
+        """Cached token marginals over the cached emissions."""
         emissions = self._emissions(model, dataset)
-        if emissions is None:
-            compute = lambda: model.token_marginals(dataset)  # noqa: E731
-        else:
-            compute = lambda: model.token_marginals(  # noqa: E731
-                dataset, emissions=emissions
-            )
-        return self._memo("marginals", model, dataset, compute)
+        return self._memo(
+            "marginals",
+            model,
+            dataset,
+            lambda: model.token_marginals(dataset, emissions=emissions),
+        )

@@ -29,7 +29,6 @@ import numpy as np
 from ..data.datasets import SequenceDataset, TextDataset
 from ..exceptions import ConfigurationError
 from ..ltr.lambdamart import LambdaMART, RankingDataset
-from ..models.base import supports_warm_start
 from ..rng import ensure_rng, spawn
 from ..timeseries.predictor import (
     ARNextScorePredictor,
@@ -106,8 +105,8 @@ class RankerTrainingConfig:
         ``"cold"`` (default) clones and refits every model from scratch —
         byte-identical to historical behaviour.  ``"warm"`` resumes each
         per-round model from the previous round's parameters, and each
-        per-candidate model from the current round's model, for model
-        families that support warm starts (fewer epochs, same seeds).
+        per-candidate model from the current round's model (fewer
+        epochs, same seeds).
     """
 
     rounds: int = 6
@@ -160,15 +159,10 @@ def _make_predictor(kind: "str | None", seed: int) -> NextScorePredictor | None:
 
 
 def _fit_round_model(model_prototype, dataset, warm_source, training_mode: str):
-    """One round's model: cold clone-and-fit, or warm resume when possible."""
-    model = model_prototype.clone()
-    if (
-        training_mode == "warm"
-        and warm_source is not None
-        and supports_warm_start(model)
-    ):
-        return model.fit(dataset, init_from=warm_source)
-    return model.fit(dataset)
+    """One round's model: a fresh clone fitted cold, or in warm mode
+    resumed from ``warm_source`` (``None`` in the first round)."""
+    init_from = warm_source if training_mode == "warm" else None
+    return model_prototype.clone().fit(dataset, init_from=init_from)
 
 
 def _collect_history(

@@ -31,20 +31,16 @@ selection order, pending proposal, and externally ingested labels — as a
 JSON-compatible dict, and :meth:`restore` resumes from it **between any
 two phases**, including between ``propose`` and ``ingest``.  A resumed
 session is byte-identical to an uninterrupted one: the RNG stream
-continues exactly where it stopped, and fitted models are rebuilt from
-their serialized ``get_params`` state (JSON float round trips are exact,
-so this is O(params) and bit-for-bit), falling back to refitting the
-recorded (seed, labeled-set) pair for models without parameter state —
-model training in this package is deterministic given those.
+continues exactly where it stopped, and fitted models are rebuilt only
+from their serialized ``get_params`` state with ``set_params`` (JSON
+float round trips are exact, so this is O(params) and bit-for-bit).
 
 ``training_mode="warm"`` turns on the opt-in fast path: each round's
 model is fitted with ``init_from=<previous round's model>`` (fewer
 epochs, parameters carried forward) instead of from scratch.  The
 per-round seed draw order is unchanged, so cold mode stays byte-identical
 to historical behaviour and a warm run is deterministic given the run
-seed.  Warm provenance is recorded in every model spec, and snapshots in
-warm mode always carry serialized parameters (a cold refit could not
-reproduce a warm-started model).
+seed.  Warm provenance is recorded in every model spec.
 
 The per-round :class:`~repro.core.prediction_cache.PredictionCache` is
 *not* serialised: it only memoises deterministic forward passes, so a
@@ -69,7 +65,6 @@ from ..eval.metrics import evaluate_model
 from ..exceptions import ConfigurationError, IngestError, SessionError
 from ..formats import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from ..ioutil import check_fields, is_int, is_number, validate_envelope
-from ..models.base import supports_param_state, supports_warm_start
 from ..rng import ensure_rng, rng_from_state, rng_state
 from .events import emit
 from .history import HistoryStore
@@ -287,7 +282,12 @@ def _object(**fields):
 
 
 _indices, _scores = _list_of(_count), _list_of(is_number)
-_model_spec = _object(seed=_optional(_count), labeled=_indices)
+_param_state = _object(
+    arrays=lambda value: isinstance(value, dict)
+    and all(isinstance(array, list) for array in value.values()),
+    meta=lambda value: isinstance(value, dict) and all(map(is_int, value.values())),
+)
+_model_spec = _object(seed=_optional(_count), params=_optional(_param_state))
 _STATES = [state.value for state in SessionState]
 
 #: Snapshot config keys of retired engine options, with the one value
@@ -327,6 +327,7 @@ SNAPSHOT_RULES = {
     "selection_order": ("a list of index lists", _list_of(_indices)),
     "pending": ("null or a list of indices", _optional(_indices)),
     "metric_value": ("null or a number", _optional(is_number)),
+    "model.params": ("absent or a parameter state", _optional(_param_state)),
     "model": ("null or a model spec", _optional(_model_spec)),
     "model_history": ("a list of model specs", _list_of(_model_spec)),
     "ingested": ("a list of [index, label] pairs", _list_of(
@@ -416,8 +417,8 @@ class SessionEngine:
         self._pending: "np.ndarray | None" = None
         self._metric_value: "float | None" = None
         self._model = None
-        #: (seed, labeled indices) the current model was fitted from —
-        #: enough to reproduce it bit for bit after a restore.
+        #: Seed, labeled indices and warm provenance of the current
+        #: model; snapshots add its parameter state.
         self._model_spec: "dict | None" = None
         self._model_history: list = []
         self._model_history_specs: list[dict] = []
@@ -643,28 +644,16 @@ class SessionEngine:
             seed = int(self._rng.integers(2**31))
             model.seed = seed
         labeled = self._pool.labeled_indices
-        # Warm mode resumes from the previous round's model when the
-        # model family supports it.  Parameter state is also required so
-        # snapshots stay deterministic: a warm-started model cannot be
-        # reproduced by a cold refit, only by its serialized parameters.
-        warm_source = (
-            self._model
-            if self.training_mode == "warm"
-            and self._model is not None
-            and supports_warm_start(model)
-            and supports_param_state(model)
-            else None
-        )
-        if warm_source is not None:
-            model.fit(self.train_dataset.subset(labeled), init_from=warm_source)
-        else:
-            model.fit(self.train_dataset.subset(labeled))
+        # Warm mode resumes from the previous round's model (none before
+        # the first fit).
+        warm_source = self._model if self.training_mode == "warm" else None
+        model.fit(self.train_dataset.subset(labeled), init_from=warm_source)
         self._model = model
         # A *real* model spec (kind + hyperparams, with the per-round
-        # seed baked in) plus the labeled set and warm provenance:
-        # everything needed to reproduce this fitted model.  The
-        # serialized parameter state is injected lazily at snapshot()
-        # time so runs that never snapshot pay nothing.
+        # seed baked in) plus the labeled set and warm provenance.  The
+        # serialized parameter state, from which restore rebuilds the
+        # model, is injected lazily at snapshot() time so runs that
+        # never snapshot pay nothing.
         self._model_spec = {
             "seed": seed,
             "labeled": labeled.tolist(),
@@ -825,18 +814,21 @@ class SessionEngine:
                 )
             return int(label)
         if isinstance(dataset, SequenceDataset):
-            tags = np.asarray(label, dtype=np.int64)
-            expected = len(dataset.sentences[index])
-            if tags.ndim != 1 or len(tags) != expected:
+            tags = label.tolist() if isinstance(label, np.ndarray) else label
+            if not isinstance(tags, (list, tuple)) or not all(map(is_int, tags)):
                 raise IngestError(
-                    f"sample {index}: expected {expected} tags, got "
-                    f"{tags.size if tags.ndim == 1 else label!r}"
+                    f"sample {index}: label must be a list of tag ids, got {label!r}"
                 )
-            if tags.size and not (0 <= tags.min() and tags.max() < dataset.num_tags):
+            expected = len(dataset.sentences[index])
+            if len(tags) != expected:
+                raise IngestError(
+                    f"sample {index}: expected {expected} tags, got {len(tags)}"
+                )
+            if not all(0 <= tag < dataset.num_tags for tag in tags):
                 raise IngestError(
                     f"sample {index}: tag id out of range [0, {dataset.num_tags})"
                 )
-            return tags
+            return np.asarray(tags, dtype=np.int64)
         raise IngestError(
             f"cannot ingest labels into a {type(dataset).__name__}"
         )
@@ -857,18 +849,12 @@ class SessionEngine:
         """A snapshot payload of ``spec`` carrying serialized parameters.
 
         Parameter state is serialized lazily — here, not at train time —
-        so runs that never snapshot pay nothing.  Specs restored from an
-        older snapshot already carry ``params`` and pass through; models
-        without parameter state keep the refit-based spec.
+        so runs that never snapshot pay nothing.  Specs restored from a
+        snapshot already carry ``params`` and pass through.
         """
-        if spec is None:
-            return None
-        if "params" in spec:
+        if spec is None or "params" in spec:
             return spec
-        payload = dict(spec)
-        if model is not None and supports_param_state(model):
-            payload["params"] = model.get_params()
-        return payload
+        return {**spec, "params": model.get_params()}
 
     def snapshot(self) -> dict:
         """The complete mid-run state as a JSON-compatible dict.
@@ -949,17 +935,17 @@ class SessionEngine:
         (the snapshot fingerprints strategy name, dataset sizes, and
         loop shape and rejects mismatches); fitted models are rebuilt
         from their serialized parameter state (O(params), bit-for-bit),
-        falling back to refitting the recorded (seed, labeled-set) spec
-        for models without ``set_params``, and externally ingested
-        labels are replayed into ``train_dataset``.  The recorded
-        ``training_mode`` is resumed as-is.
+        and externally ingested labels are replayed into
+        ``train_dataset``.  The recorded ``training_mode`` is resumed
+        as-is.
 
         Raises
         ------
         SessionError
             If the payload is not a session snapshot, is from an
             unsupported version, has a malformed field (see
-            :func:`check_snapshot`), or does not match the components.
+            :func:`check_snapshot`), does not match the components, or
+            records a model without restorable parameters.
         """
         config = check_snapshot(snapshot)["config"]
         # Specs are compared only when both sides are spec-describable —
@@ -1014,48 +1000,33 @@ class SessionEngine:
         engine._model_history = [
             engine._rebuild_model(spec) for spec in engine._model_history_specs
         ]
-        if engine._state in (
-            SessionState.EVALUATE,
-            SessionState.PROPOSE,
-            SessionState.FINISHED,
+        if (
+            engine._model_history_specs
+            and engine._model_spec == engine._model_history_specs[-1]
         ):
-            # Only these phases still read the current model; elsewhere the
-            # next TRAIN replaces it anyway, so skip the rebuild cost.
-            if (
-                engine._model_history_specs
-                and engine._model_spec == engine._model_history_specs[-1]
-            ):
-                engine._model = engine._model_history[-1]
-            elif engine._model_spec is not None:
-                engine._model = engine._rebuild_model(engine._model_spec)
-        elif engine.training_mode == "warm" and engine._model_spec is not None:
-            # States headed back into TRAIN (train/await/commit) skip the
-            # rebuild in cold mode because the next fit replaces the
-            # model anyway — but a warm TRAIN needs the previous round's
-            # model as init_from, and leaving it None would silently
-            # degrade to a cold fit and break byte-identical resume.
+            engine._model = engine._model_history[-1]
+        elif engine._model_spec is not None:
             engine._model = engine._rebuild_model(engine._model_spec)
         return engine
 
     def _rebuild_model(self, spec: dict):
-        """Reproduce a fitted model from its snapshot spec.
-
-        Prefers the serialized parameter state (``set_params`` — exact
-        float round trip, O(params)); falls back to refitting the
-        recorded (seed, labeled-set) pair for models without it.
-        """
+        """Reproduce a fitted model from its snapshot spec's ``params``
+        with ``set_params`` (an exact float round trip, O(params))."""
         model = self.model_prototype.clone()
         if spec["seed"] is not None:
             model.seed = int(spec["seed"])
         state = spec.get("params")
-        if state is not None and supports_param_state(model):
-            return model.set_params(state)
-        if spec.get("warm"):
+        if state is None:
+            kind = "a warm-started model" if spec.get("warm") else "a model"
             raise SessionError(
-                "snapshot records a warm-started model but carries no "
-                "serialized parameters the supplied prototype can restore"
+                f"snapshot records {kind} but carries no serialized parameters"
             )
-        return model.fit(self.train_dataset.subset(np.asarray(spec["labeled"], dtype=np.int64)))
+        try:
+            return model.set_params(state)
+        except (TypeError, ValueError, KeyError) as error:
+            raise SessionError(
+                f"snapshot model params cannot be restored: {error}"
+            ) from None
 
     def __repr__(self) -> str:
         return (

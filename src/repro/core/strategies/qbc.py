@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...exceptions import ConfigurationError, StrategyError
-from ...models.base import Classifier, supports_warm_start
+from ...models.base import Classifier
 from .base import QueryStrategy, SelectionContext
 
 
@@ -49,15 +49,12 @@ class QBC(QueryStrategy):
         # In warm mode each member resumes from the round's fitted model
         # instead of training from scratch — same bootstrap resamples and
         # RNG stream, fewer epochs per member.  Cold mode is untouched.
-        warm = context.training_mode == "warm" and supports_warm_start(model)
+        init_from = model if context.training_mode == "warm" else None
         member_probas = []
         for _ in range(self.committee_size):
             resample = context.rng.choice(labeled, size=len(labeled), replace=True)
             member = model.clone()
-            if warm:
-                member.fit(context.dataset.subset(resample), init_from=model)
-            else:
-                member.fit(context.dataset.subset(resample))
+            member.fit(context.dataset.subset(resample), init_from=init_from)
             member_probas.append(member.predict_proba(context.candidates))
         stacked = np.stack(member_probas)  # (C, n, K)
         consensus = stacked.mean(axis=0)

@@ -17,10 +17,15 @@ equivalents from scratch in numpy:
 * :class:`~repro.models.lstm.LSTMRegressor` — tiny LSTM used by the LHS
   strategy to predict the next evaluation score.
 
-All six share one skeleton, :class:`~repro.models.base.NumpyModel`
-(clone, parameter state, construction-time argument checks); the two
-CRF taggers also share one decoding head,
-:class:`~repro.models.crf_core.CRFTagger`.
+Every classifier and tagger keeps one contract
+(:class:`~repro.models.base.Classifier`,
+:class:`~repro.models.base.SequenceLabeler`): ``fit(dataset,
+init_from=None)`` trains cold or warm-starts, and
+``get_params``/``set_params`` round-trip the fitted state.  All six
+families share one skeleton, :class:`~repro.models.base.NumpyModel`
+(clone, parameter state, construction-time argument checks); the five
+minibatch families train through its one loop, and the two CRF taggers
+also share one decoding head, :class:`~repro.models.crf_core.CRFTagger`.
 """
 
 from .base import (
@@ -29,9 +34,7 @@ from .base import (
     fit_generation,
     supports_embedding_gradients,
     supports_gradient_lengths,
-    supports_param_state,
     supports_stochastic_predictions,
-    supports_warm_start,
 )
 from .bilstm_crf import BiLSTMCRF
 from .crf import LinearChainCRF
@@ -55,7 +58,5 @@ __all__ = [
     "structured_embeddings",
     "supports_embedding_gradients",
     "supports_gradient_lengths",
-    "supports_param_state",
     "supports_stochastic_predictions",
-    "supports_warm_start",
 ]

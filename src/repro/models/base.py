@@ -6,21 +6,17 @@ Two abstract families cover the paper's two tasks:
 * :class:`SequenceLabeler` — NER; exposes best-path log-probabilities and
   per-token marginals, which is all LC/entropy/MNLP need.
 
-Optional capabilities (expected gradient lengths for EGL, embedding
-gradients for EGL-word, stochastic predictions for BALD) are discovered
-with the ``supports_*`` helpers so strategies can fail fast with a clear
-error when paired with an incapable model.
-
-Two further capabilities power the warm-start training layer:
-
-* ``fit(dataset, init_from=prev_model)`` — models that accept an
-  ``init_from`` keyword resume from the previous round's parameters and
-  train :func:`resolve_warm_epochs` epochs instead of a full cold fit.
-  Probe with :func:`supports_warm_start`.  ``init_from=None`` must remain
-  byte-identical to the historical cold fit (same RNG draw order).
-* ``get_params()`` / ``set_params(state)`` — a pure-JSON round trip of
-  the fitted parameter state, so snapshot restore is O(params) instead
-  of O(retrain).  Probe with :func:`supports_param_state`.
+Every model keeps one contract, so no caller probes for it:
+``fit(dataset, init_from=None)`` trains from scratch, or with
+``init_from`` (the previous round's fitted model) resumes from its
+parameters for :func:`resolve_warm_epochs` epochs; ``get_params()`` /
+``set_params(state)`` round-trip the fitted parameter state as pure
+JSON, which is how snapshots restore models, in O(params).  The
+capabilities that really vary between families (expected gradient
+lengths for EGL, embedding gradients for EGL-word, stochastic
+predictions for BALD) are discovered with the ``supports_*`` helpers so
+strategies can fail fast with a clear error when paired with an
+incapable model.
 
 Every fit (cold or warm) and every ``set_params`` bumps a monotonically
 increasing ``_fit_generation`` counter (see :func:`fit_generation`); the
@@ -28,9 +24,9 @@ prediction cache keys on it so a model refitted in place can never serve
 stale forward passes.
 
 :class:`NumpyModel` is the skeleton every numpy family in this package
-builds on: a constructor-argument ``clone``, the parameter-state codec,
-the not-fitted and warm-start-source checks, and the construction-time
-:data:`ARGUMENT_RULES`.
+builds on: a constructor-argument ``clone``, the one minibatch training
+loop, the parameter-state codec, the not-fitted and warm-start-source
+checks, and the construction-time :data:`ARGUMENT_RULES`.
 """
 
 from __future__ import annotations
@@ -44,14 +40,16 @@ import numpy as np
 from ..data.datasets import SequenceDataset, TextDataset
 from ..exceptions import ConfigurationError, NotFittedError
 from ..ioutil import is_int, is_number
+from ..rng import ensure_rng
+from .layers import Adam, minibatches
 
 
 class Classifier(ABC):
     """A trainable multi-class text classifier."""
 
     @abstractmethod
-    def fit(self, dataset: TextDataset) -> "Classifier":
-        """Train (from scratch) on ``dataset`` and return ``self``."""
+    def fit(self, dataset: TextDataset, init_from: "Classifier | None" = None) -> "Classifier":
+        """Train on ``dataset`` (warm-started from ``init_from``) and return ``self``."""
 
     @abstractmethod
     def predict_proba(self, dataset: TextDataset) -> np.ndarray:
@@ -91,32 +89,52 @@ class Classifier(ABC):
         """Return ``(n_samples, n, num_classes)`` MC-dropout probability draws."""
         raise NotImplementedError(f"{type(self).__name__} does not support MC sampling")
 
+    @abstractmethod
     def get_params(self) -> dict:
         """Return the fitted parameter state as a pure-JSON document."""
-        raise NotImplementedError(f"{type(self).__name__} does not support get_params")
 
+    @abstractmethod
     def set_params(self, state: dict) -> "Classifier":
         """Restore the state produced by :meth:`get_params` and return ``self``."""
-        raise NotImplementedError(f"{type(self).__name__} does not support set_params")
 
 
 class SequenceLabeler(ABC):
-    """A trainable sequence tagger with probabilistic outputs."""
+    """A trainable sequence tagger with probabilistic outputs.
+
+    Every decode takes the :meth:`emissions` of its dataset as an
+    optional ``emissions`` keyword, so a caller can compute them once.
+    """
 
     @abstractmethod
-    def fit(self, dataset: SequenceDataset) -> "SequenceLabeler":
-        """Train (from scratch) on ``dataset`` and return ``self``."""
+    def fit(
+        self, dataset: SequenceDataset, init_from: "SequenceLabeler | None" = None
+    ) -> "SequenceLabeler":
+        """Train on ``dataset`` (warm-started from ``init_from``) and return ``self``."""
 
     @abstractmethod
-    def predict_tags(self, dataset: SequenceDataset) -> list[np.ndarray]:
+    def emissions(self, dataset: SequenceDataset) -> list[np.ndarray]:
+        """Return per-sentence dropout-free ``(length, num_tags)`` emission scores."""
+
+    @abstractmethod
+    def decode(self, dataset: SequenceDataset, *, emissions: "list | None" = None) -> tuple:
+        """Return ``(predict_tags, best_path_log_proba)`` from one decode."""
+
+    @abstractmethod
+    def predict_tags(
+        self, dataset: SequenceDataset, *, emissions: "list | None" = None
+    ) -> list[np.ndarray]:
         """Return the Viterbi tag-id sequence for every sentence."""
 
     @abstractmethod
-    def best_path_log_proba(self, dataset: SequenceDataset) -> np.ndarray:
+    def best_path_log_proba(
+        self, dataset: SequenceDataset, *, emissions: "list | None" = None
+    ) -> np.ndarray:
         """Return ``log p(y* | x)`` of the Viterbi path, per sentence."""
 
     @abstractmethod
-    def token_marginals(self, dataset: SequenceDataset) -> list[np.ndarray]:
+    def token_marginals(
+        self, dataset: SequenceDataset, *, emissions: "list | None" = None
+    ) -> list[np.ndarray]:
         """Return per-sentence ``(length, num_tags)`` marginal matrices."""
 
     @abstractmethod
@@ -129,13 +147,13 @@ class SequenceLabeler(ABC):
         """Return per-sentence ``(n_samples, length, num_tags)`` stochastic marginals."""
         raise NotImplementedError(f"{type(self).__name__} does not support MC sampling")
 
+    @abstractmethod
     def get_params(self) -> dict:
         """Return the fitted parameter state as a pure-JSON document."""
-        raise NotImplementedError(f"{type(self).__name__} does not support get_params")
 
+    @abstractmethod
     def set_params(self, state: dict) -> "SequenceLabeler":
         """Restore the state produced by :meth:`get_params` and return ``self``."""
-        raise NotImplementedError(f"{type(self).__name__} does not support set_params")
 
 
 def supports_gradient_lengths(model: object) -> bool:
@@ -162,35 +180,6 @@ def supports_stochastic_predictions(model: object) -> bool:
     return False
 
 
-def supports_warm_start(model: object) -> bool:
-    """Whether ``model.fit`` accepts an ``init_from`` previous model."""
-    fit = getattr(type(model), "fit", None)
-    if fit is None:
-        return False
-    try:
-        signature = inspect.signature(fit)
-    except (TypeError, ValueError):  # pragma: no cover - builtins only
-        return False
-    return "init_from" in signature.parameters
-
-
-def supports_param_state(model: object) -> bool:
-    """Whether ``model`` implements the ``get_params``/``set_params`` round trip."""
-    if isinstance(model, Classifier):
-        return (
-            type(model).get_params is not Classifier.get_params
-            and type(model).set_params is not Classifier.set_params
-        )
-    if isinstance(model, SequenceLabeler):
-        return (
-            type(model).get_params is not SequenceLabeler.get_params
-            and type(model).set_params is not SequenceLabeler.set_params
-        )
-    return callable(getattr(model, "get_params", None)) and callable(
-        getattr(model, "set_params", None)
-    )
-
-
 def fit_generation(model: object) -> int:
     """Monotonic fit counter; 0 for a model that has never been fitted."""
     return int(getattr(model, "_fit_generation", 0))
@@ -213,11 +202,18 @@ def params_to_jsonable(arrays: "dict[str, np.ndarray]") -> dict:
     return {name: np.asarray(value).tolist() for name, value in arrays.items()}
 
 
+class _StoredArrays(dict):
+    """Arrays from a stored state: reading one it lacks is a typed error."""
+
+    def __missing__(self, name: str):
+        raise ConfigurationError(f"stored parameter state has no array {name!r}")
+
+
 def params_from_jsonable(payload: dict) -> "dict[str, np.ndarray]":
     """Rebuild float64 arrays from :func:`params_to_jsonable` output."""
-    return {
-        name: np.asarray(value, dtype=np.float64) for name, value in payload.items()
-    }
+    return _StoredArrays(
+        (name, np.asarray(value, dtype=np.float64)) for name, value in payload.items()
+    )
 
 
 _POSITIVE_INT = (lambda value: is_int(value) and value > 0, "a positive integer")
@@ -262,10 +258,19 @@ class NumpyModel:
     fitted arrays in ``self._params``; and names in :attr:`STATE_META`
     the integer attributes (each stored as ``_<name>``) that its
     parameter state carries beside the arrays.
+
+    A minibatch family trains through :meth:`_train` over four hooks:
+    ``_training_data(dataset)`` (what every step reads, built once per
+    fit; it also records ``_num_classes``/``_num_tags``),
+    ``_initial_params(dataset, data, rng)`` (the cold arrays),
+    ``_check_warm(previous, dataset, data)`` (reject warm-start arrays
+    that do not fit) and ``_gradients(data, batch, rng)``.
     """
 
     #: Integer attributes saved in the ``meta`` of :meth:`get_params`.
     STATE_META: "tuple[str, ...]" = ()
+    #: Word vectors of the families built on them; ``None`` for the others.
+    embedding_matrix: "np.ndarray | None" = None
     _params: "dict[str, np.ndarray] | None"
 
     def _check_arguments(self) -> None:
@@ -302,6 +307,37 @@ class NumpyModel:
                 f"{type(init_from).__name__}"
             )
         return init_from._require_fitted()
+
+    def _train(self, dataset, init_from):
+        """Cold fit or warm start: Adam over shuffled minibatches.
+
+        Every random draw (init, shuffles, the hooks' dropout masks)
+        comes from one generator seeded with ``self.seed``, in a fixed
+        order, so a fit is reproducible from its seed.
+        """
+        if not len(dataset):
+            raise ConfigurationError("cannot fit on an empty dataset")
+        rng = ensure_rng(self.seed)
+        previous = None
+        if init_from is not None:
+            previous = self._warm_source(init_from)
+            if self.embedding_matrix is None:
+                # Inherit the frozen embedding so features stay in the same space.
+                self.embedding_matrix = init_from.embedding_matrix
+        data = self._training_data(dataset)
+        if previous is None:
+            epochs = self.epochs
+            self._params = self._initial_params(dataset, data, rng)
+        else:
+            self._check_warm(previous, dataset, data)
+            epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
+            self._params = {name: value.copy() for name, value in previous.items()}
+        optimizer = Adam(learning_rate=self.learning_rate)
+        for _ in range(epochs):
+            for batch in minibatches(len(dataset), self.batch_size, rng):
+                optimizer.update(self._params, self._gradients(data, batch, rng))
+        bump_fit_generation(self)
+        return self
 
     def get_params(self) -> dict:
         """The fitted parameter state as a pure-JSON document."""

@@ -19,8 +19,6 @@ import numpy as np
 
 from ..data.datasets import SequenceDataset
 from ..exceptions import ConfigurationError
-from ..rng import ensure_rng
-from .base import bump_fit_generation, resolve_warm_epochs
 from .batching import length_buckets
 from .crf_core import (
     CRFTagger,
@@ -29,7 +27,7 @@ from .crf_core import (
     crf_sentence_gradients,
 )
 from .embeddings import pretrained_for_dataset
-from .layers import Adam, dropout_mask, glorot_init, minibatches, sigmoid
+from .layers import dropout_mask, glorot_init, sigmoid
 
 
 def _lstm_run(
@@ -166,35 +164,6 @@ class BiLSTMCRF(CRFTagger):
 
     # -- plumbing -----------------------------------------------------------
 
-    def _init_params(self, dataset: SequenceDataset, rng: np.random.Generator) -> None:
-        if self.embedding_matrix is None:
-            self.embedding_matrix = pretrained_for_dataset(
-                dataset, dim=self.embedding_dim, seed_or_rng=self.seed
-            )
-        embedding = self.embedding_matrix
-        if embedding.shape[0] != len(dataset.vocab):
-            raise ConfigurationError(
-                f"embedding table has {embedding.shape[0]} rows for a "
-                f"vocabulary of {len(dataset.vocab)}"
-            )
-        dim = embedding.shape[1]
-        hidden = self.hidden_dim
-        num_tags = dataset.num_tags
-        params: dict[str, np.ndarray] = {"E": embedding.copy()}
-        for prefix in ("f", "b"):
-            params[f"Wx{prefix}"] = glorot_init(rng, dim, 4 * hidden)
-            params[f"Wh{prefix}"] = glorot_init(rng, hidden, 4 * hidden)
-            bias = np.zeros(4 * hidden)
-            bias[hidden : 2 * hidden] = 1.0  # forget-gate bias trick
-            params[f"b{prefix}"] = bias
-        params["Wo"] = glorot_init(rng, 2 * hidden, num_tags)
-        params["bo"] = np.zeros(num_tags)
-        params["A"] = np.zeros((num_tags, num_tags))
-        params["start"] = np.zeros(num_tags)
-        params["end"] = np.zeros(num_tags)
-        self._params = params
-        self._num_tags = num_tags
-
     def _encode(
         self, sentence: np.ndarray, drop_mask: np.ndarray | None
     ) -> tuple[np.ndarray, dict]:
@@ -224,58 +193,69 @@ class BiLSTMCRF(CRFTagger):
     def _sentence_emissions(self, sentence: np.ndarray) -> np.ndarray:
         return self._encode(sentence, None)[0]
 
-    # -- training --------------------------------------------------------------
+    # -- training -----------------------------------------------------------
 
-    def fit(
-        self, dataset: SequenceDataset, init_from: "BiLSTMCRF | None" = None
-    ) -> "BiLSTMCRF":
-        if not len(dataset):
-            raise ConfigurationError("cannot fit on an empty dataset")
-        rng = ensure_rng(self.seed)
-        if init_from is None:
-            epochs = self.epochs
-            self._init_params(dataset, rng)
-        else:
-            epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            previous = self._warm_source(init_from)
-            if previous["E"].shape[0] != len(dataset.vocab) or previous[
-                "Wo"
-            ].shape[1] != dataset.num_tags:
-                raise ConfigurationError(
-                    "warm-start shape mismatch: previous BiLSTMCRF does not "
-                    f"match (vocab={len(dataset.vocab)}, "
-                    f"tags={dataset.num_tags})"
-                )
-            self._params = {name: value.copy() for name, value in previous.items()}
-            self._num_tags = dataset.num_tags
-            if self.embedding_matrix is None:
-                self.embedding_matrix = init_from.embedding_matrix
-        params = self._params
-        optimizer = Adam(learning_rate=self.learning_rate)
+    def _training_data(self, dataset: SequenceDataset):
+        self._num_tags = dataset.num_tags
+        return dataset.sentences, dataset.tag_sequences
+
+    def _initial_params(self, dataset: SequenceDataset, data, rng) -> dict:
+        if self.embedding_matrix is None:
+            self.embedding_matrix = pretrained_for_dataset(
+                dataset, dim=self.embedding_dim, seed_or_rng=self.seed
+            )
+        embedding = self.embedding_matrix
+        if embedding.shape[0] != len(dataset.vocab):
+            raise ConfigurationError(
+                f"embedding table has {embedding.shape[0]} rows for a "
+                f"vocabulary of {len(dataset.vocab)}"
+            )
+        dim = embedding.shape[1]
         hidden = self.hidden_dim
-        for _ in range(epochs):
-            for batch in minibatches(len(dataset), self.batch_size, rng):
-                grads = {name: np.zeros_like(v) for name, v in params.items()}
-                for index in batch:
-                    sentence = dataset.sentences[index]
-                    tags = dataset.tag_sequences[index]
-                    mask = dropout_mask(
-                        rng, (len(sentence), 2 * hidden), self.dropout
-                    )
-                    emissions, cache = self._encode(sentence, mask)
-                    d_em, d_a, d_start, d_end, _ = crf_sentence_gradients(
-                        emissions, tags, params["A"], params["start"], params["end"]
-                    )
-                    scale = 1.0 / len(batch)
-                    self._backprop(cache, d_em * scale, grads)
-                    grads["A"] += scale * d_a
-                    grads["start"] += scale * d_start
-                    grads["end"] += scale * d_end
-                for name in ("Wxf", "Whf", "Wxb", "Whb", "Wo"):
-                    grads[name] += self.l2 * params[name]
-                optimizer.update(params, grads)
-        bump_fit_generation(self)
-        return self
+        num_tags = dataset.num_tags
+        params: dict[str, np.ndarray] = {"E": embedding.copy()}
+        for prefix in ("f", "b"):
+            params[f"Wx{prefix}"] = glorot_init(rng, dim, 4 * hidden)
+            params[f"Wh{prefix}"] = glorot_init(rng, hidden, 4 * hidden)
+            bias = np.zeros(4 * hidden)
+            bias[hidden : 2 * hidden] = 1.0  # forget-gate bias trick
+            params[f"b{prefix}"] = bias
+        params["Wo"] = glorot_init(rng, 2 * hidden, num_tags)
+        params["bo"] = np.zeros(num_tags)
+        params["A"] = np.zeros((num_tags, num_tags))
+        params["start"] = np.zeros(num_tags)
+        params["end"] = np.zeros(num_tags)
+        return params
+
+    def _check_warm(self, previous: dict, dataset: SequenceDataset, data) -> None:
+        vocab, tags = len(dataset.vocab), dataset.num_tags
+        if previous["E"].shape[0] != vocab or previous["Wo"].shape[1] != tags:
+            raise ConfigurationError(
+                "warm-start shape mismatch: previous BiLSTMCRF does not "
+                f"match (vocab={vocab}, tags={tags})"
+            )
+
+    def _gradients(self, data, batch: np.ndarray, rng) -> dict:
+        sentences, tag_sequences = data
+        params = self._params
+        hidden = self.hidden_dim
+        grads = {name: np.zeros_like(v) for name, v in params.items()}
+        for index in batch:
+            sentence = sentences[index]
+            tags = tag_sequences[index]
+            mask = dropout_mask(rng, (len(sentence), 2 * hidden), self.dropout)
+            emissions, cache = self._encode(sentence, mask)
+            d_em, d_a, d_start, d_end, _ = crf_sentence_gradients(
+                emissions, tags, params["A"], params["start"], params["end"]
+            )
+            scale = 1.0 / len(batch)
+            self._backprop(cache, d_em * scale, grads)
+            grads["A"] += scale * d_a
+            grads["start"] += scale * d_start
+            grads["end"] += scale * d_end
+        for name in ("Wxf", "Whf", "Wxb", "Whb", "Wo"):
+            grads[name] += self.l2 * params[name]
+        return grads
 
     def _backprop(
         self, cache: dict, d_emissions: np.ndarray, grads: dict[str, np.ndarray]

@@ -21,8 +21,6 @@ import numpy as np
 
 from ..data.datasets import SequenceDataset
 from ..exceptions import ConfigurationError
-from ..rng import ensure_rng
-from .base import bump_fit_generation, resolve_warm_epochs
 from .batching import length_buckets
 from .crf_core import (
     CRFTagger,
@@ -30,7 +28,6 @@ from .crf_core import (
     crf_marginals_batch,
     crf_sentence_gradients,
 )
-from .layers import Adam, minibatches
 
 _COMPONENTS = ("U_curr", "U_prev", "U_next")
 
@@ -134,52 +131,40 @@ class LinearChainCRF(CRFTagger):
 
     # -- training --------------------------------------------------------------
 
-    def fit(
-        self, dataset: SequenceDataset, init_from: "LinearChainCRF | None" = None
-    ) -> "LinearChainCRF":
-        if not len(dataset):
-            raise ConfigurationError("cannot fit on an empty dataset")
-        rng = ensure_rng(self.seed)
-        vocab_size = len(dataset.vocab)
-        num_tags = dataset.num_tags
-        self._num_tags = num_tags
-        if init_from is None:
-            epochs = self.epochs
-            self._params = {
-                "U_curr": np.zeros((vocab_size, num_tags)),
-                "U_prev": np.zeros((vocab_size, num_tags)),
-                "U_next": np.zeros((vocab_size, num_tags)),
-                "b": np.zeros(num_tags),
-                "A": np.zeros((num_tags, num_tags)),
-                "start": np.zeros(num_tags),
-                "end": np.zeros(num_tags),
-            }
-        else:
-            epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            previous = self._warm_source(init_from)
-            if previous["U_curr"].shape != (vocab_size, num_tags):
-                raise ConfigurationError(
-                    "warm-start shape mismatch: previous CRF is "
-                    f"{previous['U_curr'].shape}, dataset needs "
-                    f"{(vocab_size, num_tags)}"
-                )
-            self._params = {name: value.copy() for name, value in previous.items()}
-        optimizer = Adam(learning_rate=self.learning_rate)
-        for _ in range(epochs):
-            for batch in minibatches(len(dataset), self.batch_size, rng):
-                grads = {name: np.zeros_like(v) for name, v in self._params.items()}
-                for index in batch:
-                    self._accumulate_sentence_grads(
-                        dataset.sentences[index],
-                        dataset.tag_sequences[index],
-                        grads,
-                        scale=1.0 / len(batch),
-                    )
-                for name, value in self._params.items():
-                    grads[name] += self.l2 * value
-                optimizer.update(self._params, grads)
-        bump_fit_generation(self)
-        return self
+    def _training_data(self, dataset: SequenceDataset):
+        self._num_tags = dataset.num_tags
+        return dataset.sentences, dataset.tag_sequences
+
+    def _initial_params(self, dataset: SequenceDataset, data, rng) -> dict:
+        vocab_size, num_tags = len(dataset.vocab), dataset.num_tags
+        return {
+            "U_curr": np.zeros((vocab_size, num_tags)),
+            "U_prev": np.zeros((vocab_size, num_tags)),
+            "U_next": np.zeros((vocab_size, num_tags)),
+            "b": np.zeros(num_tags),
+            "A": np.zeros((num_tags, num_tags)),
+            "start": np.zeros(num_tags),
+            "end": np.zeros(num_tags),
+        }
+
+    def _check_warm(self, previous: dict, dataset: SequenceDataset, data) -> None:
+        expected = (len(dataset.vocab), dataset.num_tags)
+        if previous["U_curr"].shape != expected:
+            raise ConfigurationError(
+                "warm-start shape mismatch: previous CRF is "
+                f"{previous['U_curr'].shape}, dataset needs {expected}"
+            )
+
+    def _gradients(self, data, batch: np.ndarray, rng) -> dict:
+        sentences, tag_sequences = data
+        grads = {name: np.zeros_like(v) for name, v in self._params.items()}
+        for index in batch:
+            self._accumulate_sentence_grads(
+                sentences[index], tag_sequences[index], grads, scale=1.0 / len(batch)
+            )
+        for name, value in self._params.items():
+            grads[name] += self.l2 * value
+        return grads
 
     def _accumulate_sentence_grads(
         self,

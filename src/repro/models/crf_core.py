@@ -7,8 +7,9 @@ negative-log-likelihood gradient w.r.t. emissions and transitions.  Both
 :class:`~repro.models.crf.LinearChainCRF` (log-linear emissions) and
 :class:`~repro.models.bilstm_crf.BiLSTMCRF` (neural emissions) are thin
 parameterisations around these: each subclasses :class:`CRFTagger`,
-which holds every bucketed decode and its per-sentence oracles, and
-supplies only its emissions, training and stochastic marginals.
+which holds ``fit`` and every bucketed decode with its per-sentence
+oracles, and supplies only its emissions, training hooks and stochastic
+marginals.
 
 Each recursion also has a batched counterpart (``*_batch``) over an
 ``(B, L, T)`` emission tensor of same-length sequences — the models
@@ -276,17 +277,14 @@ class CRFTagger(NumpyModel, SequenceLabeler):
     into exact-length buckets and runs each bucket through the lattice
     as one ``(B, L, T)`` tensor; the batched kernels reduce in the same
     order as the per-sentence ones, so both paths agree bit for bit.
-
-    Every decode takes an optional ``emissions`` list so a caller (e.g.
-    the per-round :class:`~repro.core.prediction_cache.PredictionCache`)
-    can reuse matrices from :meth:`emissions` across calls.
     """
 
     STATE_META = ("num_tags",)
 
-    @abstractmethod
-    def emissions(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        """Dropout-free emission matrices ``(L, T)`` for every sentence."""
+    def fit(
+        self, dataset: SequenceDataset, init_from: "CRFTagger | None" = None
+    ) -> "CRFTagger":
+        return self._train(dataset, init_from)
 
     @abstractmethod
     def _sentence_emissions(self, sentence: np.ndarray) -> np.ndarray:

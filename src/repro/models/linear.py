@@ -13,9 +13,8 @@ import numpy as np
 
 from ..data.datasets import TextDataset
 from ..exceptions import ConfigurationError
-from ..rng import ensure_rng
-from .base import Classifier, NumpyModel, bump_fit_generation, resolve_warm_epochs
-from .layers import Adam, minibatches, one_hot, softmax
+from .base import Classifier, NumpyModel
+from .layers import one_hot, softmax
 
 
 class LinearSoftmax(NumpyModel, Classifier):
@@ -65,43 +64,36 @@ class LinearSoftmax(NumpyModel, Classifier):
     def fit(
         self, dataset: TextDataset, init_from: "LinearSoftmax | None" = None
     ) -> "LinearSoftmax":
-        if not len(dataset):
-            raise ConfigurationError("cannot fit on an empty dataset")
-        rng = ensure_rng(self.seed)
-        features = dataset.bag_of_words()
-        targets = one_hot(dataset.labels, dataset.num_classes)
-        vocab_size = features.shape[1]
+        return self._train(dataset, init_from)
+
+    def _training_data(self, dataset: TextDataset):
         self._num_classes = dataset.num_classes
-        if init_from is None:
-            epochs = self.epochs
-            self._params = {
-                "W": np.zeros((vocab_size, dataset.num_classes)),
-                "b": np.zeros(dataset.num_classes),
-            }
-        else:
-            epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            previous = self._warm_source(init_from)
-            if previous["W"].shape != (vocab_size, dataset.num_classes):
-                raise ConfigurationError(
-                    f"warm-start shape mismatch: previous model is "
-                    f"{previous['W'].shape}, dataset needs "
-                    f"{(vocab_size, dataset.num_classes)}"
-                )
-            self._params = {name: value.copy() for name, value in previous.items()}
-        optimizer = Adam(learning_rate=self.learning_rate)
+        return dataset.bag_of_words(), one_hot(dataset.labels, dataset.num_classes)
+
+    def _initial_params(self, dataset: TextDataset, data, rng) -> dict:
+        return {
+            "W": np.zeros((data[0].shape[1], dataset.num_classes)),
+            "b": np.zeros(dataset.num_classes),
+        }
+
+    def _check_warm(self, previous: dict, dataset: TextDataset, data) -> None:
+        expected = (data[0].shape[1], dataset.num_classes)
+        if previous["W"].shape != expected:
+            raise ConfigurationError(
+                f"warm-start shape mismatch: previous model is "
+                f"{previous['W'].shape}, dataset needs {expected}"
+            )
+
+    def _gradients(self, data, batch: np.ndarray, rng) -> dict:
+        features, targets = data
         params = self._params
-        for _ in range(epochs):
-            for batch in minibatches(len(dataset), self.batch_size, rng):
-                x = features[batch]
-                probabilities = softmax(x @ params["W"] + params["b"])
-                delta = (probabilities - targets[batch]) / len(batch)
-                grads = {
-                    "W": x.T @ delta + self.l2 * params["W"],
-                    "b": delta.sum(axis=0),
-                }
-                optimizer.update(params, grads)
-        bump_fit_generation(self)
-        return self
+        x = features[batch]
+        probabilities = softmax(x @ params["W"] + params["b"])
+        delta = (probabilities - targets[batch]) / len(batch)
+        return {
+            "W": x.T @ delta + self.l2 * params["W"],
+            "b": delta.sum(axis=0),
+        }
 
     # -- inference --------------------------------------------------------
 

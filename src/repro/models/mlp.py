@@ -14,10 +14,9 @@ import numpy as np
 
 from ..data.datasets import TextDataset
 from ..exceptions import ConfigurationError
-from ..rng import ensure_rng
-from .base import Classifier, NumpyModel, bump_fit_generation, resolve_warm_epochs
+from .base import Classifier, NumpyModel
 from .embeddings import pretrained_for_dataset
-from .layers import Adam, dropout_mask, glorot_init, minibatches, one_hot, softmax
+from .layers import dropout_mask, glorot_init, one_hot, softmax
 
 
 class MLPClassifier(NumpyModel, Classifier):
@@ -90,58 +89,47 @@ class MLPClassifier(NumpyModel, Classifier):
     def fit(
         self, dataset: TextDataset, init_from: "MLPClassifier | None" = None
     ) -> "MLPClassifier":
-        if not len(dataset):
-            raise ConfigurationError("cannot fit on an empty dataset")
-        rng = ensure_rng(self.seed)
-        if init_from is not None:
-            previous = self._warm_source(init_from)
-            # Inherit the frozen embedding so features stay in the same space.
-            if self.embedding_matrix is None:
-                self.embedding_matrix = init_from.embedding_matrix
-        features = self._features(dataset)
-        targets = one_hot(dataset.labels, dataset.num_classes)
-        dim = features.shape[1]
+        return self._train(dataset, init_from)
+
+    def _training_data(self, dataset: TextDataset):
         self._num_classes = dataset.num_classes
-        if init_from is None:
-            epochs = self.epochs
-            self._params = {
-                "W1": glorot_init(rng, dim, self.hidden_dim),
-                "b1": np.zeros(self.hidden_dim),
-                "W2": glorot_init(rng, self.hidden_dim, dataset.num_classes),
-                "b2": np.zeros(dataset.num_classes),
-            }
-        else:
-            epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            if previous["W1"].shape != (dim, self.hidden_dim) or previous[
-                "W2"
-            ].shape != (self.hidden_dim, dataset.num_classes):
-                raise ConfigurationError(
-                    "warm-start shape mismatch: previous MLP does not match "
-                    f"(dim={dim}, hidden={self.hidden_dim}, "
-                    f"classes={dataset.num_classes})"
-                )
-            self._params = {name: value.copy() for name, value in previous.items()}
-        optimizer = Adam(learning_rate=self.learning_rate)
-        for _ in range(epochs):
-            for batch in minibatches(len(dataset), self.batch_size, rng):
-                x = features[batch]
-                hidden_pre = x @ self._params["W1"] + self._params["b1"]
-                hidden = np.maximum(hidden_pre, 0.0)
-                mask = dropout_mask(rng, hidden.shape, self.dropout)
-                dropped = hidden * mask
-                probabilities = softmax(dropped @ self._params["W2"] + self._params["b2"])
-                delta_out = (probabilities - targets[batch]) / len(batch)
-                delta_hidden = (delta_out @ self._params["W2"].T) * mask
-                delta_hidden *= hidden_pre > 0
-                grads = {
-                    "W2": dropped.T @ delta_out + self.l2 * self._params["W2"],
-                    "b2": delta_out.sum(axis=0),
-                    "W1": x.T @ delta_hidden + self.l2 * self._params["W1"],
-                    "b1": delta_hidden.sum(axis=0),
-                }
-                optimizer.update(self._params, grads)
-        bump_fit_generation(self)
-        return self
+        return self._features(dataset), one_hot(dataset.labels, dataset.num_classes)
+
+    def _initial_params(self, dataset: TextDataset, data, rng) -> dict:
+        return {
+            "W1": glorot_init(rng, data[0].shape[1], self.hidden_dim),
+            "b1": np.zeros(self.hidden_dim),
+            "W2": glorot_init(rng, self.hidden_dim, dataset.num_classes),
+            "b2": np.zeros(dataset.num_classes),
+        }
+
+    def _check_warm(self, previous: dict, dataset: TextDataset, data) -> None:
+        dim, hidden = data[0].shape[1], self.hidden_dim
+        if previous["W1"].shape != (dim, hidden) or previous["W2"].shape != (
+            hidden, dataset.num_classes
+        ):
+            raise ConfigurationError(
+                "warm-start shape mismatch: previous MLP does not match "
+                f"(dim={dim}, hidden={hidden}, classes={dataset.num_classes})"
+            )
+
+    def _gradients(self, data, batch: np.ndarray, rng) -> dict:
+        features, targets = data
+        x = features[batch]
+        hidden_pre = x @ self._params["W1"] + self._params["b1"]
+        hidden = np.maximum(hidden_pre, 0.0)
+        mask = dropout_mask(rng, hidden.shape, self.dropout)
+        dropped = hidden * mask
+        probabilities = softmax(dropped @ self._params["W2"] + self._params["b2"])
+        delta_out = (probabilities - targets[batch]) / len(batch)
+        delta_hidden = (delta_out @ self._params["W2"].T) * mask
+        delta_hidden *= hidden_pre > 0
+        return {
+            "W2": dropped.T @ delta_out + self.l2 * self._params["W2"],
+            "b2": delta_out.sum(axis=0),
+            "W1": x.T @ delta_hidden + self.l2 * self._params["W1"],
+            "b1": delta_hidden.sum(axis=0),
+        }
 
     # -- parameter state: the frozen embedding travels with the weights ----
 

@@ -23,10 +23,9 @@ import numpy as np
 
 from ..data.datasets import TextDataset
 from ..exceptions import ConfigurationError
-from ..rng import ensure_rng
-from .base import Classifier, NumpyModel, bump_fit_generation, resolve_warm_epochs
+from .base import Classifier, NumpyModel
 from .embeddings import pretrained_for_dataset
-from .layers import Adam, dropout_mask, glorot_init, minibatches, one_hot, softmax
+from .layers import dropout_mask, glorot_init, one_hot, softmax
 
 
 @dataclass
@@ -110,7 +109,19 @@ class TextCNN(NumpyModel, Classifier):
         length = self._fit_length or max(dataset.max_length(), max(self.widths))
         return dataset.padded(max_length=max(length, max(self.widths)))
 
-    def _init_params(self, dataset: TextDataset, rng: np.random.Generator) -> None:
+    # -- training ------------------------------------------------------------
+
+    def fit(
+        self, dataset: TextDataset, init_from: "TextCNN | None" = None
+    ) -> "TextCNN":
+        return self._train(dataset, init_from)
+
+    def _training_data(self, dataset: TextDataset):
+        self._fit_length = self.max_length or max(dataset.max_length(), max(self.widths))
+        self._num_classes = dataset.num_classes
+        return self._padded_ids(dataset), one_hot(dataset.labels, dataset.num_classes)
+
+    def _initial_params(self, dataset: TextDataset, data, rng) -> dict:
         if self.embedding_matrix is None:
             self.embedding_matrix = pretrained_for_dataset(
                 dataset, dim=self.embedding_dim, seed_or_rng=self.seed
@@ -129,8 +140,22 @@ class TextCNN(NumpyModel, Classifier):
             params[f"bw{width}"] = np.zeros(self.filters)
         params["Wo"] = glorot_init(rng, self._hidden_dim, dataset.num_classes)
         params["bo"] = np.zeros(dataset.num_classes)
-        self._params = params
-        self._num_classes = dataset.num_classes
+        return params
+
+    def _check_warm(self, previous: dict, dataset: TextDataset, data) -> None:
+        vocab, classes = len(dataset.vocab), dataset.num_classes
+        if previous["E"].shape[0] != vocab or previous["Wo"].shape[1] != classes:
+            raise ConfigurationError(
+                "warm-start shape mismatch: previous TextCNN does not match "
+                f"(vocab={vocab}, classes={classes})"
+            )
+
+    def _gradients(self, data, batch: np.ndarray, rng) -> dict:
+        ids, targets = data
+        mask = dropout_mask(rng, (len(batch), self._hidden_dim), self.dropout)
+        cache = self._forward(ids[batch], mask)
+        delta_out = (cache.probabilities - targets[batch]) / len(batch)
+        return self._backward(cache, delta_out)
 
     # -- forward / backward -------------------------------------------------
 
@@ -240,45 +265,6 @@ class TextCNN(NumpyModel, Classifier):
         dE[0] = 0.0  # PAD stays zero
         grads["E"] = dE
         return grads
-
-    # -- training ------------------------------------------------------------
-
-    def fit(
-        self, dataset: TextDataset, init_from: "TextCNN | None" = None
-    ) -> "TextCNN":
-        if not len(dataset):
-            raise ConfigurationError("cannot fit on an empty dataset")
-        rng = ensure_rng(self.seed)
-        self._fit_length = self.max_length or max(dataset.max_length(), max(self.widths))
-        if init_from is None:
-            epochs = self.epochs
-            self._init_params(dataset, rng)
-        else:
-            epochs = resolve_warm_epochs(self.epochs, self.warm_epochs)
-            previous = self._warm_source(init_from)
-            if previous["E"].shape[0] != len(dataset.vocab) or previous[
-                "Wo"
-            ].shape[1] != dataset.num_classes:
-                raise ConfigurationError(
-                    "warm-start shape mismatch: previous TextCNN does not match "
-                    f"(vocab={len(dataset.vocab)}, classes={dataset.num_classes})"
-                )
-            self._params = {name: value.copy() for name, value in previous.items()}
-            self._num_classes = dataset.num_classes
-            if self.embedding_matrix is None:
-                self.embedding_matrix = init_from.embedding_matrix
-        ids = self._padded_ids(dataset)
-        targets = one_hot(dataset.labels, dataset.num_classes)
-        optimizer = Adam(learning_rate=self.learning_rate)
-        for _ in range(epochs):
-            for batch in minibatches(len(dataset), self.batch_size, rng):
-                mask = dropout_mask(rng, (len(batch), self._hidden_dim), self.dropout)
-                cache = self._forward(ids[batch], mask)
-                delta_out = (cache.probabilities - targets[batch]) / len(batch)
-                grads = self._backward(cache, delta_out)
-                optimizer.update(self._params, grads)
-        bump_fit_generation(self)
-        return self
 
     # -- parameter state -----------------------------------------------------
 

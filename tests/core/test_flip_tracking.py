@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from repro.core.history import HistoryStore
-from repro.core.session import SessionEngine, run_to_completion
-from repro.core.strategies import Entropy
+from repro.core.session import SessionEngine, record_to_dict, run_to_completion
+from repro.core.strategies import Entropy, LeastConfidence
 from repro.eval.pipeline import contradiction_rate
 from repro.exceptions import HistoryError
+from repro.models.crf import LinearChainCRF
 from repro.models.linear import LinearSoftmax
 
 ENGINE_KWARGS = dict(batch_size=10, rounds=2, seed_or_rng=11)
@@ -155,3 +156,33 @@ class TestEngineTracking:
             text_dataset.subset(range(400, 500)),
         )
         assert [r for r, _, _ in resumed.history.label_rounds()] == recorded
+
+
+class TestTaggerTracking:
+    """A tagger's "label" is a CRC of its predicted tag sequence."""
+
+    @staticmethod
+    def _run(ner_dataset, track_flips):
+        return run_to_completion(SessionEngine(
+            LinearChainCRF(epochs=3, seed=0),
+            LeastConfidence(),
+            ner_dataset.subset(range(150)),
+            ner_dataset.subset(range(150, 200)),
+            batch_size=5,
+            rounds=3,
+            seed_or_rng=11,
+            track_flips=track_flips,
+        ))
+
+    def test_tracking_never_changes_a_tagger_run(self, ner_dataset):
+        plain = self._run(ner_dataset, track_flips=False)
+        tracked = self._run(ner_dataset, track_flips=True)
+        assert json.dumps([record_to_dict(r) for r in plain.records]) == json.dumps(
+            [record_to_dict(r) for r in tracked.records]
+        )
+        assert [s.tolist() for s in plain.selection_order] == [
+            s.tolist() for s in tracked.selection_order
+        ]
+        assert plain.history.num_label_rounds == 0
+        assert tracked.history.num_label_rounds == len(tracked.selection_order)
+        assert np.isfinite(contradiction_rate(tracked.history))

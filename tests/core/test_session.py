@@ -23,11 +23,12 @@ from repro.core.session import (
     SessionState,
     run_to_completion,
 )
-from repro.core.strategies import Entropy, LHS, WSHS
+from repro.core.strategies import Entropy, LHS, LeastConfidence, WSHS
 from repro.core.strategies.base import SelectionContext
 from repro.core.events import EventLog, SessionObserver
 from repro.eval.metrics import evaluate_model
 from repro.exceptions import IngestError, SessionError
+from repro.models.crf import LinearChainCRF
 from repro.models.linear import LinearSoftmax
 from repro.rng import ensure_rng
 
@@ -361,6 +362,32 @@ class TestSnapshotRestore:
         assert_result_identical(expected, run_to_completion(resumed))
 
 
+#: Malformed tag-sequence labels for one sentence of ``length`` tokens:
+#: each is an ``IngestError`` naming the sample, and nothing is written.
+MALFORMED_TAGS = {
+    "float-tags": lambda length: [0.5] * length,
+    "bool-tags": lambda length: [True] * length,
+    "string-label": lambda length: "x",
+    "string-tags": lambda length: ["B-PER"] * length,
+    "dict-label": lambda length: {"tags": [0] * length},
+    "null-label": lambda length: None,
+}
+
+
+def _awaiting_tagger(ner_dataset):
+    """A CRF session awaiting labels for its bootstrap batch."""
+    engine = SessionEngine(
+        LinearChainCRF(epochs=2, seed=0),
+        LeastConfidence(),
+        ner_dataset.subset(range(150)),
+        ner_dataset.subset(range(150, 200)),
+        batch_size=4,
+        rounds=2,
+        seed_or_rng=11,
+    )
+    return engine, engine.propose()
+
+
 class TestIngestValidation:
     def _awaiting_engine(self, text_dataset, advance_rounds=0):
         train, test = _splits(text_dataset)
@@ -429,6 +456,33 @@ class TestIngestValidation:
         assert engine.state is SessionState.AWAIT_LABELS
         assert engine.train_dataset.labels.tolist() == before.tolist()
         engine.ingest_labels(pending)  # still usable afterwards
+
+    @pytest.mark.parametrize("case", list(MALFORMED_TAGS))
+    def test_sequence_label_must_be_tag_ids(self, ner_dataset, case):
+        engine, pending = _awaiting_tagger(ner_dataset)
+        before = [tags.tolist() for tags in engine.train_dataset.tag_sequences]
+        labels = [
+            [0] * len(engine.train_dataset.sentences[index]) for index in pending
+        ]
+        labels[0] = MALFORMED_TAGS[case](len(labels[0]))
+        with pytest.raises(IngestError, match=f"sample {pending[0]}: "):
+            engine.ingest_labels(pending, labels)
+        assert engine.state is SessionState.AWAIT_LABELS
+        after = [tags.tolist() for tags in engine.train_dataset.tag_sequences]
+        assert after == before
+
+    def test_tag_id_lists_commit(self, ner_dataset):
+        engine, pending = _awaiting_tagger(ner_dataset)
+        num_tags = engine.train_dataset.num_tags
+        labels = [
+            [(index + position) % num_tags
+             for position in range(len(engine.train_dataset.sentences[index]))]
+            for index in pending.tolist()
+        ]
+        engine.ingest_labels(pending, labels)
+        for index, tags in zip(pending.tolist(), labels):
+            assert engine.train_dataset.tag_sequences[index].tolist() == tags
+        assert engine.propose() is not None
 
     def test_wrong_state_errors(self, text_dataset):
         train, test = _splits(text_dataset)

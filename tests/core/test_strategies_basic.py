@@ -15,6 +15,7 @@ from repro.core.strategies import (
     create_strategy,
     registered_strategies,
 )
+from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies.base import distribution_entropy
 from repro.exceptions import ConfigurationError, StrategyError
 from repro.models.crf import LinearChainCRF
@@ -206,6 +207,27 @@ class TestDensity:
     def test_bad_beta(self):
         with pytest.raises(ConfigurationError):
             DensityWeighted(Entropy(), beta=-1)
+
+    def test_tagger_run_over_a_sequence_pool(self, ner_dataset):
+        """density(lc) weights by bag-of-token similarity on NER pools."""
+        strategy = DensityWeighted(LeastConfidence())
+        result = run_to_completion(SessionEngine(
+            LinearChainCRF(epochs=2, seed=0),
+            strategy,
+            ner_dataset.subset(range(150)),
+            ner_dataset.subset(range(150, 200)),
+            batch_size=4,
+            rounds=2,
+            seed_or_rng=11,
+        ))
+        assert len(result.records) == 3
+        assert all(len(selected) == 4 for selected in result.selection_order)
+        context = make_context(ner_dataset.subset(range(150)), n_labeled=12)
+        scores = strategy.scores(result.final_model, context)
+        base = LeastConfidence().scores(result.final_model, context)
+        assert scores.shape == context.unlabeled.shape
+        assert np.isfinite(scores).all()
+        assert (scores <= base + 1e-9).all()
 
 
 class TestMMR:

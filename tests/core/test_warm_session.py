@@ -3,10 +3,9 @@
 ``training_mode="warm"`` is the opt-in fast path: each round's model
 resumes from the previous round's parameters.  These tests pin its
 contract — deterministic given the run seed, quality-comparable to cold,
-byte-identical across snapshot/restore at every phase boundary, and
-falling back to cold fits for models that cannot warm-start — plus the
-cold-mode guarantee that serialized-parameter restore reproduces exactly
-what a from-scratch refit would.
+and byte-identical across snapshot/restore at every phase boundary —
+plus the cold-mode guarantee that serialized-parameter restore
+reproduces exactly what a from-scratch refit would.
 """
 
 from __future__ import annotations
@@ -99,24 +98,6 @@ class TestWarmMode:
         implicit = run_to_completion(SessionEngine(_model(), Entropy(), train, test, **KWARGS))
         explicit = run_to_completion(_engine(text_dataset, "cold"))
         _assert_identical(implicit, explicit)
-
-    def test_warm_falls_back_to_cold_for_unsupported_models(self, text_dataset):
-        class ColdOnly(LinearSoftmax):
-            def fit(self, dataset):  # no init_from: cannot warm-start
-                return super().fit(dataset)
-
-            def clone(self):
-                return ColdOnly(
-                    epochs=self.epochs, batch_size=self.batch_size, seed=self.seed
-                )
-
-        cold = run_to_completion(_engine(
-            text_dataset, "cold", model=ColdOnly(epochs=8, seed=0)
-        ))
-        warm = run_to_completion(_engine(
-            text_dataset, "warm", model=ColdOnly(epochs=8, seed=0)
-        ))
-        _assert_identical(cold, warm)
 
 
 class TestWarmSnapshotRestore:

@@ -146,14 +146,21 @@ class FaultInjectingModel(Classifier):
         self._spec = spec
         self._counter = counter if counter is not None else [0]
 
-    def fit(self, dataset):
+    def fit(self, dataset, init_from=None):
         self._counter[0] += 1
         self._spec.maybe_fire(self._counter[0])
-        self._inner.fit(dataset)
+        self._inner.fit(dataset, init_from=None if init_from is None else init_from._inner)
         return self
 
     def predict_proba(self, dataset):
         return self._inner.predict_proba(dataset)
+
+    def get_params(self):
+        return self._inner.get_params()
+
+    def set_params(self, state):
+        self._inner.set_params(state)
+        return self
 
     def clone(self):
         return FaultInjectingModel(self._inner.clone(), self._spec, self._counter)

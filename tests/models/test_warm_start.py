@@ -1,7 +1,6 @@
 """Warm-start and parameter-state contracts across the model stack.
 
-Every model family advertising ``supports_warm_start`` must honour the
-same protocol: ``fit(dataset, init_from=prev)`` resumes deterministically
+Every model family must honour the same protocol: ``fit(dataset, init_from=prev)`` resumes deterministically
 from the previous parameters (same seed => same result), trains fewer
 epochs, and bumps the fit generation; ``get_params``/``set_params``
 round-trip the fitted state byte for byte through JSON.
@@ -23,8 +22,6 @@ from repro.models import (
     MLPClassifier,
     TextCNN,
     fit_generation,
-    supports_param_state,
-    supports_warm_start,
 )
 
 CLASSIFIER_FACTORIES = {
@@ -56,11 +53,6 @@ def labeler_factory(request):
 
 
 class TestClassifierWarmStart:
-    def test_capability_probes(self, classifier_factory):
-        model = classifier_factory()
-        assert supports_warm_start(model)
-        assert supports_param_state(model)
-
     def test_warm_fit_is_deterministic(self, classifier_factory, text_dataset):
         small, large = _grown(text_dataset)
         base = classifier_factory().fit(small)
@@ -124,11 +116,6 @@ class TestClassifierWarmStart:
 
 
 class TestLabelerWarmStart:
-    def test_capability_probes(self, labeler_factory):
-        model = labeler_factory()
-        assert supports_warm_start(model)
-        assert supports_param_state(model)
-
     def test_warm_fit_is_deterministic(self, labeler_factory, ner_dataset):
         small, large = _grown(ner_dataset, small=40, large=70)
         base = labeler_factory().fit(small)

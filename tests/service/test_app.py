@@ -29,6 +29,7 @@ from repro.service import (
     dispatch,
 )
 from repro.specs import ExperimentSpec, Spec
+from tests.core.test_session import MALFORMED_TAGS
 
 RECIPE = {
     "dataset": "mr",
@@ -92,22 +93,32 @@ MALFORMED_INGESTS = {
 }
 
 
+def _parent(document: dict, path: str) -> "tuple[dict, str]":
+    """The object holding the dotted ``path`` of ``document``, and its key."""
+    *parents, key = path.split(".")
+    for parent in parents:
+        document = document[parent]
+    return document, key
+
+
 def _set(path: str, value):
     """Damage that sets the dotted ``path`` of a stored document to ``value``."""
 
     def damage(document):
-        *parents, key = path.split(".")
-        for parent in parents:
-            document = document[parent]
-        document[key] = value
+        holder, key = _parent(document, path)
+        holder[key] = value
 
     return damage
 
 
 def _drop(path: str):
     """Damage that removes the dotted ``path`` of a stored document."""
-    parent, _, key = path.rpartition(".")
-    return lambda document: (document[parent] if parent else document).pop(key)
+
+    def damage(document):
+        holder, key = _parent(document, path)
+        del holder[key]
+
+    return damage
 
 
 #: Damage to a stored session document (saved right after the first
@@ -131,12 +142,45 @@ MALFORMED_DOCUMENTS = {
     "default-metric-false": (
         _set("session.config.default_metric", False), "config.default_metric must be"
     ),
+    "string-params": (_set("session.model.params", "x"), "model.params must be"),
+    "string-arrays": (_set("session.model.params.arrays", "x"), "model.params must be"),
+    "no-meta": (_drop("session.model.params.meta"), "model.params must be"),
+    "string-meta": (
+        _set("session.model.params.meta.num_classes", "two"), "model.params must be"
+    ),
+}
+
+#: Damage that passes the field rules ``status`` checks and that only a
+#: restore (``set_params``) sees: a typed 409 on re-hydration too.
+UNRESTORABLE_DOCUMENTS = {
+    "ragged-array": (
+        _set("session.model.params.arrays.b", [[0.0], [0.0, 1.0]]),
+        "model params cannot be restored",
+    ),
+}
+
+#: Damage to the stored model's arrays that set_params cannot see: a
+#: typed 4xx no later than the next propose, which warm-starts from it.
+DAMAGED_ARRAYS = {
+    "missing-array": _drop("session.model.params.arrays.W"),
+    "short-array": _set("session.model.params.arrays.W", [[0.0, 0.0]]),
+}
+
+#: A tiny NER session: conll-en at 5% scale, least-confidence picks.
+NER_RECIPE = {
+    "dataset": "conll-en",
+    "scale": 0.05,
+    "strategy": "lc",
+    "rounds": 2,
+    "batch_size": 4,
+    "epochs": 2,
+    "seed": 3,
 }
 
 
 def damage_document(document: dict, case: str) -> "tuple[dict, str]":
     """A deep copy of ``document`` with ``case``'s damage, and its message."""
-    damage, message = MALFORMED_DOCUMENTS[case]
+    damage, message = {**MALFORMED_DOCUMENTS, **UNRESTORABLE_DOCUMENTS}[case]
     damaged = json.loads(json.dumps(document))
     damage(damaged)
     return damaged, message
@@ -144,10 +188,13 @@ def damage_document(document: dict, case: str) -> "tuple[dict, str]":
 
 @pytest.fixture(scope="module")
 def proposed_document():
-    """The stored document of a session right after its first proposal."""
+    """The stored document of a warm session right after its first
+    proposal from a fitted model (so it carries a model spec)."""
     store = MemorySessionStore()
     client = SessionClient.in_process(SessionService(store))
-    client.create(RECIPE, session_id="s1")
+    client.create(dict(RECIPE, training_mode="warm"), session_id="s1")
+    client.propose("s1")
+    client.ingest("s1", oracle=True)
     client.propose("s1")
     return store.load("s1").document
 
@@ -342,7 +389,7 @@ class TestPersistence:
 
 
 class TestMalformedStoredDocuments:
-    @pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+    @pytest.mark.parametrize("case", [*MALFORMED_DOCUMENTS, *UNRESTORABLE_DOCUMENTS])
     def test_rehydration_is_a_typed_409(self, proposed_document, case):
         document, message = damage_document(proposed_document, case)
         store = MemorySessionStore()
@@ -358,6 +405,74 @@ class TestMalformedStoredDocuments:
         status, payload = dispatch(SessionService(store), "GET", "/sessions/s1")
         assert status == 200, payload
         assert payload["state"] == "await_labels"
+
+    @pytest.mark.parametrize("case", list(DAMAGED_ARRAYS))
+    def test_damaged_array_is_typed_by_the_next_propose(self, proposed_document, case):
+        document = json.loads(json.dumps(proposed_document))
+        DAMAGED_ARRAYS[case](document)
+        store = MemorySessionStore()
+        store.create("s1", document)
+        service = SessionService(store)
+        for method, path, body in (
+            ("GET", "/sessions/s1", None),
+            ("POST", "/sessions/s1/ingest", {"oracle": True}),
+            ("POST", "/sessions/s1/propose", None),
+        ):
+            status, payload = dispatch(service, method, path, body=body)
+            if status != 200:
+                break
+        assert status in (400, 409), payload
+        assert payload["error_type"] in ("ConfigurationError", "SessionError")
+
+
+class TestSequenceLabelIngest:
+    """Tag-sequence labels through ``dispatch``: lists of tag ids only."""
+
+    @staticmethod
+    def _proposed(store):
+        service = SessionService(store)
+        dispatch(service, "POST", "/sessions", body={"recipe": NER_RECIPE, "id": "ner"})
+        status, payload = dispatch(service, "POST", "/sessions/ner/propose")
+        assert status == 200, payload
+        train = build_session_components(NER_RECIPE)[0]
+        indices = payload["indices"]
+        return service, indices, [len(train.sentences[index]) for index in indices]
+
+    @pytest.mark.parametrize("case", list(MALFORMED_TAGS))
+    def test_malformed_tags_are_a_400_that_writes_nothing(self, case):
+        store = MemorySessionStore()
+        service, indices, lengths = self._proposed(store)
+        labels = [[0] * length for length in lengths]
+        labels[0] = MALFORMED_TAGS[case](lengths[0])
+        before = store.load("ner").document
+        status, payload = dispatch(
+            service, "POST", "/sessions/ner/ingest",
+            body={"indices": indices, "labels": labels},
+        )
+        assert status == 400, payload
+        assert payload["error_type"] == "IngestError"
+        assert f"sample {indices[0]}: " in payload["error"]
+        assert store.load("ner").document == before
+        assert dispatch(service, "GET", "/sessions/ner")[1]["state"] == "await_labels"
+
+    def test_tag_ids_commit_and_replay_in_a_fresh_service(self):
+        store = MemorySessionStore()
+        service, indices, lengths = self._proposed(store)
+        labels = [[position % 3 for position in range(length)] for length in lengths]
+        status, payload = dispatch(
+            service, "POST", "/sessions/ner/ingest",
+            body={"indices": indices, "labels": labels},
+        )
+        assert status == 200 and payload["committed"], payload
+        document = store.load("ner").document
+        assert document["session"]["ingested"] == [
+            [index, tags] for index, tags in zip(indices, labels)
+        ]
+        copy = MemorySessionStore()
+        copy.create("ner", document)
+        replayed = dispatch(SessionService(copy), "POST", "/sessions/ner/propose")
+        assert replayed == dispatch(service, "POST", "/sessions/ner/propose")
+        assert replayed[0] == 200
 
 
 class TestDispatch:

@@ -22,6 +22,7 @@ from .test_app import (
     MALFORMED_INGESTS,
     MALFORMED_RECIPES,
     RECIPE,
+    UNRESTORABLE_DOCUMENTS,
     damage_document,
     drive,
     malformed_ingest,
@@ -106,7 +107,7 @@ class TestHttpTransport:
         assert "Traceback" not in capsys.readouterr().err
         http_client.ingest("s1", oracle=True)  # the session still works
 
-    @pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+    @pytest.mark.parametrize("case", [*MALFORMED_DOCUMENTS, *UNRESTORABLE_DOCUMENTS])
     def test_restart_on_malformed_document_is_a_typed_409(
         self, proposed_document, tmp_path, capsys, case
     ):

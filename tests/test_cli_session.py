@@ -22,8 +22,10 @@ from repro.service import (
     make_server,
 )
 from repro.specs import ExperimentSpec, Spec
+from tests.core.test_session import MALFORMED_TAGS
 from tests.service.test_app import (
     MALFORMED_DOCUMENTS,
+    UNRESTORABLE_DOCUMENTS,
     damage_document,
     proposed_document,  # noqa: F401 - fixture
 )
@@ -40,6 +42,23 @@ def init_session(tmp_path):
     directory = tmp_path / "session"
     assert main(INIT_ARGV + ["--dir", str(directory)]) == 0
     return directory
+
+
+def init_ner_session(tmp_path) -> "tuple[object, dict]":
+    """A conll-en session awaiting labels, and a labels file body of
+    valid tag ids (one per token of each proposed sentence)."""
+    directory = tmp_path / "ner"
+    assert main([
+        "session", "init", "--dir", str(directory), "--dataset", "conll-en",
+        "--scale", "0.05", "--strategy", "lc", "--rounds", "2",
+        "--batch-size", "4", "--epochs", "2", "--seed", "3",
+    ]) == 0
+    proposal = json.loads((directory / "proposal.json").read_text())
+    labels = {
+        str(sample["index"]): [0] * len(sample["text"].split())
+        for sample in proposal["samples"]
+    }
+    return directory, labels
 
 
 class TestSessionRoundTrip:
@@ -102,6 +121,38 @@ class TestSessionRoundTrip:
         assert not set(fresh["indices"]) & set(proposal["indices"])
 
 
+class TestSequenceLabelFiles:
+    def test_tag_id_labels_commit(self, tmp_path, capsys):
+        directory, labels = init_ner_session(tmp_path)
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(json.dumps(labels))
+        assert main(["session", "ingest", "--dir", str(directory),
+                     "--labels", str(labels_file)]) == 0
+        assert "committed round 0" in capsys.readouterr().out
+        stored = json.loads((directory / "session.json").read_text())
+        assert stored["session"]["ingested"] == [
+            [int(index), tags] for index, tags in labels.items()
+        ]
+        assert main(["session", "status", "--dir", str(directory)]) == 0
+
+    @pytest.mark.parametrize("case", list(MALFORMED_TAGS))
+    def test_malformed_tags_are_one_error_line(self, tmp_path, capsys, case):
+        directory, labels = init_ner_session(tmp_path)
+        first = next(iter(labels))
+        labels[first] = MALFORMED_TAGS[case](len(labels[first]))
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(json.dumps(labels))
+        before = (directory / "session.json").read_bytes()
+        capsys.readouterr()
+        assert main(["session", "ingest", "--dir", str(directory),
+                     "--labels", str(labels_file)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and first in line
+        assert (directory / "session.json").read_bytes() == before
+        assert main(["session", "status", "--dir", str(directory)]) == 0
+        assert "state:    await_labels" in capsys.readouterr().out
+
+
 class TestSessionErrors:
     def test_init_refuses_existing_session(self, tmp_path, capsys):
         directory = init_session(tmp_path)
@@ -160,6 +211,16 @@ class TestSessionErrors:
         assert main(["session", command, "--dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
+    @pytest.mark.parametrize("case", list(UNRESTORABLE_DOCUMENTS))
+    def test_unrestorable_session_file_is_one_error_line(
+        self, proposed_document, tmp_path, capsys, case
+    ):
+        document, message = damage_document(proposed_document, case)
+        JsonSessionStore(tmp_path).create("session", document)
+        assert main(["session", "propose", "--dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and message in line
 
     def test_status_on_missing_session(self, tmp_path, capsys):
