@@ -15,6 +15,7 @@ their vocabulary so models can size their embedding tables.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -22,13 +23,39 @@ from ..exceptions import DataError
 from .vocab import Vocabulary
 
 
-def _as_id_array(sequence: Sequence[int]) -> np.ndarray:
-    array = np.asarray(sequence, dtype=np.int64)
-    if array.ndim != 1:
-        raise DataError(f"token sequences must be 1-D, got shape {array.shape}")
-    if array.size and array.min() < 0:
-        raise DataError("token ids must be non-negative")
-    return array
+def _id_arrays(
+    sequences: Sequence[Sequence[int]], kind: str, limit: "int | None" = None
+) -> list[np.ndarray]:
+    """Return ``sequences`` as int64 arrays, checked once over all their ids.
+
+    Each array must be 1-D, with ids ``>= 0`` and, when ``limit`` is given,
+    ``< limit``.  Arrays that already are int64 are kept, not copied, so a
+    subset shares its parent's arrays.  The error names the first offending
+    sample.
+    """
+    arrays = list(map(np.asarray, sequences, repeat(np.int64)))
+    if not arrays:
+        return arrays
+    try:
+        ids = np.concatenate(arrays)
+    except ValueError:  # a 0-d array, or arrays of different ndim
+        ids = None
+    if ids is None or ids.ndim != 1:
+        sample = next(i for i, array in enumerate(arrays) if array.ndim != 1)
+        raise DataError(
+            f"sample {sample}: {kind} sequences must be 1-D, "
+            f"got shape {arrays[sample].shape}"
+        )
+    if ids.size and (ids.min() < 0 or (limit is not None and ids.max() >= limit)):
+        bad = ids < 0 if limit is None else (ids < 0) | (ids >= limit)
+        position = int(np.argmax(bad))
+        ends = np.cumsum([array.size for array in arrays])
+        sample = int(np.searchsorted(ends, position, side="right"))
+        bound = "non-negative" if limit is None else f"in [0, {limit})"
+        raise DataError(
+            f"sample {sample}: {kind} id {ids[position]} is not {bound}"
+        )
+    return arrays
 
 
 class TextDataset:
@@ -57,7 +84,7 @@ class TextDataset:
         num_classes: int,
         name: str = "text",
     ) -> None:
-        self.sentences: list[np.ndarray] = [_as_id_array(s) for s in sentences]
+        self.sentences = _id_arrays(sentences, "token", len(vocab))
         self.labels = np.asarray(labels, dtype=np.int64)
         if len(self.sentences) != len(self.labels):
             raise DataError(
@@ -78,7 +105,7 @@ class TextDataset:
         """Return a view-like dataset containing only ``indices``."""
         index_array = np.asarray(indices, dtype=np.int64)
         return TextDataset(
-            [self.sentences[i] for i in index_array],
+            [self.sentences[i] for i in index_array.tolist()],
             self.labels[index_array],
             self.vocab,
             self.num_classes,
@@ -109,14 +136,24 @@ class TextDataset:
     def bag_of_words(self, normalize: bool = True) -> np.ndarray:
         """Return ``(n, |V|)`` token-count features (L1-normalised rows).
 
-        Empty sentences produce an all-zero row.
+        Empty sentences produce an all-zero row.  Each (row, token) cell
+        is written once, as ``count / length`` (the raw count when
+        ``normalize`` is false).  Counts are small integers, so a sentence's
+        length is exactly the float row sum of its counts, and the cell
+        holds the same bytes a dense row sum and divide would give.
         """
-        matrix = np.zeros((len(self), len(self.vocab)), dtype=np.float64)
-        for row, sentence in enumerate(self.sentences):
-            np.add.at(matrix[row], sentence, 1.0)
-        if normalize:
-            totals = matrix.sum(axis=1, keepdims=True)
-            np.divide(matrix, totals, out=matrix, where=totals > 0)
+        width = len(self.vocab)
+        matrix = np.zeros((len(self), width), dtype=np.float64)
+        if not len(self):
+            return matrix
+        lengths = self.lengths()
+        ids = np.concatenate(self.sentences)
+        if ids.size and ids.max() >= width:
+            raise DataError(f"token id {ids.max()} is not in [0, {width})")
+        rows = np.repeat(np.arange(len(self)), lengths)
+        cells, counts = np.unique(rows * width + ids, return_counts=True)
+        values = counts / lengths[cells // width] if normalize else counts
+        np.put(matrix, cells, values)
         return matrix
 
     def class_counts(self) -> np.ndarray:
@@ -155,17 +192,20 @@ class SequenceDataset:
         tag_names: Sequence[str],
         name: str = "ner",
     ) -> None:
-        self.sentences = [_as_id_array(s) for s in sentences]
-        self.tag_sequences = [_as_id_array(t) for t in tag_sequences]
+        self.sentences = _id_arrays(sentences, "token", len(vocab))
+        self.tag_sequences = _id_arrays(tag_sequences, "tag")
         if len(self.sentences) != len(self.tag_sequences):
             raise DataError(
                 f"{len(self.sentences)} sentences but {len(self.tag_sequences)} tag sequences"
             )
-        for i, (sentence, tags) in enumerate(zip(self.sentences, self.tag_sequences)):
-            if len(sentence) != len(tags):
-                raise DataError(
-                    f"sentence {i}: {len(sentence)} tokens but {len(tags)} tags"
-                )
+        token_counts = list(map(len, self.sentences))
+        tag_counts = list(map(len, self.tag_sequences))
+        if token_counts != tag_counts:
+            i = next(i for i, (tokens, tags) in enumerate(zip(token_counts, tag_counts))
+                     if tokens != tags)
+            raise DataError(
+                f"sentence {i}: {token_counts[i]} tokens but {tag_counts[i]} tags"
+            )
         self.vocab = vocab
         self.tag_names = list(tag_names)
         if not self.tag_names:
@@ -183,9 +223,10 @@ class SequenceDataset:
     def subset(self, indices: Sequence[int]) -> "SequenceDataset":
         """Return a dataset containing only ``indices``."""
         index_array = np.asarray(indices, dtype=np.int64)
+        rows = index_array.tolist()
         return SequenceDataset(
-            [self.sentences[i] for i in index_array],
-            [self.tag_sequences[i] for i in index_array],
+            [self.sentences[i] for i in rows],
+            [self.tag_sequences[i] for i in rows],
             self.vocab,
             self.tag_names,
             name=self.name,

@@ -16,6 +16,11 @@ from ..exceptions import ConfigurationError
 from .base import Classifier, NumpyModel
 from .layers import one_hot, softmax
 
+#: Rows per block when EGL sums squared features, so the squares never
+#: fill a second ``(n, |V|)`` matrix.  ``sum(axis=1)`` reduces each row
+#: on its own, so the block size cannot change a byte.
+EGL_BLOCK_ROWS = 256
+
 
 class LinearSoftmax(NumpyModel, Classifier):
     """Multinomial logistic regression on L1-normalised token counts.
@@ -118,7 +123,11 @@ class LinearSoftmax(NumpyModel, Classifier):
         params = self._require_fitted()
         features = dataset.bag_of_words()
         probabilities = softmax(features @ params["W"] + params["b"])
-        feature_norms = np.sqrt((features**2).sum(axis=1) + 1.0)
+        squared_norms = np.empty(len(features))
+        for start in range(0, len(features), EGL_BLOCK_ROWS):
+            block = features[start : start + EGL_BLOCK_ROWS]
+            squared_norms[start : start + EGL_BLOCK_ROWS] = (block**2).sum(axis=1)
+        feature_norms = np.sqrt(squared_norms + 1.0)
         # ||p - e_y||^2 = ||p||^2 - 2 p_y + 1, per candidate label y.
         squared = (probabilities**2).sum(axis=1, keepdims=True) - 2 * probabilities + 1.0
         residual_norms = np.sqrt(np.clip(squared, 0.0, None))

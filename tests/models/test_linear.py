@@ -3,8 +3,30 @@
 import numpy as np
 import pytest
 
+from repro.data.text import TextCorpusSpec, make_text_corpus
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.models.linear import LinearSoftmax
+from repro.models.linear import EGL_BLOCK_ROWS, LinearSoftmax
+
+
+def dense_gradient_lengths(model, dataset):
+    """Eq. (5) with the squared features summed as one dense matrix."""
+    features = dataset.bag_of_words()
+    probabilities = model.predict_proba(dataset)
+    feature_norms = np.sqrt((features**2).sum(axis=1) + 1.0)
+    squared = (probabilities**2).sum(axis=1, keepdims=True) - 2 * probabilities + 1.0
+    residual_norms = np.sqrt(np.clip(squared, 0.0, None))
+    return (probabilities * residual_norms).sum(axis=1) * feature_norms
+
+
+@pytest.fixture(scope="module")
+def egl_pool():
+    """A 3,000-row, 3-class pool and a model fitted on its first 300 rows."""
+    spec = TextCorpusSpec(
+        name="egl-pool", num_classes=3, size=3_000, background_vocab=200,
+        facets_per_class=4, facet_vocab=6, min_length=3, max_length=15,
+    )
+    pool = make_text_corpus(spec, seed_or_rng=5)
+    return LinearSoftmax(epochs=3, seed=0).fit(pool.subset(range(300))), pool
 
 
 class TestFitPredict:
@@ -97,6 +119,18 @@ class TestEGL:
                 grad_norm = np.sqrt((grad_w**2).sum() + (residual**2).sum())
                 expected += probs[i, label] * grad_norm
             assert np.isclose(scores[i], expected, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [0, 1, EGL_BLOCK_ROWS - 1, EGL_BLOCK_ROWS, EGL_BLOCK_ROWS + 1, 3_000],
+    )
+    def test_blocked_norms_match_the_dense_formula(self, egl_pool, rows):
+        model, pool = egl_pool
+        subset = pool.subset(range(rows))
+        scores = model.expected_gradient_lengths(subset)
+        expected = dense_gradient_lengths(model, subset)
+        assert scores.shape == expected.shape == (rows,)
+        assert scores.tobytes() == expected.tobytes()
 
     def test_scores_nonnegative(self, fitted_classifier, text_dataset):
         scores = fitted_classifier.expected_gradient_lengths(text_dataset.subset(range(50)))
