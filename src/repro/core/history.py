@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ConfigurationError, HistoryError
+from ..ioutil import decode_array, encode_array
 
 #: Smallest number of rows allocated once the store is first written to.
 _MIN_CAPACITY = 8
@@ -241,7 +242,8 @@ class HistoryStore:
         The payload is plain JSON-compatible data; :meth:`from_dict`
         rebuilds an identical store by replaying the rounds through
         :meth:`append`, so the round trip preserves sequences bit for
-        bit (floats survive JSON via ``repr`` serialisation).
+        bit (floats survive JSON via ``repr`` serialisation).  Results
+        keep this form; session snapshots use :meth:`to_snapshot`.
         """
         payload = {
             "n_samples": self.n_samples,
@@ -255,6 +257,26 @@ class HistoryStore:
                 for round_index, indices, scores in self.iter_rounds()
             ],
         }
+        return self._with_labels(payload)
+
+    def to_snapshot(self) -> dict:
+        """Serialise the store as its round ids plus one encoded matrix.
+
+        ``scores`` is the ``(rounds, n_samples)`` matrix through
+        :func:`repro.ioutil.encode_array`, NaN where a sample was not
+        scored that round: the form session snapshots carry, since it
+        costs one base64 pass instead of printing every float.
+        :meth:`from_dict` reads it.
+        """
+        payload = {
+            "n_samples": self.n_samples,
+            "strategy_name": self.strategy_name,
+            "rounds": self.rounds,
+            "scores": encode_array(self._matrix),
+        }
+        return self._with_labels(payload)
+
+    def _with_labels(self, payload: dict) -> dict:
         # Only present when label tracking ran: stores without label
         # rounds keep the exact document shape they have always had.
         if self._label_rounds:
@@ -270,16 +292,37 @@ class HistoryStore:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HistoryStore":
-        """Rebuild a store written by :meth:`to_dict`."""
+        """Rebuild a store written by :meth:`to_dict` or :meth:`to_snapshot`.
+
+        Either form is replayed round by round through :meth:`append`,
+        so every order, range and duplicate check runs.
+
+        Raises
+        ------
+        HistoryError
+            If the encoded ``scores`` are malformed or their shape is not
+            ``[len(rounds), n_samples]``, or a replayed round is rejected.
+        """
         history = cls(
             int(payload["n_samples"]), strategy_name=str(payload["strategy_name"])
         )
-        for row in payload["rounds"]:
-            history.append(
-                int(row["round"]),
-                np.asarray(row["indices"], dtype=np.int64),
-                np.asarray(row["scores"], dtype=np.float64),
-            )
+        if "scores" in payload:
+            matrix = decode_array(payload["scores"], HistoryError, "scores")
+            expected = (len(payload["rounds"]), history.n_samples)
+            if matrix.shape != expected:
+                raise HistoryError(
+                    f"scores has shape {list(matrix.shape)}, expected {list(expected)}"
+                )
+            for round_index, row in zip(payload["rounds"], matrix):
+                indices = np.flatnonzero(~np.isnan(row))
+                history.append(int(round_index), indices, row[indices])
+        else:
+            for row in payload["rounds"]:
+                history.append(
+                    int(row["round"]),
+                    np.asarray(row["indices"], dtype=np.int64),
+                    np.asarray(row["scores"], dtype=np.float64),
+                )
         for row in payload.get("labels", []):
             history.append_labels(
                 int(row["round"]),

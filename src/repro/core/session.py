@@ -32,8 +32,9 @@ JSON-compatible dict, and :meth:`restore` resumes from it **between any
 two phases**, including between ``propose`` and ``ingest``.  A resumed
 session is byte-identical to an uninterrupted one: the RNG stream
 continues exactly where it stopped, and fitted models are rebuilt only
-from their serialized ``get_params`` state with ``set_params`` (JSON
-float round trips are exact, so this is O(params) and bit-for-bit).
+from their serialized ``get_params`` state with ``set_params`` (the
+base64 float64 arrays of :func:`repro.ioutil.encode_array` round-trip
+exactly, so this is O(params) and bit-for-bit).
 
 ``training_mode="warm"`` turns on the opt-in fast path: each round's
 model is fitted with ``init_from=<previous round's model>`` (fewer
@@ -62,9 +63,15 @@ import numpy as np
 from ..data.datasets import SequenceDataset, TextDataset
 from ..eval.curves import LearningCurve
 from ..eval.metrics import evaluate_model
-from ..exceptions import ConfigurationError, IngestError, SessionError
+from ..exceptions import (
+    ConfigurationError,
+    HistoryError,
+    IngestError,
+    PoolError,
+    SessionError,
+)
 from ..formats import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
-from ..ioutil import check_fields, is_int, is_number, validate_envelope
+from ..ioutil import check_fields, encoded_shape, is_int, is_number, validate_envelope
 from ..rng import ensure_rng, rng_from_state, rng_state
 from .events import emit
 from .history import HistoryStore
@@ -86,7 +93,15 @@ from .strategies.base import (
 # version 3 adds the ``training_mode`` (cold|warm) to the config and
 # serialized parameter state (``get_params``) plus warm provenance to
 # every model spec, so restore is O(params) and warm runs resume
-# deterministically.
+# deterministically;
+# version 4 writes the history as round ids plus one encoded
+# ``(rounds, n_samples)`` score matrix and every parameter array through
+# :func:`repro.ioutil.encode_array` (base64 float64 bytes, not nested
+# lists of printed floats), and stops writing the retired config keys.
+# Readers take versions 3 and 4, and either array form in each.
+
+#: Snapshot versions :meth:`SessionEngine.restore` reads.
+READABLE_SNAPSHOT_VERSIONS = (3, SNAPSHOT_VERSION)
 
 #: Legal values of the ``training_mode`` knob.
 TRAINING_MODES = ("cold", "warm")
@@ -282,16 +297,44 @@ def _object(**fields):
 
 
 _indices, _scores = _list_of(_count), _list_of(is_number)
+
+
+def _array(value) -> bool:
+    """A nested list (version 3) or an encoded float64 array (version 4)."""
+    return isinstance(value, list) or encoded_shape(value) is not None
+
+
 _param_state = _object(
-    arrays=lambda value: isinstance(value, dict)
-    and all(isinstance(array, list) for array in value.values()),
+    arrays=lambda value: isinstance(value, dict) and all(map(_array, value.values())),
     meta=lambda value: isinstance(value, dict) and all(map(is_int, value.values())),
 )
+_history_fields = _object(
+    n_samples=lambda v: _count(v, 1),
+    strategy_name=lambda v: isinstance(v, str),
+    labels=_optional(_list_of(_object(round=_count, indices=_indices, labels=_indices))),
+)
+_history_rows = _list_of(_object(round=_count, indices=_indices, scores=_scores))
+
+
+def _history(value) -> bool:
+    """Version 4's round ids plus an encoded score matrix of shape
+    ``[len(rounds), n_samples]``, or version 3's per-round rows."""
+    if not _history_fields(value):
+        return False
+    rounds = value.get("rounds")
+    if "scores" not in value:
+        return _history_rows(rounds)
+    return _indices(rounds) and encoded_shape(value["scores"]) == [
+        len(rounds), value["n_samples"]
+    ]
+
+
 _model_spec = _object(seed=_optional(_count), params=_optional(_param_state))
 _STATES = [state.value for state in SessionState]
 
 #: Snapshot config keys of retired engine options, with the one value
-#: each still holds.  Snapshot version 3 always writes them.
+#: each still holds.  Snapshot version 3 always writes them; version 4
+#: does not.
 RETIRED_CONFIG_KEYS = {"reseed_model": True, "history_limit": None, "default_metric": True}
 
 #: Every snapshot field :meth:`SessionEngine.restore` reads: dotted path
@@ -314,12 +357,11 @@ SNAPSHOT_RULES = {
     "bootstrap_done": ("a bool", lambda value: isinstance(value, bool)),
     "rng": ("a bit-generator state", _object(bit_generator=lambda v: isinstance(v, str))),
     "pool": ("a pool", _object(n=_count, labeled=_indices)),
-    "history": ("a history store", _object(
-        n_samples=lambda v: _count(v, 1),
-        strategy_name=lambda v: isinstance(v, str),
-        rounds=_list_of(_object(round=_count, indices=_indices, scores=_scores)),
-        labels=_optional(_list_of(_object(round=_count, indices=_indices, labels=_indices))),
-    )),
+    "history": (
+        "a history store: round ids and an encoded float64 scores matrix of "
+        "shape [len(rounds), n_samples], or version 3's round rows",
+        _history,
+    ),
     "records": ("a list of round records", _list_of(_object(
         round_index=_count, labeled_count=_count, metric=is_number,
         selected=_indices, selected_scores=_scores,
@@ -338,7 +380,9 @@ SNAPSHOT_RULES = {
 
 def check_snapshot(snapshot, source: str = "session snapshot") -> dict:
     """``snapshot`` if well formed; a ``SessionError`` naming the field otherwise."""
-    validate_envelope(snapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, SessionError, source=source)
+    validate_envelope(
+        snapshot, SNAPSHOT_FORMAT, READABLE_SNAPSHOT_VERSIONS, SessionError, source=source
+    )
     check_fields(snapshot, SNAPSHOT_RULES, SessionError, source)
     return snapshot
 
@@ -879,7 +923,7 @@ class SessionEngine:
         config_extra = {}
         if self.track_flips:
             # Key present only when tracking: untracked snapshots keep
-            # the exact byte shape of snapshot version 3 as shipped.
+            # the byte shape they have without it.
             config_extra["track_flips"] = True
         return {
             "format": SNAPSHOT_FORMAT,
@@ -893,19 +937,18 @@ class SessionEngine:
                 "batch_size": self.batch_size,
                 "rounds": self.rounds,
                 "initial_size": self.initial_size,
-                "reseed_model": True,
-                "history_limit": None,
                 "training_mode": self.training_mode,
                 **config_extra,
                 "capabilities": strategy_capabilities(self.strategy),
-                "default_metric": True,
             },
             "state": self._state.value,
             "round_index": self._round_index,
             "bootstrap_done": self._bootstrap_done,
             "rng": rng_state(self._rng),
+            # Small index lists stay JSON lists, readable as they are;
+            # the history and model arrays are encoded.
             "pool": self._pool.to_dict(),
-            "history": self._history.to_dict(),
+            "history": self._history.to_snapshot(),
             "records": [record_to_dict(record) for record in self._records],
             "selection_order": [
                 selected.tolist() for selected in self._selection_order
@@ -944,8 +987,9 @@ class SessionEngine:
         SessionError
             If the payload is not a session snapshot, is from an
             unsupported version, has a malformed field (see
-            :func:`check_snapshot`), does not match the components, or
-            records a model without restorable parameters.
+            :func:`check_snapshot`), holds a pool or history that cannot
+            be rebuilt, does not match the components, or records a
+            model without restorable parameters.
         """
         config = check_snapshot(snapshot)["config"]
         # Specs are compared only when both sides are spec-describable —
@@ -983,8 +1027,23 @@ class SessionEngine:
         engine._state = SessionState(snapshot["state"])
         engine._round_index = int(snapshot["round_index"])
         engine._bootstrap_done = bool(snapshot["bootstrap_done"])
-        engine._pool = Pool.from_dict(snapshot["pool"])
-        engine._history = HistoryStore.from_dict(snapshot["history"])
+        # The field rules check types; the rebuilds check ranges, order
+        # and shapes, so their errors are the snapshot's too.
+        try:
+            engine._pool = Pool.from_dict(snapshot["pool"])
+        except (ConfigurationError, PoolError) as error:
+            raise SessionError(f"session snapshot: pool: {error}") from None
+        try:
+            engine._history = HistoryStore.from_dict(snapshot["history"])
+        except HistoryError as error:
+            raise SessionError(f"session snapshot: history: {error}") from None
+        sizes = {"pool.n": engine._pool.n, "history.n_samples": engine._history.n_samples}
+        for name, size in sizes.items():
+            if size != len(train_dataset):
+                raise SessionError(
+                    f"session snapshot: {name} is {size}, but the train split has "
+                    f"{len(train_dataset)} samples"
+                )
         engine._records = [record_from_dict(r) for r in snapshot["records"]]
         engine._selection_order = [
             np.asarray(selected, dtype=np.int64)
@@ -1023,7 +1082,7 @@ class SessionEngine:
             )
         try:
             return model.set_params(state)
-        except (TypeError, ValueError, KeyError) as error:
+        except (ConfigurationError, TypeError, ValueError, KeyError) as error:
             raise SessionError(
                 f"snapshot model params cannot be restored: {error}"
             ) from None

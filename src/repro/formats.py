@@ -31,7 +31,7 @@ RANKER_VERSION = 1
 
 #: Mid-run engine snapshots (:meth:`repro.core.session.SessionEngine.snapshot`).
 SNAPSHOT_FORMAT = "repro.al_session"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 #: Completed comparison-grid cells (:mod:`repro.experiments.checkpoint`).
 CHECKPOINT_FORMAT = "repro.al_cell"

@@ -14,11 +14,17 @@ rename and the containing directory *after* it — the ordering that makes
 the write survive a machine crash, not just a process crash.  The
 distributed work queue uses it for commit markers: a ``done`` marker
 must never hit the disk before the checkpoint bytes it vouches for.
+
+:func:`encode_array` / :func:`decode_array` are the array codec of
+session snapshots: a float64 array travels as base64 of its
+little-endian bytes instead of a nested list of printed floats.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import reprlib
 import tempfile
@@ -88,7 +94,7 @@ def atomic_write_json(path: "str | Path", payload: dict, durable: bool = False) 
 def validate_envelope(
     payload,
     expected_format: str,
-    expected_version: int,
+    expected_version: "int | tuple[int, ...]",
     error_cls: type[Exception],
     source: str,
 ) -> dict:
@@ -101,14 +107,17 @@ def validate_envelope(
     failure modes — wrong document kind, unsupported version — raising
     ``error_cls`` (the caller's domain error) with ``source`` naming
     where the document came from (a path, an endpoint, "session
-    snapshot", ...).  Returns the payload unchanged on success.
+    snapshot", ...).  ``expected_version`` is one version or a tuple of
+    the versions a reader accepts.  Returns the payload unchanged on
+    success.
     """
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise error_cls(f"{source} is not a {expected_format!r} document")
-    if payload.get("version") != expected_version:
+    versions = expected_version if isinstance(expected_version, tuple) else (expected_version,)
+    if payload.get("version") not in versions:
         raise error_cls(
             f"unsupported {expected_format!r} version {payload.get('version')!r} "
-            f"in {source} (expected {expected_version})"
+            f"in {source} (expected {' or '.join(map(str, versions))})"
         )
     return payload
 
@@ -123,6 +132,69 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
         value, bool
     )
+
+
+#: The one dtype the array codec carries: little-endian float64.
+ARRAY_DTYPE = "<f8"
+
+
+def encode_array(array) -> dict:
+    """``array`` as ``{"dtype": "<f8", "shape": [...], "data": <base64>}``.
+
+    The data is base64 of the little-endian float64 bytes, so every bit
+    pattern (NaN, -0.0, subnormals) round-trips, as the ``repr`` of a
+    nested list does, at a fraction of the cost of printing each float.
+    """
+    array = np.asarray(array, dtype=ARRAY_DTYPE)
+    data = base64.b64encode(array.tobytes()).decode("ascii")
+    return {"dtype": ARRAY_DTYPE, "shape": list(array.shape), "data": data}
+
+
+def encoded_shape(value) -> "list[int] | None":
+    """The shape an encoded array declares, or ``None`` if ``value`` is not
+    an encoded float64 array.  Its ``data`` is not decoded."""
+    if not isinstance(value, dict) or value.get("dtype") != ARRAY_DTYPE:
+        return None
+    shape = value.get("shape")
+    if not isinstance(value.get("data"), str) or not isinstance(shape, list):
+        return None
+    return shape if all(is_int(size) and size >= 0 for size in shape) else None
+
+
+def decode_array(value, error_cls: type[Exception], field: str) -> np.ndarray:
+    """A fresh, writable, native float64 array from :func:`encode_array`
+    output or from a nested list (the form results and rankers keep).
+
+    Raises ``error_cls`` naming ``field`` for anything else: bad base64,
+    data that does not fill the shape, another dtype, a negative or
+    non-integer dimension, a ragged list or one holding anything but
+    numbers (a ``null`` would otherwise read as NaN).
+    """
+    if isinstance(value, list):
+        try:
+            array = np.array(value)
+        except ValueError as error:  # ragged, or deeper than numpy allows
+            raise error_cls(f"{field} is not a float array: {error}") from None
+        if array.dtype.kind not in "fiu":  # null, text, bools, objects, huge ints
+            raise error_cls(f"{field} is not a float array: it holds {array.dtype} values")
+        return array.astype(np.float64, copy=False)
+    shape = encoded_shape(value)
+    if shape is None:
+        raise error_cls(
+            f"{field} must be a list or an encoded {ARRAY_DTYPE!r} array, "
+            f"got {reprlib.repr(value)}"
+        )
+    try:
+        raw = base64.b64decode(value["data"], validate=True)
+    except ValueError as error:  # binascii.Error, or non-ASCII text
+        raise error_cls(f"{field} has malformed base64 data: {error}") from None
+    needed = 8 * math.prod(shape)
+    if len(raw) != needed:
+        raise error_cls(f"{field} holds {len(raw)} bytes but shape {shape} needs {needed}")
+    try:
+        return np.frombuffer(raw, dtype=ARRAY_DTYPE).astype(np.float64).reshape(shape)
+    except ValueError as error:  # more dimensions than numpy supports
+        raise error_cls(f"{field} has an unsupported shape {shape}: {error}") from None
 
 
 def check_fields(document: dict, rules: dict, error_cls: type[Exception], source: str) -> None:

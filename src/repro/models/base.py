@@ -11,12 +11,13 @@ Every model keeps one contract, so no caller probes for it:
 ``init_from`` (the previous round's fitted model) resumes from its
 parameters for :func:`resolve_warm_epochs` epochs; ``get_params()`` /
 ``set_params(state)`` round-trip the fitted parameter state as pure
-JSON, which is how snapshots restore models, in O(params).  The
-capabilities that really vary between families (expected gradient
-lengths for EGL, embedding gradients for EGL-word, stochastic
-predictions for BALD) are discovered with the ``supports_*`` helpers so
-strategies can fail fast with a clear error when paired with an
-incapable model.
+JSON (arrays through :func:`repro.ioutil.encode_array`; ``set_params``
+also takes nested lists), which is how snapshots restore models, in
+O(params).  The capabilities that really vary between families
+(expected gradient lengths for EGL, embedding gradients for EGL-word,
+stochastic predictions for BALD) are discovered with the
+``supports_*`` helpers so strategies can fail fast with a clear error
+when paired with an incapable model.
 
 Every fit (cold or warm) and every ``set_params`` bumps a monotonically
 increasing ``_fit_generation`` counter (see :func:`fit_generation`); the
@@ -39,7 +40,7 @@ import numpy as np
 
 from ..data.datasets import SequenceDataset, TextDataset
 from ..exceptions import ConfigurationError, NotFittedError
-from ..ioutil import is_int, is_number
+from ..ioutil import decode_array, encode_array, is_int, is_number
 from ..rng import ensure_rng
 from .layers import Adam, minibatches
 
@@ -198,8 +199,9 @@ def resolve_warm_epochs(epochs: int, warm_epochs: "int | None") -> int:
 
 
 def params_to_jsonable(arrays: "dict[str, np.ndarray]") -> dict:
-    """Serialize named float arrays to nested lists (exact ``repr`` round trip)."""
-    return {name: np.asarray(value).tolist() for name, value in arrays.items()}
+    """Serialize named float arrays with :func:`repro.ioutil.encode_array`
+    (base64 float64 bytes: an exact round trip)."""
+    return {name: encode_array(value) for name, value in arrays.items()}
 
 
 class _StoredArrays(dict):
@@ -210,9 +212,11 @@ class _StoredArrays(dict):
 
 
 def params_from_jsonable(payload: dict) -> "dict[str, np.ndarray]":
-    """Rebuild float64 arrays from :func:`params_to_jsonable` output."""
+    """Rebuild float64 arrays from :func:`params_to_jsonable` output or
+    from nested lists; a malformed array is a ``ConfigurationError``."""
     return _StoredArrays(
-        (name, np.asarray(value, dtype=np.float64)) for name, value in payload.items()
+        (name, decode_array(value, ConfigurationError, f"arrays.{name}"))
+        for name, value in payload.items()
     )
 
 

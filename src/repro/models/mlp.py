@@ -14,6 +14,7 @@ import numpy as np
 
 from ..data.datasets import TextDataset
 from ..exceptions import ConfigurationError
+from ..ioutil import decode_array, encode_array
 from .base import Classifier, NumpyModel
 from .embeddings import pretrained_for_dataset
 from .layers import dropout_mask, glorot_init, one_hot, softmax
@@ -137,12 +138,14 @@ class MLPClassifier(NumpyModel, Classifier):
         state = super().get_params()
         return {
             "arrays": state["arrays"],
-            "embedding": np.asarray(self.embedding_matrix).tolist(),
+            "embedding": encode_array(self.embedding_matrix),
             "meta": state["meta"],
         }
 
     def set_params(self, state: dict) -> "MLPClassifier":
-        self.embedding_matrix = np.asarray(state["embedding"], dtype=np.float64)
+        self.embedding_matrix = decode_array(
+            state["embedding"], ConfigurationError, "embedding"
+        )
         return super().set_params(state)
 
     # -- inference --------------------------------------------------------

@@ -143,7 +143,9 @@ def _predictor_to_dict(predictor) -> "dict | None":
             "epochs": inner.epochs,
             "learning_rate": inner.learning_rate,
             "seed": inner.seed,
-            "params": inner.get_params()["arrays"],
+            # Nested lists, not get_params' encoded arrays: ranker
+            # bundles keep the list form they were first written in.
+            "params": {name: value.tolist() for name, value in inner._params.items()},
         }
     raise DataError(f"cannot serialise predictor of type {type(predictor).__name__}")
 

@@ -217,38 +217,40 @@ class JsonSessionStore(SessionStore):
         """The document file backing one session id."""
         return self.directory / f"{checked_session_id(session_id)}.json"
 
-    def _read(self, path: Path) -> "tuple[dict, str] | None":
-        """``(document, content-hash)`` of ``path``, or ``None`` if absent."""
+    def _read_bytes(self, path: Path) -> "bytes | None":
+        """The bytes of ``path``, or ``None`` if absent."""
         try:
-            text = path.read_text()
+            return path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as error:
             raise StoreError(f"cannot read session document {path}: {error}") from error
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise StoreError(
-                f"corrupt session document {path}: {error}"
-            ) from error
-        return document, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def load(self, session_id: str) -> "StoredSession | None":
         """The stored document and version, or ``None`` if absent."""
-        row = self._read(self.path(session_id))
-        if row is None:
+        path = self.path(session_id)
+        data = self._read_bytes(path)
+        if data is None:
             return None
-        document, digest = row
-        return StoredSession(document=document, version=digest)
+        try:
+            document = json.loads(data)
+        except ValueError as error:  # JSONDecodeError or UnicodeDecodeError
+            raise StoreError(f"corrupt session document {path}: {error}") from error
+        return StoredSession(document=document, version=hashlib.sha256(data).hexdigest())
 
     def save(self, session_id: str, document: dict, expected_version=None) -> str:
-        """Atomically write ``document``; CAS on the content hash."""
+        """Atomically write ``document``; CAS on the content hash.
+
+        The check hashes the stored bytes without decoding them: a
+        corrupt file matches no version :meth:`load` handed out, so it
+        is a conflict here.
+        """
         path = self.path(session_id)
         text = json.dumps(document)
         with self._lock:
             if expected_version is not None:
-                row = self._read(path)
-                current = None if row is None else row[1]
+                data = self._read_bytes(path)
+                current = None if data is None else hashlib.sha256(data).hexdigest()
                 if current != expected_version:
                     raise StoreConflictError(
                         f"concurrent update of session {session_id!r}: expected "

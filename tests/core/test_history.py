@@ -1,5 +1,7 @@
 """Tests for the HistoryStore — the paper's central data structure."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -308,6 +310,48 @@ def test_pool_shrink_property(flat_scores, window):
         assert history.weighted_sum(np.array([sample]), window)[0] == pytest.approx(
             expected_ws
         )
+
+
+class TestSnapshotForm:
+    """``to_snapshot`` (round ids + one encoded matrix) and ``to_dict``
+    (sparse rows) rebuild the same store through ``from_dict``."""
+
+    def test_both_forms_rebuild_the_same_store(self, store):
+        store.append(5, np.array([], dtype=np.int64), np.array([]))  # an empty round
+        store.append_labels(3, np.array([0, 2]), np.array([1, 0]))
+        snapshot = json.loads(json.dumps(store.to_snapshot()))
+        assert snapshot["rounds"] == [1, 2, 3, 5]
+        assert snapshot["scores"]["shape"] == [4, 6]
+        from_snapshot = HistoryStore.from_dict(snapshot)
+        from_rows = HistoryStore.from_dict(json.loads(json.dumps(store.to_dict())))
+        for rebuilt in (from_snapshot, from_rows):
+            assert rebuilt.to_dict() == store.to_dict()
+            assert rebuilt.to_snapshot() == store.to_snapshot()
+            assert rebuilt.current_scores(np.arange(6)).tobytes() == (
+                store.current_scores(np.arange(6)).tobytes()
+            )
+
+    def test_empty_store_round_trips(self):
+        empty = HistoryStore(3)
+        assert HistoryStore.from_dict(empty.to_snapshot()).num_rounds == 0
+
+    def test_wrong_matrix_shape_rejected(self, store):
+        snapshot = store.to_snapshot()
+        snapshot["rounds"] = snapshot["rounds"][:2]
+        with pytest.raises(HistoryError, match=r"scores has shape \[3, 6\], expected \[2, 6\]"):
+            HistoryStore.from_dict(snapshot)
+
+    def test_replay_keeps_the_round_order_check(self, store):
+        snapshot = store.to_snapshot()
+        snapshot["rounds"] = [1, 3, 2]
+        with pytest.raises(HistoryError, match="not after last recorded round"):
+            HistoryStore.from_dict(snapshot)
+
+    def test_malformed_scores_are_history_errors(self, store):
+        snapshot = store.to_snapshot()
+        snapshot["scores"]["data"] = "!!"
+        with pytest.raises(HistoryError, match="scores has malformed base64"):
+            HistoryStore.from_dict(snapshot)
 
 
 def test_repr(store):

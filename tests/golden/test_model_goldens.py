@@ -7,6 +7,11 @@ round-1 snapshot, directly fitted ``get_params()`` state (cold and
 warm-started), the clone's spec, and saved LHS rankers.  A refactor of
 the models must leave every digest unchanged.
 
+Snapshots and parameter states are hashed through :func:`as_v3`, their
+version-3 list form, so the digests pinned before snapshot version 4
+encoded its arrays still pin every value; ``snapshots_v4`` pins the raw
+version-4 bytes of each session case as well.
+
 Float bytes depend on BLAS summation order, so ``models.json`` records
 the numpy version it was generated with and the cases skip under any
 other.  Regenerate the file only for a change that is meant to move
@@ -17,6 +22,7 @@ bytes::
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import json
@@ -88,6 +94,65 @@ def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
+def _decoded(array: dict) -> np.ndarray:
+    raw = base64.b64decode(array["data"])
+    return np.frombuffer(raw, dtype=array["dtype"]).reshape(array["shape"])
+
+
+def _as_lists(value):
+    """``value`` with every encoded array replaced by its nested list."""
+    if isinstance(value, dict):
+        if set(value) == {"dtype", "shape", "data"}:
+            return _decoded(value).tolist()
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_as_lists(item) for item in value]
+    return value
+
+
+def _v3_config(config: dict) -> dict:
+    """Version 3 wrote the retired keys around ``training_mode``."""
+    v3 = {}
+    for key, value in config.items():
+        if key == "training_mode":
+            v3.update(reseed_model=True, history_limit=None)
+        v3[key] = value
+    v3["default_metric"] = True
+    return v3
+
+
+def _v3_history(history: dict) -> dict:
+    """Version 3's sparse ``{round, indices, scores}`` row per round."""
+    rows = []
+    for round_index, row in zip(history["rounds"], _decoded(history["scores"])):
+        indices = np.flatnonzero(~np.isnan(row))
+        rows.append(
+            {"round": round_index, "indices": indices.tolist(), "scores": row[indices].tolist()}
+        )
+    v3 = {"n_samples": history["n_samples"], "strategy_name": history["strategy_name"]}
+    v3["rounds"] = rows
+    if "labels" in history:
+        v3["labels"] = history["labels"]
+    return v3
+
+
+def as_v3(document: dict) -> dict:
+    """The version-3 list form of a version-4 snapshot or a ``get_params`` state.
+
+    Encoded arrays become nested lists; a snapshot also gets version 3's
+    history rows, its retired config keys and ``version: 3``.
+    """
+    if document.get("format") != "repro.al_session":
+        return _as_lists(document)
+    v3 = _as_lists(document)
+    v3.update(
+        version=3,
+        config=_v3_config(document["config"]),
+        history=_v3_history(document["history"]),
+    )
+    return v3
+
+
 def _model(kind: str, mode: str):
     params = dict(FAMILIES[kind][1])
     if mode == "warm":
@@ -121,9 +186,10 @@ def _session_digests(kind: str, mode: str) -> dict:
         final = run_to_completion(
             restored, on_round_committed=lambda e: tail.append(e.snapshot())
         )
-        resumed.append([tail, result_to_dict(final)])
+        resumed.append([[as_v3(s) for s in tail], result_to_dict(final)])
     return {
-        "snapshots": _digest(snapshots),
+        "snapshots": _digest([[as_v3(s) for s in rounds] for rounds in snapshots]),
+        "snapshots_v4": _digest(snapshots),
         "results": _digest(results),
         "resumed": _digest(resumed),
     }
@@ -136,8 +202,8 @@ def _fit_digests(kind: str) -> dict:
     cold = prototype.clone().fit(train.subset(range(20)))
     warm = prototype.clone().fit(train.subset(range(30)), init_from=cold)
     return {
-        "cold_params": _digest(cold.get_params()),
-        "warm_params": _digest(warm.get_params()),
+        "cold_params": _digest(as_v3(cold.get_params())),
+        "warm_params": _digest(as_v3(warm.get_params())),
         "clone_spec": _digest(spec_of_model(prototype.clone()).to_dict()),
     }
 
@@ -149,8 +215,8 @@ def _lstm_regressor_digests() -> dict:
     cold = LSTMRegressor(hidden_dim=4, epochs=10, warm_epochs=3).fit(sequences, targets)
     warm = cold.clone().fit(sequences[:12], targets[:12], init_from=cold)
     return {
-        "cold_params": _digest(cold.get_params()),
-        "warm_params": _digest(warm.get_params()),
+        "cold_params": _digest(as_v3(cold.get_params())),
+        "warm_params": _digest(as_v3(warm.get_params())),
         "predictions": _digest(warm.predict(sequences).tolist()),
     }
 

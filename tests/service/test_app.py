@@ -9,6 +9,7 @@ multi-tenancy, persistence, and events, never arithmetic.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.session import SessionEngine, result_to_dict, run_to_completion
@@ -19,6 +20,7 @@ from repro.exceptions import (
     StoreConflictError,
 )
 from repro.experiments import ExperimentConfig
+from repro.ioutil import decode_array, encode_array
 from repro.service import (
     MemorySessionStore,
     SessionClient,
@@ -30,6 +32,7 @@ from repro.service import (
 )
 from repro.specs import ExperimentSpec, Spec
 from tests.core.test_session import MALFORMED_TAGS
+from tests.golden.test_model_goldens import as_v3
 
 RECIPE = {
     "dataset": "mr",
@@ -121,6 +124,43 @@ def _drop(path: str):
     return damage
 
 
+def _edit(path: str, change):
+    """Damage that replaces the dotted ``path``'s value with ``change(value)``."""
+
+    def damage(document):
+        holder, key = _parent(document, path)
+        holder[key] = change(holder[key])
+
+    return damage
+
+
+def _history_rows(rows):
+    """Damage that stores the history as version 3's per-round ``rows``,
+    built from the history's ``n_samples``."""
+
+    def damage(document):
+        history = document["session"]["history"]
+        history.pop("scores", None)
+        history["rounds"] = rows(history["n_samples"])
+
+    return damage
+
+
+def _history_of_five_samples(document):
+    """Damage that leaves a well-formed history over 5 samples only."""
+    history = document["session"]["history"]
+    history["n_samples"] = 5
+    history["scores"] = encode_array(np.full((len(history["rounds"]), 5), 0.5))
+
+
+def _repeat_history_round(document):
+    """Damage that records the history's one round twice (same round id)."""
+    history = document["session"]["history"]
+    matrix = decode_array(history["scores"], ValueError, "scores")
+    history["rounds"] = history["rounds"] * 2
+    history["scores"] = encode_array(np.vstack([matrix, matrix]))
+
+
 #: Damage to a stored session document (saved right after the first
 #: proposal) and the start of the field rule the ``SessionError`` names:
 #: a typed 409 on the next re-hydration, never an escaped exception.
@@ -148,6 +188,20 @@ MALFORMED_DOCUMENTS = {
     "string-meta": (
         _set("session.model.params.meta.num_classes", "two"), "model.params must be"
     ),
+    "scores-float32": (_set("session.history.scores.dtype", "<f4"), "history must be"),
+    "scores-negative-dimension": (
+        _edit("session.history.scores.shape", lambda shape: [-1, shape[1]]),
+        "history must be",
+    ),
+    "scores-one-sample-short": (
+        _edit("session.history.scores.shape", lambda shape: [shape[0], shape[1] - 1]),
+        "history must be",
+    ),
+    "scores-a-list": (_set("session.history.scores", [[0.0]]), "history must be"),
+    "encoded-array-float32": (
+        _edit("session.model.params.arrays.W", lambda array: {**array, "dtype": "<f4"}),
+        "model.params must be",
+    ),
 }
 
 #: Damage that passes the field rules ``status`` checks and that only a
@@ -157,6 +211,39 @@ UNRESTORABLE_DOCUMENTS = {
         _set("session.model.params.arrays.b", [[0.0], [0.0, 1.0]]),
         "model params cannot be restored",
     ),
+    "encoded-array-bad-base64": (
+        _edit("session.model.params.arrays.b", lambda array: {**array, "data": "!"}),
+        "model params cannot be restored: arrays.b",
+    ),
+    "history-index-out-of-range": (
+        _history_rows(lambda n: [{"round": 1, "indices": [0, n], "scores": [0.5, 0.5]}]),
+        "history: sample index out of range",
+    ),
+    "misaligned-history-row": (
+        _history_rows(lambda n: [{"round": 1, "indices": [0, 1], "scores": [0.5]}]),
+        "history: indices",
+    ),
+    "pool-index-out-of-range": (
+        _edit("session.pool.labeled", lambda labeled: [*labeled, 10**6]),
+        "pool: index out of range",
+    ),
+    "scores-bad-base64-character": (
+        _edit("session.history.scores.data", lambda data: "!" + data[1:]),
+        "history: scores has malformed base64",
+    ),
+    "scores-truncated": (
+        _edit("session.history.scores.data", lambda data: data[: len(data) // 8 * 4]),
+        "history: scores holds",
+    ),
+    "repeated-history-round": (_repeat_history_round, "history: round"),
+    "pool-larger-than-train-split": (
+        _edit("session.pool.n", lambda n: n + 100), "pool.n is"
+    ),
+    "history-of-another-size": (_history_of_five_samples, "history.n_samples is 5"),
+    "null-in-array": (
+        _set("session.model.params.arrays.b", [None, None]),
+        "model params cannot be restored: arrays.b is not a float array",
+    ),
 }
 
 #: Damage to the stored model's arrays that set_params cannot see: a
@@ -164,6 +251,9 @@ UNRESTORABLE_DOCUMENTS = {
 DAMAGED_ARRAYS = {
     "missing-array": _drop("session.model.params.arrays.W"),
     "short-array": _set("session.model.params.arrays.W", [[0.0, 0.0]]),
+    "short-encoded-array": _set(
+        "session.model.params.arrays.W", encode_array(np.zeros((1, 2)))
+    ),
 }
 
 #: A tiny NER session: conll-en at 5% scale, least-confidence picks.
@@ -188,11 +278,14 @@ def damage_document(document: dict, case: str) -> "tuple[dict, str]":
 
 @pytest.fixture(scope="module")
 def proposed_document():
-    """The stored document of a warm session right after its first
-    proposal from a fitted model (so it carries a model spec)."""
+    """The stored document of a warm WSHS session right after its first
+    proposal from a fitted model (so it carries a model spec and one
+    recorded history round)."""
     store = MemorySessionStore()
     client = SessionClient.in_process(SessionService(store))
-    client.create(dict(RECIPE, training_mode="warm"), session_id="s1")
+    client.create(
+        dict(RECIPE, strategy="wshs:entropy", training_mode="warm"), session_id="s1"
+    )
     client.propose("s1")
     client.ingest("s1", oracle=True)
     client.propose("s1")
@@ -405,6 +498,18 @@ class TestMalformedStoredDocuments:
         status, payload = dispatch(SessionService(store), "GET", "/sessions/s1")
         assert status == 200, payload
         assert payload["state"] == "await_labels"
+
+    def test_stored_version_3_session_rehydrates_and_finishes(self, proposed_document):
+        document = json.loads(json.dumps(proposed_document))
+        document["session"] = as_v3(document["session"])
+        assert document["session"]["history"]["rounds"][0]["indices"]
+        store = MemorySessionStore()
+        store.create("s1", document)
+        client = SessionClient.in_process(SessionService(store))
+        client.ingest("s1", oracle=True)
+        finished = drive(client, "s1")
+        assert json.dumps(finished["result"]) == serial_reference(document["recipe"])
+        assert store.load("s1").document["session"]["version"] == 4
 
     @pytest.mark.parametrize("case", list(DAMAGED_ARRAYS))
     def test_damaged_array_is_typed_by_the_next_propose(self, proposed_document, case):

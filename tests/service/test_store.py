@@ -162,6 +162,28 @@ class TestJsonStore:
         assert store.save("s1", DOC) == version  # same bytes, same version
         assert store.save("s1", {"n": 2}) != version
 
+    def test_compare_and_swap_never_decodes_the_stored_document(self, tmp_path, monkeypatch):
+        store = JsonSessionStore(tmp_path)
+        version = store.create("s1", DOC)
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("save decoded the stored document")
+
+        monkeypatch.setattr("repro.service.store.json.loads", no_decoding)
+        moved = store.save("s1", {"n": 2}, expected_version=version)
+        with pytest.raises(StoreConflictError, match="concurrent update"):
+            store.save("s1", DOC, expected_version=version)  # stale
+        assert store.save("s1", DOC, expected_version=moved) == version
+
+    def test_corrupt_document_is_a_conflict_for_compare_and_swap(self, tmp_path):
+        store = JsonSessionStore(tmp_path)
+        version = store.create("s1", DOC)
+        (tmp_path / "s1.json").write_text("{not json")
+        with pytest.raises(StoreConflictError, match="concurrent update"):
+            store.save("s1", DOC, expected_version=version)
+        with pytest.raises(StoreError, match="corrupt session document"):
+            store.load("s1")
+
 
 def _crash_mid_write(path, mode, token_dir):
     """Child-process body: die at the chosen write-lifecycle event."""

@@ -31,7 +31,7 @@ class TestSnapshotSpecs:
         engine = _engine(text_dataset)
         run_to_completion(engine)
         config = engine.snapshot()["config"]
-        assert engine.snapshot()["version"] == SNAPSHOT_VERSION == 3
+        assert engine.snapshot()["version"] == SNAPSHOT_VERSION == 4
         assert config["model"]["kind"] == "linear"
         assert config["model"]["params"]["epochs"] == 2
         assert config["strategy_spec"]["kind"] == "wshs"

@@ -1,4 +1,5 @@
-"""Tests for atomic text writes, including crash fault injection.
+"""Tests for atomic text writes, including crash fault injection, and
+for the array codec of session snapshots.
 
 The distributed work queue leans on :func:`atomic_write_text` for its
 crash-equivalence story (commit markers must never vouch for bytes that
@@ -6,14 +7,24 @@ are not on disk), so beyond the happy paths these tests tear the write
 apart on purpose: a writer crashing after flushing half its payload, a
 SIGKILLed writer process, concurrent writers racing one destination, and
 the fsync/rename ordering of ``durable=True``.
+
+The codec is an untrusted boundary (stored sessions are read back from
+disk and from other machines): every float64 bit pattern must survive
+it, and every malformed value must be the caller's error, naming the
+field.
 """
 
+import json
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.ioutil import atomic_write_text, fsync_directory
+from repro.exceptions import SessionError
+from repro.ioutil import atomic_write_text, decode_array, encode_array, fsync_directory
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -205,3 +216,103 @@ class TestDurableOrdering:
     def test_fsync_directory_tolerates_unsyncable_paths(self, tmp_path):
         fsync_directory(tmp_path)  # a real directory: no error
         fsync_directory(tmp_path / "does-not-exist")  # silently a no-op
+
+
+#: float64 arrays of 0-3 dimensions, empty ones included, over every
+#: kind of value: NaN, +-inf, -0.0 and subnormals.
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+#: Any JSON value, and objects shaped like an encoded array.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=20,
+)
+ENCODED_LIKE = st.fixed_dictionaries({
+    "dtype": st.sampled_from(["<f8", "<f4", ">f8", 8]),
+    "shape": st.lists(st.integers(-2, 4) | st.booleans() | st.floats(), max_size=3)
+    | JSON_VALUES,
+    "data": st.text(alphabet="AB8Q+/=!é", max_size=24) | JSON_VALUES,
+})
+
+#: A valid encoding of ``[1.0, 2.0]`` and ways to damage it.
+ONE_TWO = {"dtype": "<f8", "shape": [2], "data": "AAAAAAAA8D8AAAAAAAAAQA=="}
+MALFORMED_ARRAYS = {
+    "bad-base64-character": {**ONE_TWO, "data": "!" + ONE_TWO["data"][1:]},
+    "non-ascii-data": {**ONE_TWO, "data": ONE_TWO["data"] + "é"},
+    "truncated-data": {**ONE_TWO, "data": ONE_TWO["data"][:12]},
+    "short-of-the-shape": {**ONE_TWO, "shape": [3]},
+    "float32": {**ONE_TWO, "dtype": "<f4"},
+    "big-endian": {**ONE_TWO, "dtype": ">f8"},
+    "negative-dimension": {**ONE_TWO, "shape": [-2]},
+    "float-dimension": {**ONE_TWO, "shape": [2.0]},
+    "bool-dimension": {**ONE_TWO, "shape": [True, 2]},
+    "shape-not-a-list": {**ONE_TWO, "shape": 2},
+    "data-not-a-string": {**ONE_TWO, "data": [1.0, 2.0]},
+    "no-data": {"dtype": "<f8", "shape": [2]},
+    "too-many-dimensions": {"dtype": "<f8", "shape": [1] * 65, "data": "AAAAAAAA8D8="},
+    "ragged-list": [[0.0], [0.0, 1.0]],
+    "string-in-list": [0.0, "x"],
+    "numeric-string-in-list": ["1.5"],
+    "null-in-list": [0.0, None],
+    "bools": [True, False],
+    "object-in-list": [{}],
+    "overflowing-int": [10**400],
+    "string": "x",
+    "null": None,
+}
+
+
+class TestArrayCodec:
+    @given(FLOAT_ARRAYS)
+    def test_round_trip_keeps_every_bit(self, array):
+        decoded = decode_array(
+            json.loads(json.dumps(encode_array(array))), SessionError, "field"
+        )
+        assert decoded.dtype == np.float64 and decoded.dtype.isnative
+        assert decoded.shape == array.shape
+        assert decoded.tobytes() == array.tobytes()
+        assert decoded.flags.writeable
+
+    def test_encoding_is_pinned(self):
+        encoded = encode_array(np.array([[1.0, -0.0], [np.inf, 0.5]]))
+        assert encoded == {
+            "dtype": "<f8",
+            "shape": [2, 2],
+            "data": "AAAAAAAA8D8AAAAAAAAAgAAAAAAAAPB/AAAAAAAA4D8=",
+        }
+
+    def test_non_contiguous_and_other_dtypes_encode_as_float64(self):
+        matrix = np.arange(12, dtype=np.int32).reshape(3, 4)
+        decoded = decode_array(encode_array(matrix.T), SessionError, "field")
+        assert decoded.tobytes() == matrix.T.astype(np.float64).tobytes()
+
+    def test_nested_list_decodes_to_a_fresh_array(self):
+        rows = [[1.0, -0.0], [2.5, 3.0]]
+        decoded = decode_array(rows, SessionError, "field")
+        assert decoded.tolist() == rows and decoded.flags.writeable
+        assert decode_array([], SessionError, "field").shape == (0,)
+
+    def test_decoded_array_owns_its_memory(self):
+        encoded = encode_array(np.zeros(3))
+        first = decode_array(encoded, SessionError, "field")
+        first[0] = 1.0
+        assert decode_array(encoded, SessionError, "field")[0] == 0.0
+
+    @given(JSON_VALUES | ENCODED_LIKE)
+    def test_any_json_value_decodes_or_is_the_callers_error(self, value):
+        try:
+            decoded = decode_array(value, SessionError, "field")
+        except SessionError:
+            return
+        assert decoded.dtype == np.float64 and decoded.flags.writeable
+
+    @pytest.mark.parametrize("case", list(MALFORMED_ARRAYS))
+    def test_malformed_value_is_the_callers_error(self, case):
+        with pytest.raises(SessionError, match=r"^history\.scores "):
+            decode_array(MALFORMED_ARRAYS[case], SessionError, "history.scores")
