@@ -173,7 +173,7 @@ class SequenceDataset:
     Parameters
     ----------
     sentences:
-        One token-id sequence per sample.
+        One token-id sequence per sample, each with at least one token.
     tag_sequences:
         One tag-id sequence per sample, same length as its sentence.
     vocab:
@@ -199,6 +199,11 @@ class SequenceDataset:
                 f"{len(self.sentences)} sentences but {len(self.tag_sequences)} tag sequences"
             )
         token_counts = list(map(len, self.sentences))
+        if 0 in token_counts:
+            # The taggers' lattices start at a sentence's first token.
+            raise DataError(
+                f"sample {token_counts.index(0)}: a sentence must have at least one token"
+            )
         tag_counts = list(map(len, self.tag_sequences))
         if token_counts != tag_counts:
             i = next(i for i, (tokens, tags) in enumerate(zip(token_counts, tag_counts))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..rng import ensure_rng
+from ..rng import choice_cdf, choose, ensure_rng
 from .datasets import SequenceDataset
 from .tagging import bio_to_bioes
 from .vocab import Vocabulary
@@ -139,8 +139,10 @@ def make_ner_corpus(
     ranks = np.arange(1, spec.background_vocab + 1, dtype=np.float64)
     background_probs = ranks**-spec.zipf_exponent
     background_probs /= background_probs.sum()
+    background_cdf = choice_cdf(background_probs)
     # MISC is rarer than the other types, as in CoNLL.
-    type_probs = np.array([0.32, 0.27, 0.29, 0.12])
+    type_indices = np.arange(len(ENTITY_TYPES))
+    type_cdf = choice_cdf(np.array([0.32, 0.27, 0.29, 0.12]))
 
     tag_names = bioes_tag_names()
     tag_ids = {tag: i for i, tag in enumerate(tag_names)}
@@ -156,19 +158,19 @@ def make_ner_corpus(
         while len(tokens) < length:
             budget = length - len(tokens)
             if remaining_entities > 0 and budget >= 2 and rng.random() < 0.5:
-                entity_type = ENTITY_TYPES[rng.choice(len(ENTITY_TYPES), p=type_probs)]
+                entity_type = ENTITY_TYPES[choose(rng, type_indices, cdf=type_cdf)]
                 if rng.random() < spec.trigger_prob:
-                    tokens.append(int(rng.choice(triggers[entity_type])))
+                    tokens.append(int(choose(rng, triggers[entity_type])))
                     bio_tags.append("O")
                     budget -= 1
                 span = int(rng.integers(1, min(spec.max_entity_length, max(1, budget)) + 1))
-                mention = rng.choice(gazetteers[entity_type], size=span)
+                mention = choose(rng, gazetteers[entity_type], size=span)
                 tokens.extend(int(t) for t in mention)
                 bio_tags.append(f"B-{entity_type}")
                 bio_tags.extend(f"I-{entity_type}" for _ in range(span - 1))
                 remaining_entities -= 1
             else:
-                tokens.append(int(rng.choice(background_ids, p=background_probs)))
+                tokens.append(int(choose(rng, background_ids, cdf=background_cdf)))
                 bio_tags.append("O")
         tokens = tokens[:length]
         bio_tags = bio_tags[:length]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..rng import ensure_rng
+from ..rng import choice_cdf, choose, ensure_rng
 from .datasets import TextDataset
 from .vocab import Vocabulary
 
@@ -185,8 +185,11 @@ def make_text_corpus(
     }
     vocab.freeze()
 
-    background_probs = _zipf_probabilities(spec.background_vocab, spec.zipf_exponent)
-    facet_probs = _zipf_probabilities(spec.facets_per_class, spec.facet_zipf)
+    background_cdf = choice_cdf(
+        _zipf_probabilities(spec.background_vocab, spec.zipf_exponent)
+    )
+    facet_indices = np.arange(spec.facets_per_class)
+    facet_cdf = choice_cdf(_zipf_probabilities(spec.facets_per_class, spec.facet_zipf))
     priors = (
         np.asarray(spec.class_priors, dtype=np.float64)
         if spec.class_priors
@@ -208,21 +211,19 @@ def make_text_corpus(
         length = int(lengths[i])
         n_indicative = max(1, int(round(length * purities[i])))
         n_background = max(0, length - n_indicative)
-        facets = rng.choice(
-            spec.facets_per_class, size=spec.facets_per_sample, p=facet_probs
-        )
+        facets = choose(rng, facet_indices, size=spec.facets_per_sample, cdf=facet_cdf)
         own_lexicon = np.concatenate([facet_ids[(labels[i], f)] for f in facets])
-        tokens = [rng.choice(background_ids, size=n_background, p=background_probs)]
+        tokens = [choose(rng, background_ids, size=n_background, cdf=background_cdf)]
         if ambiguous[i]:
             n_other = int(round(n_indicative * mix_shares[i]))
             n_own = n_indicative - n_other
-            other_facet = rng.choice(spec.facets_per_class, p=facet_probs)
-            tokens.append(rng.choice(own_lexicon, size=n_own))
+            other_facet = choose(rng, facet_indices, cdf=facet_cdf)
+            tokens.append(choose(rng, own_lexicon, size=n_own))
             tokens.append(
-                rng.choice(facet_ids[(other_classes[i], other_facet)], size=n_other)
+                choose(rng, facet_ids[(other_classes[i], other_facet)], size=n_other)
             )
         else:
-            tokens.append(rng.choice(own_lexicon, size=n_indicative))
+            tokens.append(choose(rng, own_lexicon, size=n_indicative))
         sentence = np.concatenate(tokens)
         rng.shuffle(sentence)
         sentences.append(sentence)

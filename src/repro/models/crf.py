@@ -26,10 +26,39 @@ from .crf_core import (
     CRFTagger,
     crf_marginals,
     crf_marginals_batch,
-    crf_sentence_gradients,
+    crf_padded_gradients,
 )
 
+#: The emission tables, in the order of :func:`_context_ids`.
 _COMPONENTS = ("U_curr", "U_prev", "U_next")
+
+
+def _context_ids(ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Current, previous and next word ids of a ``(B, L)`` id matrix.
+
+    Beyond either edge the neighbour is PAD (0), so rows right-padded
+    with 0 see exactly the neighbours their unpadded sentences see.
+    """
+    zero = np.zeros((len(ids), 1), dtype=np.int64)
+    return (
+        ids,
+        np.concatenate([zero, ids[:, :-1]], axis=1),
+        np.concatenate([ids[:, 1:], zero], axis=1),
+    )
+
+
+def _dropout_masks() -> np.ndarray:
+    """The component mask of each keep pattern, as the draws compute it.
+
+    Row ``code`` keeps component ``k`` when bit ``k`` of ``code`` is set
+    and scales the kept ones by ``3 / kept``; row 0 (nothing kept) is
+    never drawn.
+    """
+    keeps = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
+    return np.array([keep / max(keep.mean(), 1e-12) for keep in keeps])
+
+
+_DROPOUT_MASKS = _dropout_masks()
 
 
 class LinearChainCRF(CRFTagger):
@@ -75,19 +104,6 @@ class LinearChainCRF(CRFTagger):
 
     # -- scores --------------------------------------------------------------
 
-    def _emission_parts(
-        self, sentence: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three emission components (current/previous/next word)."""
-        params = self._require_fitted()
-        prev_ids = np.concatenate([[0], sentence[:-1]])
-        next_ids = np.concatenate([sentence[1:], [0]])
-        return (
-            params["U_curr"][sentence],
-            params["U_prev"][prev_ids],
-            params["U_next"][next_ids],
-        )
-
     def _sentence_emissions(
         self, sentence: np.ndarray, component_mask: np.ndarray | None = None
     ) -> np.ndarray:
@@ -97,7 +113,13 @@ class LinearChainCRF(CRFTagger):
         dropout over the current/previous/next word components.
         """
         params = self._require_fitted()
-        parts = self._emission_parts(sentence)
+        prev_ids = np.concatenate([[0], sentence[:-1]])
+        next_ids = np.concatenate([sentence[1:], [0]])
+        parts = (
+            params["U_curr"][sentence],
+            params["U_prev"][prev_ids],
+            params["U_next"][next_ids],
+        )
         if component_mask is None:
             emissions = parts[0] + parts[1] + parts[2]
         else:
@@ -114,17 +136,10 @@ class LinearChainCRF(CRFTagger):
         params = self._require_fitted()
         sentences = dataset.sentences
         output: list[np.ndarray | None] = [None] * len(sentences)
-        for length, rows in length_buckets([len(s) for s in sentences]):
-            ids = np.stack([sentences[int(r)] for r in rows])  # (B, L)
-            zero = np.zeros((len(rows), 1), dtype=np.int64)
-            prev_ids = np.concatenate([zero, ids[:, :-1]], axis=1)
-            next_ids = np.concatenate([ids[:, 1:], zero], axis=1)
-            batch = (
-                params["U_curr"][ids]
-                + params["U_prev"][prev_ids]
-                + params["U_next"][next_ids]
-                + params["b"]
-            )
+        for _length, rows in length_buckets([len(s) for s in sentences]):
+            context = _context_ids(np.stack([sentences[int(r)] for r in rows]))
+            parts = [params[name][index] for name, index in zip(_COMPONENTS, context)]
+            batch = parts[0] + parts[1] + parts[2] + params["b"]
             for row, matrix in zip(rows, batch):
                 output[int(row)] = matrix
         return output
@@ -132,8 +147,16 @@ class LinearChainCRF(CRFTagger):
     # -- training --------------------------------------------------------------
 
     def _training_data(self, dataset: SequenceDataset):
+        """Token ids and tags right-padded with 0 to ``(n, max length)``,
+        and the sentence lengths; built once per fit."""
         self._num_tags = dataset.num_tags
-        return dataset.sentences, dataset.tag_sequences
+        lengths = dataset.lengths()
+        real = np.arange(lengths.max()) < lengths[:, None]
+        ids = np.zeros(real.shape, dtype=np.int64)
+        tags = np.zeros(real.shape, dtype=np.int64)
+        ids[real] = np.concatenate(dataset.sentences)
+        tags[real] = np.concatenate(dataset.tag_sequences)
+        return ids, tags, lengths
 
     def _initial_params(self, dataset: SequenceDataset, data, rng) -> dict:
         vocab_size, num_tags = len(dataset.vocab), dataset.num_tags
@@ -156,39 +179,41 @@ class LinearChainCRF(CRFTagger):
             )
 
     def _gradients(self, data, batch: np.ndarray, rng) -> dict:
-        sentences, tag_sequences = data
-        grads = {name: np.zeros_like(v) for name, v in self._params.items()}
-        for index in batch:
-            self._accumulate_sentence_grads(
-                sentences[index], tag_sequences[index], grads, scale=1.0 / len(batch)
-            )
-        for name, value in self._params.items():
+        """The minibatch's mean NLL gradient plus the L2 term.
+
+        One padded lattice pass (:func:`crf_padded_gradients`) serves the
+        whole minibatch.  Each table then takes its contributions in
+        minibatch order: ``np.add.at`` applies its updates in index order,
+        and the ``b``/``A``/``start``/``end`` sums run sentence by
+        sentence, each over the sentence's own positions, so the bytes
+        equal accumulating one sentence at a time.
+        """
+        ids, tags, lengths = data
+        params = self._params
+        lengths = lengths[batch]
+        width = int(lengths.max())
+        context = _context_ids(ids[batch, :width])
+        parts = [params[name][index] for name, index in zip(_COMPONENTS, context)]
+        emissions = parts[0] + parts[1] + parts[2] + params["b"]
+        d_emissions, d_transitions, d_start, d_end = crf_padded_gradients(
+            emissions, lengths, tags[batch, :width],
+            params["A"], params["start"], params["end"],
+        )
+        scale = 1.0 / len(batch)
+        d_emissions *= scale
+        real = np.arange(width) < lengths[:, None]
+        token_grads = d_emissions[real]
+        grads = {name: np.zeros_like(v) for name, v in params.items()}
+        for name, component_ids in zip(_COMPONENTS, context):
+            np.add.at(grads[name], component_ids[real], token_grads)
+        for row, length in enumerate(lengths.tolist()):
+            grads["b"] += d_emissions[row, :length].sum(axis=0)
+            grads["A"] += scale * d_transitions[row]
+            grads["start"] += scale * d_start[row]
+            grads["end"] += scale * d_end[row]
+        for name, value in params.items():
             grads[name] += self.l2 * value
         return grads
-
-    def _accumulate_sentence_grads(
-        self,
-        sentence: np.ndarray,
-        tags: np.ndarray,
-        grads: dict[str, np.ndarray],
-        scale: float,
-    ) -> None:
-        """Add the NLL gradient of one sentence into ``grads``."""
-        params = self._require_fitted()
-        emissions = self._sentence_emissions(sentence)
-        d_emissions, d_transitions, d_start, d_end, _ = crf_sentence_gradients(
-            emissions, tags, params["A"], params["start"], params["end"]
-        )
-        d_emissions = d_emissions * scale
-        prev_ids = np.concatenate([[0], sentence[:-1]])
-        next_ids = np.concatenate([sentence[1:], [0]])
-        np.add.at(grads["U_curr"], sentence, d_emissions)
-        np.add.at(grads["U_prev"], prev_ids, d_emissions)
-        np.add.at(grads["U_next"], next_ids, d_emissions)
-        grads["b"] += d_emissions.sum(axis=0)
-        grads["A"] += scale * d_transitions
-        grads["start"] += scale * d_start
-        grads["end"] += scale * d_end
 
     # -- inference ----------------------------------------------------------------
 
@@ -197,33 +222,48 @@ class LinearChainCRF(CRFTagger):
     ) -> list[np.ndarray]:
         """Stochastic marginals via feature dropout (sequence-BALD).
 
-        The three emission components of a sentence are gathered once and
-        only the component mask is resampled per draw; all ``n_samples``
-        masked emission matrices then run through one batched
-        forward-backward.  Draw order and RNG consumption match the
-        per-draw reference path exactly.
+        Every keep mask is drawn first, in the per-draw reference order
+        (per sentence, per draw: ``rng.random(3)``, plus ``rng.integers(3)``
+        when all three components were dropped), so the generator ends
+        where the reference leaves it.  A mask is one of 7 keep patterns.
+        Each exact-length bucket then gathers its three emission
+        components once, builds emissions only for its distinct
+        (sentence, pattern) pairs, runs them through one batched
+        forward-backward and hands each sentence its ``(n_samples, L,
+        T)`` draws; the kernel is row-independent, so a repeated pattern
+        gets the very marginals a separate pass would give it.
         """
         if n_samples < 1:
             raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
         params = self._require_fitted()
-        results: list[np.ndarray] = []
-        num_tags = int(self._num_tags or 0)
-        for sentence in dataset.sentences:
-            parts = self._emission_parts(sentence)
-            emissions = np.empty((n_samples, len(sentence), num_tags))
-            for t in range(n_samples):
-                keep = rng.random(3) >= self.feature_dropout
-                if not keep.any():
-                    keep[rng.integers(3)] = True  # never drop every component
-                mask = keep / max(keep.mean(), 1e-12)
-                emissions[t] = (
-                    sum(m * p for m, p in zip(mask, parts)) + params["b"]
-                )
-            results.append(
-                crf_marginals_batch(
-                    emissions, params["A"], params["start"], params["end"]
-                )
+        sentences = dataset.sentences
+        keeps = np.empty((len(sentences), n_samples, 3), dtype=bool)
+        for keep in keeps.reshape(-1, 3):
+            keep[:] = rng.random(3) >= self.feature_dropout
+            if not keep.any():
+                keep[rng.integers(3)] = True  # never drop every component
+        patterns = keeps @ np.array([1, 2, 4])
+        results: list[np.ndarray | None] = [None] * len(sentences)
+        for _length, rows in length_buckets([len(s) for s in sentences]):
+            context = _context_ids(np.stack([sentences[int(r)] for r in rows]))
+            parts = [params[name][index] for name, index in zip(_COMPONENTS, context)]
+            pairs, draws = np.unique(
+                np.arange(len(rows))[:, None] * 8 + patterns[rows],
+                return_inverse=True,
             )
+            owners, masks = pairs // 8, _DROPOUT_MASKS[pairs % 8, :, None, None]
+            emissions = (
+                0
+                + masks[:, 0] * parts[0][owners]
+                + masks[:, 1] * parts[1][owners]
+                + masks[:, 2] * parts[2][owners]
+                + params["b"]
+            )
+            marginals = crf_marginals_batch(
+                emissions, params["A"], params["start"], params["end"]
+            )
+            for row, row_draws in zip(rows, draws.reshape(len(rows), n_samples)):
+                results[int(row)] = marginals[row_draws]
         return results
 
     # -- per-sentence reference path (oracle for the batched sampler) -------

@@ -18,7 +18,9 @@ one shot.  The batched kernels perform the *same* per-element reductions
 in the same order as the scalar ones (the tag axis is reduced
 identically), so their outputs are bit-for-bit equal to looping the
 scalar kernels over the batch; the equivalence tests assert exact
-equality.
+equality.  Training gradients take a right-padded minibatch instead
+(:func:`crf_padded_gradients`), equal row by row to
+:func:`crf_sentence_gradients`.
 """
 
 from __future__ import annotations
@@ -264,6 +266,78 @@ def crf_sentence_gradients(
     d_end[tags[-1]] -= 1.0
     nll = log_z - crf_path_score(emissions, tags, transitions, start, end)
     return d_emissions, d_transitions, d_start, d_end, nll
+
+
+def crf_padded_gradients(
+    emissions: np.ndarray,
+    lengths: np.ndarray,
+    tags: np.ndarray,
+    transitions: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """NLL gradients of a right-padded minibatch, one lattice pass for all.
+
+    ``emissions`` is ``(B, W, T)`` and ``tags`` is ``(B, W)``; row ``b``
+    is real up to ``lengths[b]`` (at least 1) and anything after it is
+    ignored.  Returns ``(d_emissions, d_transitions, d_start, d_end)`` of
+    shapes ``(B, W, T)``, ``(B, T, T)``, ``(B, T)`` and ``(B, T)``.  Row
+    ``b`` of each is bit-for-bit :func:`crf_sentence_gradients` of
+    ``emissions[b, :lengths[b]]``, and ``d_emissions`` is zero past a
+    row's length.
+
+    Padding never reaches a real position.  The forward recursion runs
+    on past a row's end, where nothing reads it; the backward recursion
+    restarts each row from ``end`` at its last real position; and the
+    pairwise-transition sum runs over each sentence's own positions.
+    (With one tag, numpy sums a position axis pairwise, so trailing
+    padding would regroup that sum even where it adds zeros.)
+    """
+    batch, width, _ = emissions.shape
+    rows = np.arange(batch)
+    last = np.asarray(lengths, dtype=np.int64) - 1
+    alpha, _ = crf_forward_batch(emissions, transitions, start, end)
+    log_z = logsumexp_axis(alpha[rows, last] + end, axis=1)
+    beta = np.empty_like(emissions)
+    beta[:, width - 1] = end
+    for position in range(width - 2, -1, -1):
+        step = logsumexp_axis(
+            transitions
+            + (emissions[:, position + 1] + beta[:, position + 1])[:, None, :],
+            axis=2,
+        )
+        beta[:, position] = np.where((last == position)[:, None], end, step)
+    real = np.arange(width) <= last[:, None]
+    # -inf past a row's end: its exp is 0, and padding cannot overflow.
+    d_emissions = np.exp(
+        np.where(real[:, :, None], alpha + beta - log_z[:, None, None], -np.inf)
+    )
+    token_rows, token_positions = np.nonzero(real)
+    d_emissions[token_rows, token_positions, tags[token_rows, token_positions]] -= 1.0
+    d_start = d_emissions[:, 0].copy()
+    d_end = d_emissions[rows, last]
+    # Transition p -> p + 1 of row b is real when p < last[b]; np.nonzero
+    # lists them row by row, so each sentence's positions are contiguous.
+    pair_rows, pair_positions = np.nonzero(np.arange(width - 1) < last[:, None])
+    following = pair_positions + 1
+    pairwise = np.exp(
+        alpha[pair_rows, pair_positions][:, :, None]
+        + transitions[None, :, :]
+        + (emissions[pair_rows, following] + beta[pair_rows, following])[:, None, :]
+        - log_z[pair_rows][:, None, None]
+    )
+    d_transitions = np.zeros((batch,) + transitions.shape)
+    offset = 0
+    for row, count in enumerate(last.tolist()):
+        if count:
+            d_transitions[row] = pairwise[offset : offset + count].sum(axis=0)
+        offset += count
+    np.add.at(
+        d_transitions,
+        (pair_rows, tags[pair_rows, pair_positions], tags[pair_rows, following]),
+        -1.0,
+    )
+    return d_emissions, d_transitions, d_start, d_end
 
 
 class CRFTagger(NumpyModel, SequenceLabeler):

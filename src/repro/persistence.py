@@ -13,20 +13,69 @@ and safe to load from untrusted sources.
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
-
-import numpy as np
 
 from .core.features import RankingFeatureExtractor
 from .core.ranker_training import LHSRanker
-from .exceptions import DataError
+from .exceptions import ConfigurationError, DataError
 from .formats import RANKER_FORMAT, RANKER_VERSION
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, decode_array, is_int, is_number
 from .ltr.lambdamart import LambdaMART
 from .ltr.trees import RegressionTree, _Node
 from .models.lstm import LSTMRegressor
 from .timeseries.autoregressive import ARPredictor
 from .timeseries.predictor import ARNextScorePredictor, LSTMNextScorePredictor
+
+
+# -- typed reads ---------------------------------------------------------------
+
+
+class _FieldError(Exception):
+    """A ranker document field that is missing or malformed."""
+
+
+#: Field kinds of a ranker document: kind -> (rule, test, conversion).
+_KINDS = {
+    "int": ("an int", is_int, int),
+    "int or null": ("an int or null", lambda v: v is None or is_int(v), lambda v: v),
+    "number": ("a number", is_number, float),
+    "bool": ("a bool", lambda v: isinstance(v, bool), bool),
+    "string": ("a string", lambda v: isinstance(v, str), str),
+    "list": ("a list", lambda v: isinstance(v, list), lambda v: v),
+    "object": ("an object", lambda v: isinstance(v, dict), lambda v: v),
+    "object or null": ("an object or null", lambda v: v is None or isinstance(v, dict),
+                       lambda v: v),
+}
+
+_REQUIRED = object()
+
+
+def _check(value, name: str, kind: str):
+    """``value`` converted to ``kind``; a ``_FieldError`` naming ``name`` if it
+    is not of that kind."""
+    rule, valid, convert = _KINDS[kind]
+    if not valid(value):
+        raise _FieldError(f"{name} must be {rule}, got {reprlib.repr(value)}")
+    return convert(value)
+
+
+def _read(payload: dict, where: str, key: str, kind: str, default=_REQUIRED):
+    """``payload[key]`` checked as ``kind``; ``where`` is ``payload``'s dotted path."""
+    name = f"{where}.{key}" if where else key
+    if key not in payload:
+        if default is _REQUIRED:
+            raise _FieldError(f"{name} is missing")
+        return default
+    return _check(payload[key], name, kind)
+
+
+def _build(where: str, factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, its ``ConfigurationError`` naming ``where``."""
+    try:
+        return factory(*args, **kwargs)
+    except ConfigurationError as error:
+        raise _FieldError(f"{where}: {error}") from None
 
 
 # -- trees -------------------------------------------------------------------
@@ -51,20 +100,23 @@ def _node_to_dict(node: _Node) -> dict:
     return root_payload
 
 
-def _node_from_dict(payload: dict) -> _Node:
+def _node_from_dict(payload: dict, where: str = "root") -> _Node:
     root = _Node()
-    stack = [(payload, root)]
+    stack = [(payload, root, 0)]
     while stack:
-        data, node = stack.pop()
+        data, node, depth = stack.pop()
+        # A node is named by its depth below the root: a left/right path
+        # per node would cost O(depth) on the deep chains this walk is for.
+        at = f"{where}[depth {depth}]"
         if "feature" not in data:
-            node.value = float(data["value"])
+            node.value = _read(data, at, "value", "number")
         else:
-            node.feature = int(data["feature"])
-            node.threshold = float(data["threshold"])
+            node.feature = _read(data, at, "feature", "int")
+            node.threshold = _read(data, at, "threshold", "number")
             node.left = _Node()
             node.right = _Node()
-            stack.append((data["right"], node.right))
-            stack.append((data["left"], node.left))
+            stack.append((_read(data, at, "right", "object"), node.right, depth + 1))
+            stack.append((_read(data, at, "left", "object"), node.left, depth + 1))
     return root
 
 
@@ -78,12 +130,14 @@ def _tree_to_dict(tree: RegressionTree) -> dict:
     }
 
 
-def _tree_from_dict(payload: dict) -> RegressionTree:
-    tree = RegressionTree(
-        max_depth=int(payload["max_depth"]),
-        min_samples_leaf=int(payload["min_samples_leaf"]),
+def _tree_from_dict(payload, where: str = "tree") -> RegressionTree:
+    payload = _check(payload, where, "object")
+    tree = _build(
+        where, RegressionTree,
+        max_depth=_read(payload, where, "max_depth", "int"),
+        min_samples_leaf=_read(payload, where, "min_samples_leaf", "int"),
     )
-    tree._root = _node_from_dict(payload["root"])
+    tree._root = _node_from_dict(_read(payload, where, "root", "object"), f"{where}.root")
     return tree
 
 
@@ -105,15 +159,19 @@ def _ranker_model_to_dict(model: LambdaMART) -> dict:
 
 
 def _ranker_model_from_dict(payload: dict) -> LambdaMART:
-    model = LambdaMART(
-        n_estimators=int(payload["n_estimators"]),
-        learning_rate=float(payload["learning_rate"]),
-        max_depth=int(payload["max_depth"]),
-        min_samples_leaf=int(payload["min_samples_leaf"]),
-        sigma=float(payload["sigma"]),
-        ndcg_k=payload["ndcg_k"],
+    model = _build(
+        "model", LambdaMART,
+        n_estimators=_read(payload, "model", "n_estimators", "int"),
+        learning_rate=_read(payload, "model", "learning_rate", "number"),
+        max_depth=_read(payload, "model", "max_depth", "int"),
+        min_samples_leaf=_read(payload, "model", "min_samples_leaf", "int"),
+        sigma=_read(payload, "model", "sigma", "number"),
+        ndcg_k=_read(payload, "model", "ndcg_k", "int or null"),
     )
-    model._trees = [_tree_from_dict(tree) for tree in payload["trees"]]
+    model._trees = [
+        _tree_from_dict(tree, f"model.trees[{index}]")
+        for index, tree in enumerate(_read(payload, "model", "trees", "list"))
+    ]
     return model
 
 
@@ -153,24 +211,33 @@ def _predictor_to_dict(predictor) -> "dict | None":
 def _predictor_from_dict(payload: "dict | None"):
     if payload is None:
         return None
-    if payload["kind"] == "ar":
-        predictor = ARNextScorePredictor(
-            order=int(payload["order"]), ridge=float(payload["ridge"])
+    where = "extractor.predictor"
+    kind = _read(payload, where, "kind", "string")
+    if kind == "ar":
+        predictor = _build(
+            where, ARNextScorePredictor,
+            order=_read(payload, where, "order", "int"),
+            ridge=_read(payload, where, "ridge", "number"),
         )
         inner: ARPredictor = predictor._model
-        inner._coefficients = np.asarray(payload["coefficients"], dtype=np.float64)
+        inner._coefficients = decode_array(
+            _read(payload, where, "coefficients", "list"),
+            _FieldError, f"{where}.coefficients",
+        )
         return predictor
-    if payload["kind"] == "lstm":
-        predictor = LSTMNextScorePredictor(
-            hidden_dim=int(payload["hidden_dim"]),
-            epochs=int(payload["epochs"]),
-            seed=int(payload["seed"]),
+    if kind == "lstm":
+        predictor = _build(
+            where, LSTMNextScorePredictor,
+            hidden_dim=_read(payload, where, "hidden_dim", "int"),
+            epochs=_read(payload, where, "epochs", "int"),
+            seed=_read(payload, where, "seed", "int"),
         )
         inner: LSTMRegressor = predictor._model
-        inner.learning_rate = float(payload["learning_rate"])
-        inner.set_params({"arrays": payload["params"], "meta": {}})
+        inner.learning_rate = _read(payload, where, "learning_rate", "number")
+        params = _read(payload, where, "params", "object")
+        _build(f"{where}.params", inner.set_params, {"arrays": params, "meta": {}})
         return predictor
-    raise DataError(f"unknown predictor kind {payload['kind']!r}")
+    raise _FieldError(f"{where}.kind must be 'ar' or 'lstm', got {kind!r}")
 
 
 # -- extractor + bundle --------------------------------------------------------------
@@ -190,15 +257,21 @@ def _extractor_to_dict(extractor: RankingFeatureExtractor) -> dict:
 
 
 def _extractor_from_dict(payload: dict) -> RankingFeatureExtractor:
-    return RankingFeatureExtractor(
-        window=int(payload["window"]),
-        predictor=_predictor_from_dict(payload["predictor"]),
-        use_history=bool(payload["use_history"]),
-        use_fluctuation=bool(payload["use_fluctuation"]),
-        use_trend=bool(payload["use_trend"]),
-        use_prediction=bool(payload["use_prediction"]),
-        use_probabilities=bool(payload["use_probabilities"]),
-        use_window_stats=bool(payload.get("use_window_stats", False)),
+    def flag(key: str, default=_REQUIRED) -> bool:
+        return _read(payload, "extractor", key, "bool", default)
+
+    return _build(
+        "extractor", RankingFeatureExtractor,
+        window=_read(payload, "extractor", "window", "int"),
+        predictor=_predictor_from_dict(
+            _read(payload, "extractor", "predictor", "object or null")
+        ),
+        use_history=flag("use_history"),
+        use_fluctuation=flag("use_fluctuation"),
+        use_trend=flag("use_trend"),
+        use_prediction=flag("use_prediction"),
+        use_probabilities=flag("use_probabilities"),
+        use_window_stats=flag("use_window_stats", False),
     )
 
 
@@ -225,7 +298,10 @@ def load_lhs_ranker(path: "str | Path") -> LHSRanker:
     Raises
     ------
     DataError
-        If the file is not a ranker document or has an unknown version.
+        If the file is not a ranker document, has an unknown version, or
+        has a section or field that is missing, of the wrong type or
+        rejected by the class it builds; the message names the file and
+        the field.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -237,10 +313,13 @@ def load_lhs_ranker(path: "str | Path") -> LHSRanker:
         raise DataError(
             f"unsupported ranker format version {payload.get('version')!r}"
         )
-    return LHSRanker(
-        model=_ranker_model_from_dict(payload["model"]),
-        extractor=_extractor_from_dict(payload["extractor"]),
-        base_name=str(payload["base_name"]),
-        training_rows=int(payload["training_rows"]),
-        source=str(path),
-    )
+    try:
+        return LHSRanker(
+            model=_ranker_model_from_dict(_read(payload, "", "model", "object")),
+            extractor=_extractor_from_dict(_read(payload, "", "extractor", "object")),
+            base_name=_read(payload, "", "base_name", "string"),
+            training_rows=_read(payload, "", "training_rows", "int"),
+            source=str(path),
+        )
+    except _FieldError as error:
+        raise DataError(f"{path}: {error}") from None

@@ -110,3 +110,35 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
         raise ConfigurationError(f"cannot spawn a negative number of generators: {n}")
     seeds = rng.integers(0, 2**63 - 1, size=n)
     return [np.random.default_rng(int(s)) for s in seeds]
+
+
+def choice_cdf(p) -> np.ndarray:
+    """The cumulative table ``Generator.choice(..., p=p)`` searches.
+
+    Compute it once per distribution and pass it to :func:`choose`.
+    """
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def choose(
+    rng: np.random.Generator,
+    items: np.ndarray,
+    size=None,
+    cdf: "np.ndarray | None" = None,
+):
+    """``rng.choice(items, size, p=p)`` for ``cdf = choice_cdf(p)``, or
+    ``rng.choice(items, size)`` when ``cdf`` is ``None``.
+
+    ``Generator.choice`` re-validates ``p`` and recomputes its cumulative
+    sum on every call, which costs more than the draw inside a per-token
+    loop.  With ``replace=True`` it draws
+    ``cdf.searchsorted(rng.random(size), side="right")``, and without
+    ``p`` it draws ``rng.integers(0, len(items), size)``; this makes the
+    same calls, so it returns the same values, dtype and shape and leaves
+    the generator in the same state.
+    """
+    if cdf is None:
+        return items[rng.integers(0, len(items), size=size)]
+    return items[cdf.searchsorted(rng.random(size), side="right")]

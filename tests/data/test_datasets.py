@@ -255,6 +255,12 @@ class TestSequenceDataset:
         with pytest.raises(DataError, match="sentence 1: 2 tokens but 1 tags"):
             SequenceDataset([[2], [2, 2]], [[0], [0]], vocab, ["O"])
 
+    @pytest.mark.parametrize("tags", [[], [0]])
+    def test_empty_sentence_rejected(self, tags):
+        vocab = Vocabulary(["a"])
+        with pytest.raises(DataError, match="sample 1: a sentence must have at least one token"):
+            SequenceDataset([[2], [], [2]], [[0], tags, [0]], vocab, ["O"])
+
     def test_num_tags(self, small_seq):
         assert small_seq.num_tags == 2
 

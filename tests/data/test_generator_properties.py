@@ -1,11 +1,62 @@
 """Property-based tests over the synthetic corpus generators."""
 
+import hashlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data import ner, text
 from repro.data.ner import NERCorpusSpec, make_ner_corpus
 from repro.data.tagging import TagScheme, validate_tags
 from repro.data.text import TextCorpusSpec, make_text_corpus
+
+#: sha256 of every preset corpus at scale 0.1, seed 7 (:func:`corpus_digest`),
+#: recorded before the generators stopped calling ``Generator.choice``
+#: per draw: every draw must stay where it was.
+PRESET_DIGESTS = {
+    "mr": (text.mr, "f72a54e35b13a412ef4cf237d98249e013b7b06cb100b5df9b650c516af959b7"),
+    "sst2": (text.sst2, "23ff4746cdeb91b6ebb68f10f9808ca6dd522e948ab14e173584291b2c5d39c5"),
+    "subj": (text.subj, "3fbc4d4733425e02ae5f0fd06e4c9c1773c234afa172067673cd8c97cc5ec181"),
+    "trec": (text.trec, "af4b349f423f5b2ca24c55cc460c5fa178a6a5f6a74ccf188a4fbc3500ca339d"),
+    "conll-en": (
+        ner.conll2003_english,
+        "6aeaf5406aa0a58253d342e38aa35a889782120c2ad824d38266a65a14dcca5f",
+    ),
+    "conll-es": (
+        ner.conll2002_spanish,
+        "dd8f0bba32fc3e2b728565905ff450e3cb0f9406b637ace0dd4790612facd89b",
+    ),
+    "conll-nl": (
+        ner.conll2002_dutch,
+        "2b3d30b773b0f9c3967452d8e5d234a708ad2360e8165d08ba58c4c93bd89a6e",
+    ),
+}
+
+
+def corpus_digest(dataset) -> str:
+    """sha256 over the vocabulary, every sentence's ids and every target:
+    tag sequences, or labels plus the pretrained and ambiguous masks."""
+    digest = hashlib.sha256()
+    tokens = [dataset.vocab.token_of(i) for i in range(len(dataset.vocab))]
+    digest.update(repr(tokens).encode())
+    for sentence in dataset.sentences:
+        digest.update(np.int64(len(sentence)).tobytes())
+        digest.update(sentence.tobytes())
+    if hasattr(dataset, "tag_sequences"):
+        for tags in dataset.tag_sequences:
+            digest.update(tags.tobytes())
+    else:
+        digest.update(np.asarray(dataset.labels).tobytes())
+        digest.update(dataset.pretrained_mask.tobytes())
+        digest.update(dataset.ambiguous_mask.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+def test_preset_corpus_bytes_are_pinned(preset):
+    build, expected = PRESET_DIGESTS[preset]
+    assert corpus_digest(build(0.1, 7)) == expected
 
 
 @settings(max_examples=15, deadline=None)

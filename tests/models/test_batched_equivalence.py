@@ -1,18 +1,20 @@
 """Batched kernels vs per-sample oracles: equivalence and determinism.
 
 The batched sequence-model paths (padded-tensor LSTM, length-bucketed
-CRF lattice kernels, MC-dropout subgraph reuse) keep their original
-per-sample implementations as ``_*_reference`` oracles.  The CRF lattice
-kernels reduce the tag axis identically batched or not, so those paths
-must be bit-for-bit equal; LSTM/BiLSTM paths route matrix products
-through a different BLAS kernel (gemm vs gemv), so they get a 1e-10
-tolerance instead.
+CRF lattice kernels, the padded CRF training kernel, MC-dropout subgraph
+reuse) keep their original per-sample implementations as oracles: the
+``_*_reference`` methods, and here :func:`accumulate_sentence_grads`
+with :class:`PerSentenceCRF`.  The CRF lattice kernels reduce the tag
+axis identically batched or not, so those paths must be bit-for-bit
+equal; LSTM/BiLSTM paths route matrix products through a different BLAS
+kernel (gemm vs gemv), so they get a 1e-10 tolerance instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.data.datasets import SequenceDataset, TextDataset
 from repro.data.vocab import Vocabulary
@@ -20,10 +22,58 @@ from repro.exceptions import ConfigurationError
 from repro.models.batching import length_buckets, pad_sequences
 from repro.models.bilstm_crf import BiLSTMCRF
 from repro.models.crf import LinearChainCRF
+from repro.models.crf_core import crf_padded_gradients, crf_sentence_gradients
 from repro.models.lstm import LSTMRegressor
 from repro.models.textcnn import TextCNN
 
 TOL = 1e-10
+
+
+def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal dtype, shape and bytes (so -0.0 and 0.0 differ)."""
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def accumulate_sentence_grads(model, sentence, tags, grads, scale):
+    """Add one sentence's NLL gradient into ``grads``: the per-sentence
+    path ``LinearChainCRF`` trained through before its padded kernel."""
+    params = model._require_fitted()
+    emissions = model._sentence_emissions(sentence)
+    d_emissions, d_transitions, d_start, d_end, _ = crf_sentence_gradients(
+        emissions, tags, params["A"], params["start"], params["end"]
+    )
+    d_emissions = d_emissions * scale
+    prev_ids = np.concatenate([[0], sentence[:-1]])
+    next_ids = np.concatenate([sentence[1:], [0]])
+    np.add.at(grads["U_curr"], sentence, d_emissions)
+    np.add.at(grads["U_prev"], prev_ids, d_emissions)
+    np.add.at(grads["U_next"], next_ids, d_emissions)
+    grads["b"] += d_emissions.sum(axis=0)
+    grads["A"] += scale * d_transitions
+    grads["start"] += scale * d_start
+    grads["end"] += scale * d_end
+
+
+class PerSentenceCRF(LinearChainCRF):
+    """``LinearChainCRF`` trained one sentence at a time (the oracle)."""
+
+    def _training_data(self, dataset):
+        self._num_tags = dataset.num_tags
+        return dataset.sentences, dataset.tag_sequences
+
+    def _gradients(self, data, batch, rng):
+        sentences, tag_sequences = data
+        grads = {name: np.zeros_like(v) for name, v in self._params.items()}
+        for index in batch:
+            accumulate_sentence_grads(
+                self, sentences[index], tag_sequences[index], grads,
+                scale=1.0 / len(batch),
+            )
+        for name, value in self._params.items():
+            grads[name] += self.l2 * value
+        return grads
 
 
 def _ragged_sequences(rng, count, min_len=1, max_len=9):
@@ -235,6 +285,115 @@ class TestCRFBatchedBitwise:
         second = fitted_crf.token_marginals(seq_dataset)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def padded_lattices(draw):
+    """A right-padded CRF minibatch: T = 1-20 tags, B = 1-6 rows of
+    L = 1-40 real positions, padding up to 4 columns past the longest
+    row, emission scales 0.1-50 and random values in the padding."""
+    num_tags = draw(st.integers(1, 20))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    width = max(lengths) + draw(st.integers(0, 4))
+    scale = draw(st.floats(0.1, 50.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (
+        rng.normal(scale=scale, size=(len(lengths), width, num_tags)),
+        np.array(lengths),
+        rng.integers(0, num_tags, size=(len(lengths), width)),
+        rng.normal(size=(num_tags, num_tags)),
+        rng.normal(size=num_tags),
+        rng.normal(size=num_tags),
+    )
+
+
+def _one_tag_lattice():
+    """One tag and rows long enough that numpy sums their positions
+    pairwise: summing across the padding would regroup ``d_transitions``."""
+    rng = np.random.default_rng(0)
+    return (
+        rng.normal(size=(5, 36, 1)), np.array([1, 11, 14, 21, 35]),
+        np.zeros((5, 36), dtype=np.int64),
+        rng.normal(size=(1, 1)), rng.normal(size=1), rng.normal(size=1),
+    )
+
+
+class TestCRFPaddedTraining:
+    """The padded minibatch kernel and the fit built on it are bit-for-bit
+    the per-sentence path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(padded_lattices())
+    @example(_one_tag_lattice())
+    def test_kernel_rows_match_sentence_gradients(self, lattice):
+        emissions, lengths, tags, transitions, start, end = lattice
+        padded = crf_padded_gradients(emissions, lengths, tags, transitions, start, end)
+        for row, length in enumerate(lengths):
+            expected = crf_sentence_gradients(
+                emissions[row, :length], tags[row, :length], transitions, start, end
+            )
+            assert_same_bytes(padded[0][row, :length], expected[0])
+            assert not padded[0][row, length:].any()
+            for got, want in zip(padded[1:], expected[1:4]):
+                assert_same_bytes(got[row], want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_tags=st.integers(1, 5),
+        batch_size=st.integers(1, 19),
+        count=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fit_matches_per_sentence_path_cold_and_warm(
+        self, num_tags, batch_size, count, seed
+    ):
+        rng = np.random.default_rng(seed)
+        first = _sequence_dataset(rng, count=count, num_tags=num_tags, max_len=12)
+        second = _sequence_dataset(rng, count=count + 5, num_tags=num_tags, max_len=12)
+        options = dict(epochs=2, batch_size=batch_size, seed=seed, warm_epochs=2)
+        cold = LinearChainCRF(**options).fit(first)
+        cold_oracle = PerSentenceCRF(**options).fit(first)
+        warm = LinearChainCRF(**options).fit(second, init_from=cold)
+        warm_oracle = PerSentenceCRF(**options).fit(second, init_from=cold_oracle)
+        for fitted, oracle in ((cold, cold_oracle), (warm, warm_oracle)):
+            assert fitted._params.keys() == oracle._params.keys()
+            for name, value in oracle._params.items():
+                assert_same_bytes(fitted._params[name], value)
+
+    def test_fit_on_the_ner_corpus_matches(self, ner_dataset):
+        train = ner_dataset.subset(range(90))
+        fitted = LinearChainCRF(epochs=2, seed=5).fit(train)
+        oracle = PerSentenceCRF(epochs=2, seed=5).fit(train)
+        for name, value in oracle._params.items():
+            assert_same_bytes(fitted._params[name], value)
+
+
+class TestCRFBucketedBALD:
+    """Draw-first, distinct-pattern sampling is the per-draw path."""
+
+    @pytest.mark.parametrize("num_tags", [1, 4])
+    @pytest.mark.parametrize("dropout", [0.0, 0.25, 0.6, 0.95])
+    @pytest.mark.parametrize("n_samples", [1, 6])
+    def test_matches_reference_and_generator_state(self, num_tags, dropout, n_samples):
+        dataset = _sequence_dataset(
+            np.random.default_rng(num_tags), count=30, num_tags=num_tags, max_len=12
+        )
+        model = LinearChainCRF(epochs=2, seed=1, feature_dropout=dropout).fit(dataset)
+        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+        draws = model.token_marginal_samples(dataset, n_samples, rng)
+        expected = model._token_marginal_samples_reference(
+            dataset, n_samples, reference_rng
+        )
+        assert len(draws) == len(expected)
+        for got, want in zip(draws, expected):
+            assert_same_bytes(got, want)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_empty_pool_draws_nothing(self, fitted_crf, seq_dataset):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        assert fitted_crf.token_marginal_samples(seq_dataset.subset([]), 8, rng) == []
+        assert rng.bit_generator.state == before
 
 
 class TestBiLSTMCRFBatched:

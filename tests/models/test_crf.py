@@ -10,6 +10,7 @@ from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.models.crf import LinearChainCRF
 from repro.models.crf_core import crf_forward, crf_path_score, crf_viterbi
+from tests.models.test_batched_equivalence import accumulate_sentence_grads
 
 
 @pytest.fixture(scope="module")
@@ -83,35 +84,59 @@ class TestInference:
         assert (log_probas <= 1e-12).all()
 
 
+def assert_matches_finite_differences(model, grads, nll):
+    """Probe up to 10 entries of every table against central differences."""
+    rng = np.random.default_rng(2)
+    epsilon = 1e-6
+    for name, value in model._params.items():
+        flat = value.reshape(-1)
+        flat_grad = grads[name].reshape(-1)
+        probe = rng.choice(len(flat), size=min(10, len(flat)), replace=False)
+        for k in probe:
+            original = flat[k]
+            flat[k] = original + epsilon
+            up = nll()
+            flat[k] = original - epsilon
+            down = nll()
+            flat[k] = original
+            numeric = (up - down) / (2 * epsilon)
+            assert np.isclose(flat_grad[k], numeric, rtol=1e-4, atol=1e-8), (
+                f"{name}[{k}]"
+            )
+
+
+def sentence_nll(model, sentence, tags) -> float:
+    emissions = model._sentence_emissions(sentence)
+    _, log_z = crf_forward(emissions, *model._transitions())
+    return log_z - crf_path_score(emissions, tags, *model._transitions())
+
+
 class TestGradient:
     def test_nll_gradient_matches_finite_differences(self, tiny_crf):
         model, dataset = tiny_crf
         sentence, tags = dataset.sentences[0], dataset.tag_sequences[0]
         grads = {name: np.zeros_like(v) for name, v in model._params.items()}
-        model._accumulate_sentence_grads(sentence, tags, grads, scale=1.0)
+        accumulate_sentence_grads(model, sentence, tags, grads, scale=1.0)
+        assert_matches_finite_differences(
+            model, grads, lambda: sentence_nll(model, sentence, tags)
+        )
 
-        def nll() -> float:
-            emissions = model._sentence_emissions(sentence)
-            _, log_z = crf_forward(emissions, *model._transitions())
-            return log_z - crf_path_score(emissions, tags, *model._transitions())
-
-        rng = np.random.default_rng(2)
-        epsilon = 1e-6
+    def test_minibatch_gradient_matches_finite_differences(self, tiny_crf):
+        """The production gradient of a padded minibatch (lengths 3 and 2)
+        is the mean NLL's, once its L2 term is taken off."""
+        model, dataset = tiny_crf
+        batch = np.array([1, 0])
+        grads = model._gradients(model._training_data(dataset), batch, rng=None)
         for name, value in model._params.items():
-            flat = value.reshape(-1)
-            flat_grad = grads[name].reshape(-1)
-            probe = rng.choice(len(flat), size=min(10, len(flat)), replace=False)
-            for k in probe:
-                original = flat[k]
-                flat[k] = original + epsilon
-                up = nll()
-                flat[k] = original - epsilon
-                down = nll()
-                flat[k] = original
-                numeric = (up - down) / (2 * epsilon)
-                assert np.isclose(flat_grad[k], numeric, rtol=1e-4, atol=1e-8), (
-                    f"{name}[{k}]"
-                )
+            grads[name] -= model.l2 * value
+
+        def mean_nll() -> float:
+            return np.mean([
+                sentence_nll(model, dataset.sentences[i], dataset.tag_sequences[i])
+                for i in batch
+            ])
+
+        assert_matches_finite_differences(model, grads, mean_nll)
 
 
 class TestTraining:

@@ -1,6 +1,7 @@
 """Tests for JSON persistence of trained LHS rankers."""
 
 import json
+import re
 import sys
 
 import numpy as np
@@ -186,3 +187,72 @@ class TestLoadErrors:
         broken = LHSRanker(model=LambdaMART(), extractor=ranker.extractor)
         with pytest.raises(DataError):
             save_lhs_ranker(broken, tmp_path / "x.json")
+
+
+@pytest.mark.parametrize("ranker", ["ar"], indirect=True)
+class TestMalformedRanker:
+    """A malformed bundle is a ``DataError`` naming the file and the field."""
+
+    @pytest.fixture()
+    def document(self, ranker, tmp_path):
+        path = tmp_path / "ranker.json"
+        save_lhs_ranker(ranker, path)
+        return path, json.loads(path.read_text())
+
+    @staticmethod
+    def assert_rejected(path, payload, message):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_lhs_ranker(path)
+
+    @pytest.mark.parametrize(
+        "section", ["model", "extractor", "base_name", "training_rows"]
+    )
+    def test_missing_section(self, document, section):
+        path, payload = document
+        del payload[section]
+        self.assert_rejected(path, payload, f"{section} is missing")
+
+    def test_section_not_an_object(self, document):
+        path, payload = document
+        payload["extractor"] = []
+        self.assert_rejected(path, payload, "extractor must be an object, got []")
+
+    def test_trees_not_a_list(self, document):
+        path, payload = document
+        payload["model"]["trees"] = {"0": payload["model"]["trees"][0]}
+        self.assert_rejected(path, payload, "model.trees must be a list, got {")
+
+    def test_node_missing_value(self, document):
+        path, payload = document
+        node, depth = payload["model"]["trees"][1]["root"], 0
+        while "value" not in node:
+            node, depth = node["left"], depth + 1
+        del node["value"]
+        self.assert_rejected(
+            path, payload, f"model.trees[1].root[depth {depth}].value is missing"
+        )
+
+    def test_unknown_predictor_kind(self, document):
+        path, payload = document
+        payload["extractor"]["predictor"]["kind"] = "gru"
+        self.assert_rejected(
+            path, payload, "extractor.predictor.kind must be 'ar' or 'lstm', got 'gru'"
+        )
+
+    def test_value_of_the_wrong_type(self, document):
+        path, payload = document
+        payload["model"]["n_estimators"] = "5"
+        self.assert_rejected(path, payload, "model.n_estimators must be an int, got '5'")
+
+    def test_malformed_coefficients(self, document):
+        path, payload = document
+        payload["extractor"]["predictor"]["coefficients"] = [0.5, None]
+        self.assert_rejected(
+            path, payload, "extractor.predictor.coefficients is not a float array"
+        )
+
+    def test_constructor_rejection_names_the_section(self, document):
+        path, payload = document
+        payload["extractor"]["window"] = 0
+        self.assert_rejected(path, payload, "extractor: window must be >= 1, got 0")
