@@ -1,0 +1,115 @@
+"""Speed checks: each fast path must be no slower than what it replaced.
+
+Three timing claims, at small sizes:
+
+* partial top-k selection against the full lexsort (DESIGN §7);
+* warm-start training against cold (DESIGN §12);
+* a resumed scenario sweep against its cold run (DESIGN §14).
+
+Each side is timed as the best of ``REPEATS`` ``time.perf_counter``
+readings.  The top-k test asserts that both paths pick the same batch
+before it times them; every other correctness check runs in the tier-1
+suite, which this module is not part of (``testpaths`` is ``tests``),
+because wall time depends on the host.  It takes no option and writes
+no file::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_speedups.py
+
+Per-layer time of real runs comes from ``benchmarks/e2e/run.py --trace 1``.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.core.selection import top_k_indices, top_k_reference
+from repro.experiments import ExperimentConfig, run_sweep
+from repro.specs import ExperimentSpec, Spec, SweepSpec
+from tests.models.test_warm_start import warm_workload
+
+REPEATS = 3
+
+
+def best_of(function) -> float:
+    """Best wall-clock seconds of ``REPEATS`` calls."""
+    best = np.inf
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        function()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("n", [20_000, 50_000])
+def test_top_k_beats_the_full_sort(n):
+    """k = 1,000 of ``n`` scores rounded to 6 places, so the k-th score
+    has ties.  Both paths draw the same jitter, so the ratio isolates
+    the sort."""
+    k = 1_000
+    scores = np.round(np.random.default_rng(20).random(n), 6)
+    np.testing.assert_array_equal(
+        top_k_indices(scores, k, np.random.default_rng(21)),
+        top_k_reference(scores, k, np.random.default_rng(21)),
+    )
+    partial = best_of(lambda: top_k_indices(scores, k, np.random.default_rng(22)))
+    full = best_of(lambda: top_k_reference(scores, k, np.random.default_rng(22)))
+    assert partial <= full
+
+
+@pytest.mark.parametrize("family", ["textcnn", "mlp", "lstm"])
+def test_warm_start_beats_cold(family):
+    run = warm_workload(family)
+    assert best_of(lambda: run("warm")) <= best_of(lambda: run("cold"))
+
+
+def _sweep() -> SweepSpec:
+    """A 2x2 label-noise x annotation-cost grid over a small MR experiment."""
+    base = ExperimentSpec(
+        dataset=Spec(kind="mr", params={"scale": 0.05, "seed": 7}),
+        split=Spec(kind="fraction", params={"test_fraction": 0.3}),
+        model=Spec(kind="linear", params={"epochs": 2, "batch_size": 32, "seed": 0}),
+        strategies={"random": Spec(kind="random"), "entropy": Spec(kind="entropy")},
+        config=ExperimentConfig(
+            batch_size=10, rounds=2, repeats=1, seed=9, track_flips=True
+        ),
+    )
+    noisy = {"kind": "label_noise", "params": {"rate": 0.1}}
+    by_length = {
+        "kind": "annotation_cost",
+        "params": {"model": "length", "base": 1.0, "per_token": 0.05},
+    }
+    return SweepSpec.from_dict({
+        "format": "repro.sweep",
+        "version": 1,
+        "name": "speed",
+        "base": base.to_dict(),
+        "scenario_seed": 1,
+        "axes": [
+            {"name": "noise", "cells": [
+                {"name": "clean"}, {"name": "p10", "transforms": [noisy]},
+            ]},
+            {"name": "cost", "cells": [
+                {"name": "unit"}, {"name": "length", "transforms": [by_length]},
+            ]},
+        ],
+        "metrics": [
+            {"kind": "final"},
+            {"kind": "auc"},
+            {"kind": "speedup", "params": {"fraction": 0.9}},
+            {"kind": "contradiction"},
+            {"kind": "cost_auc"},
+        ],
+    })
+
+
+def test_resumed_sweep_beats_its_cold_run(tmp_path):
+    sweep = _sweep()
+    directories = iter(tmp_path / f"cold-{index}" for index in range(REPEATS))
+    cold = best_of(lambda: run_sweep(sweep, sweep_dir=next(directories)))
+    resumed = best_of(
+        lambda: run_sweep(sweep, sweep_dir=tmp_path / "cold-0", resume=True)
+    )
+    assert resumed <= cold

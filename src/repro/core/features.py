@@ -193,9 +193,8 @@ def _window_statistics(filled_window: np.ndarray) -> np.ndarray:
 def _backfill(window: np.ndarray) -> np.ndarray:
     """Replace leading NaNs with each row's earliest observed value.
 
-    Rows with no observations become all zeros.  Fully vectorized;
-    :func:`_backfill_reference` is the row-loop oracle it is tested
-    against.
+    Rows with no observations become all zeros.  Fully vectorized; the
+    tests check it against the row-loop oracle in ``tests/oracles``.
     """
     observed = ~np.isnan(window)
     any_observed = observed.any(axis=1)
@@ -203,16 +202,3 @@ def _backfill(window: np.ndarray) -> np.ndarray:
     first_value = window[np.arange(len(window)), first_column]
     fill = np.where(any_observed, first_value, 0.0)
     return np.where(observed, window, fill[:, None])
-
-
-def _backfill_reference(window: np.ndarray) -> np.ndarray:
-    """Row-loop reference implementation of :func:`_backfill` (oracle)."""
-    filled = window.copy()
-    for row in range(filled.shape[0]):
-        observed = ~np.isnan(filled[row])
-        if not observed.any():
-            filled[row] = 0.0
-            continue
-        first = filled[row, observed.argmax()]
-        filled[row, ~observed] = first
-    return filled

@@ -25,8 +25,7 @@ the k-th score) while reproducing the full-sort output *bit for bit*:
 ``np.flatnonzero`` enumerates candidates in ascending position order and
 ``lexsort`` is stable, so the subset sort ranks equal keys in the same
 relative order as the full sort — hence the bit-for-bit guarantee, which
-:func:`top_k_reference` (the retained full-sort oracle) backs in tests
-and benchmarks.
+the tests check against :func:`top_k_reference` (the retained full sort).
 
 Degenerate inputs fall back to the oracle: NaN scores poison
 ``argpartition``'s ordering (the loop's failure-injection contract is

@@ -32,7 +32,7 @@ from ...exceptions import ConfigurationError, StrategyError
 from ...models.base import Classifier, SequenceLabeler
 from ..history import HistoryStore
 from ..prediction_cache import PredictionCache
-from ..selection import top_k_indices, top_k_reference
+from ..selection import top_k_indices
 
 
 @dataclass
@@ -150,25 +150,10 @@ class QueryStrategy(ABC):
         initial scores (e.g. an untrained model) don't systematically
         prefer low indices.  The pick runs through the partial
         :func:`~repro.core.selection.top_k_indices` — bit-identical to
-        the full-sort :meth:`select_reference` oracle, O(n) in the pool.
+        the full sort over the pool, at O(n).
         """
         score_vector = self._validated_scores(model, context, batch_size)
         order = top_k_indices(score_vector, batch_size, context.rng)
-        return context.unlabeled[order]
-
-    def select_reference(
-        self,
-        model: "Classifier | SequenceLabeler",
-        context: SelectionContext,
-        batch_size: int,
-    ) -> np.ndarray:
-        """Full-sort oracle for :meth:`select` (tests and benchmarks).
-
-        Runs the historical ``np.lexsort((jitter, -scores))`` over the
-        whole pool; :meth:`select` must match it bit for bit.
-        """
-        score_vector = self._validated_scores(model, context, batch_size)
-        order = top_k_reference(score_vector, batch_size, context.rng)
         return context.unlabeled[order]
 
     def _validated_scores(

@@ -26,6 +26,7 @@ from pathlib import Path
 from ..eval.pipeline import MetricContext
 from ..exceptions import ConfigurationError
 from ..specs.experiment import ExperimentSpec
+from ..specs.strategies import build_strategy
 from ..specs.sweep import SweepCell, SweepSpec
 from .distributed import run_distributed
 from .runner import StrategyResult, run_comparison
@@ -44,6 +45,10 @@ def execute_experiment(
     every cell its own directories).  Returns
     ``(results, train, test, task)`` with ``results`` the
     ``{strategy: StrategyResult}`` mapping of the runner.
+
+    Every strategy is built once before any dataset is, so a strategy
+    that cannot be built (an LHS ranker file that does not load) stops
+    the experiment before it builds data, queues cells or forks workers.
     """
     runner = dict(spec.runner)
     if checkpoint_dir is not None:
@@ -54,6 +59,8 @@ def execute_experiment(
         runner["resume"] = bool(resume)
     if runner["resume"] and not runner["checkpoint_dir"]:
         raise ConfigurationError("--resume requires --checkpoint-dir")
+    for strategy in spec.strategies.values():
+        build_strategy(strategy)
     train, test, task = spec.build_datasets()
     if runner["queue_dir"]:
         results = run_distributed(

@@ -71,8 +71,8 @@ def _lambda_gradients(
     """Per-document lambdas and hessian weights for one query.
 
     Vectorized with pairwise broadcasting over the (i, j) document grid;
-    :func:`_lambda_gradients_reference` is the O(n^2) double-loop oracle
-    it is tested against.
+    the tests check it against the O(n^2) double-loop oracle in
+    ``tests/oracles``.
     """
     n = len(scores)
     lambdas = np.zeros(n)
@@ -108,42 +108,6 @@ def _lambda_gradients(
     lambdas = step.sum(axis=1) - step.sum(axis=0)
     weight = np.where(active, sigma**2 * delta * rho * (1.0 - rho), 0.0)
     hessians = weight.sum(axis=1) + weight.sum(axis=0)
-    return lambdas, hessians
-
-
-def _lambda_gradients_reference(
-    scores: np.ndarray, relevance: np.ndarray, sigma: float, k: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Double-loop reference for :func:`_lambda_gradients` (oracle)."""
-    n = len(scores)
-    lambdas = np.zeros(n)
-    hessians = np.zeros(n)
-    if n < 2:
-        return lambdas, hessians
-    ideal = float((np.sort(gains(relevance))[::-1] * discounts(n)).sum())
-    if ideal <= 0:
-        return lambdas, hessians
-    order = np.argsort(-scores, kind="stable")
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(1, n + 1)
-    discount_of_rank = 1.0 / np.log2(ranks + 1.0)
-    gain = gains(relevance)
-    for i in range(n):
-        for j in range(n):
-            if relevance[i] <= relevance[j]:
-                continue
-            delta = abs(
-                (gain[i] - gain[j]) * (discount_of_rank[i] - discount_of_rank[j])
-            ) / ideal
-            if k is not None and ranks[i] > k and ranks[j] > k:
-                continue
-            rho = 1.0 / (1.0 + np.exp(sigma * (scores[i] - scores[j])))
-            step = sigma * delta * rho
-            lambdas[i] += step
-            lambdas[j] -= step
-            weight = sigma**2 * delta * rho * (1.0 - rho)
-            hessians[i] += weight
-            hessians[j] += weight
     return lambdas, hessians
 
 

@@ -10,7 +10,7 @@ Split search is the vectorized sort-and-cumsum scan (every cut point of a
 feature is evaluated in one pass of array arithmetic).  Prediction routes
 all rows level by level through a flattened array form of the tree —
 O(depth) vectorized steps instead of a Python node walk per row; the node
-walk survives as the oracle :meth:`RegressionTree._predict_reference`.
+walk is the test suite's oracle (``tests/oracles``).
 """
 
 from __future__ import annotations
@@ -231,19 +231,6 @@ class RegressionTree:
                 self._flat_right[node_index],
             )
         return self._flat_value[node_index]
-
-    def _predict_reference(self, features: np.ndarray) -> np.ndarray:
-        """Per-row node-walk reference for :meth:`predict` (oracle)."""
-        if self._root is None:
-            raise NotFittedError("RegressionTree used before fit()")
-        features = np.asarray(features, dtype=np.float64)
-        output = np.empty(len(features))
-        for index, row in enumerate(features):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            output[index] = node.value
-        return output
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""

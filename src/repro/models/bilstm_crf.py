@@ -22,7 +22,6 @@ from ..exceptions import ConfigurationError
 from .batching import length_buckets
 from .crf_core import (
     CRFTagger,
-    crf_marginals,
     crf_marginals_batch,
     crf_sentence_gradients,
 )
@@ -190,9 +189,6 @@ class BiLSTMCRF(CRFTagger):
         }
         return emissions, cache
 
-    def _sentence_emissions(self, sentence: np.ndarray) -> np.ndarray:
-        return self._encode(sentence, None)[0]
-
     # -- training -----------------------------------------------------------
 
     def _training_data(self, dataset: SequenceDataset):
@@ -335,7 +331,8 @@ class BiLSTMCRF(CRFTagger):
         The BiLSTM runs once per sentence (the deterministic sub-graph);
         each draw only resamples the dropout mask, projects the masked
         states, and all draws go through one batched forward-backward.
-        Mask draw order matches the per-draw reference path exactly.
+        Mask draw order matches the per-draw oracle in ``tests/oracles``
+        exactly.
         """
         if n_samples < 1:
             raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
@@ -356,29 +353,6 @@ class BiLSTMCRF(CRFTagger):
                     emissions, params["A"], params["start"], params["end"]
                 )
             )
-        return results
-
-    # -- per-sentence reference path (oracle for the batched sampler) -------
-
-    def _token_marginal_samples_reference(
-        self, dataset: SequenceDataset, n_samples: int, rng: np.random.Generator
-    ) -> list[np.ndarray]:
-        if n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
-        params = self._require_fitted()
-        num_tags = int(self._num_tags or 0)
-        results = []
-        for sentence in dataset.sentences:
-            draws = np.empty((n_samples, len(sentence), num_tags))
-            for t in range(n_samples):
-                mask = dropout_mask(
-                    rng, (len(sentence), 2 * self.hidden_dim), self.dropout
-                )
-                emissions, _ = self._encode(sentence, mask)
-                draws[t] = crf_marginals(
-                    emissions, params["A"], params["start"], params["end"]
-                )
-            results.append(draws)
         return results
 
     def __repr__(self) -> str:

@@ -24,7 +24,6 @@ from ..exceptions import ConfigurationError
 from .batching import length_buckets
 from .crf_core import (
     CRFTagger,
-    crf_marginals,
     crf_marginals_batch,
     crf_padded_gradients,
 )
@@ -104,34 +103,12 @@ class LinearChainCRF(CRFTagger):
 
     # -- scores --------------------------------------------------------------
 
-    def _sentence_emissions(
-        self, sentence: np.ndarray, component_mask: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Emission scores, shape ``(length, num_tags)``.
-
-        ``component_mask`` (length 3, values 0/scale) implements feature
-        dropout over the current/previous/next word components.
-        """
-        params = self._require_fitted()
-        prev_ids = np.concatenate([[0], sentence[:-1]])
-        next_ids = np.concatenate([sentence[1:], [0]])
-        parts = (
-            params["U_curr"][sentence],
-            params["U_prev"][prev_ids],
-            params["U_next"][next_ids],
-        )
-        if component_mask is None:
-            emissions = parts[0] + parts[1] + parts[2]
-        else:
-            emissions = sum(m * p for m, p in zip(component_mask, parts))
-        return emissions + params["b"]
-
     def emissions(self, dataset: SequenceDataset) -> list[np.ndarray]:
         """Emission matrices of every sentence, computed batched.
 
         Sentences are grouped into exact-length buckets and each bucket's
         three component tables are gathered in one fancy-indexing pass —
-        bit-for-bit equal to calling :meth:`_sentence_emissions` per sentence.
+        bit-for-bit equal to gathering them one sentence at a time.
         """
         params = self._require_fitted()
         sentences = dataset.sentences
@@ -222,10 +199,11 @@ class LinearChainCRF(CRFTagger):
     ) -> list[np.ndarray]:
         """Stochastic marginals via feature dropout (sequence-BALD).
 
-        Every keep mask is drawn first, in the per-draw reference order
-        (per sentence, per draw: ``rng.random(3)``, plus ``rng.integers(3)``
-        when all three components were dropped), so the generator ends
-        where the reference leaves it.  A mask is one of 7 keep patterns.
+        Every keep mask is drawn first, in the order of the per-draw
+        oracle in ``tests/oracles`` (per sentence, per draw:
+        ``rng.random(3)``, plus ``rng.integers(3)`` when all three
+        components were dropped), so the generator ends where the oracle
+        leaves it.  A mask is one of 7 keep patterns.
         Each exact-length bucket then gathers its three emission
         components once, builds emissions only for its distinct
         (sentence, pattern) pairs, runs them through one batched
@@ -264,30 +242,6 @@ class LinearChainCRF(CRFTagger):
             )
             for row, row_draws in zip(rows, draws.reshape(len(rows), n_samples)):
                 results[int(row)] = marginals[row_draws]
-        return results
-
-    # -- per-sentence reference path (oracle for the batched sampler) -------
-
-    def _token_marginal_samples_reference(
-        self, dataset: SequenceDataset, n_samples: int, rng: np.random.Generator
-    ) -> list[np.ndarray]:
-        if n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
-        params = self._require_fitted()
-        results: list[np.ndarray] = []
-        num_tags = int(self._num_tags or 0)
-        for sentence in dataset.sentences:
-            draws = np.empty((n_samples, len(sentence), num_tags))
-            for t in range(n_samples):
-                keep = rng.random(3) >= self.feature_dropout
-                if not keep.any():
-                    keep[rng.integers(3)] = True  # never drop every component
-                mask = keep / max(keep.mean(), 1e-12)
-                emissions = self._sentence_emissions(sentence, component_mask=mask)
-                draws[t] = crf_marginals(
-                    emissions, params["A"], params["start"], params["end"]
-                )
-            results.append(draws)
         return results
 
     def __repr__(self) -> str:

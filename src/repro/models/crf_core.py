@@ -2,30 +2,27 @@
 
 Pure functions over an emission matrix ``(L, T)`` and transition
 parameters (``A`` of shape ``(T, T)``, plus start/end vectors): log-space
-forward/backward recursions, Viterbi decoding, gold-path scoring, and the
-negative-log-likelihood gradient w.r.t. emissions and transitions.  Both
+forward/backward recursions, gold-path scoring, and the negative
+log-likelihood gradient w.r.t. emissions and transitions.  Both
 :class:`~repro.models.crf.LinearChainCRF` (log-linear emissions) and
 :class:`~repro.models.bilstm_crf.BiLSTMCRF` (neural emissions) are thin
 parameterisations around these: each subclasses :class:`CRFTagger`,
-which holds ``fit`` and every bucketed decode with its per-sentence
-oracles, and supplies only its emissions, training hooks and stochastic
-marginals.
+which holds ``fit`` and every bucketed decode, and supplies only its
+emissions, training hooks and stochastic marginals.
 
-Each recursion also has a batched counterpart (``*_batch``) over an
-``(B, L, T)`` emission tensor of same-length sequences — the models
-length-bucket their sentences and push each bucket through the lattice in
-one shot.  The batched kernels perform the *same* per-element reductions
-in the same order as the scalar ones (the tag axis is reduced
-identically), so their outputs are bit-for-bit equal to looping the
-scalar kernels over the batch; the equivalence tests assert exact
-equality.  Training gradients take a right-padded minibatch instead
-(:func:`crf_padded_gradients`), equal row by row to
-:func:`crf_sentence_gradients`.
+Decoding runs batched kernels (``*_batch``) over an ``(B, L, T)``
+emission tensor of same-length sequences — the models length-bucket
+their sentences and push each bucket through the lattice in one shot.
+The batched kernels perform the *same* per-element reductions in the
+same order as the per-sentence recursions (the tag axis is reduced
+identically), so their outputs are bit-for-bit equal to looping those
+over the batch; the equivalence tests assert exact equality against the
+per-sentence oracles in ``tests/oracles``.  Training gradients take a
+right-padded minibatch instead (:func:`crf_padded_gradients`), equal row
+by row to :func:`crf_sentence_gradients`.
 """
 
 from __future__ import annotations
-
-from abc import abstractmethod
 
 import numpy as np
 
@@ -83,37 +80,6 @@ def crf_path_score(
     return score + float(end[tags[-1]])
 
 
-def crf_viterbi(
-    emissions: np.ndarray, transitions: np.ndarray,
-    start: np.ndarray, end: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Best tag path and its unnormalised score."""
-    length, num_tags = emissions.shape
-    delta = start + emissions[0]
-    backpointers = np.empty((length, num_tags), dtype=np.int64)
-    for position in range(1, length):
-        candidate = delta[:, None] + transitions
-        backpointers[position] = candidate.argmax(axis=0)
-        delta = candidate.max(axis=0) + emissions[position]
-    delta = delta + end
-    best_last = int(delta.argmax())
-    path = np.empty(length, dtype=np.int64)
-    path[-1] = best_last
-    for position in range(length - 1, 0, -1):
-        path[position - 1] = backpointers[position, path[position]]
-    return path, float(delta[best_last])
-
-
-def crf_marginals(
-    emissions: np.ndarray, transitions: np.ndarray,
-    start: np.ndarray, end: np.ndarray,
-) -> np.ndarray:
-    """Token marginal distributions ``(L, T)``."""
-    alpha, log_z = crf_forward(emissions, transitions, start, end)
-    beta = crf_backward(emissions, transitions, end)
-    return np.exp(alpha + beta - log_z)
-
-
 def crf_forward_batch(
     emissions: np.ndarray, transitions: np.ndarray,
     start: np.ndarray, end: np.ndarray,
@@ -157,9 +123,9 @@ def crf_viterbi_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched Viterbi: best paths ``(B, L)`` and scores ``(B,)``.
 
-    Ties resolve to the lowest tag index, exactly as in
-    :func:`crf_viterbi` (numpy argmax scans the tag axis in the same
-    order either way).
+    Ties resolve to the lowest tag index, exactly as in a per-sentence
+    Viterbi (numpy argmax scans the tag axis in the same order either
+    way).
     """
     batch, length, num_tags = emissions.shape
     delta = start + emissions[:, 0]  # (B, T)
@@ -344,13 +310,12 @@ class CRFTagger(NumpyModel, SequenceLabeler):
     """A sequence labeler whose output layer is a linear-chain CRF.
 
     Subclasses keep the CRF's ``A``, ``start`` and ``end`` in their
-    fitted ``_params`` and provide two views of their emission scores:
-    :meth:`emissions` (every sentence of a dataset, batched,
-    dropout-free) and :meth:`_sentence_emissions` (one sentence, the
-    path the ``*_reference`` oracles run).  Decoding groups sentences
-    into exact-length buckets and runs each bucket through the lattice
-    as one ``(B, L, T)`` tensor; the batched kernels reduce in the same
-    order as the per-sentence ones, so both paths agree bit for bit.
+    fitted ``_params`` and provide their emission scores through one
+    hook, :meth:`emissions` (every sentence of a dataset, batched,
+    dropout-free).  Decoding groups sentences into exact-length buckets
+    and runs each bucket through the lattice as one ``(B, L, T)``
+    tensor; the batched kernels reduce in the same order as the
+    per-sentence recursions, so both agree bit for bit.
     """
 
     STATE_META = ("num_tags",)
@@ -359,10 +324,6 @@ class CRFTagger(NumpyModel, SequenceLabeler):
         self, dataset: SequenceDataset, init_from: "CRFTagger | None" = None
     ) -> "CRFTagger":
         return self._train(dataset, init_from)
-
-    @abstractmethod
-    def _sentence_emissions(self, sentence: np.ndarray) -> np.ndarray:
-        """Dropout-free emission matrix ``(L, T)`` of one sentence."""
 
     def _transitions(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """The fitted ``(A, start, end)`` transition parameters."""
@@ -454,29 +415,3 @@ class CRFTagger(NumpyModel, SequenceLabeler):
         )
         total = dataset.total_tokens()
         return correct / total if total else 0.0
-
-    # -- per-sentence reference paths (oracles for the batched kernels) -----
-
-    def _predict_tags_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        transitions = self._transitions()
-        return [
-            crf_viterbi(self._sentence_emissions(sentence), *transitions)[0]
-            for sentence in dataset.sentences
-        ]
-
-    def _best_path_log_proba_reference(self, dataset: SequenceDataset) -> np.ndarray:
-        transitions = self._transitions()
-        log_probas = np.empty(len(dataset))
-        for index, sentence in enumerate(dataset.sentences):
-            emissions = self._sentence_emissions(sentence)
-            _, best_score = crf_viterbi(emissions, *transitions)
-            _, log_z = crf_forward(emissions, *transitions)
-            log_probas[index] = best_score - log_z
-        return log_probas
-
-    def _token_marginals_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        transitions = self._transitions()
-        return [
-            crf_marginals(self._sentence_emissions(sentence), *transitions)
-            for sentence in dataset.sentences
-        ]

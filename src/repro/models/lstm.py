@@ -14,9 +14,8 @@ Both training and inference run *batched*: ragged sequences are packed
 into one padded ``(N, T)`` tensor and the recurrence advances all rows per
 time step with length masking, so predicting over an entire unlabeled pool
 is a handful of matrix products instead of a Python loop per sample.  The
-per-sequence scalar path is kept as the reference oracle
-(:meth:`LSTMRegressor._fit_reference` / ``_predict_reference``); the two
-agree to float reduction order (tested at 1e-10).
+per-sequence scalar path is the test suite's oracle (``tests/oracles``);
+the two agree to float reduction order (tested at 1e-10).
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class LSTMRegressor(NumpyModel):
         lengths: np.ndarray,
         grads: dict[str, np.ndarray],
     ) -> None:
-        """Masked batched BPTT matching :meth:`_bptt` per sequence.
+        """Masked batched BPTT, equal per row to one sequence's BPTT.
 
         ``dh_last`` (N, H) is each sequence's loss gradient at its final
         hidden state; it is injected at each row's last active step, and
@@ -161,67 +160,6 @@ class LSTMRegressor(NumpyModel):
             grads["Wh"] += cache["h_prev"].T @ dpre
             grads["b"] += dpre.sum(axis=0)
             dh = dpre @ params["Wh"].T
-            dc = dc_prev
-
-    # -- per-sequence reference kernels (oracles) ---------------------------
-
-    def _step(
-        self,
-        params: dict[str, np.ndarray],
-        x_t: float,
-        h_prev: np.ndarray,
-        c_prev: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        h = self.hidden_dim
-        pre = x_t * params["Wx"][0] + h_prev @ params["Wh"] + params["b"]
-        i = sigmoid(pre[:h])
-        f = sigmoid(pre[h : 2 * h])
-        g = np.tanh(pre[2 * h : 3 * h])
-        o = sigmoid(pre[3 * h :])
-        c = f * c_prev + i * g
-        h_new = o * np.tanh(c)
-        cache = {"i": i, "f": f, "g": g, "o": o, "c": c, "c_prev": c_prev,
-                 "h_prev": h_prev, "x": np.array([x_t]), "tanh_c": np.tanh(c)}
-        return h_new, c, cache
-
-    def _unroll(
-        self, params: dict[str, np.ndarray], sequence: np.ndarray
-    ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
-        h_state = np.zeros(self.hidden_dim)
-        c_state = np.zeros(self.hidden_dim)
-        caches: list[dict[str, np.ndarray]] = []
-        for x_t in sequence:
-            h_state, c_state, cache = self._step(params, float(x_t), h_state, c_state)
-            caches.append(cache)
-        return h_state, caches
-
-    def _bptt(
-        self,
-        params: dict[str, np.ndarray],
-        caches: list[dict[str, np.ndarray]],
-        dh_last: np.ndarray,
-        grads: dict[str, np.ndarray],
-    ) -> None:
-        h = self.hidden_dim
-        dh = dh_last
-        dc = np.zeros(h)
-        for cache in reversed(caches):
-            do = dh * cache["tanh_c"]
-            dc = dc + dh * cache["o"] * (1.0 - cache["tanh_c"] ** 2)
-            di = dc * cache["g"]
-            df = dc * cache["c_prev"]
-            dg = dc * cache["i"]
-            dc_prev = dc * cache["f"]
-            dpre = np.concatenate([
-                di * cache["i"] * (1 - cache["i"]),
-                df * cache["f"] * (1 - cache["f"]),
-                dg * (1 - cache["g"] ** 2),
-                do * cache["o"] * (1 - cache["o"]),
-            ])
-            grads["Wx"][0] += cache["x"][0] * dpre
-            grads["Wh"] += np.outer(cache["h_prev"], dpre)
-            grads["b"] += dpre
-            dh = params["Wh"] @ dpre
             dc = dc_prev
 
     # -- validation ----------------------------------------------------------
@@ -294,29 +232,6 @@ class LSTMRegressor(NumpyModel):
         bump_fit_generation(self)
         return self
 
-    def _fit_reference(
-        self, sequences: Sequence[np.ndarray], targets: Sequence[float]
-    ) -> "LSTMRegressor":
-        """Per-sequence scalar training loop (oracle for :meth:`fit`)."""
-        arrays, target_array = self._validate_fit_inputs(sequences, targets)
-        rng = ensure_rng(self.seed)
-        params = self._init_params(rng)
-        optimizer = Adam(learning_rate=self.learning_rate)
-        n = len(arrays)
-        for _ in range(self.epochs):
-            grads = {name: np.zeros_like(value) for name, value in params.items()}
-            for sequence, target in zip(arrays, target_array):
-                h_last, caches = self._unroll(params, sequence)
-                prediction = float(h_last @ params["Wy"][:, 0] + params["by"][0])
-                derr = 2.0 * (prediction - target) / n
-                grads["Wy"][:, 0] += derr * h_last
-                grads["by"][0] += derr
-                self._bptt(params, caches, derr * params["Wy"][:, 0], grads)
-            optimizer.update(params, grads)
-        self._params = params
-        bump_fit_generation(self)
-        return self
-
     def predict(self, sequences: Sequence[np.ndarray]) -> np.ndarray:
         """Predict the next value of every sequence in one batched pass."""
         self._require_fitted()
@@ -348,18 +263,6 @@ class LSTMRegressor(NumpyModel):
             raise ConfigurationError("cannot predict from an empty sequence")
         h_last, _ = self._forward_batch(params, values, lengths)
         return h_last @ params["Wy"][:, 0] + params["by"][0]
-
-    def _predict_reference(self, sequences: Sequence[np.ndarray]) -> np.ndarray:
-        """Per-sequence scalar prediction loop (oracle for :meth:`predict`)."""
-        params = self._require_fitted()
-        predictions = np.empty(len(sequences))
-        for index, sequence in enumerate(sequences):
-            array = np.asarray(sequence, dtype=np.float64).ravel()
-            if len(array) == 0:
-                raise ConfigurationError("cannot predict from an empty sequence")
-            h_last, _ = self._unroll(params, array)
-            predictions[index] = h_last @ params["Wy"][:, 0] + params["by"][0]
-        return predictions
 
     def mse(self, sequences: Sequence[np.ndarray], targets: Sequence[float]) -> float:
         """Mean squared error of next-value predictions."""

@@ -315,8 +315,9 @@ class TextCNN(NumpyModel, Classifier):
 
         Conv/pool features are computed once; each draw only resamples
         the dropout mask and re-runs the output layer.  Mask draw order
-        (draw-major, chunk-inner) matches the reference path, so draws
-        are bit-for-bit identical for the same generator state.
+        (draw-major, chunk-inner) matches the per-draw oracle in
+        ``tests/oracles``, so draws are bit-for-bit identical for the
+        same generator state.
         """
         if n_samples < 1:
             raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
@@ -333,24 +334,6 @@ class TextCNN(NumpyModel, Classifier):
                 mask = dropout_mask(rng, features.shape, self.dropout)
                 hidden = features * mask
                 outputs.append(softmax(hidden @ params["Wo"] + params["bo"]))
-            draws[t] = np.concatenate(outputs)
-        return draws
-
-    def _predict_proba_samples_reference(
-        self, dataset: TextDataset, n_samples: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-draw full forward passes (oracle for the reuse path)."""
-        if n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
-        self._require_fitted()
-        ids = self._padded_ids(dataset)
-        draws = np.empty((n_samples, len(ids), int(self._num_classes or 0)))
-        for t in range(n_samples):
-            outputs = []
-            for start in range(0, len(ids), 256):
-                chunk = ids[start : start + 256]
-                mask = dropout_mask(rng, (len(chunk), self._hidden_dim), self.dropout)
-                outputs.append(self._forward(chunk, mask).probabilities)
             draws[t] = np.concatenate(outputs)
         return draws
 

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.features import (
-    RankingFeatureExtractor,
-    _backfill,
-    _backfill_reference,
-)
+from repro.core.features import RankingFeatureExtractor, _backfill
 from repro.core.history import HistoryStore
 from repro.exceptions import ConfigurationError
 from repro.timeseries.mann_kendall import mann_kendall_test
 from repro.timeseries.predictor import ARNextScorePredictor
+from tests.oracles.core import backfill_reference
 
 from .helpers import make_context
 
@@ -50,11 +47,11 @@ class TestBackfillEquivalence:
                 [np.nan, 0.7, np.nan, 0.9],
             ]
         )
-        np.testing.assert_array_equal(_backfill(window), _backfill_reference(window))
+        np.testing.assert_array_equal(_backfill(window), backfill_reference(window))
 
     def test_empty(self):
         window = np.empty((0, 3))
-        np.testing.assert_array_equal(_backfill(window), _backfill_reference(window))
+        np.testing.assert_array_equal(_backfill(window), backfill_reference(window))
 
     def test_input_not_mutated(self):
         window = np.array([[np.nan, 0.5]])
@@ -77,7 +74,7 @@ class TestBackfillEquivalence:
         window = np.full((len(ragged_rows), width), np.nan)
         for index, row in enumerate(ragged_rows):
             window[index, : len(row)] = row
-        np.testing.assert_array_equal(_backfill(window), _backfill_reference(window))
+        np.testing.assert_array_equal(_backfill(window), backfill_reference(window))
 
 
 class TestTrendEquivalence:

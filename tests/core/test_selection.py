@@ -8,6 +8,7 @@ import pytest
 from repro.core.selection import top_k_indices, top_k_reference
 from repro.core.strategies.base import QueryStrategy
 from repro.models import LinearSoftmax
+from tests.oracles.core import select_reference
 
 from .helpers import make_context
 
@@ -145,8 +146,8 @@ class TestStrategySelect:
             fast = strategy.select(
                 fitted_classifier, make_context(text_dataset, seed=42), 25
             )
-            slow = strategy.select_reference(
-                fitted_classifier, make_context(text_dataset, seed=42), 25
+            slow = select_reference(
+                strategy, fitted_classifier, make_context(text_dataset, seed=42), 25
             )
             np.testing.assert_array_equal(fast, slow)
 
@@ -158,7 +159,7 @@ class TestStrategySelect:
 
         class ReferenceEntropy(Entropy):
             def select(self, model, context, batch_size):
-                return self.select_reference(model, context, batch_size)
+                return select_reference(self, model, context, batch_size)
 
         def run(strategy):
             return run_to_completion(SessionEngine(

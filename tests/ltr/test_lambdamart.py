@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.ltr.lambdamart import LambdaMART, RankingDataset, _lambda_gradients
 from repro.ltr.ndcg import ndcg_at_k
+from tests.oracles.ltr import lambda_gradients_reference
 
 
 def synthetic_ranking_data(n_queries=25, per_query=10, seed=0, noise=0.2):
@@ -135,10 +136,8 @@ class TestLambdaGradientEquivalence:
     """The broadcast lambdas must match the double-loop oracle."""
 
     def _compare(self, scores, relevance, sigma=1.0, k=None):
-        from repro.ltr.lambdamart import _lambda_gradients_reference
-
         lambdas, hessians = _lambda_gradients(scores, relevance, sigma, k)
-        ref_lambdas, ref_hessians = _lambda_gradients_reference(
+        ref_lambdas, ref_hessians = lambda_gradients_reference(
             scores, relevance, sigma, k
         )
         np.testing.assert_allclose(lambdas, ref_lambdas, rtol=1e-12, atol=1e-14)
@@ -181,7 +180,7 @@ class TestLambdaGradientEquivalence:
         data = synthetic_ranking_data(n_queries=6, per_query=8, seed=3)
         fast = LambdaMART(n_estimators=5, ndcg_k=5).fit(data)
         original = lm._lambda_gradients
-        lm._lambda_gradients = lm._lambda_gradients_reference
+        lm._lambda_gradients = lambda_gradients_reference
         try:
             slow = LambdaMART(n_estimators=5, ndcg_k=5).fit(data)
         finally:

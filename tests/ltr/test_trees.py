@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.ltr.trees import RegressionTree
+from tests.oracles.ltr import tree_predict_reference
 
 
 class TestFitting:
@@ -108,7 +109,7 @@ class TestPredictEquivalence:
             ).fit(features, targets, hessians=hessians)
             probe = rng.normal(size=(64, features.shape[1]))
             np.testing.assert_array_equal(
-                tree.predict(probe), tree._predict_reference(probe)
+                tree.predict(probe), tree_predict_reference(tree, probe)
             )
 
     def test_values_exactly_on_thresholds(self):
@@ -118,7 +119,7 @@ class TestPredictEquivalence:
         tree = RegressionTree(max_depth=2, min_samples_leaf=1).fit(features, targets)
         probe = np.array([[tree._root.threshold]])
         np.testing.assert_array_equal(
-            tree.predict(probe), tree._predict_reference(probe)
+            tree.predict(probe), tree_predict_reference(tree, probe)
         )
 
     def test_stump_and_empty_probe(self):

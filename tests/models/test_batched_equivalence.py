@@ -3,11 +3,12 @@
 The batched sequence-model paths (padded-tensor LSTM, length-bucketed
 CRF lattice kernels, the padded CRF training kernel, MC-dropout subgraph
 reuse) keep their original per-sample implementations as oracles: the
-``_*_reference`` methods, and here :func:`accumulate_sentence_grads`
-with :class:`PerSentenceCRF`.  The CRF lattice kernels reduce the tag
-axis identically batched or not, so those paths must be bit-for-bit
-equal; LSTM/BiLSTM paths route matrix products through a different BLAS
-kernel (gemm vs gemv), so they get a 1e-10 tolerance instead.
+functions in :mod:`tests.oracles.models`, and here
+:func:`accumulate_sentence_grads` with :class:`PerSentenceCRF`.  The CRF
+lattice kernels reduce the tag axis identically batched or not, so those
+paths must be bit-for-bit equal; LSTM/BiLSTM paths route matrix products
+through a different BLAS kernel (gemm vs gemv), so they get a 1e-10
+tolerance instead.
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ from repro.models.crf import LinearChainCRF
 from repro.models.crf_core import crf_padded_gradients, crf_sentence_gradients
 from repro.models.lstm import LSTMRegressor
 from repro.models.textcnn import TextCNN
+from tests.oracles.models import (
+    bilstm_crf_token_marginal_samples_reference,
+    crf_best_path_log_proba_reference,
+    crf_predict_tags_reference,
+    crf_token_marginals_reference,
+    linear_crf_sentence_emissions,
+    linear_crf_token_marginal_samples_reference,
+    lstm_fit_reference,
+    lstm_predict_reference,
+    textcnn_predict_proba_samples_reference,
+)
 
 TOL = 1e-10
 
@@ -40,7 +52,7 @@ def accumulate_sentence_grads(model, sentence, tags, grads, scale):
     """Add one sentence's NLL gradient into ``grads``: the per-sentence
     path ``LinearChainCRF`` trained through before its padded kernel."""
     params = model._require_fitted()
-    emissions = model._sentence_emissions(sentence)
+    emissions = linear_crf_sentence_emissions(model, sentence)
     d_emissions, d_transitions, d_start, d_end, _ = crf_sentence_gradients(
         emissions, tags, params["A"], params["start"], params["end"]
     )
@@ -142,8 +154,8 @@ class TestLSTMBatched:
         batched = LSTMRegressor(hidden_dim=6, epochs=20, seed=3).fit(
             sequences, targets
         )
-        oracle = LSTMRegressor(hidden_dim=6, epochs=20, seed=3)._fit_reference(
-            sequences, targets
+        oracle = lstm_fit_reference(
+            LSTMRegressor(hidden_dim=6, epochs=20, seed=3), sequences, targets
         )
         for name in batched._params:
             np.testing.assert_allclose(
@@ -158,7 +170,7 @@ class TestLSTMBatched:
         queries = _ragged_sequences(rng, 40)
         np.testing.assert_allclose(
             model.predict(queries),
-            model._predict_reference(queries),
+            lstm_predict_reference(model, queries),
             atol=TOL,
             rtol=0,
         )
@@ -179,7 +191,7 @@ class TestLSTMBatched:
         )
         np.testing.assert_allclose(
             model.predict(sequences),
-            model._predict_reference(sequences),
+            lstm_predict_reference(model, sequences),
             atol=TOL,
             rtol=0,
         )
@@ -192,7 +204,7 @@ class TestLSTMBatched:
         predictions = model.predict(sequences)
         assert np.all(np.isfinite(predictions))
         np.testing.assert_allclose(
-            predictions, model._predict_reference(sequences), atol=TOL, rtol=0
+            predictions, lstm_predict_reference(model, sequences), atol=TOL, rtol=0
         )
 
     def test_predict_empty_input(self, rng):
@@ -229,24 +241,24 @@ class TestCRFBatchedBitwise:
         batched = fitted_crf.emissions(seq_dataset)
         for sentence, matrix in zip(seq_dataset.sentences, batched):
             np.testing.assert_array_equal(
-                matrix, fitted_crf._sentence_emissions(sentence)
+                matrix, linear_crf_sentence_emissions(fitted_crf, sentence)
             )
 
     def test_predict_tags(self, fitted_crf, seq_dataset):
         batched = fitted_crf.predict_tags(seq_dataset)
-        reference = fitted_crf._predict_tags_reference(seq_dataset)
+        reference = crf_predict_tags_reference(fitted_crf, seq_dataset)
         for a, b in zip(batched, reference):
             np.testing.assert_array_equal(a, b)
 
     def test_best_path_log_proba(self, fitted_crf, seq_dataset):
         np.testing.assert_array_equal(
             fitted_crf.best_path_log_proba(seq_dataset),
-            fitted_crf._best_path_log_proba_reference(seq_dataset),
+            crf_best_path_log_proba_reference(fitted_crf, seq_dataset),
         )
 
     def test_token_marginals(self, fitted_crf, seq_dataset):
         batched = fitted_crf.token_marginals(seq_dataset)
-        reference = fitted_crf._token_marginals_reference(seq_dataset)
+        reference = crf_token_marginals_reference(fitted_crf, seq_dataset)
         for a, b in zip(batched, reference):
             np.testing.assert_array_equal(a, b)
 
@@ -254,8 +266,8 @@ class TestCRFBatchedBitwise:
         batched = fitted_crf.token_marginal_samples(
             seq_dataset, 5, np.random.default_rng(7)
         )
-        reference = fitted_crf._token_marginal_samples_reference(
-            seq_dataset, 5, np.random.default_rng(7)
+        reference = linear_crf_token_marginal_samples_reference(
+            fitted_crf, seq_dataset, 5, np.random.default_rng(7)
         )
         for a, b in zip(batched, reference):
             np.testing.assert_array_equal(a, b)
@@ -265,12 +277,12 @@ class TestCRFBatchedBitwise:
         dataset = _sequence_dataset(np.random.default_rng(3), count=12, max_len=1)
         model = LinearChainCRF(epochs=2, seed=0).fit(dataset)
         for a, b in zip(
-            model.predict_tags(dataset), model._predict_tags_reference(dataset)
+            model.predict_tags(dataset), crf_predict_tags_reference(model, dataset)
         ):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(
             model.best_path_log_proba(dataset),
-            model._best_path_log_proba_reference(dataset),
+            crf_best_path_log_proba_reference(model, dataset),
         )
 
     def test_emissions_kwarg_reused(self, fitted_crf, seq_dataset):
@@ -381,8 +393,8 @@ class TestCRFBucketedBALD:
         model = LinearChainCRF(epochs=2, seed=1, feature_dropout=dropout).fit(dataset)
         rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
         draws = model.token_marginal_samples(dataset, n_samples, rng)
-        expected = model._token_marginal_samples_reference(
-            dataset, n_samples, reference_rng
+        expected = linear_crf_token_marginal_samples_reference(
+            model, dataset, n_samples, reference_rng
         )
         assert len(draws) == len(expected)
         for got, want in zip(draws, expected):
@@ -401,21 +413,21 @@ class TestBiLSTMCRFBatched:
 
     def test_predict_tags(self, fitted_bilstm, seq_dataset):
         batched = fitted_bilstm.predict_tags(seq_dataset)
-        reference = fitted_bilstm._predict_tags_reference(seq_dataset)
+        reference = crf_predict_tags_reference(fitted_bilstm, seq_dataset)
         for a, b in zip(batched, reference):
             np.testing.assert_array_equal(a, b)
 
     def test_best_path_log_proba(self, fitted_bilstm, seq_dataset):
         np.testing.assert_allclose(
             fitted_bilstm.best_path_log_proba(seq_dataset),
-            fitted_bilstm._best_path_log_proba_reference(seq_dataset),
+            crf_best_path_log_proba_reference(fitted_bilstm, seq_dataset),
             atol=TOL,
             rtol=0,
         )
 
     def test_token_marginals(self, fitted_bilstm, seq_dataset):
         batched = fitted_bilstm.token_marginals(seq_dataset)
-        reference = fitted_bilstm._token_marginals_reference(seq_dataset)
+        reference = crf_token_marginals_reference(fitted_bilstm, seq_dataset)
         for a, b in zip(batched, reference):
             np.testing.assert_allclose(a, b, atol=TOL, rtol=0)
 
@@ -423,8 +435,8 @@ class TestBiLSTMCRFBatched:
         batched = fitted_bilstm.token_marginal_samples(
             seq_dataset, 4, np.random.default_rng(11)
         )
-        reference = fitted_bilstm._token_marginal_samples_reference(
-            seq_dataset, 4, np.random.default_rng(11)
+        reference = bilstm_crf_token_marginal_samples_reference(
+            fitted_bilstm, seq_dataset, 4, np.random.default_rng(11)
         )
         for a, b in zip(batched, reference):
             np.testing.assert_allclose(a, b, atol=TOL, rtol=0)
@@ -433,7 +445,7 @@ class TestBiLSTMCRFBatched:
         dataset = _sequence_dataset(np.random.default_rng(5), count=10, max_len=1)
         model = BiLSTMCRF(epochs=1, seed=0).fit(dataset)
         for a, b in zip(
-            model.predict_tags(dataset), model._predict_tags_reference(dataset)
+            model.predict_tags(dataset), crf_predict_tags_reference(model, dataset)
         ):
             np.testing.assert_array_equal(a, b)
 
@@ -456,8 +468,8 @@ class TestTextCNNMCReuse:
         reuse = model.predict_proba_samples(
             text_dataset_multi_chunk, 5, np.random.default_rng(9)
         )
-        reference = model._predict_proba_samples_reference(
-            text_dataset_multi_chunk, 5, np.random.default_rng(9)
+        reference = textcnn_predict_proba_samples_reference(
+            model, text_dataset_multi_chunk, 5, np.random.default_rng(9)
         )
         np.testing.assert_array_equal(reuse, reference)
 

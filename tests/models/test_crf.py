@@ -9,8 +9,9 @@ from repro.data.datasets import SequenceDataset
 from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.models.crf import LinearChainCRF
-from repro.models.crf_core import crf_forward, crf_path_score, crf_viterbi
+from repro.models.crf_core import crf_forward, crf_path_score
 from tests.models.test_batched_equivalence import accumulate_sentence_grads
+from tests.oracles.models import crf_viterbi, linear_crf_sentence_emissions
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def tiny_crf():
 
 
 def brute_force_log_z(model, sentence):
-    emissions = model._sentence_emissions(sentence)
+    emissions = linear_crf_sentence_emissions(model, sentence)
     params = model._params
     num_tags = emissions.shape[1]
     total = -np.inf
@@ -42,14 +43,14 @@ class TestInference:
     def test_partition_matches_brute_force(self, tiny_crf):
         model, dataset = tiny_crf
         for sentence in dataset.sentences:
-            emissions = model._sentence_emissions(sentence)
+            emissions = linear_crf_sentence_emissions(model, sentence)
             _, log_z = crf_forward(emissions, *model._transitions())
             assert np.isclose(log_z, brute_force_log_z(model, sentence), atol=1e-9)
 
     def test_viterbi_matches_brute_force(self, tiny_crf):
         model, dataset = tiny_crf
         for sentence in dataset.sentences:
-            emissions = model._sentence_emissions(sentence)
+            emissions = linear_crf_sentence_emissions(model, sentence)
             path, score = crf_viterbi(emissions, *model._transitions())
             best = max(
                 (crf_path_score(emissions, np.array(p), *model._transitions()), p)
@@ -61,7 +62,7 @@ class TestInference:
     def test_marginals_match_brute_force(self, tiny_crf):
         model, dataset = tiny_crf
         sentence = dataset.sentences[0]
-        emissions = model._sentence_emissions(sentence)
+        emissions = linear_crf_sentence_emissions(model, sentence)
         _, log_z = crf_forward(emissions, *model._transitions())
         marginals = model.token_marginals(dataset.subset([0]))[0]
         brute = np.zeros_like(marginals)
@@ -106,7 +107,7 @@ def assert_matches_finite_differences(model, grads, nll):
 
 
 def sentence_nll(model, sentence, tags) -> float:
-    emissions = model._sentence_emissions(sentence)
+    emissions = linear_crf_sentence_emissions(model, sentence)
     _, log_z = crf_forward(emissions, *model._transitions())
     return log_z - crf_path_score(emissions, tags, *model._transitions())
 

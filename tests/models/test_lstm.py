@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.models.lstm import LSTMRegressor
+from tests.oracles.models import lstm_bptt, lstm_unroll
 
 
 def linear_trend_data(n=40, length=5, seed=0):
@@ -57,17 +58,17 @@ class TestGradient:
         params = model._init_params(np.random.default_rng(0))
 
         def loss() -> float:
-            h_last, _ = model._unroll(params, sequences[0])
+            h_last, _ = lstm_unroll(model, params, sequences[0])
             prediction = float(h_last @ params["Wy"][:, 0] + params["by"][0])
             return (prediction - targets[0]) ** 2
 
         grads = {name: np.zeros_like(v) for name, v in params.items()}
-        h_last, caches = model._unroll(params, sequences[0])
+        h_last, caches = lstm_unroll(model, params, sequences[0])
         prediction = float(h_last @ params["Wy"][:, 0] + params["by"][0])
         derr = 2.0 * (prediction - targets[0])
         grads["Wy"][:, 0] += derr * h_last
         grads["by"][0] += derr
-        model._bptt(params, caches, derr * params["Wy"][:, 0], grads)
+        lstm_bptt(model, params, caches, derr * params["Wy"][:, 0], grads)
 
         rng = np.random.default_rng(1)
         epsilon = 1e-6

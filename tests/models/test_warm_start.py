@@ -13,6 +13,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.session import SessionEngine, run_to_completion
+from repro.core.strategies import Random
+from repro.data.text import TextCorpusSpec, make_text_corpus
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.models import (
     BiLSTMCRF,
@@ -207,3 +210,78 @@ class TestWarmStartErrors:
     def test_warm_epochs_validation(self):
         with pytest.raises(ConfigurationError):
             LinearSoftmax(epochs=4, warm_epochs=0)
+
+
+# -- DESIGN §12's quality-parity contract ------------------------------------
+
+#: Largest allowed |warm - cold| final accuracy of a warm-start session.
+WARM_ACCURACY_TOLERANCE = 0.10
+
+#: Warm held-out MSE of the LSTM refit loop may exceed cold by this share.
+WARM_MSE_RELATIVE_TOLERANCE = 0.50
+
+WARM_CORPUS = TextCorpusSpec(
+    name="warm(bench)", num_classes=2, size=700, background_vocab=300,
+    facets_per_class=12, facet_vocab=8, min_length=6, max_length=24,
+)
+
+WARM_SESSION_MODELS = {
+    "textcnn": lambda: TextCNN(embedding_dim=16, filters=8, epochs=8, seed=0),
+    "mlp": lambda: MLPClassifier(epochs=12, hidden_dim=24, seed=0),
+}
+
+
+def warm_workload(family: str):
+    """``run(mode) -> quality`` of one family's warm-start workload.
+
+    TextCNN and MLP run a 5-round ``Random`` session (batch 25) on the
+    700-sample warm corpus, 100 of it held out; quality is the final
+    accuracy.  The LSTM runs the LHS predictor's refit loop: 4 rounds
+    fit the first 8, 16, 24 and 32 of 32 random walks, warm resuming
+    from the previous round; quality is the MSE on 40 held-out walks.
+    The data is built here, outside ``run``, so callers can time
+    ``run`` alone.
+    """
+    if family == "lstm":
+        rng = np.random.default_rng(7)
+        walks = np.cumsum(rng.normal(scale=0.1, size=(72, 11)), axis=1)
+        sequences = [walk[:-1] for walk in walks]
+        targets = [float(walk[-1]) for walk in walks]
+
+        def run(mode: str) -> float:
+            model = None
+            for count in (8, 16, 24, 32):
+                fresh = LSTMRegressor(hidden_dim=8, epochs=24, seed=0)
+                if mode == "warm" and model is not None:
+                    fresh.fit(sequences[:count], targets[:count], init_from=model)
+                else:
+                    fresh.fit(sequences[:count], targets[:count])
+                model = fresh
+            predictions = model.predict(sequences[32:])
+            return float(np.mean((predictions - np.asarray(targets[32:])) ** 2))
+
+        return run
+
+    dataset = make_text_corpus(WARM_CORPUS, seed_or_rng=7)
+    train = dataset.subset(range(len(dataset) - 100))
+    test = dataset.subset(range(len(dataset) - 100, len(dataset)))
+
+    def run(mode: str) -> float:
+        result = run_to_completion(SessionEngine(
+            WARM_SESSION_MODELS[family](), Random(), train, test,
+            batch_size=25, rounds=5, seed_or_rng=7, training_mode=mode,
+        ))
+        return float(result.records[-1].metric)
+
+    return run
+
+
+class TestWarmParityContract:
+    @pytest.mark.parametrize("family", ["textcnn", "mlp", "lstm"])
+    def test_warm_within_design_tolerance(self, family):
+        run = warm_workload(family)
+        cold, warm = run("cold"), run("warm")
+        if family == "lstm":
+            assert warm <= cold * (1.0 + WARM_MSE_RELATIVE_TOLERANCE) + 1e-12
+        else:
+            assert abs(warm - cold) <= WARM_ACCURACY_TOLERANCE

@@ -408,6 +408,76 @@ class TestTrainRankerCommand:
         assert isinstance(_shorthand("lhs:entropy", ranker=str(ranker_path)), LHS)
 
 
+class TestMalformedRankerStopsEarly:
+    """A ranker file that does not load ends a grid before any data is built."""
+
+    @pytest.fixture
+    def ranker(self, tmp_path, monkeypatch):
+        import json
+
+        import repro.specs.experiment as experiment
+
+        def no_datasets(spec):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(experiment, "build_dataset", no_datasets)
+        path = tmp_path / "F.json"
+        path.write_text(json.dumps({"format": "repro.lhs_ranker", "version": 1}))
+        return path
+
+    @staticmethod
+    def _document(ranker):
+        return {
+            **TestSweepCommands._base_document(),
+            "strategies": {
+                "lhs:entropy": parse_strategy_shorthand(
+                    "lhs:entropy", 3, str(ranker)
+                ).to_dict(),
+            },
+        }
+
+    def _argv(self, command, ranker, tmp_path):
+        import json
+
+        if command == "compare":
+            return [
+                "compare", "--dataset", "mr", "--scale", "0.05",
+                "--strategies", "lhs:entropy", "--ranker", str(ranker),
+                "--rounds", "2", "--batch-size", "10", "--repeats", "1",
+            ]
+        if command == "run":
+            config = tmp_path / "experiment.json"
+            config.write_text(json.dumps(self._document(ranker)))
+            return ["run", "--config", str(config)]
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({
+            "format": "repro.sweep",
+            "version": 1,
+            "name": "bad-ranker",
+            "base": self._document(ranker),
+            "scenario_seed": 2,
+            "axes": [TestSweepCommands.NOISE_AXIS],
+        }))
+        return ["sweep", "run", str(sweep)]
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    def test_one_error_line_and_no_dataset(self, command, ranker, tmp_path, capsys):
+        code = main(self._argv(command, ranker, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [f"error: {ranker}: model is missing"]
+
+    def test_no_queue_is_materialised(self, ranker, tmp_path, capsys):
+        queue = tmp_path / "q"
+        code = main(self._argv("compare", ranker, tmp_path) + [
+            "--queue-dir", str(queue), "--local-workers", "2",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [f"error: {ranker}: model is missing"]
+        assert not (queue / "queue.json").exists()
+
+
 class TestSweepCommands:
     """CLI surface of `repro sweep run/validate/show`."""
 
