@@ -92,7 +92,7 @@ from .experiments.sweep import (
 )
 from .core.session import check_snapshot
 from .formats import SESSION_RESULT_FORMAT, SESSION_RESULT_VERSION
-from .ioutil import atomic_write_json
+from .ioutil import atomic_write_json, read_json
 from .models import LinearSoftmax
 from .persistence import save_lhs_ranker
 from .service import (
@@ -548,10 +548,7 @@ def _cmd_session_ingest(args: argparse.Namespace) -> int:
     if args.oracle:
         indices, labels = None, None
     else:
-        try:
-            payload = json.loads(Path(args.labels).read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise IngestError(f"cannot read labels file {args.labels}: {error}")
+        payload = read_json(args.labels, IngestError, "cannot read labels file")
         mapping = payload.get("labels", payload) if isinstance(payload, dict) else None
         if not isinstance(mapping, dict):
             raise IngestError(

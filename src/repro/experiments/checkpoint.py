@@ -43,7 +43,6 @@ the :mod:`repro.ioutil` helpers with the session CLI and the service.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from pathlib import Path
 
@@ -56,7 +55,7 @@ from ..formats import (
     SESSION_CHECKPOINT_FORMAT,
     SESSION_CHECKPOINT_VERSION,
 )
-from ..ioutil import atomic_write_json, check_fingerprint, validate_envelope
+from ..ioutil import atomic_write_json, check_fingerprint, read_json, validate_envelope
 from .config import ExperimentConfig
 
 
@@ -82,11 +81,11 @@ def _read(path: Path, kind: str) -> "dict | None":
     :class:`~repro.exceptions.CheckpointError` naming ``kind``.
     """
     try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        return None
-    except (OSError, json.JSONDecodeError) as error:
-        raise CheckpointError(f"corrupt {kind} {path}: {error}") from error
+        return read_json(path, CheckpointError, f"corrupt {kind}")
+    except CheckpointError as error:
+        if isinstance(error.__cause__, FileNotFoundError):
+            return None
+        raise
 
 
 # -- the store ---------------------------------------------------------------

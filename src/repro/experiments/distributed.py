@@ -76,7 +76,7 @@ from functools import partial
 from pathlib import Path
 
 from ..exceptions import ConfigurationError, ExecutionError, QueueError
-from ..ioutil import atomic_write_json, check_fields, fsync_directory
+from ..ioutil import atomic_write_json, check_fields, fsync_directory, read_json
 from ..specs.experiment import OPTION_RULES, ExperimentSpec, check_option
 from ..specs.models import build_model
 from ..specs.strategies import build_strategy
@@ -180,12 +180,7 @@ class CellQueue:
     def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
         envelope_path = self.directory / "queue.json"
-        try:
-            envelope = json.loads(envelope_path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise QueueError(
-                f"cannot read queue envelope {envelope_path}: {error}"
-            ) from error
+        envelope = read_json(envelope_path, QueueError, "cannot read queue envelope")
         if not isinstance(envelope, dict) or envelope.get("format") != QUEUE_FORMAT:
             raise QueueError(f"{envelope_path} is not a {QUEUE_FORMAT!r} document")
         if envelope.get("version") != QUEUE_VERSION:
@@ -260,10 +255,10 @@ class CellQueue:
         if not path.exists():
             return []
         records = []
-        for line in path.read_text().splitlines():
+        for line in path.read_bytes().splitlines():
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
+                records.append(json.loads(line.decode("utf-8")))
+            except ValueError:  # not UTF-8, or not JSON
                 continue
         return records
 
@@ -286,8 +281,8 @@ class CellQueue:
 
     def _read_json(self, path: Path) -> "dict | None":
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):  # unreadable, not UTF-8, or not JSON
             return None
         return payload if isinstance(payload, dict) else None
 

@@ -15,6 +15,9 @@ the write survive a machine crash, not just a process crash.  The
 distributed work queue uses it for commit markers: a ``done`` marker
 must never hit the disk before the checkpoint bytes it vouches for.
 
+:func:`read_json` is the one reader of JSON files: whatever is wrong
+with the file, it raises the caller's typed error.
+
 :func:`encode_array` / :func:`decode_array` are the array codec of
 session snapshots: a float64 array travels as base64 of its
 little-endian bytes instead of a nested list of printed floats.
@@ -89,6 +92,20 @@ def atomic_write_text(path: "str | Path", text: str, durable: bool = False) -> N
 def atomic_write_json(path: "str | Path", payload: dict, durable: bool = False) -> None:
     """Serialise ``payload`` and write it via :func:`atomic_write_text`."""
     atomic_write_text(path, json.dumps(payload), durable=durable)
+
+
+def read_json(path: "str | Path", error_cls: type[Exception], message: str):
+    """The JSON document in the file at ``path``, read as UTF-8.
+
+    A file that cannot be read, holds bytes that are not UTF-8 or holds
+    text that is not JSON raises ``error_cls`` (the caller's domain
+    error) as ``"<message> <path>: <reason>"``, with the original error
+    as its ``__cause__``.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:  # ValueError: bad UTF-8 or bad JSON
+        raise error_cls(f"{message} {path}: {error}") from error
 
 
 def validate_envelope(

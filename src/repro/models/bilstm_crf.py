@@ -20,11 +20,7 @@ import numpy as np
 from ..data.datasets import SequenceDataset
 from ..exceptions import ConfigurationError
 from .batching import length_buckets
-from .crf_core import (
-    CRFTagger,
-    crf_marginals_batch,
-    crf_sentence_gradients,
-)
+from .crf_core import CRFTagger, crf_marginals_batch, crf_padded_gradients
 from .embeddings import pretrained_for_dataset
 from .layers import dropout_mask, glorot_init, sigmoid
 
@@ -191,10 +187,6 @@ class BiLSTMCRF(CRFTagger):
 
     # -- training -----------------------------------------------------------
 
-    def _training_data(self, dataset: SequenceDataset):
-        self._num_tags = dataset.num_tags
-        return dataset.sentences, dataset.tag_sequences
-
     def _initial_params(self, dataset: SequenceDataset, data, rng) -> dict:
         if self.embedding_matrix is None:
             self.embedding_matrix = pretrained_for_dataset(
@@ -232,23 +224,35 @@ class BiLSTMCRF(CRFTagger):
             )
 
     def _gradients(self, data, batch: np.ndarray, rng) -> dict:
-        sentences, tag_sequences = data
+        """The minibatch's mean NLL gradient plus the L2 term.
+
+        Each sentence draws its dropout mask and is encoded in minibatch
+        order; one padded lattice pass (:func:`crf_padded_gradients`)
+        then serves the whole minibatch, and each sentence's gradient is
+        backpropagated and its transition rows added in minibatch order,
+        so the bytes equal accumulating one sentence at a time.
+        """
+        ids, tags, lengths = data
         params = self._params
-        hidden = self.hidden_dim
+        lengths = lengths[batch]
+        width = int(lengths.max())
+        emissions = np.zeros((len(batch), width, self._num_tags))
+        caches = []
+        for row, (index, length) in enumerate(zip(batch, lengths.tolist())):
+            mask = dropout_mask(rng, (length, 2 * self.hidden_dim), self.dropout)
+            emissions[row, :length], cache = self._encode(ids[index, :length], mask)
+            caches.append(cache)
+        d_emissions, d_transitions, d_start, d_end = crf_padded_gradients(
+            emissions, lengths, tags[batch, :width],
+            params["A"], params["start"], params["end"],
+        )
+        scale = 1.0 / len(batch)
         grads = {name: np.zeros_like(v) for name, v in params.items()}
-        for index in batch:
-            sentence = sentences[index]
-            tags = tag_sequences[index]
-            mask = dropout_mask(rng, (len(sentence), 2 * hidden), self.dropout)
-            emissions, cache = self._encode(sentence, mask)
-            d_em, d_a, d_start, d_end, _ = crf_sentence_gradients(
-                emissions, tags, params["A"], params["start"], params["end"]
-            )
-            scale = 1.0 / len(batch)
-            self._backprop(cache, d_em * scale, grads)
-            grads["A"] += scale * d_a
-            grads["start"] += scale * d_start
-            grads["end"] += scale * d_end
+        for row, (cache, length) in enumerate(zip(caches, lengths.tolist())):
+            self._backprop(cache, d_emissions[row, :length] * scale, grads)
+            grads["A"] += scale * d_transitions[row]
+            grads["start"] += scale * d_start[row]
+            grads["end"] += scale * d_end[row]
         for name in ("Wxf", "Whf", "Wxb", "Whb", "Wo"):
             grads[name] += self.l2 * params[name]
         return grads

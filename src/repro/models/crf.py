@@ -123,18 +123,6 @@ class LinearChainCRF(CRFTagger):
 
     # -- training --------------------------------------------------------------
 
-    def _training_data(self, dataset: SequenceDataset):
-        """Token ids and tags right-padded with 0 to ``(n, max length)``,
-        and the sentence lengths; built once per fit."""
-        self._num_tags = dataset.num_tags
-        lengths = dataset.lengths()
-        real = np.arange(lengths.max()) < lengths[:, None]
-        ids = np.zeros(real.shape, dtype=np.int64)
-        tags = np.zeros(real.shape, dtype=np.int64)
-        ids[real] = np.concatenate(dataset.sentences)
-        tags[real] = np.concatenate(dataset.tag_sequences)
-        return ids, tags, lengths
-
     def _initial_params(self, dataset: SequenceDataset, data, rng) -> dict:
         vocab_size, num_tags = len(dataset.vocab), dataset.num_tags
         return {

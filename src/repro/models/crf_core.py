@@ -1,25 +1,24 @@
-"""Linear-chain CRF primitives and the decoding head of the CRF taggers.
+"""Linear-chain CRF kernels and the decoding head of the CRF taggers.
 
-Pure functions over an emission matrix ``(L, T)`` and transition
-parameters (``A`` of shape ``(T, T)``, plus start/end vectors): log-space
-forward/backward recursions, gold-path scoring, and the negative
-log-likelihood gradient w.r.t. emissions and transitions.  Both
-:class:`~repro.models.crf.LinearChainCRF` (log-linear emissions) and
-:class:`~repro.models.bilstm_crf.BiLSTMCRF` (neural emissions) are thin
-parameterisations around these: each subclasses :class:`CRFTagger`,
-which holds ``fit`` and every bucketed decode, and supplies only its
-emissions, training hooks and stochastic marginals.
+Pure functions over emission tensors and transition parameters (``A``
+of shape ``(T, T)``, plus start/end vectors): log-space forward and
+backward recursions, Viterbi, token marginals and the negative
+log-likelihood gradient.  Both :class:`~repro.models.crf.LinearChainCRF`
+(log-linear emissions) and :class:`~repro.models.bilstm_crf.BiLSTMCRF`
+(neural emissions) are thin parameterisations around these: each
+subclasses :class:`CRFTagger`, which holds ``fit``, the padded training
+data and every bucketed decode, and supplies only its emissions,
+gradient hook and stochastic marginals.
 
 Decoding runs batched kernels (``*_batch``) over an ``(B, L, T)``
 emission tensor of same-length sequences — the models length-bucket
 their sentences and push each bucket through the lattice in one shot.
-The batched kernels perform the *same* per-element reductions in the
-same order as the per-sentence recursions (the tag axis is reduced
-identically), so their outputs are bit-for-bit equal to looping those
-over the batch; the equivalence tests assert exact equality against the
-per-sentence oracles in ``tests/oracles``.  Training gradients take a
-right-padded minibatch instead (:func:`crf_padded_gradients`), equal row
-by row to :func:`crf_sentence_gradients`.
+Training gradients take a right-padded minibatch instead
+(:func:`crf_padded_gradients`).  Each kernel has one implementation:
+the per-sentence recursions they replaced are the oracles in
+``tests/oracles``, and the equivalence tests assert that every row of a
+batched or padded kernel equals them bit for bit (the tag axis is
+reduced identically).
 """
 
 from __future__ import annotations
@@ -37,49 +36,6 @@ def logsumexp_axis(matrix: np.ndarray, axis: int) -> np.ndarray:
     return np.log(np.exp(matrix - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
 
 
-def crf_forward(
-    emissions: np.ndarray, transitions: np.ndarray,
-    start: np.ndarray, end: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Forward recursion: alpha table ``(L, T)`` and log partition."""
-    length = emissions.shape[0]
-    alpha = np.empty_like(emissions)
-    alpha[0] = start + emissions[0]
-    for position in range(1, length):
-        alpha[position] = emissions[position] + logsumexp_axis(
-            alpha[position - 1][:, None] + transitions, axis=0
-        )
-    log_z = float(logsumexp_axis((alpha[length - 1] + end)[None, :], axis=1)[0])
-    return alpha, log_z
-
-
-def crf_backward(
-    emissions: np.ndarray, transitions: np.ndarray, end: np.ndarray
-) -> np.ndarray:
-    """Backward recursion: beta table ``(L, T)``."""
-    length = emissions.shape[0]
-    beta = np.empty_like(emissions)
-    beta[length - 1] = end
-    for position in range(length - 2, -1, -1):
-        beta[position] = logsumexp_axis(
-            transitions + (emissions[position + 1] + beta[position + 1])[None, :],
-            axis=1,
-        )
-    return beta
-
-
-def crf_path_score(
-    emissions: np.ndarray, tags: np.ndarray, transitions: np.ndarray,
-    start: np.ndarray, end: np.ndarray,
-) -> float:
-    """Unnormalised log score of one tag path."""
-    score = float(start[tags[0]] + emissions[0, tags[0]])
-    for position in range(1, len(tags)):
-        score += float(transitions[tags[position - 1], tags[position]])
-        score += float(emissions[position, tags[position]])
-    return score + float(end[tags[-1]])
-
-
 def crf_forward_batch(
     emissions: np.ndarray, transitions: np.ndarray,
     start: np.ndarray, end: np.ndarray,
@@ -87,8 +43,8 @@ def crf_forward_batch(
     """Batched forward recursion over ``(B, L, T)`` same-length emissions.
 
     Returns the alpha tensor ``(B, L, T)`` and per-sequence log
-    partitions ``(B,)``; row ``b`` is bit-for-bit :func:`crf_forward` of
-    ``emissions[b]``.
+    partitions ``(B,)``; row ``b`` is bit-for-bit the per-sentence
+    forward recursion of ``emissions[b]``.
     """
     length = emissions.shape[1]
     alpha = np.empty_like(emissions)
@@ -144,49 +100,6 @@ def crf_viterbi_batch(
     return paths, delta[rows, best_last]
 
 
-def crf_decode_buckets(
-    emissions: "list[np.ndarray]",
-    bucket_rows: "list[tuple[int, np.ndarray]]",
-    transitions: np.ndarray,
-    start: np.ndarray,
-    end: np.ndarray,
-) -> "tuple[list[np.ndarray], np.ndarray]":
-    """One pass per length bucket: Viterbi paths *and* path log-probas.
-
-    ``predict_tags`` and ``best_path_log_proba`` each used to walk the
-    buckets separately, so a round needing both (span-F1 evaluation plus
-    a path-confidence score on the same dataset) ran Viterbi twice.
-    This fused decode stacks each bucket once and reuses its Viterbi
-    lattice for both outputs; the per-kernel results are the exact
-    arrays the separate passes produce.
-
-    Parameters
-    ----------
-    emissions:
-        Per-sentence emission matrices ``(L_i, T)``.
-    bucket_rows:
-        ``(length, rows)`` pairs from
-        :func:`~repro.models.batching.length_buckets`.
-
-    Returns
-    -------
-    ``(paths, log_probas)`` — per-sentence Viterbi tag arrays and the
-    ``log p(y*|x)`` vector, index-aligned with ``emissions``.
-    """
-    paths: "list[np.ndarray | None]" = [None] * len(emissions)
-    log_probas = np.empty(len(emissions))
-    for _length, rows in bucket_rows:
-        batch = np.stack([emissions[int(row)] for row in rows])
-        bucket_paths, best_scores = crf_viterbi_batch(
-            batch, transitions, start, end
-        )
-        _, log_z = crf_forward_batch(batch, transitions, start, end)
-        log_probas[rows] = best_scores - log_z
-        for row, path in zip(rows, bucket_paths):
-            paths[int(row)] = path.copy()
-    return paths, log_probas
-
-
 def crf_marginals_batch(
     emissions: np.ndarray, transitions: np.ndarray,
     start: np.ndarray, end: np.ndarray,
@@ -195,43 +108,6 @@ def crf_marginals_batch(
     alpha, log_z = crf_forward_batch(emissions, transitions, start, end)
     beta = crf_backward_batch(emissions, transitions, end)
     return np.exp(alpha + beta - log_z[:, None, None])
-
-
-def crf_sentence_gradients(
-    emissions: np.ndarray,
-    tags: np.ndarray,
-    transitions: np.ndarray,
-    start: np.ndarray,
-    end: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """NLL gradients of one sentence.
-
-    Returns ``(d_emissions, d_transitions, d_start, d_end, nll)`` where
-    ``d_emissions`` has the emission matrix's shape; all gradients are of
-    the *negative* log likelihood, ready for gradient descent.
-    """
-    length = emissions.shape[0]
-    alpha, log_z = crf_forward(emissions, transitions, start, end)
-    beta = crf_backward(emissions, transitions, end)
-    marginals = np.exp(alpha + beta - log_z)
-    d_emissions = marginals.copy()
-    d_emissions[np.arange(length), tags] -= 1.0
-    d_transitions = np.zeros_like(transitions)
-    if length > 1:
-        pairwise = (
-            alpha[:-1, :, None]
-            + transitions[None, :, :]
-            + (emissions[1:] + beta[1:])[:, None, :]
-            - log_z
-        )
-        d_transitions += np.exp(pairwise).sum(axis=0)
-        np.add.at(d_transitions, (tags[:-1], tags[1:]), -1.0)
-    d_start = marginals[0].copy()
-    d_start[tags[0]] -= 1.0
-    d_end = marginals[-1].copy()
-    d_end[tags[-1]] -= 1.0
-    nll = log_z - crf_path_score(emissions, tags, transitions, start, end)
-    return d_emissions, d_transitions, d_start, d_end, nll
 
 
 def crf_padded_gradients(
@@ -247,8 +123,9 @@ def crf_padded_gradients(
     ``emissions`` is ``(B, W, T)`` and ``tags`` is ``(B, W)``; row ``b``
     is real up to ``lengths[b]`` (at least 1) and anything after it is
     ignored.  Returns ``(d_emissions, d_transitions, d_start, d_end)`` of
-    shapes ``(B, W, T)``, ``(B, T, T)``, ``(B, T)`` and ``(B, T)``.  Row
-    ``b`` of each is bit-for-bit :func:`crf_sentence_gradients` of
+    shapes ``(B, W, T)``, ``(B, T, T)``, ``(B, T)`` and ``(B, T)``, all
+    of the *negative* log likelihood, ready for gradient descent.  Row
+    ``b`` of each is bit-for-bit the gradient of the lone sentence
     ``emissions[b, :lengths[b]]``, and ``d_emissions`` is zero past a
     row's length.
 
@@ -312,10 +189,12 @@ class CRFTagger(NumpyModel, SequenceLabeler):
     Subclasses keep the CRF's ``A``, ``start`` and ``end`` in their
     fitted ``_params`` and provide their emission scores through one
     hook, :meth:`emissions` (every sentence of a dataset, batched,
-    dropout-free).  Decoding groups sentences into exact-length buckets
-    and runs each bucket through the lattice as one ``(B, L, T)``
-    tensor; the batched kernels reduce in the same order as the
-    per-sentence recursions, so both agree bit for bit.
+    dropout-free), and their minibatch gradients through ``_gradients``
+    over the padded ids, tags and lengths of :meth:`_training_data`.
+    Decoding groups sentences into exact-length buckets and runs each
+    bucket through the lattice as one ``(B, L, T)`` tensor; the batched
+    kernels reduce in the same order as the per-sentence recursions, so
+    both agree bit for bit.
     """
 
     STATE_META = ("num_tags",)
@@ -324,6 +203,18 @@ class CRFTagger(NumpyModel, SequenceLabeler):
         self, dataset: SequenceDataset, init_from: "CRFTagger | None" = None
     ) -> "CRFTagger":
         return self._train(dataset, init_from)
+
+    def _training_data(self, dataset: SequenceDataset):
+        """Token ids and tags right-padded with 0 to ``(n, max length)``,
+        and the sentence lengths; built once per fit."""
+        self._num_tags = dataset.num_tags
+        lengths = dataset.lengths()
+        real = np.arange(lengths.max()) < lengths[:, None]
+        ids = np.zeros(real.shape, dtype=np.int64)
+        tags = np.zeros(real.shape, dtype=np.int64)
+        ids[real] = np.concatenate(dataset.sentences)
+        tags[real] = np.concatenate(dataset.tag_sequences)
+        return ids, tags, lengths
 
     def _transitions(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """The fitted ``(A, start, end)`` transition parameters."""
@@ -362,13 +253,7 @@ class CRFTagger(NumpyModel, SequenceLabeler):
     ) -> np.ndarray:
         """``log p(y*|x)`` per sentence — longer sentences score lower,
         which reproduces the length bias MNLP (Eq. 13) corrects."""
-        transitions = self._transitions()
-        log_probas = np.empty(len(dataset))
-        for rows, batch in self._buckets(dataset, emissions):
-            _, best_scores = crf_viterbi_batch(batch, *transitions)
-            _, log_z = crf_forward_batch(batch, *transitions)
-            log_probas[rows] = best_scores - log_z
-        return log_probas
+        return self.decode(dataset, emissions=emissions)[1]
 
     def decode(
         self,
@@ -380,17 +265,18 @@ class CRFTagger(NumpyModel, SequenceLabeler):
 
         Runs each length bucket through the Viterbi and forward lattices
         once, so callers needing both tags and path confidences pay for
-        a single decode instead of two.  Outputs are bit-for-bit the
-        separate methods' results.
+        a single decode instead of two.
         """
         transitions = self._transitions()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        return crf_decode_buckets(
-            emissions,
-            length_buckets([len(s) for s in dataset.sentences]),
-            *transitions,
-        )
+        paths: list[np.ndarray | None] = [None] * len(dataset)
+        log_probas = np.empty(len(dataset))
+        for rows, batch in self._buckets(dataset, emissions):
+            bucket_paths, best_scores = crf_viterbi_batch(batch, *transitions)
+            _, log_z = crf_forward_batch(batch, *transitions)
+            log_probas[rows] = best_scores - log_z
+            for row, path in zip(rows, bucket_paths):
+                paths[int(row)] = path.copy()
+        return paths, log_probas
 
     def token_marginals(
         self,

@@ -117,11 +117,8 @@ class MLPClassifier(NumpyModel, Classifier):
     def _gradients(self, data, batch: np.ndarray, rng) -> dict:
         features, targets = data
         x = features[batch]
-        hidden_pre = x @ self._params["W1"] + self._params["b1"]
-        hidden = np.maximum(hidden_pre, 0.0)
-        mask = dropout_mask(rng, hidden.shape, self.dropout)
-        dropped = hidden * mask
-        probabilities = softmax(dropped @ self._params["W2"] + self._params["b2"])
+        mask = dropout_mask(rng, (len(batch), self.hidden_dim), self.dropout)
+        probabilities, dropped, hidden_pre = self._forward(x, mask)
         delta_out = (probabilities - targets[batch]) / len(batch)
         delta_hidden = (delta_out @ self._params["W2"].T) * mask
         delta_hidden *= hidden_pre > 0

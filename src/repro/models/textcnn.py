@@ -37,7 +37,6 @@ class _ForwardCache:
     windows: dict[int, np.ndarray]  # width -> (n, P, w*D)
     conv_pre: dict[int, np.ndarray]  # width -> (n, P, F)
     argmax: dict[int, np.ndarray]  # width -> (n, F) pooled position
-    pooled: dict[int, np.ndarray]  # width -> (n, F) after ReLU+max
     hidden: np.ndarray  # (n, F_total) post-dropout
     drop_mask: np.ndarray | None
     probabilities: np.ndarray  # (n, C)
@@ -159,16 +158,17 @@ class TextCNN(NumpyModel, Classifier):
 
     # -- forward / backward -------------------------------------------------
 
-    def _forward(
-        self, ids: np.ndarray, drop_mask: np.ndarray | None
-    ) -> _ForwardCache:
+    def _convolutions(self, embedded: np.ndarray):
+        """Each window width's conv/pool pass over ``embedded`` ``(n, L, D)``.
+
+        Yields ``(width, windows, pre, argmax, pooled)``: the stacked
+        windows ``(n, P, w*D)``, the conv pre-activations ``(n, P, F)``,
+        the max-pooled position and the ReLU/max-pooled features, both
+        ``(n, F)``.  The backward pass keeps all of them; inference keeps
+        only ``pooled``.
+        """
         params = self._require_fitted()
-        embedded = params["E"][ids]  # (n, L, D)
         n, length, dim = embedded.shape
-        windows: dict[int, np.ndarray] = {}
-        conv_pre: dict[int, np.ndarray] = {}
-        argmax: dict[int, np.ndarray] = {}
-        pooled: dict[int, np.ndarray] = {}
         for width in self.widths:
             positions = length - width + 1
             # (n, P, w, D) strided view -> (n, P, w*D)
@@ -178,11 +178,24 @@ class TextCNN(NumpyModel, Classifier):
             pre = stacked @ params[f"W{width}"] + params[f"bw{width}"]
             relu = np.maximum(pre, 0.0)
             arg = relu.argmax(axis=1)  # (n, F)
+            pooled = np.take_along_axis(relu, arg[:, None, :], axis=1)[:, 0, :]
+            yield width, stacked, pre, arg, pooled
+
+    def _forward(
+        self, ids: np.ndarray, drop_mask: np.ndarray | None
+    ) -> _ForwardCache:
+        params = self._require_fitted()
+        embedded = params["E"][ids]  # (n, L, D)
+        windows: dict[int, np.ndarray] = {}
+        conv_pre: dict[int, np.ndarray] = {}
+        argmax: dict[int, np.ndarray] = {}
+        pooled = []
+        for width, stacked, pre, arg, features in self._convolutions(embedded):
             windows[width] = stacked
             conv_pre[width] = pre
             argmax[width] = arg
-            pooled[width] = np.take_along_axis(relu, arg[:, None, :], axis=1)[:, 0, :]
-        concat = np.concatenate([pooled[w] for w in self.widths], axis=1)
+            pooled.append(features)
+        concat = np.concatenate(pooled, axis=1)
         hidden = concat if drop_mask is None else concat * drop_mask
         probabilities = softmax(hidden @ params["Wo"] + params["bo"])
         return _ForwardCache(
@@ -191,7 +204,6 @@ class TextCNN(NumpyModel, Classifier):
             windows=windows,
             conv_pre=conv_pre,
             argmax=argmax,
-            pooled=pooled,
             hidden=hidden,
             drop_mask=drop_mask,
             probabilities=probabilities,
@@ -282,30 +294,22 @@ class TextCNN(NumpyModel, Classifier):
     def _pooled_features(self, ids: np.ndarray) -> np.ndarray:
         """Concatenated ReLU/max-pooled conv features ``(n, F_total)``.
 
-        The dropout-free sub-graph of :meth:`_forward` — identical
-        operations, no backward caches.  MC-dropout draws reuse this once
-        per batch and only resample masks.
+        The dropout-free sub-graph of :meth:`_forward`, without its
+        backward caches.  MC-dropout draws reuse this once per batch and
+        only resample masks.
         """
-        params = self._require_fitted()
-        embedded = params["E"][ids]  # (n, L, D)
-        n, length, dim = embedded.shape
-        pooled = []
-        for width in self.widths:
-            positions = length - width + 1
-            view = np.lib.stride_tricks.sliding_window_view(embedded, width, axis=1)
-            stacked = view.transpose(0, 1, 3, 2).reshape(n, positions, width * dim)
-            pre = stacked @ params[f"W{width}"] + params[f"bw{width}"]
-            relu = np.maximum(pre, 0.0)
-            arg = relu.argmax(axis=1)
-            pooled.append(np.take_along_axis(relu, arg[:, None, :], axis=1)[:, 0, :])
-        return np.concatenate(pooled, axis=1)
+        embedded = self._require_fitted()["E"][ids]  # (n, L, D)
+        return np.concatenate(
+            [pooled for *_, pooled in self._convolutions(embedded)], axis=1
+        )
 
     def predict_proba(self, dataset: TextDataset) -> np.ndarray:
-        self._require_fitted()
+        params = self._require_fitted()
         ids = self._padded_ids(dataset)
         outputs = []
         for start in range(0, len(ids), 256):
-            outputs.append(self._forward(ids[start : start + 256], None).probabilities)
+            hidden = self._pooled_features(ids[start : start + 256])
+            outputs.append(softmax(hidden @ params["Wo"] + params["bo"]))
         return np.concatenate(outputs) if outputs else np.empty((0, self._num_classes or 0))
 
     def predict_proba_samples(

@@ -20,7 +20,7 @@ from .core.features import RankingFeatureExtractor
 from .core.ranker_training import LHSRanker
 from .exceptions import ConfigurationError, DataError
 from .formats import RANKER_FORMAT, RANKER_VERSION
-from .ioutil import atomic_write_text, decode_array, is_int, is_number
+from .ioutil import atomic_write_text, decode_array, is_int, is_number, read_json
 from .ltr.lambdamart import LambdaMART
 from .ltr.trees import RegressionTree, _Node
 from .models.lstm import LSTMRegressor
@@ -303,10 +303,7 @@ def load_lhs_ranker(path: "str | Path") -> LHSRanker:
         rejected by the class it builds; the message names the file and
         the field.
     """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise DataError(f"cannot read ranker file {path}: {error}") from error
+    payload = read_json(path, DataError, "cannot read ranker file")
     if not isinstance(payload, dict) or payload.get("format") != RANKER_FORMAT:
         raise DataError(f"{path} is not an LHS ranker document")
     if payload.get("version") != RANKER_VERSION:

@@ -28,7 +28,6 @@ config run is byte-identical to the equivalent flag invocation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from ..core.strategies.base import strategy_capabilities
 from ..exceptions import ConfigurationError, SpecError
 from ..experiments.config import ExperimentConfig
 from ..formats import EXPERIMENT_FORMAT, EXPERIMENT_VERSION
-from ..ioutil import atomic_write_json
+from ..ioutil import atomic_write_json, read_json
 from .core import Spec, as_spec
 from .data import DATASET_TASKS, build_dataset, build_split
 from .models import build_model
@@ -279,11 +278,7 @@ class ExperimentSpec:
     @classmethod
     def from_file(cls, path: "str | Path") -> "ExperimentSpec":
         """Load and validate an ``experiment.json`` document."""
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise SpecError(f"cannot read experiment file {path}: {error}") from error
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path, SpecError, "cannot read experiment file"))
 
     def save(self, path: "str | Path") -> None:
         """Atomically write the document to ``path``."""

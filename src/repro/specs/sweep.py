@@ -49,7 +49,7 @@ from pathlib import Path
 from ..exceptions import SpecError
 from ..experiments.config import SHAPE_KEYS
 from ..formats import SWEEP_FORMAT, SWEEP_VERSION
-from ..ioutil import atomic_write_json
+from ..ioutil import atomic_write_json, read_json
 from .core import Spec, as_spec
 from .experiment import ExperimentSpec
 from .metrics import build_pipeline
@@ -253,11 +253,7 @@ class SweepSpec:
     @classmethod
     def from_file(cls, path: "str | Path") -> "SweepSpec":
         """Load and validate a ``sweep.json`` document."""
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise SpecError(f"cannot read sweep file {path}: {error}") from error
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path, SpecError, "cannot read sweep file"))
 
     def save(self, path: "str | Path") -> None:
         """Atomically write the document to ``path``."""

@@ -12,9 +12,12 @@ modified test for autocorrelated data).  Both variants are implemented:
 The normalised statistic ``z`` (and the derived :class:`Trend` label) is
 what the feature extractor consumes.  :func:`mann_kendall_batch` runs the
 classical test on every row of a NaN-padded sequence matrix at once — the
-per-round hot path of the LHS feature extractor — and is numerically
-identical to calling :func:`mann_kendall_test` row by row (the scalar
-test stays as the reference oracle; see the equivalence tests).
+per-round hot path of the LHS feature extractor — and is the one
+implementation of S, its tie-corrected variance and tau:
+:func:`mann_kendall_test` reads them from a one-row batch and applies
+Hamed-Rao on top.  The scalar test stays as the reference oracle in
+``tests/oracles``, and the equivalence tests pin both functions to it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -77,22 +80,6 @@ class MKResult:
     trend: Trend
 
 
-def _s_statistic(values: np.ndarray) -> float:
-    n = len(values)
-    differences = values[None, :] - values[:, None]
-    upper = np.triu_indices(n, k=1)
-    return float(np.sign(differences[upper]).sum())
-
-
-def _tie_corrected_variance(values: np.ndarray) -> float:
-    n = len(values)
-    variance = n * (n - 1) * (2 * n + 5) / 18.0
-    _, counts = np.unique(values, return_counts=True)
-    ties = counts[counts > 1]
-    variance -= (ties * (ties - 1) * (2 * ties + 5)).sum() / 18.0
-    return float(variance)
-
-
 def _hamed_rao_correction(values: np.ndarray, max_lag: int | None = None) -> float:
     """n/n* variance inflation factor of Hamed & Rao (1998)."""
     n = len(values)
@@ -129,6 +116,18 @@ class MKBatchResult:
     tau: np.ndarray
     #: Number of recorded values per row.
     lengths: np.ndarray
+
+
+def _z_statistic(s, variance) -> np.ndarray:
+    """Continuity-corrected ``z = (S -/+ 1) / sqrt(Var S)``, elementwise.
+
+    ``z`` is 0 where ``S = 0`` or ``Var S <= 0`` (a fully tied series).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(
+            s > 0, (s - 1.0) / np.sqrt(variance), (s + 1.0) / np.sqrt(variance)
+        )
+    return np.where((variance <= 0) | (s == 0), 0.0, z)
 
 
 def _batch_s_statistic(values: np.ndarray, max_pairs: int = 1 << 22) -> np.ndarray:
@@ -191,7 +190,8 @@ def mann_kendall_batch(sequences: np.ndarray) -> MKBatchResult:
     -------
     MKBatchResult
         Per-row s / variance / z / p-value / tau, bit-identical to the
-        scalar :func:`mann_kendall_test` on each row's compacted values.
+        scalar test (the oracle in ``tests/oracles``) on each row's
+        compacted values.
     """
     sequences = np.asarray(sequences, dtype=np.float64)
     if sequences.ndim != 2:
@@ -213,11 +213,7 @@ def mann_kendall_batch(sequences: np.ndarray) -> MKBatchResult:
     s = _batch_s_statistic(values)
     variance = n * (n - 1.0) * (2.0 * n + 5.0) / 18.0
     variance -= _batch_tie_term(values, lengths) / 18.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(
-            s > 0, (s - 1.0) / np.sqrt(variance), (s + 1.0) / np.sqrt(variance)
-        )
-    z = np.where((variance <= 0) | (s == 0), 0.0, z)
+    z = _z_statistic(s, variance)
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = np.where(n >= 2, s / (n * (n - 1.0) / 2.0), 0.0)
     testable = lengths >= 3
@@ -255,34 +251,28 @@ def mann_kendall_test(
     Raises
     ------
     ConfigurationError
-        If fewer than 3 values are supplied or alpha is out of (0, 1).
+        If fewer than 3 values are supplied, a value is NaN (the batched
+        test reads NaN as "no observation") or alpha is out of (0, 1).
     """
     series = np.asarray(values, dtype=np.float64).ravel()
     if len(series) < 3:
         raise ConfigurationError(
             f"Mann-Kendall needs at least 3 observations, got {len(series)}"
         )
+    if np.isnan(series).any():
+        raise ConfigurationError("Mann-Kendall values must not be NaN")
     if not 0 < alpha < 1:
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
-    s = _s_statistic(series)
-    variance = _tie_corrected_variance(series)
+    batch = mann_kendall_batch(series[None, :])
+    s, variance, tau = float(batch.s[0]), float(batch.variance[0]), float(batch.tau[0])
     if hamed_rao:
         variance *= _hamed_rao_correction(series, max_lag=max_lag)
-    if variance <= 0:  # fully tied series
-        z = 0.0
-    elif s > 0:
-        z = (s - 1.0) / np.sqrt(variance)
-    elif s < 0:
-        z = (s + 1.0) / np.sqrt(variance)
-    else:
-        z = 0.0
+    z = float(_z_statistic(s, variance))
     p_value = float(two_sided_p_value(z))
-    n = len(series)
-    tau = s / (n * (n - 1) / 2.0)
     if p_value < alpha and s > 0:
         trend = Trend.INCREASING
     elif p_value < alpha and s < 0:
         trend = Trend.DECREASING
     else:
         trend = Trend.NO_TREND
-    return MKResult(s=s, variance=variance, z=float(z), p_value=p_value, tau=float(tau), trend=trend)
+    return MKResult(s=s, variance=variance, z=z, p_value=p_value, tau=tau, trend=trend)

@@ -326,6 +326,26 @@ class TestLeases:
         assert record["cell"] == claim.ticket.cell_id
         assert record["owner"] == "dead-worker"
 
+    def test_undecodable_lease_is_reaped_like_bad_json(self, grid_spec, tmp_path):
+        queue = create_queue(tmp_path / "q", grid_spec, lease_ttl=60.0)
+        claim = queue.claim("dead-worker")
+        lease = queue.directory / "leases" / f"{claim.ticket.cell_id}.json"
+        lease.write_bytes(b'{"owner": "\xff"}')
+        long_ago = time.time() - 600
+        os.utime(lease, (long_ago, long_ago))
+        assert queue.reap_stale() == 1
+        (record,) = audit_events(queue, "reaped")
+        assert record.get("owner") is None  # as for a lease that is not JSON
+
+    def test_undecodable_audit_line_is_skipped(self, grid_spec, tmp_path):
+        queue = create_queue(tmp_path / "q", grid_spec)
+        with open(queue.directory / "audit.log", "ab") as log:
+            log.write(b'{"event": "\xff"}\n')
+        queue.release(queue.claim("a"), "interrupted")
+        assert [record["event"] for record in queue.read_audit()][-2:] == [
+            "claimed", "released",
+        ]
+
     def test_heartbeat_keeps_lease_alive(self, grid_spec, tmp_path):
         queue = create_queue(
             tmp_path / "q", grid_spec,

@@ -4,11 +4,12 @@ The batched sequence-model paths (padded-tensor LSTM, length-bucketed
 CRF lattice kernels, the padded CRF training kernel, MC-dropout subgraph
 reuse) keep their original per-sample implementations as oracles: the
 functions in :mod:`tests.oracles.models`, and here
-:func:`accumulate_sentence_grads` with :class:`PerSentenceCRF`.  The CRF
-lattice kernels reduce the tag axis identically batched or not, so those
-paths must be bit-for-bit equal; LSTM/BiLSTM paths route matrix products
-through a different BLAS kernel (gemm vs gemv), so they get a 1e-10
-tolerance instead.
+:func:`accumulate_sentence_grads` with :class:`PerSentenceCRF` and
+:class:`PerSentenceBiLSTMCRF`.  The CRF lattice kernels reduce the tag
+axis identically batched or not, so those paths (both taggers' fits
+included) must be bit-for-bit equal; LSTM/BiLSTM inference routes
+matrix products through a different BLAS kernel (gemm vs gemv), so it
+gets a 1e-10 tolerance instead.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ from repro.exceptions import ConfigurationError
 from repro.models.batching import length_buckets, pad_sequences
 from repro.models.bilstm_crf import BiLSTMCRF
 from repro.models.crf import LinearChainCRF
-from repro.models.crf_core import crf_padded_gradients, crf_sentence_gradients
+from repro.models.crf_core import crf_padded_gradients
+from repro.models.layers import dropout_mask
 from repro.models.lstm import LSTMRegressor
 from repro.models.textcnn import TextCNN
 from tests.oracles.models import (
     bilstm_crf_token_marginal_samples_reference,
     crf_best_path_log_proba_reference,
     crf_predict_tags_reference,
+    crf_sentence_gradients,
     crf_token_marginals_reference,
     linear_crf_sentence_emissions,
     linear_crf_token_marginal_samples_reference,
@@ -85,6 +88,36 @@ class PerSentenceCRF(LinearChainCRF):
             )
         for name, value in self._params.items():
             grads[name] += self.l2 * value
+        return grads
+
+
+class PerSentenceBiLSTMCRF(BiLSTMCRF):
+    """``BiLSTMCRF`` trained one sentence at a time (the oracle): each
+    sentence draws its mask, is encoded, and takes its own lattice pass."""
+
+    def _training_data(self, dataset):
+        self._num_tags = dataset.num_tags
+        return dataset.sentences, dataset.tag_sequences
+
+    def _gradients(self, data, batch, rng):
+        sentences, tag_sequences = data
+        params = self._params
+        grads = {name: np.zeros_like(v) for name, v in params.items()}
+        for index in batch:
+            sentence = sentences[index]
+            mask = dropout_mask(rng, (len(sentence), 2 * self.hidden_dim), self.dropout)
+            emissions, cache = self._encode(sentence, mask)
+            d_em, d_a, d_start, d_end, _ = crf_sentence_gradients(
+                emissions, tag_sequences[index],
+                params["A"], params["start"], params["end"],
+            )
+            scale = 1.0 / len(batch)
+            self._backprop(cache, d_em * scale, grads)
+            grads["A"] += scale * d_a
+            grads["start"] += scale * d_start
+            grads["end"] += scale * d_end
+        for name in ("Wxf", "Whf", "Wxb", "Whb", "Wo"):
+            grads[name] += self.l2 * params[name]
         return grads
 
 
@@ -378,6 +411,39 @@ class TestCRFPaddedTraining:
         oracle = PerSentenceCRF(epochs=2, seed=5).fit(train)
         for name, value in oracle._params.items():
             assert_same_bytes(fitted._params[name], value)
+
+
+def _one_token_first_dataset(rng, count, vocab_size=30, num_tags=4):
+    """``count`` sentences of 1-9 tokens, the first of them one token long."""
+    vocab = Vocabulary([f"t{i}" for i in range(vocab_size)])
+    lengths = [1] + rng.integers(1, 10, size=count - 1).tolist()
+    sentences = [rng.integers(1, vocab_size, size=n).tolist() for n in lengths]
+    tags = [rng.integers(0, num_tags, size=n).tolist() for n in lengths]
+    return SequenceDataset(sentences, tags, vocab, [f"T{i}" for i in range(num_tags)])
+
+
+class TestBiLSTMCRFPaddedTraining:
+    """The BiLSTM-CRF fit through the padded lattice is bit-for-bit the
+    per-sentence path, cold and warm."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_fit_matches_per_sentence_path_cold_and_warm(self, batch_size):
+        rng = np.random.default_rng(batch_size)
+        # 23 and 29 sentences leave a short last minibatch for sizes 3 and 8.
+        first = _one_token_first_dataset(rng, 23)
+        second = _one_token_first_dataset(rng, 29)
+        options = dict(
+            embedding_dim=6, hidden_dim=5, epochs=2, batch_size=batch_size,
+            seed=batch_size, warm_epochs=2,
+        )
+        cold = BiLSTMCRF(**options).fit(first)
+        cold_oracle = PerSentenceBiLSTMCRF(**options).fit(first)
+        warm = BiLSTMCRF(**options).fit(second, init_from=cold)
+        warm_oracle = PerSentenceBiLSTMCRF(**options).fit(second, init_from=cold_oracle)
+        for fitted, oracle in ((cold, cold_oracle), (warm, warm_oracle)):
+            assert fitted._params.keys() == oracle._params.keys()
+            for name, value in oracle._params.items():
+                assert_same_bytes(fitted._params[name], value)
 
 
 class TestCRFBucketedBALD:

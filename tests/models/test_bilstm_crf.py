@@ -9,12 +9,13 @@ from repro.data.datasets import SequenceDataset
 from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.models.bilstm_crf import BiLSTMCRF
-from repro.models.crf_core import (
+from tests.oracles.models import (
     crf_forward,
+    crf_marginals,
     crf_path_score,
     crf_sentence_gradients,
+    crf_viterbi,
 )
-from tests.oracles.models import crf_marginals, crf_viterbi
 
 
 @pytest.fixture(scope="module")

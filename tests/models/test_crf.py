@@ -9,9 +9,13 @@ from repro.data.datasets import SequenceDataset
 from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.models.crf import LinearChainCRF
-from repro.models.crf_core import crf_forward, crf_path_score
 from tests.models.test_batched_equivalence import accumulate_sentence_grads
-from tests.oracles.models import crf_viterbi, linear_crf_sentence_emissions
+from tests.oracles.models import (
+    crf_forward,
+    crf_path_score,
+    crf_viterbi,
+    linear_crf_sentence_emissions,
+)
 
 
 @pytest.fixture(scope="module")

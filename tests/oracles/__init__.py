@@ -9,15 +9,20 @@ object it checks (a fitted model, a strategy, a tree) or over plain
 arrays.
 
 * :mod:`tests.oracles.models` — the LSTM regressor's per-sequence
-  recurrence and BPTT, the per-sentence CRF lattice and decodes of both
+  recurrence and BPTT, the per-sentence CRF lattice (forward, backward,
+  path score, NLL gradients, Viterbi, marginals) and decodes of both
   CRF taggers, their per-draw BALD samplers, and TextCNN's full forward
   pass per MC-dropout draw.
 * :mod:`tests.oracles.ltr` — the per-row regression-tree walk and the
   double-loop LambdaRank gradients.
 * :mod:`tests.oracles.core` — the full-sort strategy ``select`` and the
   row-loop history backfill.
+* :mod:`tests.oracles.timeseries` — the scalar Mann-Kendall test (S from
+  the pairwise sign matrix, the tie correction from ``np.unique``).
 
 ``repro.core.selection.top_k_reference`` stays in ``src``: it is also
 the production fallback of ``top_k_indices`` for NaN scores and
-``k >= n``.
+``k >= n``.  ``tests/test_source_tree.py`` fails if any other
+``*_reference`` function, or any function named like one defined here,
+appears in ``src``.
 """

@@ -1,11 +1,12 @@
 """Per-sample oracles for the batched model kernels.
 
 The batched paths (padded-tensor LSTM, length-bucketed CRF lattices,
-MC-dropout subgraph reuse) replaced the per-sequence, per-sentence and
-per-draw loops below.  The CRF lattice kernels reduce the tag axis the
-same way batched or not, so the CRF oracles must match bit for bit; the
-LSTM and BiLSTM paths route matrix products through a different BLAS
-kernel (gemm vs gemv) and match to 1e-10.
+the padded CRF training kernel, MC-dropout subgraph reuse) replaced the
+per-sequence, per-sentence and per-draw loops below.  The CRF lattice
+kernels reduce the tag axis the same way batched or not, so the CRF
+oracles must match bit for bit; the LSTM and BiLSTM paths route matrix
+products through a different BLAS kernel (gemm vs gemv) and match to
+1e-10.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.exceptions import ConfigurationError
 from repro.models.base import bump_fit_generation
 from repro.models.bilstm_crf import BiLSTMCRF
 from repro.models.crf import LinearChainCRF
-from repro.models.crf_core import CRFTagger, crf_backward, crf_forward
+from repro.models.crf_core import CRFTagger, logsumexp_axis
 from repro.models.layers import Adam, dropout_mask, sigmoid
 from repro.models.lstm import LSTMRegressor
 from repro.models.textcnn import TextCNN
@@ -133,6 +134,86 @@ def lstm_predict_reference(
 
 
 # -- CRF taggers: one sentence at a time --------------------------------------
+
+
+def crf_forward(
+    emissions: np.ndarray, transitions: np.ndarray,
+    start: np.ndarray, end: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Forward recursion: alpha table ``(L, T)`` and log partition."""
+    length = emissions.shape[0]
+    alpha = np.empty_like(emissions)
+    alpha[0] = start + emissions[0]
+    for position in range(1, length):
+        alpha[position] = emissions[position] + logsumexp_axis(
+            alpha[position - 1][:, None] + transitions, axis=0
+        )
+    log_z = float(logsumexp_axis((alpha[length - 1] + end)[None, :], axis=1)[0])
+    return alpha, log_z
+
+
+def crf_backward(
+    emissions: np.ndarray, transitions: np.ndarray, end: np.ndarray
+) -> np.ndarray:
+    """Backward recursion: beta table ``(L, T)``."""
+    length = emissions.shape[0]
+    beta = np.empty_like(emissions)
+    beta[length - 1] = end
+    for position in range(length - 2, -1, -1):
+        beta[position] = logsumexp_axis(
+            transitions + (emissions[position + 1] + beta[position + 1])[None, :],
+            axis=1,
+        )
+    return beta
+
+
+def crf_path_score(
+    emissions: np.ndarray, tags: np.ndarray, transitions: np.ndarray,
+    start: np.ndarray, end: np.ndarray,
+) -> float:
+    """Unnormalised log score of one tag path."""
+    score = float(start[tags[0]] + emissions[0, tags[0]])
+    for position in range(1, len(tags)):
+        score += float(transitions[tags[position - 1], tags[position]])
+        score += float(emissions[position, tags[position]])
+    return score + float(end[tags[-1]])
+
+
+def crf_sentence_gradients(
+    emissions: np.ndarray,
+    tags: np.ndarray,
+    transitions: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """NLL gradients of one sentence.
+
+    Returns ``(d_emissions, d_transitions, d_start, d_end, nll)`` where
+    ``d_emissions`` has the emission matrix's shape; all gradients are of
+    the *negative* log likelihood, ready for gradient descent.
+    """
+    length = emissions.shape[0]
+    alpha, log_z = crf_forward(emissions, transitions, start, end)
+    beta = crf_backward(emissions, transitions, end)
+    marginals = np.exp(alpha + beta - log_z)
+    d_emissions = marginals.copy()
+    d_emissions[np.arange(length), tags] -= 1.0
+    d_transitions = np.zeros_like(transitions)
+    if length > 1:
+        pairwise = (
+            alpha[:-1, :, None]
+            + transitions[None, :, :]
+            + (emissions[1:] + beta[1:])[:, None, :]
+            - log_z
+        )
+        d_transitions += np.exp(pairwise).sum(axis=0)
+        np.add.at(d_transitions, (tags[:-1], tags[1:]), -1.0)
+    d_start = marginals[0].copy()
+    d_start[tags[0]] -= 1.0
+    d_end = marginals[-1].copy()
+    d_end[tags[-1]] -= 1.0
+    nll = log_z - crf_path_score(emissions, tags, transitions, start, end)
+    return d_emissions, d_transitions, d_start, d_end, nll
 
 
 def crf_viterbi(

@@ -36,7 +36,9 @@ from .test_store import make_store
 def http_client(request, tmp_path):
     """A client talking HTTP to a live server over one json or sqlite store."""
     server = make_server(SessionService(make_store(request.param, tmp_path)))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield SessionClient.http(f"http://127.0.0.1:{server.server_address[1]}")
@@ -115,7 +117,9 @@ class TestHttpTransport:
         document, message = damage_document(proposed_document, case)
         make_store("json", tmp_path).create("s1", document)
         server = make_server(SessionService(make_store("json", tmp_path)))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         thread.start()
         try:
             client = SessionClient.http(f"http://127.0.0.1:{server.server_address[1]}")

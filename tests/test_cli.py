@@ -478,6 +478,32 @@ class TestMalformedRankerStopsEarly:
         assert not (queue / "queue.json").exists()
 
 
+class TestFileNotUtf8:
+    """A JSON file holding a byte that is not UTF-8 is one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["config", "validate", "{file}"], "experiment file"),
+            (["sweep", "validate", "{file}"], "sweep file"),
+            (["run", "--config", "{file}"], "experiment file"),
+            (
+                ["session", "ingest", "--dir", "{dir}", "--labels", "{file}"],
+                "labels file",
+            ),
+        ],
+    )
+    def test_exit_2_and_one_error_line(self, argv, kind, tmp_path, capsys):
+        path = tmp_path / "F.json"
+        path.write_bytes(b'{"format": "repro.experiment", "name": "\xff"}')
+        argv = [arg.format(file=path, dir=tmp_path / "session") for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot read {kind} {path}: ")
+        assert "can't decode byte 0xff" in line
+
+
 class TestSweepCommands:
     """CLI surface of `repro sweep run/validate/show`."""
 

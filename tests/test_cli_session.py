@@ -248,7 +248,9 @@ class TestSessionErrors:
 def server_url():
     """A live in-memory session server, yielded as its base URL."""
     server = make_server(SessionService(MemorySessionStore()))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}"

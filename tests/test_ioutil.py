@@ -11,7 +11,8 @@ the fsync/rename ordering of ``durable=True``.
 The codec is an untrusted boundary (stored sessions are read back from
 disk and from other machines): every float64 bit pattern must survive
 it, and every malformed value must be the caller's error, naming the
-field.
+field.  So is every JSON file the program reads: a file that is not
+UTF-8 must be the reader's typed error, as a file that is not JSON is.
 """
 
 import json
@@ -23,8 +24,27 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.exceptions import SessionError
-from repro.ioutil import atomic_write_text, decode_array, encode_array, fsync_directory
+from repro.exceptions import (
+    CheckpointError,
+    DataError,
+    QueueError,
+    SessionError,
+    SpecError,
+)
+from repro.experiments import ExperimentConfig
+from repro.experiments.checkpoint import CheckpointStore
+from repro.experiments.distributed import CellQueue
+from repro.ioutil import (
+    atomic_write_text,
+    decode_array,
+    encode_array,
+    fsync_directory,
+)
+from repro.persistence import load_lhs_ranker
+from repro.specs import ExperimentSpec, SweepSpec
+
+#: A JSON document with a byte that is not UTF-8 in it.
+UNDECODABLE = b'{"format": "repro.experiment", "name": "\xff"}'
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -316,3 +336,46 @@ class TestArrayCodec:
     def test_malformed_value_is_the_callers_error(self, case):
         with pytest.raises(SessionError, match=r"^history\.scores "):
             decode_array(MALFORMED_ARRAYS[case], SessionError, "history.scores")
+
+
+def _checkpoint_store(directory):
+    return CheckpointStore(directory, ExperimentConfig())
+
+
+#: Every reader of a JSON file: (the file it reads in a directory, how it
+#: reads it, the error it raises).
+JSON_READERS = {
+    "experiment": (
+        lambda directory: directory / "experiment.json",
+        ExperimentSpec.from_file,
+        SpecError,
+    ),
+    "sweep": (lambda directory: directory / "sweep.json", SweepSpec.from_file, SpecError),
+    "ranker": (lambda directory: directory / "ranker.json", load_lhs_ranker, DataError),
+    "checkpoint": (
+        lambda directory: _checkpoint_store(directory).cell_path("entropy", 0),
+        lambda path: _checkpoint_store(path.parent).load("entropy", 0, seed=0),
+        CheckpointError,
+    ),
+    "session snapshot": (
+        lambda directory: _checkpoint_store(directory).session_path("entropy", 0),
+        lambda path: _checkpoint_store(path.parent).load_session("entropy", 0, seed=0),
+        CheckpointError,
+    ),
+    "queue envelope": (
+        lambda directory: directory / "queue.json",
+        lambda path: CellQueue(path.parent),
+        QueueError,
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(JSON_READERS))
+def test_bytes_that_are_not_utf8_are_the_readers_error(tmp_path, reader):
+    where, read, error_cls = JSON_READERS[reader]
+    path = where(tmp_path)
+    path.write_bytes(UNDECODABLE)
+    with pytest.raises(error_cls, match="can't decode byte 0xff") as error:
+        read(path)
+    assert str(path) in str(error.value)
+    assert isinstance(error.value.__cause__, UnicodeDecodeError)

@@ -13,9 +13,21 @@ from repro.timeseries.mann_kendall import (
     mann_kendall_test,
     two_sided_p_value,
 )
+from tests.oracles.timeseries import mann_kendall_scalar
 
 #: z values spanning [-10, 10], including both tails and zero.
 Z_GRID = np.linspace(-10.0, 10.0, 2001)
+
+
+def float_bytes(result, row=None):
+    """The float fields of a test result (or of one row of a batch result),
+    as bytes, so -0.0 and 0.0 differ."""
+    return [
+        np.float64(
+            getattr(result, name) if row is None else getattr(result, name)[row]
+        ).tobytes()
+        for name in ("s", "variance", "z", "p_value", "tau")
+    ]
 
 
 class TestBasicTrends:
@@ -111,6 +123,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             mann_kendall_test([1, 2, 3], alpha=0)
 
+    def test_nan_rejected(self):
+        # The batched test reads NaN as "no observation"; the scalar
+        # test refuses it rather than silently dropping a value.
+        with pytest.raises(ConfigurationError, match="NaN"):
+            mann_kendall_test([1.0, np.nan, 2.0, 3.0])
+
 
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=25))
 def test_antisymmetry_property(values):
@@ -134,7 +152,9 @@ def test_affine_invariance_property(values, scale, shift):
 
 
 class TestBatch:
-    """mann_kendall_batch must agree bit-for-bit with the scalar oracle."""
+    """mann_kendall_batch and mann_kendall_test must both agree bit for bit
+    with the scalar oracle (comparing them with each other would be
+    circular: the test reads its S, variance and tau from the batch)."""
 
     def _assert_matches_scalar(self, matrix):
         result = mann_kendall_batch(matrix)
@@ -142,18 +162,30 @@ class TestBatch:
             values = padded[~np.isnan(padded)]
             assert result.lengths[row] == len(values)
             if len(values) >= 3:
-                reference = mann_kendall_test(values)
-                assert result.s[row] == reference.s
-                assert result.variance[row] == reference.variance
-                assert result.z[row] == reference.z
-                assert result.tau[row] == reference.tau
-                assert result.p_value[row] == reference.p_value
+                reference = mann_kendall_scalar(values)
+                scalar = mann_kendall_test(values)
+                assert float_bytes(result, row) == float_bytes(reference)
+                assert float_bytes(scalar) == float_bytes(reference)
+                assert scalar.trend is reference.trend
             else:
                 assert result.s[row] == 0.0
                 assert result.variance[row] == 0.0
                 assert result.z[row] == 0.0
                 assert result.tau[row] == 0.0
                 assert result.p_value[row] == 1.0
+
+    @pytest.mark.parametrize("max_lag", [None, 3])
+    def test_hamed_rao_matches_scalar(self, max_lag):
+        rng = np.random.default_rng(2)
+        for series in (
+            np.cumsum(rng.normal(size=40)),
+            rng.choice([0.1, 0.2, 0.3], size=25),
+            rng.normal(size=12),
+        ):
+            result = mann_kendall_test(series, hamed_rao=True, max_lag=max_lag)
+            reference = mann_kendall_scalar(series, hamed_rao=True, max_lag=max_lag)
+            assert float_bytes(result) == float_bytes(reference)
+            assert result.trend is reference.trend
 
     def test_random_sequences(self):
         rng = np.random.default_rng(0)
