@@ -1,12 +1,14 @@
 """Padding and length-bucketing utilities for the batched sequence kernels.
 
 The numpy sequence models (``LSTMRegressor``, ``LinearChainCRF``,
-``BiLSTMCRF``) historically processed one sequence at a time in Python
-loops.  The batched kernels instead operate on dense tensors:
+``BiLSTMCRF``) run dense tensors through their kernels, never one
+sequence at a time:
 
 * ragged 1-D score sequences are packed into a right-padded ``(N, T)``
-  matrix plus a length vector (:func:`pad_sequences`), with per-step
-  masking inside the recurrent kernels;
+  matrix plus a length vector (:func:`pad_sequences`, checked by
+  :func:`check_padded`), and the LSTM recurrence
+  (:func:`repro.models.lstm.lstm_forward`) holds each row's state past
+  its length;
 * variable-length sentences are grouped into exact-length buckets
   (:func:`length_buckets`) so each bucket runs through the lattice
   recursions as one ``(B, L, T)`` tensor with no masking at all, which
@@ -47,6 +49,32 @@ def pad_sequences(
     values = np.zeros((len(arrays), int(lengths.max())))
     for row, array in enumerate(arrays):
         values[row, : len(array)] = array
+    return values, lengths
+
+
+def check_padded(
+    values: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A padded batch as a float ``(N, T)`` matrix and ``N`` int lengths.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``values`` is not 2-D, there is not one length per row, or a
+        length is outside ``[1, T]``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if values.ndim != 2 or lengths.ndim != 1 or len(values) != len(lengths):
+        raise ConfigurationError(
+            f"padded values {values.shape} and lengths {lengths.shape} misaligned"
+        )
+    if len(lengths) and lengths.min() < 1:
+        raise ConfigurationError("cannot predict from an empty sequence")
+    if len(lengths) and lengths.max() > values.shape[1]:
+        raise ConfigurationError(
+            f"length {lengths.max()} exceeds the padded width {values.shape[1]}"
+        )
     return values, lengths
 
 

@@ -3,8 +3,9 @@
 The paper's NER model is the BiLSTM-CNNs-CRF of Ma & Hovy (2016).  This
 is its numpy equivalent minus the character-CNN: word embeddings
 (initialised from the simulated pretrained vectors) feed a bidirectional
-LSTM whose concatenated states project to CRF emission scores; the CRF
-layer (transitions, forward-backward, Viterbi) is shared with
+LSTM (both directions run :mod:`repro.models.lstm`'s one recurrence)
+whose concatenated states project to CRF emission scores; the CRF layer
+(transitions, forward-backward, Viterbi) is shared with
 :class:`~repro.models.crf.LinearChainCRF` via :mod:`repro.models.crf_core`.
 
 Compared with the feature CRF, this model is slower but supports *true*
@@ -22,98 +23,8 @@ from ..exceptions import ConfigurationError
 from .batching import length_buckets
 from .crf_core import CRFTagger, crf_marginals_batch, crf_padded_gradients
 from .embeddings import pretrained_for_dataset
-from .layers import dropout_mask, glorot_init, sigmoid
-
-
-def _lstm_run(
-    inputs: np.ndarray, w_input: np.ndarray, w_hidden: np.ndarray, bias: np.ndarray
-) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
-    """Unroll an LSTM over ``inputs`` (L, D); gates stacked [i, f, g, o]."""
-    length = inputs.shape[0]
-    hidden_dim = w_hidden.shape[0]
-    h_state = np.zeros(hidden_dim)
-    c_state = np.zeros(hidden_dim)
-    states = np.empty((length, hidden_dim))
-    caches: list[dict[str, np.ndarray]] = []
-    for t in range(length):
-        pre = inputs[t] @ w_input + h_state @ w_hidden + bias
-        i = sigmoid(pre[:hidden_dim])
-        f = sigmoid(pre[hidden_dim : 2 * hidden_dim])
-        g = np.tanh(pre[2 * hidden_dim : 3 * hidden_dim])
-        o = sigmoid(pre[3 * hidden_dim :])
-        c_new = f * c_state + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        caches.append({
-            "x": inputs[t], "h_prev": h_state, "c_prev": c_state,
-            "i": i, "f": f, "g": g, "o": o, "tanh_c": tanh_c,
-        })
-        h_state, c_state = h_new, c_new
-        states[t] = h_new
-    return states, caches
-
-
-def _lstm_run_batch(
-    inputs: np.ndarray, w_input: np.ndarray, w_hidden: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
-    """Inference-only LSTM over a same-length batch ``(B, L, D)``.
-
-    Returns the hidden states ``(B, L, H)``.  No caches are kept (the
-    training path still uses :func:`_lstm_run` per sentence) and no
-    masking is needed because callers bucket sentences by exact length.
-    """
-    batch, length, _ = inputs.shape
-    hidden_dim = w_hidden.shape[0]
-    h_state = np.zeros((batch, hidden_dim))
-    c_state = np.zeros((batch, hidden_dim))
-    states = np.empty((batch, length, hidden_dim))
-    for t in range(length):
-        pre = inputs[:, t] @ w_input + h_state @ w_hidden + bias
-        i = sigmoid(pre[:, :hidden_dim])
-        f = sigmoid(pre[:, hidden_dim : 2 * hidden_dim])
-        g = np.tanh(pre[:, 2 * hidden_dim : 3 * hidden_dim])
-        o = sigmoid(pre[:, 3 * hidden_dim :])
-        c_state = f * c_state + i * g
-        h_state = o * np.tanh(c_state)
-        states[:, t] = h_state
-    return states
-
-
-def _lstm_back(
-    d_states: np.ndarray,
-    caches: list[dict[str, np.ndarray]],
-    w_input: np.ndarray,
-    w_hidden: np.ndarray,
-    grads: dict[str, np.ndarray],
-    prefix: str,
-) -> np.ndarray:
-    """BPTT: accumulate parameter grads, return input gradients (L, D)."""
-    hidden_dim = w_hidden.shape[0]
-    d_inputs = np.zeros((len(caches), w_input.shape[0]))
-    dh = np.zeros(hidden_dim)
-    dc = np.zeros(hidden_dim)
-    for t in range(len(caches) - 1, -1, -1):
-        cache = caches[t]
-        dh = dh + d_states[t]
-        do = dh * cache["tanh_c"]
-        dc = dc + dh * cache["o"] * (1.0 - cache["tanh_c"] ** 2)
-        di = dc * cache["g"]
-        df = dc * cache["c_prev"]
-        dg = dc * cache["i"]
-        dc_prev = dc * cache["f"]
-        dpre = np.concatenate([
-            di * cache["i"] * (1 - cache["i"]),
-            df * cache["f"] * (1 - cache["f"]),
-            dg * (1 - cache["g"] ** 2),
-            do * cache["o"] * (1 - cache["o"]),
-        ])
-        grads[f"Wx{prefix}"] += np.outer(cache["x"], dpre)
-        grads[f"Wh{prefix}"] += np.outer(cache["h_prev"], dpre)
-        grads[f"b{prefix}"] += dpre
-        d_inputs[t] = w_input @ dpre
-        dh = w_hidden @ dpre
-        dc = dc_prev
-    return d_inputs
+from .layers import dropout_mask, glorot_init
+from .lstm import lstm_backward, lstm_forward
 
 
 class BiLSTMCRF(CRFTagger):
@@ -159,29 +70,34 @@ class BiLSTMCRF(CRFTagger):
 
     # -- plumbing -----------------------------------------------------------
 
+    def _bilstm(self, embedded: np.ndarray, keep_caches: bool = False) -> tuple:
+        """Concatenated states ``(B, L, 2H)`` of same-length embedded
+        sentences ``(B, L, D)``, plus each direction's caches."""
+        params = self._params
+        lengths = np.full(len(embedded), embedded.shape[1])
+        forward, forward_caches = lstm_forward(
+            embedded, lengths, params["Wxf"], params["Whf"], params["bf"], keep_caches
+        )
+        backward_rev, backward_caches = lstm_forward(
+            embedded[:, ::-1], lengths, params["Wxb"], params["Whb"], params["bb"],
+            keep_caches,
+        )
+        states = np.concatenate([forward, backward_rev[:, ::-1]], axis=2)
+        return states, (forward_caches, backward_caches)
+
     def _encode(
         self, sentence: np.ndarray, drop_mask: np.ndarray | None
     ) -> tuple[np.ndarray, dict]:
         """Emission scores plus the cache the backward pass needs."""
         params = self._require_fitted()
-        embedded = params["E"][sentence]  # (L, D)
-        forward_states, forward_caches = _lstm_run(
-            embedded, params["Wxf"], params["Whf"], params["bf"]
-        )
-        backward_states_rev, backward_caches = _lstm_run(
-            embedded[::-1], params["Wxb"], params["Whb"], params["bb"]
-        )
-        concat = np.concatenate(
-            [forward_states, backward_states_rev[::-1]], axis=1
-        )  # (L, 2H)
-        dropped = concat if drop_mask is None else concat * drop_mask
+        states, caches = self._bilstm(params["E"][sentence][None], keep_caches=True)
+        dropped = states[0] if drop_mask is None else states[0] * drop_mask
         emissions = dropped @ params["Wo"] + params["bo"]
         cache = {
             "sentence": sentence,
             "dropped": dropped,
             "drop_mask": drop_mask,
-            "forward_caches": forward_caches,
-            "backward_caches": backward_caches,
+            "caches": caches,
         }
         return emissions, cache
 
@@ -268,17 +184,16 @@ class BiLSTMCRF(CRFTagger):
         d_concat = d_emissions @ params["Wo"].T
         if cache["drop_mask"] is not None:
             d_concat = d_concat * cache["drop_mask"]
-        d_forward = d_concat[:, :hidden]
-        d_backward = d_concat[:, hidden:]
-        d_inputs = _lstm_back(
-            d_forward, cache["forward_caches"], params["Wxf"], params["Whf"],
-            grads, "f",
+        forward_caches, backward_caches = cache["caches"]
+        d_forward = lstm_backward(
+            d_concat[None, :, :hidden], forward_caches, params["Wxf"], params["Whf"],
+            (grads["Wxf"], grads["Whf"], grads["bf"]),
         )
-        d_inputs_rev = _lstm_back(
-            d_backward[::-1], cache["backward_caches"], params["Wxb"], params["Whb"],
-            grads, "b",
+        d_backward_rev = lstm_backward(
+            d_concat[None, ::-1, hidden:], backward_caches,
+            params["Wxb"], params["Whb"], (grads["Wxb"], grads["Whb"], grads["bb"]),
         )
-        d_embedded = d_inputs + d_inputs_rev[::-1]
+        d_embedded = d_forward[0] + d_backward_rev[0, ::-1]
         np.add.at(grads["E"], cache["sentence"], d_embedded)
         grads["E"][0] = 0.0  # PAD stays zero
 
@@ -297,26 +212,19 @@ class BiLSTMCRF(CRFTagger):
 
         Sentences are grouped into exact-length buckets and each bucket
         runs through both LSTM directions as one ``(B, L, D)`` tensor.
-        The batched recurrence performs one matrix-matrix product per
-        step instead of ``B`` matrix-vector products, which BLAS may
-        reduce in a different order, so states agree with the
-        per-sentence encoder to ~1e-15 rather than bit-for-bit.
+        A bucket of ``B > 1`` performs one matrix-matrix product per step
+        instead of the ``B`` matrix-vector products of encoding each
+        sentence alone, which BLAS may reduce in a different order, so
+        states agree with :meth:`_encode` to ~1e-15, not bit for bit.
         """
         params = self._require_fitted()
         sentences = dataset.sentences
         output: list[np.ndarray | None] = [None] * len(sentences)
-        for length, rows in length_buckets([len(s) for s in sentences]):
+        for _, rows in length_buckets([len(s) for s in sentences]):
             ids = np.stack([sentences[int(r)] for r in rows])
-            embedded = params["E"][ids]  # (B, L, D)
-            forward = _lstm_run_batch(
-                embedded, params["Wxf"], params["Whf"], params["bf"]
-            )
-            backward_rev = _lstm_run_batch(
-                embedded[:, ::-1], params["Wxb"], params["Whb"], params["bb"]
-            )
-            concat = np.concatenate([forward, backward_rev[:, ::-1]], axis=2)
-            for row, states in zip(rows, concat):
-                output[int(row)] = states
+            states, _ = self._bilstm(params["E"][ids])  # (B, L, 2H)
+            for row, row_states in zip(rows, states):
+                output[int(row)] = row_states
         return output
 
     def emissions(self, dataset: SequenceDataset) -> list[np.ndarray]:

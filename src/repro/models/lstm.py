@@ -1,21 +1,15 @@
-"""Single-layer numpy LSTM for next-value prediction on short sequences.
+"""The numpy LSTM: one masked, batched recurrence and its BPTT.
 
-The LHS strategy (Sec. 4.4.2 of the paper) treats a sample's historical
-evaluation sequence as a time series and uses "a simple LSTM" to predict
-the next evaluation score, which becomes one of the ranking features.
-Historical sequences are at most a few tens of steps long, so a
-from-scratch LSTM with full BPTT is entirely adequate.
-
-The regressor maps a 1-D input sequence to a scalar prediction of the next
-value: scores are fed one per time step, the final hidden state goes
-through a linear head, and training minimises squared error.
-
-Both training and inference run *batched*: ragged sequences are packed
-into one padded ``(N, T)`` tensor and the recurrence advances all rows per
-time step with length masking, so predicting over an entire unlabeled pool
-is a handful of matrix products instead of a Python loop per sample.  The
-per-sequence scalar path is the test suite's oracle (``tests/oracles``);
-the two agree to float reduction order (tested at 1e-10).
+The LHS strategy (Sec. 4.4.2 of the paper) predicts each sample's next
+evaluation score with "a simple LSTM" (:class:`LSTMRegressor`: a linear
+head on the final state, trained on squared error), and the NER model
+encodes sentences with a bidirectional LSTM (:mod:`repro.models.bilstm_crf`).
+Both run :func:`lstm_forward`, over right-padded ``(B, T, D)`` inputs
+with each row's state held past its length, and :func:`lstm_backward`.
+Their per-sequence predecessors are the test suite's oracles
+(``tests/oracles``): a one-row batch matches the BiLSTM-CRF's
+per-sentence pair bit for bit, a wider batch matches per row to float
+reduction order (tested at 1e-10).
 """
 
 from __future__ import annotations
@@ -26,9 +20,94 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..rng import ensure_rng
-from .base import NumpyModel, bump_fit_generation, resolve_warm_epochs
-from .batching import pad_sequences
+from .base import (
+    NumpyModel, bump_fit_generation, params_from_jsonable, resolve_warm_epochs,
+)
+from .batching import check_padded, pad_sequences
 from .layers import Adam, glorot_init, sigmoid
+
+
+def lstm_forward(
+    inputs: np.ndarray, lengths: np.ndarray, w_input: np.ndarray,
+    w_hidden: np.ndarray, bias: np.ndarray, keep_caches: bool = False,
+) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
+    """Run the LSTM over right-padded ``inputs`` ``(B, T, D)``.
+
+    Gates are stacked ``[i, f, g, o]`` along the ``4H`` axis of
+    ``w_input`` ``(D, 4H)``, ``w_hidden`` ``(H, 4H)`` and ``bias``.  Row
+    ``b`` steps through its first ``lengths[b]`` inputs (each length in
+    ``[1, T]``), then holds its ``h`` and ``c``, so ``states[:, -1]`` is
+    every row's final state.  Returns the hidden states ``(B, T, H)``
+    and, with ``keep_caches``, the per-step caches :func:`lstm_backward`
+    reads (else ``[]``).
+    """
+    batch, steps, _ = inputs.shape
+    hidden_dim = w_hidden.shape[0]
+    h_state = np.zeros((batch, hidden_dim))
+    c_state = np.zeros((batch, hidden_dim))
+    states = np.empty((batch, steps, hidden_dim))
+    caches: list[dict[str, np.ndarray]] = []
+    for t in range(steps):
+        x = inputs[:, t]
+        pre = x @ w_input + h_state @ w_hidden + bias
+        i = sigmoid(pre[:, :hidden_dim])
+        f = sigmoid(pre[:, hidden_dim : 2 * hidden_dim])
+        g = np.tanh(pre[:, 2 * hidden_dim : 3 * hidden_dim])
+        o = sigmoid(pre[:, 3 * hidden_dim :])
+        c_new = f * c_state + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        if keep_caches:
+            caches.append({
+                "x": x, "h_prev": h_state, "c_prev": c_state,
+                "i": i, "f": f, "g": g, "o": o, "tanh_c": tanh_c,
+            })
+        active = (lengths > t)[:, None]  # rows that have ended hold their states
+        h_state = np.where(active, h_new, h_state)
+        c_state = np.where(active, c_new, c_state)
+        states[:, t] = h_state
+    return states, caches
+
+
+def lstm_backward(
+    d_states: np.ndarray, caches: list[dict[str, np.ndarray]], w_input: np.ndarray,
+    w_hidden: np.ndarray, grads: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """BPTT through the caches of one :func:`lstm_forward` call.
+
+    ``d_states`` ``(B, T, H)`` is the loss gradient at each hidden state,
+    zero past each row's length.  The gradients of ``w_input``,
+    ``w_hidden`` and ``bias`` are added one step at a time into
+    ``grads``, the caller's three arrays of their shapes.  Returns the
+    input gradients ``(B, T, D)``.
+    """
+    d_w_input, d_w_hidden, d_bias = grads
+    batch, steps, hidden_dim = d_states.shape
+    d_inputs = np.empty((batch, steps, w_input.shape[0]))
+    dh = np.zeros((batch, hidden_dim))
+    dc = np.zeros((batch, hidden_dim))
+    for t in range(steps - 1, -1, -1):
+        cache = caches[t]
+        dh = dh + d_states[:, t]
+        do = dh * cache["tanh_c"]
+        dc = dc + dh * cache["o"] * (1.0 - cache["tanh_c"] ** 2)
+        di = dc * cache["g"]
+        df = dc * cache["c_prev"]
+        dg = dc * cache["i"]
+        dc_prev = dc * cache["f"]
+        dpre = np.concatenate([
+            di * cache["i"] * (1 - cache["i"]),
+            df * cache["f"] * (1 - cache["f"]),
+            dg * (1 - cache["g"] ** 2),
+            do * cache["o"] * (1 - cache["o"]),
+        ], axis=1)
+        d_w_input += cache["x"].T @ dpre
+        d_w_hidden += cache["h_prev"].T @ dpre
+        d_bias += dpre.sum(axis=0)
+        d_inputs[:, t] = dpre @ w_input.T
+        dh = dpre @ w_hidden.T
+        dc = dc_prev
+    return d_inputs
 
 
 class LSTMRegressor(NumpyModel):
@@ -45,7 +124,8 @@ class LSTMRegressor(NumpyModel):
     -----
     :meth:`fit` takes ``sequences`` (list of 1-D arrays) and ``targets``
     (the value following each sequence).  Sequences may have different
-    lengths; they are padded into one batch and masked per time step.
+    lengths; they are padded into one batch of ``D = 1`` inputs to
+    :func:`lstm_forward`, and the loss gradient enters each row's last step.
     """
 
     def __init__(
@@ -77,90 +157,6 @@ class LSTMRegressor(NumpyModel):
         }
         params["b"][h : 2 * h] = 1.0  # forget-gate bias trick
         return params
-
-    # -- batched kernels -----------------------------------------------------
-
-    def _forward_batch(
-        self,
-        params: dict[str, np.ndarray],
-        values: np.ndarray,
-        lengths: np.ndarray,
-        want_caches: bool = False,
-    ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
-        """Advance all ``N`` padded sequences one time step at a time.
-
-        Rows whose sequence has ended keep their last hidden/cell state
-        frozen, so the returned ``(N, H)`` matrix holds each sequence's
-        final state regardless of padding.
-        """
-        h = self.hidden_dim
-        n, t_max = values.shape
-        h_state = np.zeros((n, h))
-        c_state = np.zeros((n, h))
-        caches: list[dict[str, np.ndarray]] = []
-        for t in range(t_max):
-            active = lengths > t
-            pre = (
-                values[:, t : t + 1] * params["Wx"][0]
-                + h_state @ params["Wh"]
-                + params["b"]
-            )
-            i = sigmoid(pre[:, :h])
-            f = sigmoid(pre[:, h : 2 * h])
-            g = np.tanh(pre[:, 2 * h : 3 * h])
-            o = sigmoid(pre[:, 3 * h :])
-            c_new = f * c_state + i * g
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            if want_caches:
-                caches.append({
-                    "i": i, "f": f, "g": g, "o": o, "tanh_c": tanh_c,
-                    "c_prev": c_state, "h_prev": h_state,
-                    "x": values[:, t], "active": active,
-                })
-            mask = active[:, None]
-            h_state = np.where(mask, h_new, h_state)
-            c_state = np.where(mask, c_new, c_state)
-        return h_state, caches
-
-    def _bptt_batch(
-        self,
-        params: dict[str, np.ndarray],
-        caches: list[dict[str, np.ndarray]],
-        dh_last: np.ndarray,
-        lengths: np.ndarray,
-        grads: dict[str, np.ndarray],
-    ) -> None:
-        """Masked batched BPTT, equal per row to one sequence's BPTT.
-
-        ``dh_last`` (N, H) is each sequence's loss gradient at its final
-        hidden state; it is injected at each row's last active step, and
-        rows past their length contribute exactly zero.
-        """
-        dh = np.zeros_like(dh_last)
-        dc = np.zeros_like(dh_last)
-        for t in range(len(caches) - 1, -1, -1):
-            cache = caches[t]
-            starting = (lengths - 1 == t)[:, None]
-            dh = np.where(starting, dh_last, dh)
-            dc = np.where(starting, 0.0, dc)
-            do = dh * cache["tanh_c"]
-            dc = dc + dh * cache["o"] * (1.0 - cache["tanh_c"] ** 2)
-            di = dc * cache["g"]
-            df = dc * cache["c_prev"]
-            dg = dc * cache["i"]
-            dc_prev = dc * cache["f"]
-            dpre = np.concatenate([
-                di * cache["i"] * (1 - cache["i"]),
-                df * cache["f"] * (1 - cache["f"]),
-                dg * (1 - cache["g"] ** 2),
-                do * cache["o"] * (1 - cache["o"]),
-            ], axis=1)
-            grads["Wx"][0] += cache["x"] @ dpre
-            grads["Wh"] += cache["h_prev"].T @ dpre
-            grads["b"] += dpre.sum(axis=0)
-            dh = dpre @ params["Wh"].T
-            dc = dc_prev
 
     # -- validation ----------------------------------------------------------
 
@@ -218,15 +214,21 @@ class LSTMRegressor(NumpyModel):
         n = len(arrays)
         for _ in range(epochs):
             grads = {name: np.zeros_like(value) for name, value in params.items()}
-            h_last, caches = self._forward_batch(
-                params, values, lengths, want_caches=True
+            states, caches = lstm_forward(
+                values[:, :, None], lengths, params["Wx"], params["Wh"], params["b"],
+                keep_caches=True,
             )
+            h_last = states[:, -1]
             predictions = h_last @ params["Wy"][:, 0] + params["by"][0]
             derr = 2.0 * (predictions - target_array) / n
             grads["Wy"][:, 0] += h_last.T @ derr
             grads["by"][0] += derr.sum()
-            dh_last = derr[:, None] * params["Wy"][:, 0][None, :]
-            self._bptt_batch(params, caches, dh_last, lengths, grads)
+            d_states = np.zeros_like(states)  # the head reads each row's last step
+            d_states[np.arange(n), lengths - 1] = derr[:, None] * params["Wy"][:, 0]
+            lstm_backward(
+                d_states, caches, params["Wx"], params["Wh"],
+                (grads["Wx"], grads["Wh"], grads["b"]),
+            )
             optimizer.update(params, grads)
         self._params = params
         bump_fit_generation(self)
@@ -249,20 +251,39 @@ class LSTMRegressor(NumpyModel):
         ``values`` rows are left-aligned with ``lengths`` valid entries
         each (the layout :meth:`repro.core.history.HistoryStore.padded_sequences`
         produces); padding content is ignored.
+
+        Raises
+        ------
+        ConfigurationError
+            If the shapes disagree or a length is outside ``[1, T]``.
         """
         params = self._require_fitted()
-        values = np.asarray(values, dtype=np.float64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if values.ndim != 2 or len(values) != len(lengths):
-            raise ConfigurationError(
-                f"padded values {values.shape} and lengths {lengths.shape} misaligned"
-            )
+        values, lengths = check_padded(values, lengths)
         if len(values) == 0:
             return np.empty(0)
-        if lengths.min() < 1:
-            raise ConfigurationError("cannot predict from an empty sequence")
-        h_last, _ = self._forward_batch(params, values, lengths)
-        return h_last @ params["Wy"][:, 0] + params["by"][0]
+        states, _ = lstm_forward(
+            values[:, :, None], lengths, params["Wx"], params["Wh"], params["b"]
+        )
+        return states[:, -1] @ params["Wy"][:, 0] + params["by"][0]
+
+    def set_params(self, state: dict) -> "LSTMRegressor":
+        """Restore the state produced by :meth:`get_params` and return ``self``.
+
+        Raises ``ConfigurationError`` naming the first of ``Wx``, ``Wh``,
+        ``b``, ``Wy`` and ``by`` that is missing or not the shape
+        ``hidden_dim`` gives it.
+        """
+        params = params_from_jsonable(state["arrays"])
+        # The layout a fit starts from; only the shapes are read.
+        for name, initial in self._init_params(np.random.default_rng(0)).items():
+            if params[name].shape != initial.shape:  # a missing array raises here
+                raise ConfigurationError(
+                    f"arrays.{name} must have shape {initial.shape}, "
+                    f"got {params[name].shape}"
+                )
+        self._params = params
+        bump_fit_generation(self)
+        return self
 
     def mse(self, sequences: Sequence[np.ndarray], targets: Sequence[float]) -> float:
         """Mean squared error of next-value predictions."""

@@ -224,6 +224,11 @@ def _predictor_from_dict(payload: "dict | None"):
             _read(payload, where, "coefficients", "list"),
             _FieldError, f"{where}.coefficients",
         )
+        if inner._coefficients.shape != (inner.order + 1,):
+            raise _FieldError(
+                f"{where}.coefficients must hold order + 1 = {inner.order + 1} "
+                f"numbers, got shape {inner._coefficients.shape}"
+            )
         return predictor
     if kind == "lstm":
         predictor = _build(

@@ -227,6 +227,27 @@ def mann_kendall_batch(sequences: np.ndarray) -> MKBatchResult:
     )
 
 
+def testable_series(values: "np.ndarray | list[float]", alpha: float) -> np.ndarray:
+    """``values`` as the 1-D float series :func:`mann_kendall_test` takes.
+
+    Raises
+    ------
+    ConfigurationError
+        If fewer than 3 values are supplied, a value is NaN (the batched
+        test reads NaN as "no observation") or alpha is out of (0, 1).
+    """
+    series = np.asarray(values, dtype=np.float64).ravel()
+    if len(series) < 3:
+        raise ConfigurationError(
+            f"Mann-Kendall needs at least 3 observations, got {len(series)}"
+        )
+    if np.isnan(series).any():
+        raise ConfigurationError("Mann-Kendall values must not be NaN")
+    if not 0 < alpha < 1:
+        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
+    return series
+
+
 def mann_kendall_test(
     values: "np.ndarray | list[float]",
     alpha: float = 0.05,
@@ -254,15 +275,7 @@ def mann_kendall_test(
         If fewer than 3 values are supplied, a value is NaN (the batched
         test reads NaN as "no observation") or alpha is out of (0, 1).
     """
-    series = np.asarray(values, dtype=np.float64).ravel()
-    if len(series) < 3:
-        raise ConfigurationError(
-            f"Mann-Kendall needs at least 3 observations, got {len(series)}"
-        )
-    if np.isnan(series).any():
-        raise ConfigurationError("Mann-Kendall values must not be NaN")
-    if not 0 < alpha < 1:
-        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
+    series = testable_series(values, alpha)
     batch = mann_kendall_batch(series[None, :])
     s, variance, tau = float(batch.s[0]), float(batch.variance[0]), float(batch.tau[0])
     if hamed_rao:

@@ -15,6 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..models.batching import check_padded
 from ..models.lstm import LSTMRegressor
 from .autoregressive import ARPredictor
 
@@ -44,9 +45,13 @@ class NextScorePredictor(ABC):
         :meth:`repro.core.history.HistoryStore.padded_sequences`
         produces).  The default unpacks back to ragged sequences; batched
         implementations override this to skip the round trip.
+
+        Raises
+        ------
+        ConfigurationError
+            If the shapes disagree or a length is outside ``[1, T]``.
         """
-        values = np.asarray(values, dtype=np.float64)
-        lengths = np.asarray(lengths, dtype=np.int64)
+        values, lengths = check_padded(values, lengths)
         return self.predict([row[:n] for row, n in zip(values, lengths)])
 
     def fit_from_history(self, sequences: Sequence[np.ndarray]) -> "NextScorePredictor":

@@ -7,7 +7,8 @@ carrying different information.  This module makes the taxonomy
 operational: monotone shapes are detected with the Mann-Kendall test and
 the stable/fluctuating split with a variance threshold, which
 :func:`classify_trends` chooses adaptively as a quantile of the observed
-variances.
+variances, testing the whole collection with one
+:func:`~repro.timeseries.mann_kendall.mann_kendall_batch` call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from .mann_kendall import Trend, mann_kendall_test
+from .mann_kendall import mann_kendall_batch, mann_kendall_test, testable_series
 
 
 class TrendShape(str, Enum):
@@ -28,6 +29,19 @@ class TrendShape(str, Enum):
     INCREASING = "increasing (b)"
     DECREASING = "decreasing (c)"
     FLUCTUATING = "fluctuating (d)"
+
+
+def _shape(
+    s: float, p_value: float, variance: float, variance_threshold: float, alpha: float
+) -> TrendShape:
+    """The shape of a series from its MK ``s`` and p-value and its variance."""
+    if p_value < alpha and s > 0:
+        return TrendShape.INCREASING
+    if p_value < alpha and s < 0:
+        return TrendShape.DECREASING
+    if variance > variance_threshold:
+        return TrendShape.FLUCTUATING
+    return TrendShape.STABLE
 
 
 def classify_trend(
@@ -52,13 +66,9 @@ def classify_trend(
         )
     series = np.asarray(sequence, dtype=np.float64).ravel()
     result = mann_kendall_test(series, alpha=alpha)
-    if result.trend is Trend.INCREASING:
-        return TrendShape.INCREASING
-    if result.trend is Trend.DECREASING:
-        return TrendShape.DECREASING
-    if float(np.var(series)) > variance_threshold:
-        return TrendShape.FLUCTUATING
-    return TrendShape.STABLE
+    return _shape(
+        result.s, result.p_value, float(np.var(series)), variance_threshold, alpha
+    )
 
 
 def classify_trends(
@@ -71,13 +81,16 @@ def classify_trends(
     The stable/fluctuating cut is placed at the ``fluctuation_quantile``
     of the sequences' variances, so "fluctuating" means "fluctuates more
     than most of this collection" — the relative notion the paper uses.
+    Every sequence is tested in one NaN-padded :func:`mann_kendall_batch`
+    call; the labels equal :func:`classify_trend`'s at that threshold.
 
     Returns a count per shape (all four keys always present).
 
     Raises
     ------
     ConfigurationError
-        On an empty collection or an out-of-range quantile.
+        On an empty collection, an out-of-range quantile or alpha, or a
+        sequence :func:`classify_trend` rejects (under 3 points, a NaN).
     """
     if not sequences:
         raise ConfigurationError("no sequences to classify")
@@ -85,9 +98,14 @@ def classify_trends(
         raise ConfigurationError(
             f"fluctuation_quantile must be in (0, 1), got {fluctuation_quantile}"
         )
-    variances = np.array([np.var(np.asarray(s, dtype=np.float64)) for s in sequences])
+    series = [testable_series(sequence, alpha) for sequence in sequences]
+    variances = [float(np.var(values)) for values in series]
     threshold = float(np.quantile(variances, fluctuation_quantile))
+    padded = np.full((len(series), max(len(values) for values in series)), np.nan)
+    for row, values in enumerate(series):
+        padded[row, : len(values)] = values
+    result = mann_kendall_batch(padded)
     counts = {shape: 0 for shape in TrendShape}
-    for sequence in sequences:
-        counts[classify_trend(sequence, threshold, alpha=alpha)] += 1
+    for s, p_value, variance in zip(result.s, result.p_value, variances):
+        counts[_shape(s, p_value, variance, threshold, alpha)] += 1
     return counts

@@ -1,15 +1,16 @@
 """Batched kernels vs per-sample oracles: equivalence and determinism.
 
-The batched sequence-model paths (padded-tensor LSTM, length-bucketed
-CRF lattice kernels, the padded CRF training kernel, MC-dropout subgraph
-reuse) keep their original per-sample implementations as oracles: the
-functions in :mod:`tests.oracles.models`, and here
-:func:`accumulate_sentence_grads` with :class:`PerSentenceCRF` and
-:class:`PerSentenceBiLSTMCRF`.  The CRF lattice kernels reduce the tag
-axis identically batched or not, so those paths (both taggers' fits
-included) must be bit-for-bit equal; LSTM/BiLSTM inference routes
-matrix products through a different BLAS kernel (gemm vs gemv), so it
-gets a 1e-10 tolerance instead.
+The batched sequence-model paths (the padded, masked LSTM recurrence,
+length-bucketed CRF lattice kernels, the padded CRF training kernel,
+MC-dropout subgraph reuse) keep their original per-sample
+implementations as oracles: the functions in :mod:`tests.oracles.models`,
+and here :func:`accumulate_sentence_grads` with :class:`PerSentenceCRF`
+and :class:`PerSentenceBiLSTMCRF`.  The CRF lattice kernels reduce the
+tag axis identically batched or not, so those paths (both taggers' fits
+included) must be bit-for-bit equal, and so must a one-row batch of the
+LSTM recurrence; a wider LSTM/BiLSTM batch routes matrix products
+through a different BLAS kernel (gemm vs gemv), so it gets the oracle
+module's ``GEMM_TOLERANCE`` instead.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from repro.models.bilstm_crf import BiLSTMCRF
 from repro.models.crf import LinearChainCRF
 from repro.models.crf_core import crf_padded_gradients
 from repro.models.layers import dropout_mask
-from repro.models.lstm import LSTMRegressor
+from repro.models.lstm import LSTMRegressor, lstm_backward, lstm_forward
 from repro.models.textcnn import TextCNN
 from tests.oracles.models import (
+    GEMM_TOLERANCE,
     bilstm_crf_token_marginal_samples_reference,
     crf_best_path_log_proba_reference,
     crf_predict_tags_reference,
@@ -36,12 +38,14 @@ from tests.oracles.models import (
     crf_token_marginals_reference,
     linear_crf_sentence_emissions,
     linear_crf_token_marginal_samples_reference,
+    lstm_back,
     lstm_fit_reference,
     lstm_predict_reference,
+    lstm_run,
     textcnn_predict_proba_samples_reference,
 )
 
-TOL = 1e-10
+TOL = GEMM_TOLERANCE
 
 
 def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -178,6 +182,84 @@ class TestPaddingUtils:
 
     def test_length_buckets_empty(self):
         assert length_buckets([]) == []
+
+
+def _lstm_weights(rng, input_dim, hidden_dim):
+    """``(w_input, w_hidden, bias)`` of one LSTM, gates stacked [i, f, g, o]."""
+    return (
+        rng.normal(scale=0.6, size=(input_dim, 4 * hidden_dim)),
+        rng.normal(scale=0.6, size=(hidden_dim, 4 * hidden_dim)),
+        rng.normal(scale=0.3, size=4 * hidden_dim),
+    )
+
+
+def _sentence_run(inputs, d_states, weights, grads):
+    """The per-sentence unroll and BPTT: states, input gradients, and the
+    weight gradients added into copies of ``grads``."""
+    states, caches = lstm_run(inputs, *weights)
+    names = ("Wx_", "Wh_", "b_")
+    totals = {name: grad.copy() for name, grad in zip(names, grads)}
+    d_inputs = lstm_back(d_states, caches, weights[0], weights[1], totals, "_")
+    return states, d_inputs, tuple(totals[name] for name in names)
+
+
+def _batch_run(inputs, lengths, d_states, weights, grads):
+    """The shared masked recurrence on a padded batch: the same outputs."""
+    states, caches = lstm_forward(inputs, lengths, *weights, keep_caches=True)
+    totals = tuple(grad.copy() for grad in grads)
+    d_inputs = lstm_backward(d_states, caches, weights[0], weights[1], totals)
+    return states, d_inputs, totals
+
+
+class TestLSTMRecurrence:
+    """``lstm_forward``/``lstm_backward`` against the per-sentence pair."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("length", [1, 2, 9])
+    def test_one_row_matches_the_sentence_oracle_bit_for_bit(self, length, reverse):
+        rng = np.random.default_rng(length)
+        weights = _lstm_weights(rng, input_dim=5, hidden_dim=4)
+        inputs = rng.normal(size=(length, 5))
+        d_states = rng.normal(size=(length, 4))
+        if reverse:  # views, as BiLSTMCRF runs its backward direction
+            inputs, d_states = inputs[::-1], d_states[::-1]
+        # Gradients already holding other sentences' sums: adding each
+        # step into them is not the same as adding one per-call total.
+        held = tuple(rng.normal(size=w.shape) for w in weights)
+        expected = _sentence_run(inputs, d_states, weights, held)
+        states, d_inputs, grads = _batch_run(
+            inputs[None], np.array([length]), d_states[None], weights, held
+        )
+        assert_same_bytes(states[0], expected[0])
+        assert_same_bytes(d_inputs[0], expected[1])
+        for got, want in zip(grads, expected[2]):
+            assert_same_bytes(got, want)
+
+    def test_padded_rows_match_their_run_alone_and_hold_past_it(self):
+        rng = np.random.default_rng(7)
+        weights = _lstm_weights(rng, input_dim=3, hidden_dim=4)
+        lengths = np.array([1, 5, 3, 7, 2, 7])
+        # Two columns past the longest row; random padding must not leak.
+        inputs = rng.normal(size=(len(lengths), 9, 3))
+        d_states = rng.normal(size=(len(lengths), 9, 4))
+        d_states[np.arange(9)[None, :] >= lengths[:, None]] = 0.0
+        zeros = tuple(np.zeros_like(w) for w in weights)
+        states, d_inputs, grads = _batch_run(inputs, lengths, d_states, weights, zeros)
+        summed = [np.zeros_like(w) for w in weights]
+        for row, length in enumerate(lengths):
+            alone = _sentence_run(
+                inputs[row, :length], d_states[row, :length], weights, zeros
+            )
+            np.testing.assert_allclose(states[row, :length], alone[0], atol=TOL, rtol=0)
+            assert (states[row, length:] == states[row, length - 1]).all()
+            np.testing.assert_allclose(
+                d_inputs[row, :length], alone[1], atol=TOL, rtol=0
+            )
+            assert not d_inputs[row, length:].any()
+            for total, part in zip(summed, alone[2]):
+                total += part
+        for got, want in zip(grads, summed):
+            np.testing.assert_allclose(got, want, atol=TOL, rtol=0)
 
 
 class TestLSTMBatched:

@@ -1,5 +1,7 @@
 """Tests for the numpy LSTM regressor, including a BPTT gradient check."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,39 @@ class TestValidation:
         model = LSTMRegressor(epochs=2).fit(sequences, targets)
         with pytest.raises(ConfigurationError):
             model.predict([np.array([])])
+
+    def test_predict_padded_rejects_a_length_past_the_width(self):
+        sequences, targets = linear_trend_data(n=5)
+        model = LSTMRegressor(epochs=2).fit(sequences, targets)
+        message = "length 9 exceeds the padded width 3"
+        with pytest.raises(ConfigurationError, match=message):
+            model.predict_padded(np.ones((2, 3)), np.array([3, 9]))
+
+
+class TestSetParams:
+    """A parameter state is checked array by array against ``hidden_dim``."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        return LSTMRegressor(hidden_dim=3, epochs=2).fit(*linear_trend_data(n=5))
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("Wx", (1, 12)), ("Wh", (3, 12)), ("b", (12,)), ("Wy", (3, 1)), ("by", (1,))],
+    )
+    def test_mis_shaped_array_rejected(self, fitted, name, shape):
+        arrays = dict(fitted.get_params()["arrays"], **{name: [[0.0, 1.0]]})
+        message = f"arrays.{name} must have shape {shape}, got (1, 2)"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            LSTMRegressor(hidden_dim=3).set_params({"arrays": arrays, "meta": {}})
+
+    def test_missing_array_rejected(self, fitted):
+        arrays = dict(fitted.get_params()["arrays"])
+        del arrays["Wy"]
+        with pytest.raises(ConfigurationError, match="no array 'Wy'"):
+            LSTMRegressor(hidden_dim=3).set_params({"arrays": arrays, "meta": {}})
+
+    def test_other_hidden_dim_rejected(self, fitted):
+        message = re.escape("arrays.Wx must have shape (1, 16)")
+        with pytest.raises(ConfigurationError, match=message):
+            LSTMRegressor(hidden_dim=4).set_params(fitted.get_params())

@@ -9,10 +9,11 @@ object it checks (a fitted model, a strategy, a tree) or over plain
 arrays.
 
 * :mod:`tests.oracles.models` — the LSTM regressor's per-sequence
-  recurrence and BPTT, the per-sentence CRF lattice (forward, backward,
-  path score, NLL gradients, Viterbi, marginals) and decodes of both
-  CRF taggers, their per-draw BALD samplers, and TextCNN's full forward
-  pass per MC-dropout draw.
+  recurrence and BPTT, the BiLSTM-CRF's per-sentence unroll and BPTT
+  (``lstm_run``, ``lstm_back``), the per-sentence CRF lattice
+  (forward, backward, path score, NLL gradients, Viterbi, marginals)
+  and decodes of both CRF taggers, their per-draw BALD samplers, and
+  TextCNN's full forward pass per MC-dropout draw.
 * :mod:`tests.oracles.ltr` — the per-row regression-tree walk and the
   double-loop LambdaRank gradients.
 * :mod:`tests.oracles.core` — the full-sort strategy ``select`` and the
@@ -23,6 +24,6 @@ arrays.
 ``repro.core.selection.top_k_reference`` stays in ``src``: it is also
 the production fallback of ``top_k_indices`` for NaN scores and
 ``k >= n``.  ``tests/test_source_tree.py`` fails if any other
-``*_reference`` function, or any function named like one defined here,
-appears in ``src``.
+``*_reference`` function, or any function named like one defined here
+(leading underscores aside), appears in ``src``.
 """

@@ -1,12 +1,17 @@
 """Per-sample oracles for the batched model kernels.
 
-The batched paths (padded-tensor LSTM, length-bucketed CRF lattices,
-the padded CRF training kernel, MC-dropout subgraph reuse) replaced the
-per-sequence, per-sentence and per-draw loops below.  The CRF lattice
-kernels reduce the tag axis the same way batched or not, so the CRF
-oracles must match bit for bit; the LSTM and BiLSTM paths route matrix
-products through a different BLAS kernel (gemm vs gemv) and match to
-1e-10.
+The batched paths (the padded, masked LSTM recurrence, length-bucketed
+CRF lattices, the padded CRF training kernel, MC-dropout subgraph reuse)
+replaced the per-sequence, per-sentence and per-draw loops below.  The
+CRF lattice kernels reduce the tag axis the same way batched or not, so
+the CRF oracles must match bit for bit.  The shared LSTM recurrence
+(``repro.models.lstm.lstm_forward``/``lstm_backward``) on a one-row
+batch runs the same numpy matrix-vector products (BLAS gemv) as the
+per-sentence unroll and BPTT below (:func:`lstm_run`,
+:func:`lstm_back`), so it must match them bit for bit; a batch of
+several rows runs matrix-matrix products (gemm) that BLAS may reduce in
+another order, and matches the per-row oracles to
+:data:`GEMM_TOLERANCE`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ from repro.models.layers import Adam, dropout_mask, sigmoid
 from repro.models.lstm import LSTMRegressor
 from repro.models.textcnn import TextCNN
 from repro.rng import ensure_rng
+
+#: Largest absolute difference allowed between a batched (gemm) LSTM or
+#: BiLSTM result and its per-sequence (gemv) oracle; measured ~1e-15.
+GEMM_TOLERANCE = 1e-10
 
 # -- LSTMRegressor: one sequence at a time ------------------------------------
 
@@ -131,6 +140,74 @@ def lstm_predict_reference(
         h_last, _ = lstm_unroll(model, params, array)
         predictions[index] = h_last @ params["Wy"][:, 0] + params["by"][0]
     return predictions
+
+
+# -- BiLSTM-CRF's recurrence: one sentence at a time ---------------------------
+
+
+def lstm_run(
+    inputs: np.ndarray, w_input: np.ndarray, w_hidden: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
+    """Unroll an LSTM over ``inputs`` (L, D); gates stacked [i, f, g, o]."""
+    length = inputs.shape[0]
+    hidden_dim = w_hidden.shape[0]
+    h_state = np.zeros(hidden_dim)
+    c_state = np.zeros(hidden_dim)
+    states = np.empty((length, hidden_dim))
+    caches: list[dict[str, np.ndarray]] = []
+    for t in range(length):
+        pre = inputs[t] @ w_input + h_state @ w_hidden + bias
+        i = sigmoid(pre[:hidden_dim])
+        f = sigmoid(pre[hidden_dim : 2 * hidden_dim])
+        g = np.tanh(pre[2 * hidden_dim : 3 * hidden_dim])
+        o = sigmoid(pre[3 * hidden_dim :])
+        c_new = f * c_state + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        caches.append({
+            "x": inputs[t], "h_prev": h_state, "c_prev": c_state,
+            "i": i, "f": f, "g": g, "o": o, "tanh_c": tanh_c,
+        })
+        h_state, c_state = h_new, c_new
+        states[t] = h_new
+    return states, caches
+
+
+def lstm_back(
+    d_states: np.ndarray,
+    caches: list[dict[str, np.ndarray]],
+    w_input: np.ndarray,
+    w_hidden: np.ndarray,
+    grads: dict[str, np.ndarray],
+    prefix: str,
+) -> np.ndarray:
+    """BPTT: accumulate parameter grads, return input gradients (L, D)."""
+    hidden_dim = w_hidden.shape[0]
+    d_inputs = np.zeros((len(caches), w_input.shape[0]))
+    dh = np.zeros(hidden_dim)
+    dc = np.zeros(hidden_dim)
+    for t in range(len(caches) - 1, -1, -1):
+        cache = caches[t]
+        dh = dh + d_states[t]
+        do = dh * cache["tanh_c"]
+        dc = dc + dh * cache["o"] * (1.0 - cache["tanh_c"] ** 2)
+        di = dc * cache["g"]
+        df = dc * cache["c_prev"]
+        dg = dc * cache["i"]
+        dc_prev = dc * cache["f"]
+        dpre = np.concatenate([
+            di * cache["i"] * (1 - cache["i"]),
+            df * cache["f"] * (1 - cache["f"]),
+            dg * (1 - cache["g"] ** 2),
+            do * cache["o"] * (1 - cache["o"]),
+        ])
+        grads[f"Wx{prefix}"] += np.outer(cache["x"], dpre)
+        grads[f"Wh{prefix}"] += np.outer(cache["h_prev"], dpre)
+        grads[f"b{prefix}"] += dpre
+        d_inputs[t] = w_input @ dpre
+        dh = w_hidden @ dpre
+        dc = dc_prev
+    return d_inputs
 
 
 # -- CRF taggers: one sentence at a time --------------------------------------

@@ -256,3 +256,33 @@ class TestMalformedRanker:
         path, payload = document
         payload["extractor"]["window"] = 0
         self.assert_rejected(path, payload, "extractor: window must be >= 1, got 0")
+
+    def test_coefficients_not_order_plus_one(self, document):
+        path, payload = document
+        predictor = payload["extractor"]["predictor"]
+        predictor["order"] = 3
+        predictor["coefficients"] = predictor["coefficients"][:2]
+        self.assert_rejected(
+            path, payload,
+            "extractor.predictor.coefficients must hold order + 1 = 4 numbers, "
+            "got shape (2,)",
+        )
+
+
+@pytest.mark.parametrize("ranker", ["lstm"], indirect=True)
+class TestMisShapedLSTMPredictor:
+    """Each LSTM array is checked at load, not at the first prediction."""
+
+    @pytest.mark.parametrize("name", ["Wx", "Wh", "b", "Wy", "by"])
+    def test_array_of_the_wrong_shape(self, ranker, tmp_path, name):
+        path = tmp_path / "ranker.json"
+        save_lhs_ranker(ranker, path)
+        payload = json.loads(path.read_text())
+        predictor = payload["extractor"]["predictor"]
+        shape = np.shape(predictor["params"][name])
+        predictor["params"][name] = [[0.0, 1.0]]
+        TestMalformedRanker.assert_rejected(
+            path, payload,
+            f"extractor.predictor.params: arrays.{name} must have shape {shape}, "
+            "got (1, 2)",
+        )

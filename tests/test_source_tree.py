@@ -4,8 +4,10 @@ The scalar oracles the fast paths are tested against live in
 ``tests/oracles``.  ``top_k_reference`` is the one ``*_reference``
 function ``src`` keeps, because ``top_k_indices`` falls back to it for
 NaN scores and ``k >= n``.  No function under ``src/repro`` may share
-its name with a function of ``tests/oracles``, so an oracle that moved
-out of ``src`` cannot come back as a second production path.
+its name, leading underscores aside, with a function of
+``tests/oracles``, so an oracle that moved out of ``src`` cannot come
+back as a second production path, public (``lstm_run``) or private
+(``_lstm_run``).
 """
 
 import ast
@@ -42,13 +44,15 @@ def test_no_reference_oracles_in_src():
 
 def test_no_oracle_twins_in_src():
     oracle_names = {
-        node.name
+        node.name.lstrip("_")
         for path in ORACLE_ROOT.glob("*.py")
         for node in _parse(path).body
         if isinstance(node, FUNCTION_NODES)
     }
     assert oracle_names  # the walk found the oracles
     twins = [
-        f"{where} {name}" for where, name in _source_functions() if name in oracle_names
+        f"{where} {name}"
+        for where, name in _source_functions()
+        if name.lstrip("_") in oracle_names
     ]
     assert not twins, f"src defines functions the oracles also define: {twins}"

@@ -57,3 +57,9 @@ class TestPredictors:
     def test_fit_from_history_all_short_rejected(self, predictor_factory):
         with pytest.raises(ConfigurationError):
             predictor_factory().fit_from_history([np.array([0.5]), np.array([0.2])])
+
+    def test_predict_padded_rejects_a_length_past_the_width(self, predictor_factory):
+        sequences = trend_sequences(n=10)
+        predictor = predictor_factory().fit_from_history(sequences)
+        with pytest.raises(ConfigurationError, match="exceeds the padded width 3"):
+            predictor.predict_padded(np.ones((2, 3)), np.array([3, 9]))
