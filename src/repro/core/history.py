@@ -323,7 +323,7 @@ class HistoryStore:
                     np.asarray(row["indices"], dtype=np.int64),
                     np.asarray(row["scores"], dtype=np.float64),
                 )
-        for row in payload.get("labels", []):
+        for row in payload.get("labels") or []:
             history.append_labels(
                 int(row["round"]),
                 np.asarray(row["indices"], dtype=np.int64),

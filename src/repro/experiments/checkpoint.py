@@ -47,7 +47,7 @@ import re
 from pathlib import Path
 
 # result_to_dict/result_from_dict are also imported from here by callers.
-from ..core.session import ALResult, result_from_dict, result_to_dict
+from ..core.session import SNAPSHOT_RULES, ALResult, result_from_dict, result_to_dict
 from ..exceptions import CheckpointError, HistoryError
 from ..formats import (
     CHECKPOINT_FORMAT,
@@ -55,8 +55,25 @@ from ..formats import (
     SESSION_CHECKPOINT_FORMAT,
     SESSION_CHECKPOINT_VERSION,
 )
-from ..ioutil import atomic_write_json, check_fingerprint, read_json, validate_envelope
+from ..ioutil import (
+    atomic_write_json,
+    check_fields,
+    check_fingerprint,
+    read_json,
+    validate_envelope,
+)
 from .config import ExperimentConfig
+
+#: Every field of a cell file's ``result`` that :func:`result_from_dict`
+#: reads, checked by the same record rules as a session snapshot's.
+RESULT_RULES = {
+    "result": ("an object", lambda value: isinstance(value, dict)),
+    "result.strategy_name": ("a string", lambda value: isinstance(value, str)),
+    **{
+        f"result.{key}": SNAPSHOT_RULES[key]
+        for key in ("records", "selection_order", "history")
+    },
+}
 
 
 def cell_stem(strategy: str, repeat: int) -> str:
@@ -190,8 +207,9 @@ class CheckpointStore:
         ------
         CheckpointError
             If the file exists but is unreadable, not a cell checkpoint,
-            from an unsupported format version, or stale (its fingerprint
-            does not match this run's strategy/repeat/seed/config).
+            from an unsupported format version, stale (its fingerprint
+            does not match this run's strategy/repeat/seed/config), or
+            has a ``result`` field that breaks :data:`RESULT_RULES`.
         """
         path = self.cell_path(strategy, repeat)
         payload = _read(path, "checkpoint")
@@ -210,9 +228,10 @@ class CheckpointStore:
             source=f"checkpoint {path}",
             hint="clear the checkpoint directory or rerun without resume",
         )
+        check_fields(payload, RESULT_RULES, CheckpointError, f"corrupt checkpoint {path}")
         try:
             return result_from_dict(payload["result"])
-        except (KeyError, TypeError, ValueError, HistoryError) as error:
+        except (HistoryError, OverflowError) as error:  # a rejected round, an index past int64
             raise CheckpointError(f"corrupt checkpoint {path}: {error}") from error
 
     # -- in-flight session snapshots -----------------------------------------

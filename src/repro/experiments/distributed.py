@@ -76,7 +76,7 @@ from functools import partial
 from pathlib import Path
 
 from ..exceptions import ConfigurationError, ExecutionError, QueueError
-from ..ioutil import atomic_write_json, check_fields, fsync_directory, read_json
+from ..ioutil import atomic_write_json, check_fields, fsync_directory, parse_json, read_json
 from ..specs.experiment import OPTION_RULES, ExperimentSpec, check_option
 from ..specs.models import build_model
 from ..specs.strategies import build_strategy
@@ -257,8 +257,8 @@ class CellQueue:
         records = []
         for line in path.read_bytes().splitlines():
             try:
-                records.append(json.loads(line.decode("utf-8")))
-            except ValueError:  # not UTF-8, or not JSON
+                records.append(parse_json(line, ValueError, "audit record"))
+            except ValueError:
                 continue
         return records
 
@@ -281,8 +281,8 @@ class CellQueue:
 
     def _read_json(self, path: Path) -> "dict | None":
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):  # unreadable, not UTF-8, or not JSON
+            payload = read_json(path, ValueError, "cannot read")
+        except ValueError:
             return None
         return payload if isinstance(payload, dict) else None
 

@@ -15,8 +15,10 @@ the write survive a machine crash, not just a process crash.  The
 distributed work queue uses it for commit markers: a ``done`` marker
 must never hit the disk before the checkpoint bytes it vouches for.
 
-:func:`read_json` is the one reader of JSON files: whatever is wrong
-with the file, it raises the caller's typed error.
+:func:`parse_json` is the one JSON parser of untrusted text (files,
+stored documents, request bodies), and :func:`read_json` the one reader
+of JSON files: whatever is wrong with the text, they raise the caller's
+typed error.
 
 :func:`encode_array` / :func:`decode_array` are the array codec of
 session snapshots: a float64 array travels as base64 of its
@@ -94,18 +96,32 @@ def atomic_write_json(path: "str | Path", payload: dict, durable: bool = False) 
     atomic_write_text(path, json.dumps(payload), durable=durable)
 
 
+def parse_json(text: "str | bytes", error_cls: type[Exception], source: str):
+    """The JSON document in ``text``; bytes are read as UTF-8.
+
+    Bytes that are not UTF-8, text that is not JSON, and JSON nested
+    deeper than the parser can recurse raise ``error_cls`` (the caller's
+    domain error) as ``"<source>: <reason>"``, with the original error as
+    its ``__cause__``.
+    """
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as error:  # ValueError: bad UTF-8 or bad JSON
+        raise error_cls(f"{source}: {error}") from error
+
+
 def read_json(path: "str | Path", error_cls: type[Exception], message: str):
     """The JSON document in the file at ``path``, read as UTF-8.
 
-    A file that cannot be read, holds bytes that are not UTF-8 or holds
-    text that is not JSON raises ``error_cls`` (the caller's domain
-    error) as ``"<message> <path>: <reason>"``, with the original error
-    as its ``__cause__``.
+    A file that cannot be read, or whose bytes :func:`parse_json` rejects,
+    raises ``error_cls`` (the caller's domain error) as ``"<message>
+    <path>: <reason>"``, with the original error as its ``__cause__``.
     """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as error:  # ValueError: bad UTF-8 or bad JSON
+        data = Path(path).read_bytes()
+    except OSError as error:
         raise error_cls(f"{message} {path}: {error}") from error
+    return parse_json(data, error_cls, f"{message} {path}")
 
 
 def validate_envelope(

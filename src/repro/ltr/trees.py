@@ -7,34 +7,19 @@ Newton step ``sum(gradients) / (sum(hessians) + ridge)`` as in the
 LambdaMART algorithm, otherwise the leaf mean.
 
 Split search is the vectorized sort-and-cumsum scan (every cut point of a
-feature is evaluated in one pass of array arithmetic).  Prediction routes
-all rows level by level through a flattened array form of the tree —
-O(depth) vectorized steps instead of a Python node walk per row; the node
-walk is the test suite's oracle (``tests/oracles``).
+feature is evaluated in one pass of array arithmetic).  The tree exists
+only as preorder node arrays: ``fit`` appends to them as it grows, saved
+rankers are installed into them with :meth:`RegressionTree.set_nodes`, and
+prediction routes all rows through them level by level — O(depth)
+vectorized steps instead of a Python node walk per row; the node walk is
+the test suite's oracle (``tests/oracles``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..exceptions import ConfigurationError, NotFittedError
-
-
-@dataclass
-class _Node:
-    """A tree node: internal (feature/threshold set) or leaf (value set)."""
-
-    value: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 class RegressionTree:
@@ -50,6 +35,15 @@ class RegressionTree:
         Minimum squared-error reduction to accept a split.
     newton_ridge:
         Additive constant on the hessian sum for Newton leaf values.
+
+    Attributes
+    ----------
+    feature, threshold, left, right, value:
+        The fitted tree as preorder node arrays (``None`` before
+        :meth:`fit`): node 0 is the root, a row at an internal node goes
+        to ``left`` when its ``feature`` column is ``<= threshold`` and to
+        ``right`` otherwise, and a leaf points at itself on both sides and
+        predicts its ``value``.
     """
 
     def __init__(
@@ -69,8 +63,12 @@ class RegressionTree:
         self.min_samples_leaf = min_samples_leaf
         self.min_gain = min_gain
         self.newton_ridge = newton_ridge
-        self._root: _Node | None = None
-        self._flat_value: np.ndarray | None = None
+        self.feature: np.ndarray | None = None
+        self.threshold: np.ndarray | None = None
+        self.left: np.ndarray | None = None
+        self.right: np.ndarray | None = None
+        self.value: np.ndarray | None = None
+        self._depth = 0
 
     # -- fitting -----------------------------------------------------------
 
@@ -101,11 +99,27 @@ class RegressionTree:
                 raise ConfigurationError(
                     f"{len(hessians)} hessians vs {len(targets)} targets"
                 )
-        self._root = self._build(
-            features, targets, hessians, np.arange(len(targets)), depth=0
-        )
-        self._flatten()
-        return self
+        # Grown in preorder as [feature, threshold, left, right, value] rows:
+        # a split's left child is the next node, and its right child, popped
+        # after the whole left subtree, fills in the split's ``right``.
+        nodes: list[list] = []
+        stack = [(np.arange(len(targets)), 0, -1)]
+        while stack:
+            rows, depth, parent = stack.pop()
+            node = len(nodes)
+            if parent >= 0:
+                nodes[parent][3] = node
+            split = None
+            if depth < self.max_depth and len(rows) >= 2 * self.min_samples_leaf:
+                split = self._best_split(features, targets, rows)
+            if split is None:
+                nodes.append([0, 0.0, node, node, self._leaf_value(targets, hessians, rows)])
+                continue
+            split_feature, cut, left_rows, right_rows = split
+            nodes.append([split_feature, cut, node + 1, -1, 0.0])
+            stack.append((right_rows, depth + 1, node))
+            stack.append((left_rows, depth + 1, -1))
+        return self.set_nodes(*zip(*nodes))
 
     def _leaf_value(
         self, targets: np.ndarray, hessians: np.ndarray | None, rows: np.ndarray
@@ -113,27 +127,6 @@ class RegressionTree:
         if hessians is None:
             return float(targets[rows].mean())
         return float(targets[rows].sum() / (hessians[rows].sum() + self.newton_ridge))
-
-    def _build(
-        self,
-        features: np.ndarray,
-        targets: np.ndarray,
-        hessians: np.ndarray | None,
-        rows: np.ndarray,
-        depth: int,
-    ) -> _Node:
-        node = _Node(value=self._leaf_value(targets, hessians, rows))
-        if depth >= self.max_depth or len(rows) < 2 * self.min_samples_leaf:
-            return node
-        split = self._best_split(features, targets, rows)
-        if split is None:
-            return node
-        feature, threshold, left_rows, right_rows = split
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(features, targets, hessians, left_rows, depth + 1)
-        node.right = self._build(features, targets, hessians, right_rows, depth + 1)
-        return node
 
     def _best_split(
         self, features: np.ndarray, targets: np.ndarray, rows: np.ndarray
@@ -174,84 +167,74 @@ class RegressionTree:
                 best_gain = gain
         return best
 
-    # -- prediction -----------------------------------------------------------
+    # -- the node arrays --------------------------------------------------------
 
-    def _flatten(self) -> None:
-        """Lay the fitted tree out as parallel arrays for batch routing.
+    def set_nodes(self, feature, threshold, left, right, value) -> "RegressionTree":
+        """Install a tree given as node arrays (see the class attributes).
 
-        Leaves are encoded as self-loops (both children point back at the
-        leaf itself, split feature 0, threshold 0), so the routing loop
-        needs no per-level leaf masking: after ``depth`` steps every row
-        sits at its leaf.
+        :meth:`fit` stores the tree it grows this way, and a saved tree is
+        rebuilt through it without fitting.
+
+        Raises
+        ------
+        ConfigurationError
+            If the arrays are empty or of different lengths, a split is on
+            a negative feature, or a node other than the root does not have
+            exactly one parent numbered before it.
         """
-        index_of: dict[int, int] = {}
-        stack = [self._root]
-        ordered: list[_Node] = []
-        while stack:
-            node = stack.pop()
-            index_of[id(node)] = len(ordered)
-            ordered.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        count = len(ordered)
-        self._flat_feature = np.zeros(count, dtype=np.int64)
-        self._flat_threshold = np.zeros(count)
-        self._flat_left = np.arange(count, dtype=np.int64)
-        self._flat_right = np.arange(count, dtype=np.int64)
-        self._flat_value = np.array([node.value for node in ordered])
-        self._flat_depth = 0
-        for index, node in enumerate(ordered):
-            if node.is_leaf:
-                continue
-            self._flat_feature[index] = node.feature
-            self._flat_threshold[index] = node.threshold
-            self._flat_left[index] = index_of[id(node.left)]
-            self._flat_right[index] = index_of[id(node.right)]
-        self._flat_depth = self.depth()
+        try:
+            feature, left, right = (
+                np.asarray(array, dtype=np.int64) for array in (feature, left, right)
+            )
+        except OverflowError as error:  # an index past int64
+            raise ConfigurationError(f"node arrays: {error}") from None
+        threshold, value = (np.asarray(array, dtype=np.float64) for array in (threshold, value))
+        count = len(value)
+        if count == 0 or any(len(a) != count for a in (feature, threshold, left, right)):
+            raise ConfigurationError("node arrays must be non-empty and of one length")
+        nodes = np.arange(count)
+        parents = nodes[(left != nodes) | (right != nodes)]
+        children = np.concatenate([left[parents], right[parents]])
+        if (
+            np.any(feature[parents] < 0)
+            or np.any(children <= np.tile(parents, 2))
+            or not np.array_equal(np.bincount(children, minlength=count), nodes > 0)
+        ):
+            raise ConfigurationError(
+                "node arrays must describe one tree: splits on features >= 0, and "
+                "one parent per node but the root, numbered before it"
+            )
+        levels = np.zeros(count, dtype=np.int64)
+        for node in parents:  # in order, so a parent's level is final
+            levels[left[node]] = levels[right[node]] = levels[node] + 1
+        self.feature, self.threshold, self.value = feature, threshold, value
+        self.left, self.right = left, right
+        self._depth = int(levels.max())
+        return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict one value per row (vectorized level-by-level routing)."""
-        if self._root is None:
-            raise NotFittedError("RegressionTree used before fit()")
-        if self._flat_value is None:
-            # Trees deserialized from JSON get _root assigned directly.
-            self._flatten()
+        self._check_fitted()
         features = np.asarray(features, dtype=np.float64)
         rows = np.arange(len(features))
         node_index = np.zeros(len(features), dtype=np.int64)
-        for _ in range(self._flat_depth):
-            go_left = (
-                features[rows, self._flat_feature[node_index]]
-                <= self._flat_threshold[node_index]
-            )
-            node_index = np.where(
-                go_left,
-                self._flat_left[node_index],
-                self._flat_right[node_index],
-            )
-        return self._flat_value[node_index]
+        # A leaf points at itself, so after ``depth`` steps every row sits
+        # at its leaf without per-level masking.
+        for _ in range(self._depth):
+            go_left = features[rows, self.feature[node_index]] <= self.threshold[node_index]
+            node_index = np.where(go_left, self.left[node_index], self.right[node_index])
+        return self.value[node_index]
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
-        if self._root is None:
-            raise NotFittedError("RegressionTree used before fit()")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self._root)
+        self._check_fitted()
+        return self._depth
 
     def leaf_count(self) -> int:
         """Number of leaves in the fitted tree."""
-        if self._root is None:
+        self._check_fitted()
+        return int(np.count_nonzero(self.left == np.arange(len(self.left))))
+
+    def _check_fitted(self) -> None:
+        if self.value is None:
             raise NotFittedError("RegressionTree used before fit()")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self._root)

@@ -22,9 +22,8 @@ from .exceptions import ConfigurationError, DataError
 from .formats import RANKER_FORMAT, RANKER_VERSION
 from .ioutil import atomic_write_text, decode_array, is_int, is_number, read_json
 from .ltr.lambdamart import LambdaMART
-from .ltr.trees import RegressionTree, _Node
+from .ltr.trees import RegressionTree
 from .models.lstm import LSTMRegressor
-from .timeseries.autoregressive import ARPredictor
 from .timeseries.predictor import ARNextScorePredictor, LSTMNextScorePredictor
 
 
@@ -81,52 +80,28 @@ def _build(where: str, factory, *args, **kwargs):
 # -- trees -------------------------------------------------------------------
 
 
-def _node_to_dict(node: _Node) -> dict:
-    # Iterative traversal: trees loaded from JSON can be deeper than the
-    # interpreter's recursion limit allows.
-    root_payload: dict = {}
-    stack = [(node, root_payload)]
+def _tree_to_dict(tree: RegressionTree) -> dict:
+    if tree.value is None:
+        raise DataError("cannot serialise an unfitted tree")
+    # Iterative walks here and in _tree_from_dict: a tree loaded from JSON
+    # can be deeper than the interpreter's recursion limit allows.
+    root: dict = {}
+    stack = [(0, root)]
     while stack:
-        current, payload = stack.pop()
-        if current.is_leaf:
-            payload["value"] = current.value
+        node, payload = stack.pop()
+        if tree.left[node] == node:
+            payload["value"] = float(tree.value[node])
         else:
-            payload["feature"] = current.feature
-            payload["threshold"] = current.threshold
+            payload["feature"] = int(tree.feature[node])
+            payload["threshold"] = float(tree.threshold[node])
             payload["left"] = {}
             payload["right"] = {}
-            stack.append((current.right, payload["right"]))
-            stack.append((current.left, payload["left"]))
-    return root_payload
-
-
-def _node_from_dict(payload: dict, where: str = "root") -> _Node:
-    root = _Node()
-    stack = [(payload, root, 0)]
-    while stack:
-        data, node, depth = stack.pop()
-        # A node is named by its depth below the root: a left/right path
-        # per node would cost O(depth) on the deep chains this walk is for.
-        at = f"{where}[depth {depth}]"
-        if "feature" not in data:
-            node.value = _read(data, at, "value", "number")
-        else:
-            node.feature = _read(data, at, "feature", "int")
-            node.threshold = _read(data, at, "threshold", "number")
-            node.left = _Node()
-            node.right = _Node()
-            stack.append((_read(data, at, "right", "object"), node.right, depth + 1))
-            stack.append((_read(data, at, "left", "object"), node.left, depth + 1))
-    return root
-
-
-def _tree_to_dict(tree: RegressionTree) -> dict:
-    if tree._root is None:
-        raise DataError("cannot serialise an unfitted tree")
+            stack.append((tree.right[node], payload["right"]))
+            stack.append((tree.left[node], payload["left"]))
     return {
         "max_depth": tree.max_depth,
         "min_samples_leaf": tree.min_samples_leaf,
-        "root": _node_to_dict(tree._root),
+        "root": root,
     }
 
 
@@ -137,8 +112,27 @@ def _tree_from_dict(payload, where: str = "tree") -> RegressionTree:
         max_depth=_read(payload, where, "max_depth", "int"),
         min_samples_leaf=_read(payload, where, "min_samples_leaf", "int"),
     )
-    tree._root = _node_from_dict(_read(payload, where, "root", "object"), f"{where}.root")
-    return tree
+    # Laid out in preorder, as RegressionTree.fit grows it.
+    nodes: list[list] = []
+    stack = [(_read(payload, where, "root", "object"), 0, -1)]
+    while stack:
+        data, depth, parent = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = node  # the right child its split waited for
+        # A node is named by its depth below the root: a left/right path
+        # per node would cost O(depth) on the deep chains this walk is for.
+        at = f"{where}.root[depth {depth}]"
+        if "feature" not in data:
+            nodes.append([0, 0.0, node, node, _read(data, at, "value", "number")])
+            continue
+        nodes.append([
+            _read(data, at, "feature", "int"), _read(data, at, "threshold", "number"),
+            node + 1, -1, 0.0,
+        ])
+        stack.append((_read(data, at, "right", "object"), depth + 1, node))
+        stack.append((_read(data, at, "left", "object"), depth + 1, -1))
+    return _build(where, tree.set_nodes, *zip(*nodes))
 
 
 # -- LambdaMART ---------------------------------------------------------------
@@ -182,14 +176,13 @@ def _predictor_to_dict(predictor) -> "dict | None":
     if predictor is None:
         return None
     if isinstance(predictor, ARNextScorePredictor):
-        inner = predictor._model
-        if inner._coefficients is None:
+        if predictor.coefficients is None:
             raise DataError("cannot serialise an unfitted AR predictor")
         return {
             "kind": "ar",
-            "order": inner.order,
-            "ridge": inner.ridge,
-            "coefficients": inner._coefficients.tolist(),
+            "order": predictor.order,
+            "ridge": predictor.ridge,
+            "coefficients": predictor.coefficients.tolist(),
         }
     if isinstance(predictor, LSTMNextScorePredictor):
         inner = predictor._model
@@ -219,16 +212,16 @@ def _predictor_from_dict(payload: "dict | None"):
             order=_read(payload, where, "order", "int"),
             ridge=_read(payload, where, "ridge", "number"),
         )
-        inner: ARPredictor = predictor._model
-        inner._coefficients = decode_array(
+        coefficients = decode_array(
             _read(payload, where, "coefficients", "list"),
             _FieldError, f"{where}.coefficients",
         )
-        if inner._coefficients.shape != (inner.order + 1,):
+        if coefficients.shape != (predictor.order + 1,):
             raise _FieldError(
-                f"{where}.coefficients must hold order + 1 = {inner.order + 1} "
-                f"numbers, got shape {inner._coefficients.shape}"
+                f"{where}.coefficients must hold order + 1 = {predictor.order + 1} "
+                f"numbers, got shape {coefficients.shape}"
             )
+        predictor.coefficients = coefficients
         return predictor
     if kind == "lstm":
         predictor = _build(

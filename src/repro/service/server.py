@@ -15,6 +15,7 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
+from ..ioutil import parse_json
 from .app import SessionService, dispatch
 
 __all__ = ["SessionHTTPServer", "SessionRequestHandler", "make_server"]
@@ -37,11 +38,7 @@ class SessionRequestHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length") or 0)
         if length == 0:
             return None
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ValueError(f"request body is not valid JSON: {error}") from error
+        return parse_json(self.rfile.read(length), ValueError, "request body is not valid JSON")
 
     def _respond(self, status: int, payload: dict) -> None:
         """Send ``payload`` as a JSON response with ``status``."""

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..exceptions import StoreConflictError, StoreError
-from ..ioutil import atomic_write_text
+from ..ioutil import atomic_write_text, parse_json
 
 __all__ = [
     "JsonSessionStore",
@@ -232,10 +232,7 @@ class JsonSessionStore(SessionStore):
         data = self._read_bytes(path)
         if data is None:
             return None
-        try:
-            document = json.loads(data)
-        except ValueError as error:  # JSONDecodeError or UnicodeDecodeError
-            raise StoreError(f"corrupt session document {path}: {error}") from error
+        document = parse_json(data, StoreError, f"corrupt session document {path}")
         return StoredSession(document=document, version=hashlib.sha256(data).hexdigest())
 
     def save(self, session_id: str, document: dict, expected_version=None) -> str:
@@ -338,12 +335,9 @@ class SqliteSessionStore(SessionStore):
             connection.close()
         if row is None:
             return None
-        try:
-            document = json.loads(row[0])
-        except json.JSONDecodeError as error:
-            raise StoreError(
-                f"corrupt session document {session_id!r} in {self.path}: {error}"
-            ) from error
+        document = parse_json(
+            row[0], StoreError, f"corrupt session document {session_id!r} in {self.path}"
+        )
         return StoredSession(document=document, version=int(row[1]))
 
     def save(self, session_id: str, document: dict, expected_version=None) -> int:

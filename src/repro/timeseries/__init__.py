@@ -7,13 +7,13 @@ implements both from scratch:
 
 * :mod:`repro.timeseries.mann_kendall` — the MK trend test, including the
   Hamed-Rao autocorrelation-corrected variant the paper cites.
-* :mod:`repro.timeseries.autoregressive` — an AR(k) least-squares
-  predictor (the paper mentions ARIMA as an alternative to the LSTM).
-* :mod:`repro.timeseries.predictor` — the ``NextScorePredictor`` protocol
-  with LSTM- and AR-backed implementations.
+* :mod:`repro.timeseries.autoregressive` — AR(k) least-squares fitting
+  (the paper mentions ARIMA as an alternative to the LSTM).
+* :mod:`repro.timeseries.predictor` — the ``NextScorePredictor`` protocol,
+  with the LSTM-backed predictor and the AR(k) model.
 """
 
-from .autoregressive import ARPredictor, fit_ar_coefficients
+from .autoregressive import fit_ar_coefficients
 from .mann_kendall import (
     MKBatchResult,
     MKResult,
@@ -26,7 +26,6 @@ from .trends import TrendShape, classify_trend, classify_trends
 
 __all__ = [
     "ARNextScorePredictor",
-    "ARPredictor",
     "LSTMNextScorePredictor",
     "MKBatchResult",
     "MKResult",

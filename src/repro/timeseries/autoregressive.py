@@ -1,10 +1,11 @@
-"""Autoregressive AR(k) least-squares prediction.
+"""Autoregressive AR(k) least-squares fitting.
 
 The paper mentions ARIMA as one option for predicting the next evaluation
 score from a historical sequence (Sec. 4.4.2); historical sequences are
 short, stationary-ish score series, so a plain AR(k) model fit by ridge
-least squares captures the same signal at a fraction of the cost and acts
-as the fast alternative to the LSTM predictor.
+least squares captures the same signal at a fraction of the cost.
+:class:`~repro.timeseries.predictor.ARNextScorePredictor`, the fast
+alternative to the LSTM predictor, is that model.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, NotFittedError
+from ..exceptions import ConfigurationError
 
 
 def fit_ar_coefficients(
@@ -58,48 +59,3 @@ def lag_vector(sequence: np.ndarray, order: int) -> np.ndarray:
         return series[-order:]
     padding = np.full(order - len(series), series[0])
     return np.concatenate([padding, series])
-
-
-class ARPredictor:
-    """Next-value predictor backed by :func:`fit_ar_coefficients`.
-
-    Parameters
-    ----------
-    order:
-        Number of lags.
-    ridge:
-        Ridge regularisation for the least-squares fit.
-    """
-
-    def __init__(self, order: int = 3, ridge: float = 1e-6) -> None:
-        if order < 1:
-            raise ConfigurationError(f"order must be >= 1, got {order}")
-        self.order = order
-        self.ridge = ridge
-        self._coefficients: np.ndarray | None = None
-
-    def fit(
-        self, sequences: Sequence[np.ndarray], targets: Sequence[float]
-    ) -> "ARPredictor":
-        """Fit on (sequence, next value) pairs."""
-        self._coefficients = fit_ar_coefficients(
-            sequences, targets, self.order, self.ridge
-        )
-        return self
-
-    def predict(self, sequences: Sequence[np.ndarray]) -> np.ndarray:
-        """Predict the next value for each sequence."""
-        if self._coefficients is None:
-            raise NotFittedError("ARPredictor used before fit()")
-        rows = np.vstack([lag_vector(np.asarray(s), self.order) for s in sequences])
-        design = np.column_stack([np.ones(len(rows)), rows])
-        return design @ self._coefficients
-
-    def mse(self, sequences: Sequence[np.ndarray], targets: Sequence[float]) -> float:
-        """Mean squared error of next-value predictions."""
-        predictions = self.predict(sequences)
-        return float(np.mean((predictions - np.asarray(list(targets))) ** 2))
-
-    def __repr__(self) -> str:
-        state = "fitted" if self._coefficients is not None else "unfitted"
-        return f"ARPredictor(order={self.order}, {state})"

@@ -14,10 +14,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, NotFittedError
 from ..models.batching import check_padded
 from ..models.lstm import LSTMRegressor
-from .autoregressive import ARPredictor
+from .autoregressive import fit_ar_coefficients, lag_vector
 
 
 class NextScorePredictor(ABC):
@@ -105,19 +105,42 @@ class LSTMNextScorePredictor(NextScorePredictor):
 
 
 class ARNextScorePredictor(NextScorePredictor):
-    """Cheap alternative: AR(k) ridge regression (ARIMA-lite)."""
+    """Cheap alternative: AR(k) ridge regression (ARIMA-lite).
+
+    Predicts ``c + a_1 s_(t-k+1) + ... + a_k s_t`` from the last ``order``
+    scores (a shorter sequence is left-padded with its first score), with
+    ``coefficients = [c, a_1..a_k]`` fit by :func:`fit_ar_coefficients`.
+
+    Parameters
+    ----------
+    order:
+        Number of lags.
+    ridge:
+        Ridge regularisation for the least-squares fit.
+    """
 
     def __init__(self, order: int = 3, ridge: float = 1e-6) -> None:
-        self._model = ARPredictor(order=order, ridge=ridge)
+        if order < 1:
+            raise ConfigurationError(f"order must be >= 1, got {order}")
+        self.order = order
+        self.ridge = ridge
+        self.coefficients: np.ndarray | None = None
 
     def fit(
         self, sequences: Sequence[np.ndarray], targets: Sequence[float]
     ) -> "ARNextScorePredictor":
-        self._model.fit(sequences, targets)
+        self.coefficients = fit_ar_coefficients(sequences, targets, self.order, self.ridge)
         return self
 
     def predict(self, sequences: Sequence[np.ndarray]) -> np.ndarray:
-        return self._model.predict(sequences)
+        if self.coefficients is None:
+            raise NotFittedError("ARNextScorePredictor used before fit()")
+        rows = [lag_vector(sequence, self.order) for sequence in sequences]
+        design = np.column_stack(
+            [np.ones(len(rows)), np.reshape(rows, (len(rows), self.order))]
+        )
+        return design @ self.coefficients
 
     def __repr__(self) -> str:
-        return f"ARNextScorePredictor({self._model!r})"
+        state = "fitted" if self.coefficients is not None else "unfitted"
+        return f"ARNextScorePredictor(order={self.order}, {state})"

@@ -1,6 +1,7 @@
 """Tests for per-cell checkpointing and resume of ``run_comparison``."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -98,7 +99,83 @@ class TestResultRoundtrip:
         json.dumps(result_to_dict(small_result))
 
 
+#: A damaged cell-file result, and how its CheckpointError names it.
+DAMAGED_RESULTS = {
+    "string-nan-metric": (
+        lambda result: result["records"][0].update(metric="nan"),
+        "result.records must be a list of round records",
+    ),
+    "string-metric": (
+        lambda result: result["records"][1].update(metric="0.5"),
+        "result.records must be a list of round records",
+    ),
+    "bool-round-index": (
+        lambda result: result["records"][0].update(round_index=True),
+        "result.records must be a list of round records",
+    ),
+    "empty-history": (
+        lambda result: result["history"].update(n_samples=0),
+        "result.history must be a history store",
+    ),
+    "strategy-name": (
+        lambda result: result.update(strategy_name=5),
+        "result.strategy_name must be a string, got 5",
+    ),
+    "selection-order": (
+        lambda result: result["selection_order"][0].__setitem__(0, "3"),
+        "result.selection_order must be a list of index lists",
+    ),
+    "no-result": (lambda result: result.clear(), "result.strategy_name must be a string"),
+    "index-past-int64": (
+        lambda result: result["selection_order"][0].__setitem__(0, 2**70),
+        "too large",
+    ),
+}
+
+
 class TestCheckpointStore:
+    @pytest.mark.parametrize("case", list(DAMAGED_RESULTS))
+    def test_damaged_result_names_the_field_and_the_file(self, small_result, tmp_path, case):
+        store = CheckpointStore(tmp_path, ExperimentConfig(**CONFIG_KWARGS))
+        path = store.save("Random", 0, 42, small_result)
+        payload = json.loads(path.read_text())
+        damage, message = DAMAGED_RESULTS[case]
+        damage(payload["result"])
+        path.write_text(json.dumps(payload))
+        prefix = re.escape(f"corrupt checkpoint {path}: ")
+        with pytest.raises(CheckpointError, match=prefix) as error:
+            store.load("Random", 0, 42)
+        assert message in str(error.value)
+
+    def test_real_cells_pass_the_rules(self, text_dataset, tmp_path):
+        # Random's NaN scores and track_flips' label rounds are legal.
+        result = run_to_completion(SessionEngine(
+            LinearSoftmax(epochs=3, seed=0),
+            Random(),
+            text_dataset.subset(range(120)),
+            text_dataset.subset(range(120, 160)),
+            batch_size=10,
+            rounds=2,
+            seed_or_rng=3,
+            track_flips=True,
+        ))
+        store = CheckpointStore(tmp_path, ExperimentConfig(**CONFIG_KWARGS))
+        path = store.save("Random", 0, 42, result)
+        payload = json.loads(path.read_text())["result"]
+        assert payload["history"]["labels"]
+        assert np.isnan(result.records[1].selected_scores).all()
+        loaded = store.load("Random", 0, 42)
+        assert json.dumps(result_to_dict(loaded)) == json.dumps(result_to_dict(result))
+
+    def test_null_history_labels_read_as_none(self, small_result, tmp_path):
+        store = CheckpointStore(tmp_path, ExperimentConfig(**CONFIG_KWARGS))
+        path = store.save("Random", 0, 42, small_result)
+        payload = json.loads(path.read_text())
+        payload["result"]["history"]["labels"] = None
+        path.write_text(json.dumps(payload))
+        loaded = store.load("Random", 0, 42)
+        assert json.dumps(result_to_dict(loaded)) == json.dumps(result_to_dict(small_result))
+
     def test_save_load_roundtrip(self, small_result, tmp_path):
         store = CheckpointStore(tmp_path, ExperimentConfig(**CONFIG_KWARGS))
         store.save("wshs:entropy", 1, 42, small_result)

@@ -346,6 +346,20 @@ class TestLeases:
             "claimed", "released",
         ]
 
+    def test_lease_and_audit_line_nested_too_deep_read_as_bad_json(self, grid_spec, tmp_path):
+        too_deep = b"[" * 100_000 + b"]" * 100_000
+        queue = create_queue(tmp_path / "q", grid_spec, lease_ttl=60.0)
+        claim = queue.claim("dead-worker")
+        lease = queue.directory / "leases" / f"{claim.ticket.cell_id}.json"
+        lease.write_bytes(b'{"owner": ' + too_deep + b"}")
+        long_ago = time.time() - 600
+        os.utime(lease, (long_ago, long_ago))
+        with open(queue.directory / "audit.log", "ab") as log:
+            log.write(too_deep + b"\n")
+        assert queue.reap_stale() == 1
+        (record,) = audit_events(queue, "reaped")
+        assert record.get("owner") is None  # as for a lease that is not JSON
+
     def test_heartbeat_keeps_lease_alive(self, grid_spec, tmp_path):
         queue = create_queue(
             tmp_path / "q", grid_spec,

@@ -117,7 +117,7 @@ class TestPredictEquivalence:
         features = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
         targets = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         tree = RegressionTree(max_depth=2, min_samples_leaf=1).fit(features, targets)
-        probe = np.array([[tree._root.threshold]])
+        probe = np.array([[tree.threshold[0]]])
         np.testing.assert_array_equal(
             tree.predict(probe), tree_predict_reference(tree, probe)
         )
@@ -129,14 +129,83 @@ class TestPredictEquivalence:
         assert tree.predict(np.empty((0, 1))).shape == (0,)
 
     def test_deserialized_tree_predicts(self):
-        # Persistence assigns _root directly without fit(); predict must
-        # flatten lazily instead of requiring the fit-time arrays.
+        # Persistence installs a saved tree's node arrays without fit().
         rng = np.random.default_rng(5)
         features = rng.normal(size=(40, 3))
         fitted = RegressionTree(max_depth=3, min_samples_leaf=2).fit(
             features, rng.normal(size=40)
         )
-        clone = RegressionTree(max_depth=3, min_samples_leaf=2)
-        clone._root = fitted._root
+        clone = RegressionTree(max_depth=3, min_samples_leaf=2).set_nodes(
+            fitted.feature, fitted.threshold, fitted.left, fitted.right, fitted.value
+        )
         probe = rng.normal(size=(16, 3))
         np.testing.assert_array_equal(clone.predict(probe), fitted.predict(probe))
+        assert (clone.depth(), clone.leaf_count()) == (fitted.depth(), fitted.leaf_count())
+
+
+#: Root splits on feature 1 at 0.5; its left child is a leaf (1.0), its
+#: right child splits on feature 0 at -1.0 into leaves 2.0 and 3.0.
+NODES = {
+    "feature": [1, 0, 0, 0, 0],
+    "threshold": [0.5, 0.0, -1.0, 0.0, 0.0],
+    "left": [1, 1, 3, 3, 4],
+    "right": [2, 1, 4, 3, 4],
+    "value": [0.0, 1.0, 0.0, 2.0, 3.0],
+}
+
+
+class TestNodeArrays:
+    """The tree is its preorder node arrays, however they were made."""
+
+    def test_installed_tree_without_fit(self):
+        tree = RegressionTree().set_nodes(**NODES)
+        probe = np.array([[9.0, 0.5], [9.0, 0.6], [-1.0, 0.6], [-1.1, 7.0]])
+        np.testing.assert_array_equal(tree.predict(probe), [1.0, 3.0, 2.0, 2.0])
+        np.testing.assert_array_equal(tree.predict(probe), tree_predict_reference(tree, probe))
+        assert (tree.depth(), tree.leaf_count()) == (2, 3)
+
+    def test_fit_lays_the_tree_out_in_preorder(self):
+        rng = np.random.default_rng(2)
+        features = rng.normal(size=(200, 3))
+        tree = RegressionTree(max_depth=4, min_samples_leaf=3).fit(
+            features, np.sin(3 * features[:, 0]) + features[:, 1]
+        )
+        nodes = np.arange(len(tree.value))
+        split = tree.left != nodes
+        assert split.any()
+        np.testing.assert_array_equal(tree.left[split], nodes[split] + 1)
+        # A split's right child follows its whole left subtree.
+        def subtree_end(node):
+            while tree.left[node] != node:
+                node = tree.right[node]
+            return node
+        for node in nodes[split]:
+            assert tree.right[node] == subtree_end(tree.left[node]) + 1
+        assert tree.leaf_count() == np.count_nonzero(~split)
+        # depth() is the longest root-to-leaf path
+        lengths = {0: 0}
+        for node in nodes[split]:
+            lengths[tree.left[node]] = lengths[tree.right[node]] = lengths[node] + 1
+        assert tree.depth() == max(lengths.values()) <= 4
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {name: [] for name in NODES},
+            {"value": [0.0, 1.0, 0.0, 2.0]},
+            {"feature": [-1, 0, 0, 0, 0]},
+            {"feature": [2**63, 0, 0, 0, 0]},
+            {"left": [1, 1, 1, 3, 4]},  # node 1 has two parents
+            {"left": [1, 0, 3, 3, 4], "right": [2, 2, 4, 3, 4]},  # a cycle
+            {"right": [2, 1, 5, 3, 4]},  # a child past the last node
+            {"left": [0, 1, 3, 3, 4], "right": [0, 1, 4, 3, 4]},  # unreachable nodes
+        ],
+        ids=["empty", "ragged", "negative-feature", "huge-feature", "two-parents",
+             "cycle", "missing-child", "unreachable"],
+    )
+    def test_arrays_that_are_not_one_tree_rejected(self, change):
+        tree = RegressionTree()
+        with pytest.raises(ConfigurationError, match="node arrays"):
+            tree.set_nodes(**{**NODES, **change})
+        with pytest.raises(NotFittedError):
+            tree.predict(np.zeros((1, 2)))

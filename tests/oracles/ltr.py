@@ -1,7 +1,7 @@
 """Scalar oracles for the learning-to-rank kernels.
 
-``RegressionTree.predict`` routes all rows level by level through a
-flattened node array, and ``_lambda_gradients`` broadcasts over the
+``RegressionTree.predict`` routes all rows level by level through its
+preorder node arrays, and ``_lambda_gradients`` broadcasts over the
 (i, j) document grid; the per-row node walk and the O(n^2) double loop
 below are what they replaced.
 """
@@ -16,16 +16,18 @@ from repro.ltr.trees import RegressionTree
 
 
 def tree_predict_reference(tree: RegressionTree, features: np.ndarray) -> np.ndarray:
-    """Per-row node-walk reference for ``RegressionTree.predict``."""
-    if tree._root is None:
+    """Per-row node-walk reference for ``RegressionTree.predict``: each row
+    follows its own path from the root until a node points at itself."""
+    if tree.value is None:
         raise NotFittedError("RegressionTree used before fit()")
     features = np.asarray(features, dtype=np.float64)
     output = np.empty(len(features))
     for index, row in enumerate(features):
-        node = tree._root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        output[index] = node.value
+        node = 0
+        while tree.left[node] != node:
+            goes_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if goes_left else tree.right[node]
+        output[index] = tree.value[node]
     return output
 
 

@@ -10,6 +10,8 @@ be invisible in the results.
 
 import json
 import threading
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -82,6 +84,20 @@ class TestHttpTransport:
             assert status == 400, (path, payload)
             assert set(payload) == {"error", "error_type"}
             assert payload["error_type"] == "ServiceError"
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_body_nested_too_deep_gets_a_json_400(self, http_client, capsys):
+        body = b'{"recipe": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        request = urllib.request.Request(
+            f"{http_client.transport.base_url}/sessions", data=body, method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=30)
+        assert caught.value.code == 400
+        payload = json.loads(caught.value.read())
+        assert payload["error_type"] == "ServiceError"
+        assert payload["error"].startswith("request body is not valid JSON: maximum recursion")
+        assert http_client.list_sessions() == []
         assert "Traceback" not in capsys.readouterr().err
 
     def test_malformed_recipes_get_typed_json_400s(self, http_client, capsys):

@@ -12,12 +12,16 @@ The codec is an untrusted boundary (stored sessions are read back from
 disk and from other machines): every float64 bit pattern must survive
 it, and every malformed value must be the caller's error, naming the
 field.  So is every JSON file the program reads: a file that is not
-UTF-8 must be the reader's typed error, as a file that is not JSON is.
+UTF-8 must be the reader's typed error, as a file that is not JSON is,
+and so is JSON nested past the parser's recursion limit, wherever the
+program parses it.
 """
 
 import json
 import multiprocessing
 import os
+import sqlite3
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from repro.exceptions import (
     QueueError,
     SessionError,
     SpecError,
+    StoreError,
 )
 from repro.experiments import ExperimentConfig
 from repro.experiments.checkpoint import CheckpointStore
@@ -41,10 +46,17 @@ from repro.ioutil import (
     fsync_directory,
 )
 from repro.persistence import load_lhs_ranker
+from repro.service.store import JsonSessionStore, SqliteSessionStore
 from repro.specs import ExperimentSpec, SweepSpec
 
 #: A JSON document with a byte that is not UTF-8 in it.
 UNDECODABLE = b'{"format": "repro.experiment", "name": "\xff"}'
+
+#: An experiment document whose dataset nests past any recursion limit.
+TOO_DEEP = (
+    b'{"format": "repro.experiment", "dataset": '
+    + b"[" * 100_000 + b"]" * 100_000 + b"}"
+)
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -379,3 +391,42 @@ def test_bytes_that_are_not_utf8_are_the_readers_error(tmp_path, reader):
         read(path)
     assert str(path) in str(error.value)
     assert isinstance(error.value.__cause__, UnicodeDecodeError)
+
+
+def _write_sqlite_document(path, data):
+    SqliteSessionStore(path).create("s1", {})
+    with closing(sqlite3.connect(path)) as connection, connection:
+        connection.execute("UPDATE sessions SET document = ?", (data.decode("utf-8"),))
+
+
+#: Every reader of stored JSON text: (where the text lives in a directory,
+#: how it gets there, how it is read, the error it raises).
+STORED_JSON_READERS = {
+    **{
+        name: (where, lambda path, data: path.write_bytes(data), read, error_cls)
+        for name, (where, read, error_cls) in JSON_READERS.items()
+    },
+    "json store": (
+        lambda directory: JsonSessionStore(directory).path("s1"),
+        lambda path, data: path.write_bytes(data),
+        lambda path: JsonSessionStore(path.parent).load("s1"),
+        StoreError,
+    ),
+    "sqlite store": (
+        lambda directory: directory / "sessions.db",
+        _write_sqlite_document,
+        lambda path: SqliteSessionStore(path).load("s1"),
+        StoreError,
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(STORED_JSON_READERS))
+def test_json_nested_past_the_recursion_limit_is_the_readers_error(tmp_path, reader):
+    where, write, read, error_cls = STORED_JSON_READERS[reader]
+    path = where(tmp_path)
+    write(path, TOO_DEEP)
+    with pytest.raises(error_cls, match="maximum recursion depth exceeded") as error:
+        read(path)
+    assert str(path) in str(error.value)
+    assert isinstance(error.value.__cause__, RecursionError)

@@ -12,11 +12,9 @@ from repro.core.strategies import Entropy, LHS
 from repro.core.session import SessionEngine, run_to_completion
 from repro.exceptions import DataError
 from repro.ltr.lambdamart import LambdaMART
-from repro.ltr.trees import RegressionTree, _Node
+from repro.ltr.trees import RegressionTree
 from repro.models.linear import LinearSoftmax
 from repro.persistence import (
-    _node_from_dict,
-    _node_to_dict,
     _tree_from_dict,
     _tree_to_dict,
     load_lhs_ranker,
@@ -54,34 +52,38 @@ class TestTreeRoundtrip:
 
     def test_tree_deeper_than_recursion_limit(self):
         # A degenerate chain far past the interpreter's recursion limit:
-        # only an iterative traversal survives the round trip.  Built and
-        # verified with explicit stacks — even comparing such a payload
-        # with ``==`` would recurse.
+        # only iterative walks survive loading, measuring, predicting and
+        # saving it.  Built and compared with explicit stacks — even
+        # ``==`` on such a payload would recurse.  The split at level k
+        # sends x <= k + 0.5 to a leaf worth k.
         depth = sys.getrecursionlimit() + 500
-        root = _Node(feature=0, threshold=0.5)
-        node = root
+        root = node = {"feature": 0, "threshold": 0.5}
         for level in range(depth):
-            node.left = _Node(value=float(level))
-            node.right = _Node(feature=0, threshold=0.5)
-            node = node.right
-        node.left = _Node(value=-1.0)
-        node.right = _Node(value=-2.0)
+            node["left"] = {"value": float(level)}
+            node["right"] = {"feature": 0, "threshold": level + 1.5}
+            node = node["right"]
+        node["left"] = {"value": -1.0}
+        node["right"] = {"value": -2.0}
 
-        restored = _node_from_dict(_node_to_dict(root))
+        tree = _tree_from_dict({"max_depth": 3, "min_samples_leaf": 5, "root": root})
+        assert (tree.depth(), tree.leaf_count()) == (depth + 1, depth + 2)
+        probe = np.array([[0.0], [7.0], [float(depth)], [depth + 9.0]])
+        np.testing.assert_array_equal(tree.predict(probe), [0.0, 7.0, -1.0, -2.0])
 
+        restored = _tree_to_dict(tree)["root"]
         visited = 0
         stack = [(root, restored)]
         while stack:
             original, copy = stack.pop()
             visited += 1
-            assert original.is_leaf == copy.is_leaf
-            if original.is_leaf:
-                assert original.value == copy.value
+            assert list(original) == list(copy)
+            if "value" in original:
+                assert original["value"] == copy["value"]
             else:
-                assert original.feature == copy.feature
-                assert original.threshold == copy.threshold
-                stack.append((original.left, copy.left))
-                stack.append((original.right, copy.right))
+                assert original["feature"] == copy["feature"]
+                assert original["threshold"] == copy["threshold"]
+                stack.append((original["left"], copy["left"]))
+                stack.append((original["right"], copy["right"]))
         assert visited == 2 * depth + 3
 
 
@@ -231,6 +233,15 @@ class TestMalformedRanker:
         del node["value"]
         self.assert_rejected(
             path, payload, f"model.trees[1].root[depth {depth}].value is missing"
+        )
+
+    def test_split_on_a_negative_feature(self, document):
+        path, payload = document
+        payload["model"]["trees"][1]["root"] = {
+            "feature": -1, "threshold": 0.5, "left": {"value": 0.0}, "right": {"value": 1.0},
+        }
+        self.assert_rejected(
+            path, payload, "model.trees[1]: node arrays must describe one tree"
         )
 
     def test_unknown_predictor_kind(self, document):

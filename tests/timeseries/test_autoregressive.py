@@ -1,10 +1,11 @@
-"""Tests for the AR(k) predictor."""
+"""Tests for the AR(k) fit and the AR next-score predictor."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.timeseries.autoregressive import ARPredictor, fit_ar_coefficients, lag_vector
+from repro.timeseries.autoregressive import fit_ar_coefficients, lag_vector
+from repro.timeseries.predictor import ARNextScorePredictor
 
 
 class TestLagVector:
@@ -55,7 +56,7 @@ class TestARPredictor:
     def test_predict_linear_trend(self):
         sequences = [np.array([0.1 * i, 0.1 * i + 0.1, 0.1 * i + 0.2]) for i in range(20)]
         targets = [s[-1] + 0.1 for s in sequences]
-        model = ARPredictor(order=2).fit(sequences, targets)
+        model = ARNextScorePredictor(order=2).fit(sequences, targets)
         prediction = model.predict([np.array([0.5, 0.6, 0.7])])[0]
         assert np.isclose(prediction, 0.8, atol=1e-4)
 
@@ -63,16 +64,27 @@ class TestARPredictor:
         rng = np.random.default_rng(2)
         sequences = [rng.random(4) for _ in range(30)]
         targets = [0.6 * s[-1] + 0.2 * s[-2] for s in sequences]
-        model = ARPredictor(order=2).fit(sequences, targets)
-        assert model.mse(sequences, targets) < 1e-10
+        model = ARNextScorePredictor(order=2).fit(sequences, targets)
+        assert np.mean((model.predict(sequences) - targets) ** 2) < 1e-10
+
+    def test_predictions_are_the_fitted_linear_model(self):
+        rng = np.random.default_rng(3)
+        sequences = [rng.random(int(rng.integers(1, 6))) for _ in range(25)]
+        targets = rng.random(25)
+        model = ARNextScorePredictor(order=3).fit(sequences, targets)
+        np.testing.assert_array_equal(
+            model.coefficients, fit_ar_coefficients(sequences, targets, order=3)
+        )
+        design = np.array([[1.0, *lag_vector(s, 3)] for s in sequences])
+        np.testing.assert_array_equal(model.predict(sequences), design @ model.coefficients)
 
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
-            ARPredictor().predict([np.ones(3)])
+            ARNextScorePredictor().predict([np.ones(3)])
 
     def test_bad_order(self):
         with pytest.raises(ConfigurationError):
-            ARPredictor(order=0)
+            ARNextScorePredictor(order=0)
 
     def test_repr(self):
-        assert "unfitted" in repr(ARPredictor())
+        assert repr(ARNextScorePredictor()) == "ARNextScorePredictor(order=3, unfitted)"

@@ -63,3 +63,9 @@ class TestPredictors:
         predictor = predictor_factory().fit_from_history(sequences)
         with pytest.raises(ConfigurationError, match="exceeds the padded width 3"):
             predictor.predict_padded(np.ones((2, 3)), np.array([3, 9]))
+
+    def test_empty_batch_predicts_nothing(self, predictor_factory):
+        predictor = predictor_factory().fit_from_history(trend_sequences(n=10))
+        assert predictor.predict([]).shape == (0,)
+        empty = predictor.predict_padded(np.empty((0, 3)), np.empty(0, dtype=np.int64))
+        assert empty.shape == (0,)
