@@ -1,17 +1,20 @@
 """Speed checks: each fast path must be no slower than what it replaced.
 
-Three timing claims, at small sizes:
+Four timing claims, at small sizes but for pool scoring:
 
 * partial top-k selection against the full lexsort (DESIGN §7);
+* ``LinearSoftmax.predict_proba`` through the reused feature buffer
+  against the same product over a freshly built ``bag_of_words()``
+  matrix, on an MR-1.0 training split (DESIGN §7);
 * warm-start training against cold (DESIGN §12);
 * a resumed scenario sweep against its cold run (DESIGN §14).
 
 Each side is timed as the best of ``REPEATS`` ``time.perf_counter``
-readings.  The top-k test asserts that both paths pick the same batch
-before it times them; every other correctness check runs in the tier-1
-suite, which this module is not part of (``testpaths`` is ``tests``),
-because wall time depends on the host.  It takes no option and writes
-no file::
+readings.  The top-k and scoring tests assert that both paths give the
+same bytes before they time them; every other correctness check runs in
+the tier-1 suite, which this module is not part of (``testpaths`` is
+``tests``), because wall time depends on the host.  It takes no option
+and writes no file::
 
     PYTHONPATH=src python -m pytest benchmarks/test_speedups.py
 
@@ -26,8 +29,12 @@ import numpy as np
 import pytest
 
 from repro.core.selection import top_k_indices, top_k_reference
+from repro.data.text import mr
 from repro.experiments import ExperimentConfig, run_sweep
-from repro.specs import ExperimentSpec, Spec, SweepSpec
+from repro.models import LinearSoftmax
+from repro.models.base import params_from_jsonable
+from repro.models.layers import softmax
+from repro.specs import ExperimentSpec, Spec, SweepSpec, build_split
 from tests.models.test_warm_start import warm_workload
 
 REPEATS = 3
@@ -57,6 +64,22 @@ def test_top_k_beats_the_full_sort(n):
     partial = best_of(lambda: top_k_indices(scores, k, np.random.default_rng(22)))
     full = best_of(lambda: top_k_reference(scores, k, np.random.default_rng(22)))
     assert partial <= full
+
+
+def test_buffered_scoring_beats_a_fresh_matrix():
+    """The MR-1.0 training split is 7,463 x 2,978, a 178 MB matrix.  A
+    first call sizes the buffer, so the timed calls find it resident."""
+    pool, _ = build_split(
+        Spec(kind="fraction", params={"test_fraction": 0.3}), mr(1.0, seed_or_rng=7)
+    )
+    model = LinearSoftmax(epochs=3, seed=0).fit(pool.subset(range(250)))
+    arrays = params_from_jsonable(model.get_params()["arrays"])
+
+    def fresh():
+        return softmax(pool.bag_of_words() @ arrays["W"] + arrays["b"])
+
+    assert model.predict_proba(pool).tobytes() == fresh().tobytes()
+    assert best_of(lambda: model.predict_proba(pool)) <= best_of(fresh)
 
 
 @pytest.mark.parametrize("family", ["textcnn", "mlp", "lstm"])

@@ -277,8 +277,12 @@ def validated_model_history(strategy: QueryStrategy) -> int:
     return int(keep)
 
 
+#: The largest count or index a snapshot may hold: restore reads them as int64.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _count(value, low: int = 0) -> bool:
-    return is_int(value) and value >= low
+    return is_int(value) and low <= value <= _INT64_MAX
 
 
 def _list_of(test):
@@ -342,18 +346,18 @@ RETIRED_CONFIG_KEYS = {"reseed_model": True, "history_limit": None, "default_met
 SNAPSHOT_RULES = {
     "config": ("an object", _object()),
     "config.strategy": ("a string", lambda value: isinstance(value, str)),
-    "config.n_train": ("an int >= 0", _count),
-    "config.n_test": ("an int >= 0", _count),
-    "config.batch_size": ("an int >= 1", lambda value: _count(value, 1)),
-    "config.rounds": ("an int >= 1", lambda value: _count(value, 1)),
-    "config.initial_size": ("an int >= 1", lambda value: _count(value, 1)),
+    "config.n_train": ("an int64 >= 0", _count),
+    "config.n_test": ("an int64 >= 0", _count),
+    "config.batch_size": ("an int64 >= 1", lambda value: _count(value, 1)),
+    "config.rounds": ("an int64 >= 1", lambda value: _count(value, 1)),
+    "config.initial_size": ("an int64 >= 1", lambda value: _count(value, 1)),
     "config.training_mode": ("absent, 'cold' or 'warm'", _optional(TRAINING_MODES.__contains__)),
     "config.track_flips": ("absent or a bool", _optional(lambda v: isinstance(v, bool))),
     **{f"config.{key}": (f"absent or {json.dumps(kept)} (a retired option)",
                          lambda value, kept=kept: value is None or value is kept)
        for key, kept in RETIRED_CONFIG_KEYS.items()},
     "state": (f"one of {_STATES}", _STATES.__contains__),
-    "round_index": ("an int >= 0", _count),
+    "round_index": ("an int64 >= 0", _count),
     "bootstrap_done": ("a bool", lambda value: isinstance(value, bool)),
     "rng": ("a bit-generator state", _object(bit_generator=lambda v: isinstance(v, str))),
     "pool": ("a pool", _object(n=_count, labeled=_indices)),

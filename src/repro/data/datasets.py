@@ -9,12 +9,17 @@ Two container types cover the paper's two tasks:
 
 Both are immutable views over numpy data, support ``subset`` (used by the
 pool to slice labeled/unlabeled data without copying the corpus), and carry
-their vocabulary so models can size their embedding tables.
+their vocabulary so models can size their embedding tables.  Pool scoring
+featurizes text into one reused buffer
+(:meth:`TextDataset.scoring_bag_of_words`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import os
+import threading
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from itertools import repeat
 
 import numpy as np
@@ -56,6 +61,42 @@ def _id_arrays(
             f"sample {sample}: {kind} id {ids[position]} is not {bound}"
         )
     return arrays
+
+
+class _ScoringBuffer:
+    """One float64 buffer that pool scoring reuses, all-zero between uses.
+
+    It grows to the largest ``n * |V|`` scored so far and stays resident.
+    :meth:`TextDataset.bag_of_words` given it as ``out`` writes into a
+    :meth:`matrix` view and records the flat indices of the cells it
+    wrote in :attr:`written`; :meth:`clear` sets exactly those back to
+    zero.  A forked child starts over with an empty buffer and a free
+    lock: the parent's lock may be held by a thread the child does not
+    have, with cells that thread has not cleared yet.
+    """
+
+    def __init__(self) -> None:
+        self._reset()
+        os.register_at_fork(after_in_child=self._reset)
+
+    def _reset(self) -> None:
+        self.lock = threading.Lock()
+        self.cells = np.zeros(0)
+        self.written = np.zeros(0, dtype=np.int64)
+
+    def matrix(self, rows: int, width: int) -> np.ndarray:
+        """An all-zero C-contiguous ``(rows, width)`` view (hold :attr:`lock`)."""
+        if self.cells.size < rows * width:
+            self.cells = np.zeros(rows * width)
+        return self.cells[: rows * width].reshape(rows, width)
+
+    def clear(self) -> None:
+        """Set the cells written since the last clear back to zero."""
+        self.cells[self.written] = 0.0
+        self.written = np.zeros(0, dtype=np.int64)
+
+
+_SCORING_BUFFER = _ScoringBuffer()
 
 
 class TextDataset:
@@ -133,17 +174,25 @@ class TextDataset:
             matrix[row, :k] = sentence[:k]
         return matrix
 
-    def bag_of_words(self, normalize: bool = True) -> np.ndarray:
+    def bag_of_words(
+        self, normalize: bool = True, *, out: "_ScoringBuffer | None" = None
+    ) -> np.ndarray:
         """Return ``(n, |V|)`` token-count features (L1-normalised rows).
 
         Empty sentences produce an all-zero row.  Each (row, token) cell
         is written once, as ``count / length`` (the raw count when
         ``normalize`` is false).  Counts are small integers, so a sentence's
         length is exactly the float row sum of its counts, and the cell
-        holds the same bytes a dense row sum and divide would give.
+        holds the same bytes a dense row sum and divide would give.  The
+        cells go into a fresh zero matrix or, with ``out`` (the scoring
+        buffer, passed only by :meth:`scoring_bag_of_words`), into a view
+        of that buffer, which records them.
         """
         width = len(self.vocab)
-        matrix = np.zeros((len(self), width), dtype=np.float64)
+        if out is None:
+            matrix = np.zeros((len(self), width), dtype=np.float64)
+        else:
+            matrix = out.matrix(len(self), width)
         if not len(self):
             return matrix
         lengths = self.lengths()
@@ -153,8 +202,33 @@ class TextDataset:
         rows = np.repeat(np.arange(len(self)), lengths)
         cells, counts = np.unique(rows * width + ids, return_counts=True)
         values = counts / lengths[cells // width] if normalize else counts
+        if out is not None:
+            out.written = cells
         np.put(matrix, cells, values)
         return matrix
+
+    @contextmanager
+    def scoring_bag_of_words(self) -> Iterator[np.ndarray]:
+        """Yield :meth:`bag_of_words` written into one reused buffer.
+
+        Scoring a pool builds its matrix for one product, every round,
+        and mapping and page-faulting a fresh matrix of that size costs
+        more than filling it.  The buffer is all-zero between uses: on
+        leaving the block, also on an error, exactly the cells written
+        are set back to zero.  The matrix is valid only inside the
+        block.  One caller holds the buffer at a time; a concurrent or
+        nested caller gets a fresh matrix instead.
+        """
+        buffer = _SCORING_BUFFER
+        lock = buffer.lock
+        if not lock.acquire(blocking=False):
+            yield self.bag_of_words()
+            return
+        try:
+            yield self.bag_of_words(out=buffer)
+        finally:
+            buffer.clear()
+            lock.release()
 
     def class_counts(self) -> np.ndarray:
         """Number of samples per class, length ``num_classes``."""

@@ -231,7 +231,7 @@ class CheckpointStore:
         check_fields(payload, RESULT_RULES, CheckpointError, f"corrupt checkpoint {path}")
         try:
             return result_from_dict(payload["result"])
-        except (HistoryError, OverflowError) as error:  # a rejected round, an index past int64
+        except HistoryError as error:  # a rejected round
             raise CheckpointError(f"corrupt checkpoint {path}: {error}") from error
 
     # -- in-flight session snapshots -----------------------------------------

@@ -352,8 +352,15 @@ class NumpyModel:
 
     def set_params(self, state: dict):
         """Restore the state produced by :meth:`get_params` and return ``self``."""
-        self._params = params_from_jsonable(state["arrays"])
-        for name in self.STATE_META:
-            setattr(self, f"_{name}", int(state["meta"][name]))
+        params = params_from_jsonable(state["arrays"])
+        meta = {name: int(state["meta"][name]) for name in self.STATE_META}
+        self._check_params(params, meta)
+        self._params = params
+        for name, value in meta.items():
+            setattr(self, f"_{name}", value)
         bump_fit_generation(self)
         return self
+
+    def _check_params(self, params: dict, meta: dict) -> None:
+        """Reject stored arrays that cannot be this model's, with a
+        ``ConfigurationError`` naming the array (no check by default)."""

@@ -100,11 +100,28 @@ class LinearSoftmax(NumpyModel, Classifier):
             "b": delta.sum(axis=0),
         }
 
+    def _check_params(self, params: dict, meta: dict) -> None:
+        weights, bias = params["W"], params["b"]
+        if weights.ndim != 2 or weights.shape[1] != meta["num_classes"]:
+            raise ConfigurationError(
+                f"arrays.W must be a matrix with meta.num_classes "
+                f"({meta['num_classes']}) columns, got shape {weights.shape}"
+            )
+        if bias.shape != (weights.shape[1],):
+            raise ConfigurationError(
+                f"arrays.b must have shape {(weights.shape[1],)}, got {bias.shape}"
+            )
+
     # -- inference --------------------------------------------------------
 
     def predict_proba(self, dataset: TextDataset) -> np.ndarray:
         params = self._require_fitted()
-        features = dataset.bag_of_words()
+        with dataset.scoring_bag_of_words() as features:
+            return self._probabilities(params, features)
+
+    @staticmethod
+    def _probabilities(params: dict, features: np.ndarray) -> np.ndarray:
+        """``softmax(features @ W + b)``, one product over all the rows."""
         if features.shape[1] != params["W"].shape[0]:
             raise ConfigurationError(
                 f"vocabulary mismatch: model has {params['W'].shape[0]} features, "
@@ -121,12 +138,12 @@ class LinearSoftmax(NumpyModel, Classifier):
         the norm over labels with weights ``p_y``.
         """
         params = self._require_fitted()
-        features = dataset.bag_of_words()
-        probabilities = softmax(features @ params["W"] + params["b"])
-        squared_norms = np.empty(len(features))
-        for start in range(0, len(features), EGL_BLOCK_ROWS):
-            block = features[start : start + EGL_BLOCK_ROWS]
-            squared_norms[start : start + EGL_BLOCK_ROWS] = (block**2).sum(axis=1)
+        with dataset.scoring_bag_of_words() as features:
+            probabilities = self._probabilities(params, features)
+            squared_norms = np.empty(len(features))
+            for start in range(0, len(features), EGL_BLOCK_ROWS):
+                block = features[start : start + EGL_BLOCK_ROWS]
+                squared_norms[start : start + EGL_BLOCK_ROWS] = (block**2).sum(axis=1)
         feature_norms = np.sqrt(squared_norms + 1.0)
         # ||p - e_y||^2 = ||p||^2 - 2 p_y + 1, per candidate label y.
         squared = (probabilities**2).sum(axis=1, keepdims=True) - 2 * probabilities + 1.0

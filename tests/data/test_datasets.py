@@ -1,10 +1,14 @@
 """Tests for TextDataset / SequenceDataset containers."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.data.datasets import SequenceDataset, TextDataset
+from repro.data.datasets import _SCORING_BUFFER, SequenceDataset, TextDataset
 from repro.data.vocab import Vocabulary
 from repro.exceptions import DataError
 
@@ -214,6 +218,85 @@ def small_seq():
     return SequenceDataset(
         [[2, 3], [4, 5, 6]], [[0, 1], [0, 0, 1]], vocab, tag_names, name="seq"
     )
+
+
+def scoring_buffer_is_clear() -> bool:
+    """Whether every cell of the shared scoring buffer is zero."""
+    return not _SCORING_BUFFER.cells.any()
+
+
+def wait_for_child(pid: int, seconds: float = 60.0) -> int:
+    """Exit code of the forked child ``pid``; fail if it runs past ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"forked child still running after {seconds} s")
+        time.sleep(0.01)
+
+
+class TestScoringBuffer:
+    """``scoring_bag_of_words`` fills one reused buffer and clears it on exit."""
+
+    def test_same_bytes_as_a_fresh_matrix_then_clear(self, text_dataset, small_text):
+        # Shrinking pools, a narrower vocabulary, an empty dataset, then wider again.
+        for dataset in (text_dataset, text_dataset.subset(range(450)), small_text,
+                        text_dataset.subset([]), text_dataset.subset(range(300))):
+            with dataset.scoring_bag_of_words() as features:
+                assert not len(dataset) or np.shares_memory(features, _SCORING_BUFFER.cells)
+                assert features.flags.c_contiguous
+                assert features.shape == (len(dataset), len(dataset.vocab))
+                assert features.tobytes() == dataset.bag_of_words().tobytes()
+            assert scoring_buffer_is_clear()
+        assert _SCORING_BUFFER.cells.size >= len(text_dataset) * len(text_dataset.vocab)
+
+    def test_cleared_after_an_error_in_the_block(self, small_text):
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            with small_text.scoring_bag_of_words() as features:
+                assert features.any()
+                raise RuntimeError("scoring failed")
+        assert scoring_buffer_is_clear()
+        assert _SCORING_BUFFER.lock.acquire(blocking=False)
+        _SCORING_BUFFER.lock.release()
+
+    def test_an_out_of_range_id_writes_nothing(self, small_text):
+        dataset = small_text.subset([0, 1])
+        dataset.sentences[1] = np.array([len(dataset.vocab)])
+        with pytest.raises(DataError, match="token id 10 is not in"):
+            with dataset.scoring_bag_of_words():
+                pass
+        assert scoring_buffer_is_clear()
+        assert _SCORING_BUFFER.lock.acquire(blocking=False)
+        _SCORING_BUFFER.lock.release()
+
+    def test_a_nested_caller_gets_a_fresh_matrix(self, text_dataset, small_text):
+        with text_dataset.scoring_bag_of_words() as held:
+            with small_text.scoring_bag_of_words() as nested:
+                assert not np.shares_memory(nested, _SCORING_BUFFER.cells)
+                assert nested.tobytes() == small_text.bag_of_words().tobytes()
+            assert held.tobytes() == text_dataset.bag_of_words().tobytes()
+        assert scoring_buffer_is_clear()
+
+    def test_a_forked_child_gets_a_free_lock_and_its_own_buffer(self, small_text):
+        expected = small_text.bag_of_words().tobytes()
+        with small_text.scoring_bag_of_words():
+            pid = os.fork()
+            if pid == 0:  # the child: its buffer starts empty and unlocked
+                code = 1
+                try:
+                    fresh = _SCORING_BUFFER.cells.size == 0
+                    with small_text.scoring_bag_of_words() as features:
+                        reused = np.shares_memory(features, _SCORING_BUFFER.cells)
+                        same = features.tobytes() == expected
+                    code = 0 if fresh and reused and same and scoring_buffer_is_clear() else 1
+                finally:
+                    os._exit(code)
+            assert wait_for_child(pid) == 0
+        assert scoring_buffer_is_clear()
 
 
 class TestSequenceDataset:

@@ -128,7 +128,11 @@ DAMAGED_RESULTS = {
     "no-result": (lambda result: result.clear(), "result.strategy_name must be a string"),
     "index-past-int64": (
         lambda result: result["selection_order"][0].__setitem__(0, 2**70),
-        "too large",
+        "result.selection_order must be a list of index lists",
+    ),
+    "selected-past-int64": (
+        lambda result: result["records"][1]["selected"].__setitem__(0, 2**63),
+        "result.records must be a list of round records",
     ),
 }
 

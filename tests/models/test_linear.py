@@ -1,17 +1,27 @@
 """Tests for the LinearSoftmax classifier, including its closed-form EGL."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.data.text import TextCorpusSpec, make_text_corpus
-from repro.exceptions import ConfigurationError, NotFittedError
+from repro.exceptions import ConfigurationError, DataError, NotFittedError
+from repro.ioutil import encode_array
+from repro.models.layers import softmax
 from repro.models.linear import EGL_BLOCK_ROWS, LinearSoftmax
+from tests.data.test_datasets import scoring_buffer_is_clear
+
+
+def dense_probabilities(model, dataset):
+    """``softmax(bag_of_words() @ W + b)`` over a freshly built matrix."""
+    return softmax(dataset.bag_of_words() @ model.weights + model._params["b"])
 
 
 def dense_gradient_lengths(model, dataset):
     """Eq. (5) with the squared features summed as one dense matrix."""
     features = dataset.bag_of_words()
-    probabilities = model.predict_proba(dataset)
+    probabilities = dense_probabilities(model, dataset)
     feature_norms = np.sqrt((features**2).sum(axis=1) + 1.0)
     squared = (probabilities**2).sum(axis=1, keepdims=True) - 2 * probabilities + 1.0
     residual_norms = np.sqrt(np.clip(squared, 0.0, None))
@@ -143,6 +153,105 @@ class TestEGL:
         most_confident = confidence > np.quantile(confidence, 0.9)
         least_confident = confidence < np.quantile(confidence, 0.1)
         assert scores[least_confident].mean() > scores[most_confident].mean()
+
+
+class TestScoringBuffer:
+    """``predict_proba`` and EGL score through the reused feature buffer."""
+
+    def test_shrinking_pools_at_two_widths_match_the_dense_path(
+        self, fitted_classifier, text_dataset, egl_pool
+    ):
+        egl_model, egl_dataset = egl_pool
+        assert len(egl_dataset.vocab) != len(text_dataset.vocab)
+        for removed in range(0, 600, 150):  # one batch leaves the pool per round
+            for model, dataset in ((egl_model, egl_dataset), (fitted_classifier, text_dataset)):
+                pool = dataset.subset(range(removed, len(dataset)))
+                probabilities = model.predict_proba(pool)
+                assert probabilities.tobytes() == dense_probabilities(model, pool).tobytes()
+                lengths = model.expected_gradient_lengths(pool)
+                assert lengths.tobytes() == dense_gradient_lengths(model, pool).tobytes()
+                assert scoring_buffer_is_clear()
+
+    def test_an_empty_dataset_scores_nothing(self, fitted_classifier, text_dataset):
+        empty = text_dataset.subset([])
+        probabilities = fitted_classifier.predict_proba(empty)
+        assert probabilities.shape == (0, 2)
+        assert probabilities.tobytes() == dense_probabilities(fitted_classifier, empty).tobytes()
+        assert fitted_classifier.expected_gradient_lengths(empty).shape == (0,)
+        assert scoring_buffer_is_clear()
+
+    @pytest.mark.parametrize("score", ["predict_proba", "expected_gradient_lengths"])
+    def test_a_vocabulary_mismatch_leaves_the_buffer_clear(
+        self, fitted_classifier, egl_pool, score
+    ):
+        _, other = egl_pool
+        with pytest.raises(ConfigurationError, match="vocabulary mismatch"):
+            getattr(fitted_classifier, score)(other)
+        assert scoring_buffer_is_clear()
+
+    @pytest.mark.parametrize("score", ["predict_proba", "expected_gradient_lengths"])
+    def test_an_out_of_range_id_leaves_the_buffer_clear(
+        self, fitted_classifier, text_dataset, score
+    ):
+        dataset = text_dataset.subset(range(20))
+        dataset.sentences[7] = np.array([len(dataset.vocab)])
+        with pytest.raises(DataError, match="is not in"):
+            getattr(fitted_classifier, score)(dataset)
+        assert scoring_buffer_is_clear()
+
+    def test_two_threads_scoring_at_once_match_serial(
+        self, fitted_classifier, text_dataset, egl_pool
+    ):
+        jobs = [(fitted_classifier, text_dataset), egl_pool]
+        serial = [
+            (model.predict_proba(data).tobytes(), model.expected_gradient_lengths(data).tobytes())
+            for model, data in jobs
+        ]
+        start = threading.Barrier(len(jobs))
+        results = [[] for _ in jobs]
+
+        def score(slot: int) -> None:
+            model, data = jobs[slot]
+            start.wait()
+            for _ in range(10):
+                results[slot].append((
+                    model.predict_proba(data).tobytes(),
+                    model.expected_gradient_lengths(data).tobytes(),
+                ))
+
+        threads = [threading.Thread(target=score, args=(slot,)) for slot in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for slot, expected in enumerate(serial):
+            assert results[slot] == [expected] * 10
+        assert scoring_buffer_is_clear()
+
+
+class TestSetParams:
+    """A stored state must be this model's shape before it is installed."""
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda arrays, meta: arrays.update(b=encode_array(np.zeros(3))),
+         r"arrays.b must have shape \(2,\), got \(3,\)"),
+        (lambda arrays, meta: arrays.update(b=[[0.0, 0.0]]),
+         r"arrays.b must have shape \(2,\), got \(1, 2\)"),
+        (lambda arrays, meta: arrays.update(W=[0.0, 0.0]),
+         r"arrays.W must be a matrix with meta.num_classes \(2\) columns"),
+        (lambda arrays, meta: meta.update(num_classes=3),
+         r"arrays.W must be a matrix with meta.num_classes \(3\) columns"),
+    ])
+    def test_a_misshaped_state_is_a_configuration_error(
+        self, fitted_classifier, change, message
+    ):
+        state = fitted_classifier.get_params()
+        change(state["arrays"], state["meta"])
+        model = fitted_classifier.clone()
+        with pytest.raises(ConfigurationError, match=message):
+            model.set_params(state)
+        with pytest.raises(NotFittedError):
+            model.weights
 
 
 class TestValidation:

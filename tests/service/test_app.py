@@ -173,6 +173,17 @@ MALFORMED_DOCUMENTS = {
     "null-model-history": (_set("session.model_history", None), "model_history must be"),
     "short-ingested-pair": (_set("session.ingested", [[1]]), "ingested must be"),
     "string-in-pending": (_set("session.pending", ["x"]), "pending must be"),
+    "pending-past-int64": (
+        _edit("session.pending", lambda pending: [2**70, *pending[1:]]), "pending must be"
+    ),
+    "selection-order-past-int64": (
+        _edit("session.selection_order", lambda order: [[2**70], *order]),
+        "selection_order must be",
+    ),
+    "selected-past-int64": (
+        _edit("session.records", lambda records: [{**records[0], "selected": [2**63]}]),
+        "records must be",
+    ),
     "string-batch-size": (_set("session.config.batch_size", "five"), "config.batch_size must be"),
     "no-recipe": (_drop("recipe"), "recipe must be an object"),
     "reseed-model-false": (
@@ -210,6 +221,10 @@ UNRESTORABLE_DOCUMENTS = {
     "ragged-array": (
         _set("session.model.params.arrays.b", [[0.0], [0.0, 1.0]]),
         "model params cannot be restored",
+    ),
+    "bias-of-wrong-length": (
+        _set("session.model.params.arrays.b", encode_array(np.zeros(3))),
+        "model params cannot be restored: arrays.b",
     ),
     "encoded-array-bad-base64": (
         _edit("session.model.params.arrays.b", lambda array: {**array, "data": "!"}),
