@@ -1,17 +1,20 @@
 """Speed checks: each fast path must be no slower than what it replaced.
 
-Four timing claims, at small sizes but for pool scoring:
+Five timing claims, at small sizes but for text features:
 
 * partial top-k selection against the full lexsort (DESIGN §7);
 * ``LinearSoftmax.predict_proba`` through the reused feature buffer
   against the same product over a freshly built ``bag_of_words()``
   matrix, on an MR-1.0 training split (DESIGN §7);
+* ``bag_of_words()`` of an MR-1.0 pool from its kept token counts
+  against counting every row with ``np.unique`` on each call
+  (DESIGN §7);
 * warm-start training against cold (DESIGN §12);
 * a resumed scenario sweep against its cold run (DESIGN §14).
 
 Each side is timed as the best of ``REPEATS`` ``time.perf_counter``
-readings.  The top-k and scoring tests assert that both paths give the
-same bytes before they time them; every other correctness check runs in
+readings.  The top-k, scoring and featurization tests assert that both
+paths give the same bytes before they time them; every other correctness check runs in
 the tier-1 suite, which this module is not part of (``testpaths`` is
 ``tests``), because wall time depends on the host.  It takes no option
 and writes no file::
@@ -36,6 +39,7 @@ from repro.models.base import params_from_jsonable
 from repro.models.layers import softmax
 from repro.specs import ExperimentSpec, Spec, SweepSpec, build_split
 from tests.models.test_warm_start import warm_workload
+from tests.oracles.data import unique_bag_of_words
 
 REPEATS = 3
 
@@ -80,6 +84,20 @@ def test_buffered_scoring_beats_a_fresh_matrix():
 
     assert model.predict_proba(pool).tobytes() == fresh().tobytes()
     assert best_of(lambda: model.predict_proba(pool)) <= best_of(fresh)
+
+
+def test_kept_counts_beat_counting_every_call():
+    """The MR-1.0 training split less a 250-row seed set, as a pool is
+    scored after the first round.  Its counts are gathered from the
+    corpus at the first call, which is not timed; both sides then fill a
+    fresh matrix, so the ratio isolates the counting."""
+    split, _ = build_split(
+        Spec(kind="fraction", params={"test_fraction": 0.3}), mr(1.0, seed_or_rng=7)
+    )
+    pool = split.subset(range(250, len(split)))
+    assert pool.bag_of_words().tobytes() == unique_bag_of_words(pool).tobytes()
+    kept = best_of(pool.bag_of_words)
+    assert kept <= best_of(lambda: unique_bag_of_words(pool))
 
 
 @pytest.mark.parametrize("family", ["textcnn", "mlp", "lstm"])

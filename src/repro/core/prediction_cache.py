@@ -28,9 +28,9 @@ For a sequence labeler, the emission matrices
 (:meth:`~repro.models.base.SequenceLabeler.emissions`) are cached once
 and shared by Viterbi decoding, path log-probabilities and token
 marginals, so e.g. span-F1 evaluation plus an MNLP score reuse the same
-encoder pass; ``predict_tags`` and ``best_path_log_proba`` also share
-one fused ``decode()`` lattice walk — asking for both costs a single
-decode.
+encoder pass.  ``predict_tags`` runs the Viterbi pass only, and
+``best_path_log_proba`` scores those cached paths with one forward pass
+(``decode``): in either order, each pass runs once.
 """
 
 from __future__ import annotations
@@ -124,27 +124,37 @@ class PredictionCache:
             "emissions", model, dataset, lambda: model.emissions(dataset)
         )
 
-    def _decode(self, model: SequenceLabeler, dataset: SequenceDataset):
-        """Cached fused ``(paths, log_probas)`` over the cached emissions."""
-        emissions = self._emissions(model, dataset)
+    def _decoded(self, model: SequenceLabeler, dataset: SequenceDataset, emissions):
+        """The cached ``[paths, log_probas]`` record of one dataset.
+
+        The Viterbi pass fills ``paths`` when the record is made;
+        ``log_probas`` stays ``None`` until :meth:`best_path_log_proba`
+        scores those paths.
+        """
         return self._memo(
             "decode",
             model,
             dataset,
-            lambda: model.decode(dataset, emissions=emissions),
+            lambda: [model.predict_tags(dataset, emissions=emissions), None],
         )
 
     def predict_tags(
         self, model: SequenceLabeler, dataset: SequenceDataset
     ) -> list[np.ndarray]:
-        """Cached Viterbi decode, from the shared fused pass."""
-        return self._decode(model, dataset)[0]
+        """Cached Viterbi paths: the Viterbi pass only."""
+        emissions = self._emissions(model, dataset)
+        return self._decoded(model, dataset, emissions)[0]
 
     def best_path_log_proba(
         self, model: SequenceLabeler, dataset: SequenceDataset
     ) -> np.ndarray:
-        """Cached Viterbi-path log-probabilities, from the shared fused pass."""
-        return self._decode(model, dataset)[1]
+        """Cached Viterbi-path log-probabilities: the cached paths, scored
+        by one forward pass (``decode``)."""
+        emissions = self._emissions(model, dataset)
+        record = self._decoded(model, dataset, emissions)
+        if record[1] is None:
+            record[1] = model.decode(dataset, record[0], emissions=emissions)
+        return record[1]
 
     def token_marginals(
         self, model: SequenceLabeler, dataset: SequenceDataset

@@ -17,19 +17,22 @@ from ...exceptions import ConfigurationError
 from .base import QueryStrategy, SelectionContext
 
 
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
-
-
 def candidate_vectors(dataset: "TextDataset | SequenceDataset") -> np.ndarray:
-    """Unit-normalised token-count vectors for similarity computations."""
-    if isinstance(dataset, TextDataset):
-        return _unit_rows(dataset.bag_of_words(normalize=False))
-    matrix = np.zeros((len(dataset), len(dataset.vocab)))
-    for row, sentence in enumerate(dataset.sentences):
-        np.add.at(matrix[row], sentence, 1.0)
-    return _unit_rows(matrix)
+    """Unit-normalised token-count vectors for similarity computations.
+
+    One dense matrix, written straight from the dataset's
+    :meth:`~repro.data.datasets.TextDataset.token_counts`.  A row's norm
+    sums squared integer counts, which is exact in any order, so each
+    cell has the bytes of a dense count row divided by its
+    ``np.linalg.norm``; empty rows stay zero.
+    """
+    counts = dataset.token_counts()
+    rows = np.repeat(np.arange(len(dataset)), np.diff(counts.offsets))
+    squares = np.square(counts.counts, dtype=np.float64)
+    norms = np.sqrt(np.bincount(rows, weights=squares, minlength=len(dataset)))
+    matrix = np.zeros((len(dataset), counts.width))
+    np.put(matrix, counts.cells, counts.counts / norms[rows])
+    return matrix
 
 
 class DensityWeighted(QueryStrategy):

@@ -7,10 +7,12 @@ Two container types cover the paper's two tasks:
 * :class:`SequenceDataset` — token-id sequences with one tag id per token
   (named entity recognition).
 
-Both are immutable views over numpy data, support ``subset`` (used by the
-pool to slice labeled/unlabeled data without copying the corpus), and carry
-their vocabulary so models can size their embedding tables.  Pool scoring
-featurizes text into one reused buffer
+Both support ``subset`` (used by the pool to slice labeled/unlabeled data
+without copying the corpus) and carry their vocabulary so models can size
+their embedding tables.  A :class:`TextDataset`'s sentences are fixed at
+construction: read-only views into one flat id array, whose token counts
+(:class:`TokenCounts`) are counted once and shared with every subset.
+Pool scoring featurizes text into one reused buffer
 (:meth:`TextDataset.scoring_bag_of_words`).
 """
 
@@ -21,6 +23,7 @@ import threading
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,17 +33,18 @@ from .vocab import Vocabulary
 
 def _id_arrays(
     sequences: Sequence[Sequence[int]], kind: str, limit: "int | None" = None
-) -> list[np.ndarray]:
-    """Return ``sequences`` as int64 arrays, checked once over all their ids.
+) -> "tuple[list[np.ndarray], np.ndarray]":
+    """Return ``sequences`` as int64 arrays, and all their ids in one array.
 
-    Each array must be 1-D, with ids ``>= 0`` and, when ``limit`` is given,
-    ``< limit``.  Arrays that already are int64 are kept, not copied, so a
-    subset shares its parent's arrays.  The error names the first offending
+    The ids are checked once: each array must be 1-D, with ids ``>= 0``
+    and, when ``limit`` is given, ``< limit``.  Arrays that already are
+    int64 are kept, not copied, so a :class:`SequenceDataset` subset
+    shares its parent's arrays.  The error names the first offending
     sample.
     """
     arrays = list(map(np.asarray, sequences, repeat(np.int64)))
     if not arrays:
-        return arrays
+        return arrays, np.zeros(0, dtype=np.int64)
     try:
         ids = np.concatenate(arrays)
     except ValueError:  # a 0-d array, or arrays of different ndim
@@ -60,7 +64,84 @@ def _id_arrays(
         raise DataError(
             f"sample {sample}: {kind} id {ids[position]} is not {bound}"
         )
-    return arrays
+    return arrays, ids
+
+
+class TokenCounts(NamedTuple):
+    """Each row's distinct tokens and their counts, flattened row by row.
+
+    Row ``r`` owns entries ``offsets[r]:offsets[r + 1]``, in ascending
+    token order.  ``cells`` holds each entry's flat index
+    ``r * width + token`` into an ``(n, width)`` matrix, ``counts`` how
+    often the token occurs in the row, and ``values`` the bag-of-words
+    feature ``count / row length``.  The arrays are read-only.
+    """
+
+    width: int
+    offsets: np.ndarray
+    cells: np.ndarray
+    counts: np.ndarray
+    values: np.ndarray
+
+    def gather(self, rows: np.ndarray) -> "TokenCounts":
+        """The counts of ``rows`` (non-negative row indices, repeats allowed)."""
+        starts = self.offsets[rows]
+        sizes = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        source = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
+        # An entry moves from row rows[i] to row i: its flat index, by whole rows.
+        shift = np.repeat((np.arange(len(rows)) - rows) * self.width, sizes)
+        return _read_only(TokenCounts(
+            self.width, offsets, self.cells[source] + shift,
+            self.counts[source], self.values[source],
+        ))
+
+
+def _read_only(counts: TokenCounts) -> TokenCounts:
+    for array in counts[1:]:
+        array.flags.writeable = False
+    return counts
+
+
+def count_tokens(ids: np.ndarray, lengths: np.ndarray, width: int) -> TokenCounts:
+    """Count the rows laid end to end in ``ids`` with one ``np.unique``.
+
+    Row ``r`` is the next ``lengths[r]`` ids, each in ``[0, width)``.
+    Counts are small integers, so a row's length is exactly the float sum
+    of its counts, and ``count / length`` holds the same bytes a dense row
+    sum and divide would give.
+    """
+    n = len(lengths)
+    rows = np.repeat(np.arange(n), lengths)
+    cells, counts = np.unique(rows * width + ids, return_counts=True)
+    cell_rows = cells // width
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell_rows, minlength=n), out=offsets[1:])
+    return _read_only(TokenCounts(
+        width, offsets, cells, counts.astype(np.int32), counts / lengths[cell_rows]
+    ))
+
+
+class _Corpus:
+    """The token ids a :class:`TextDataset` was built from, end to end.
+
+    The dataset and every subset cut from it share one corpus, which
+    counts its tokens at the first featurization of any of them and
+    keeps the counts (:attr:`counts` is ``None`` until then).
+    """
+
+    def __init__(self, ids: np.ndarray, lengths: np.ndarray) -> None:
+        self.ids = ids
+        self.lengths = lengths
+        self.counts: "TokenCounts | None" = None
+
+    def counted(self, width: int) -> TokenCounts:
+        """The kept counts, counted now if there are none of this width."""
+        counts = self.counts
+        if counts is None or counts.width != width:
+            counts = self.counts = count_tokens(self.ids, self.lengths, width)
+        return counts
 
 
 class _ScoringBuffer:
@@ -102,6 +183,12 @@ _SCORING_BUFFER = _ScoringBuffer()
 class TextDataset:
     """Labeled sentences for text classification.
 
+    The sentences are fixed at construction: :attr:`sentences` is a tuple
+    of read-only views into one flat id array, so the token counts
+    behind :meth:`bag_of_words` can be kept.  :attr:`labels` stays a
+    writable array (ingest writes labels in place) and is not part of
+    those counts.
+
     Parameters
     ----------
     sentences:
@@ -125,7 +212,11 @@ class TextDataset:
         num_classes: int,
         name: str = "text",
     ) -> None:
-        self.sentences = _id_arrays(sentences, "token", len(vocab))
+        arrays, ids = _id_arrays(sentences, "token", len(vocab))
+        lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+        ends = np.cumsum(lengths).tolist()
+        ids.flags.writeable = False
+        self.sentences = tuple([ids[start:end] for start, end in zip([0, *ends], ends)])
         self.labels = np.asarray(labels, dtype=np.int64)
         if len(self.sentences) != len(self.labels):
             raise DataError(
@@ -138,24 +229,40 @@ class TextDataset:
         self.vocab = vocab
         self.num_classes = int(num_classes)
         self.name = name
+        self._corpus = _Corpus(ids, lengths)
+        self._rows: "np.ndarray | None" = None  # the whole corpus, in order
+        self._counts: "TokenCounts | None" = None
 
     def __len__(self) -> int:
         return len(self.sentences)
 
     def subset(self, indices: Sequence[int]) -> "TextDataset":
-        """Return a view-like dataset containing only ``indices``."""
+        """Return the dataset of rows ``indices``, in that order.
+
+        The subset holds this dataset's own row arrays and shares its
+        corpus, so nothing is validated or counted again: it gathers its
+        rows' token counts from the corpus counts, here if the corpus
+        has been counted, else at its first featurization.  The labels
+        are copied.
+        """
         index_array = np.asarray(indices, dtype=np.int64)
-        return TextDataset(
-            [self.sentences[i] for i in index_array.tolist()],
-            self.labels[index_array],
-            self.vocab,
-            self.num_classes,
-            name=self.name,
-        )
+        rows = np.arange(len(self)) if self._rows is None else self._rows
+        subset = object.__new__(TextDataset)
+        subset.sentences = tuple(map(self.sentences.__getitem__, index_array.tolist()))
+        subset.labels = self.labels[index_array]
+        subset.vocab = self.vocab
+        subset.num_classes = self.num_classes
+        subset.name = self.name
+        subset._corpus = self._corpus
+        subset._rows = rows[index_array]
+        counts = self._corpus.counts
+        subset._counts = None if counts is None else counts.gather(subset._rows)
+        return subset
 
     def lengths(self) -> np.ndarray:
         """Sentence lengths as an int array."""
-        return np.array([len(s) for s in self.sentences], dtype=np.int64)
+        lengths = self._corpus.lengths
+        return lengths.copy() if self._rows is None else lengths[self._rows]
 
     def max_length(self) -> int:
         """Longest sentence length (0 for an empty dataset)."""
@@ -174,37 +281,39 @@ class TextDataset:
             matrix[row, :k] = sentence[:k]
         return matrix
 
-    def bag_of_words(
-        self, normalize: bool = True, *, out: "_ScoringBuffer | None" = None
-    ) -> np.ndarray:
-        """Return ``(n, |V|)`` token-count features (L1-normalised rows).
+    def token_counts(self) -> TokenCounts:
+        """Each row's distinct tokens and their counts, counted once.
 
-        Empty sentences produce an all-zero row.  Each (row, token) cell
-        is written once, as ``count / length`` (the raw count when
-        ``normalize`` is false).  Counts are small integers, so a sentence's
-        length is exactly the float row sum of its counts, and the cell
-        holds the same bytes a dense row sum and divide would give.  The
-        cells go into a fresh zero matrix or, with ``out`` (the scoring
-        buffer, passed only by :meth:`scoring_bag_of_words`), into a view
-        of that buffer, which records them.
+        The first call of any dataset cut from one corpus counts the
+        whole corpus with one ``np.unique``; a subset's rows are
+        gathered from those counts.  Later calls return the kept counts.
         """
         width = len(self.vocab)
+        counts = self._counts
+        if counts is None or counts.width != width:
+            counts = self._corpus.counted(width)
+            if self._rows is not None:
+                counts = counts.gather(self._rows)
+            self._counts = counts
+        return counts
+
+    def bag_of_words(self, *, out: "_ScoringBuffer | None" = None) -> np.ndarray:
+        """Return ``(n, |V|)`` token-count features (L1-normalised rows).
+
+        Empty sentences produce an all-zero row.  The features are one
+        ``np.put`` of the kept :meth:`token_counts` cells, each
+        ``count / length``, into a fresh zero matrix or, with ``out``
+        (the scoring buffer, passed only by
+        :meth:`scoring_bag_of_words`), into a view of that buffer, which
+        records them.
+        """
+        counts = self.token_counts()
         if out is None:
-            matrix = np.zeros((len(self), width), dtype=np.float64)
+            matrix = np.zeros((len(self), counts.width), dtype=np.float64)
         else:
-            matrix = out.matrix(len(self), width)
-        if not len(self):
-            return matrix
-        lengths = self.lengths()
-        ids = np.concatenate(self.sentences)
-        if ids.size and ids.max() >= width:
-            raise DataError(f"token id {ids.max()} is not in [0, {width})")
-        rows = np.repeat(np.arange(len(self)), lengths)
-        cells, counts = np.unique(rows * width + ids, return_counts=True)
-        values = counts / lengths[cells // width] if normalize else counts
-        if out is not None:
-            out.written = cells
-        np.put(matrix, cells, values)
+            matrix = out.matrix(len(self), counts.width)
+            out.written = counts.cells
+        np.put(matrix, counts.cells, counts.values)
         return matrix
 
     @contextmanager
@@ -266,8 +375,8 @@ class SequenceDataset:
         tag_names: Sequence[str],
         name: str = "ner",
     ) -> None:
-        self.sentences = _id_arrays(sentences, "token", len(vocab))
-        self.tag_sequences = _id_arrays(tag_sequences, "tag")
+        self.sentences, _ = _id_arrays(sentences, "token", len(vocab))
+        self.tag_sequences, _ = _id_arrays(tag_sequences, "tag")
         if len(self.sentences) != len(self.tag_sequences):
             raise DataError(
                 f"{len(self.sentences)} sentences but {len(self.tag_sequences)} tag sequences"
@@ -318,6 +427,14 @@ class SequenceDataset:
     def total_tokens(self) -> int:
         """Total token count across all sentences."""
         return int(self.lengths().sum()) if len(self) else 0
+
+    def token_counts(self) -> TokenCounts:
+        """Each row's distinct tokens and their counts, in one vectorized pass.
+
+        Counted on every call: a sequence dataset's rows are a plain list.
+        """
+        ids = np.concatenate(self.sentences) if len(self) else np.zeros(0, dtype=np.int64)
+        return count_tokens(ids, self.lengths(), len(self.vocab))
 
     def tags_as_strings(self, index: int) -> list[str]:
         """Decode the tag sequence of sentence ``index`` to strings."""

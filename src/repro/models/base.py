@@ -104,6 +104,10 @@ class SequenceLabeler(ABC):
 
     Every decode takes the :meth:`emissions` of its dataset as an
     optional ``emissions`` keyword, so a caller can compute them once.
+    The Viterbi pass is :meth:`predict_tags` and the forward pass is
+    :meth:`decode`, which scores given tag paths; a caller holding the
+    Viterbi paths gets their log-probabilities without a second Viterbi
+    pass.
     """
 
     @abstractmethod
@@ -117,14 +121,21 @@ class SequenceLabeler(ABC):
         """Return per-sentence dropout-free ``(length, num_tags)`` emission scores."""
 
     @abstractmethod
-    def decode(self, dataset: SequenceDataset, *, emissions: "list | None" = None) -> tuple:
-        """Return ``(predict_tags, best_path_log_proba)`` from one decode."""
+    def decode(
+        self, dataset: SequenceDataset, tags: "list[np.ndarray]", *,
+        emissions: "list | None" = None,
+    ) -> np.ndarray:
+        """Return ``log p(tags | x)`` per sentence, from one forward pass.
+
+        ``tags`` holds one tag-id sequence per sentence, one tag per
+        token (:meth:`predict_tags` gives the Viterbi ones).
+        """
 
     @abstractmethod
     def predict_tags(
         self, dataset: SequenceDataset, *, emissions: "list | None" = None
     ) -> list[np.ndarray]:
-        """Return the Viterbi tag-id sequence for every sentence."""
+        """Return the Viterbi tag-id sequence for every sentence (the Viterbi pass)."""
 
     @abstractmethod
     def best_path_log_proba(

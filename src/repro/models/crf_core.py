@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.datasets import SequenceDataset
+from ..exceptions import DataError
 from .base import NumpyModel, SequenceLabeler
 from .batching import length_buckets
 
@@ -98,6 +99,26 @@ def crf_viterbi_batch(
     for position in range(length - 1, 0, -1):
         paths[:, position - 1] = backpointers[rows, position, paths[:, position]]
     return paths, delta[rows, best_last]
+
+
+def crf_path_scores_batch(
+    emissions: np.ndarray, paths: np.ndarray, transitions: np.ndarray,
+    start: np.ndarray, end: np.ndarray,
+) -> np.ndarray:
+    """Unnormalised scores ``(B,)`` of the tag paths ``(B, L)``.
+
+    Each row's terms are laid out in the Viterbi recursion's order —
+    start, first emission, then each transition and emission, then the
+    end — and summed by ``np.cumsum``, which adds left to right, so a
+    Viterbi path scores bit for bit its Viterbi score.
+    """
+    batch, length = paths.shape
+    terms = np.empty((batch, 2 * length + 1))
+    terms[:, 0] = start[paths[:, 0]]
+    terms[:, 1::2] = emissions[np.arange(batch)[:, None], np.arange(length), paths]
+    terms[:, 2:-1:2] = transitions[paths[:, :-1], paths[:, 1:]]
+    terms[:, -1] = end[paths[:, -1]]
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def crf_marginals_batch(
@@ -252,31 +273,33 @@ class CRFTagger(NumpyModel, SequenceLabeler):
         emissions: "list[np.ndarray] | None" = None,
     ) -> np.ndarray:
         """``log p(y*|x)`` per sentence — longer sentences score lower,
-        which reproduces the length bias MNLP (Eq. 13) corrects."""
-        return self.decode(dataset, emissions=emissions)[1]
+        which reproduces the length bias MNLP (Eq. 13) corrects.  The
+        Viterbi paths, scored by :meth:`decode`."""
+        if emissions is None:
+            emissions = self.emissions(dataset)
+        tags = self.predict_tags(dataset, emissions=emissions)
+        return self.decode(dataset, tags, emissions=emissions)
 
     def decode(
         self,
         dataset: SequenceDataset,
+        tags: "list[np.ndarray]",
         *,
         emissions: "list[np.ndarray] | None" = None,
-    ) -> "tuple[list[np.ndarray], np.ndarray]":
-        """Fused ``(predict_tags, best_path_log_proba)`` in one pass.
-
-        Runs each length bucket through the Viterbi and forward lattices
-        once, so callers needing both tags and path confidences pay for
-        a single decode instead of two.
-        """
+    ) -> np.ndarray:
+        """``log p(tags | x)`` per sentence: each path's score less the
+        log partition of one forward pass per length bucket.  On the
+        Viterbi paths this is bit for bit the Viterbi score less the log
+        partition."""
+        if list(map(len, tags)) != [len(sentence) for sentence in dataset.sentences]:
+            raise DataError("decode needs one tag per token of every sentence")
         transitions = self._transitions()
-        paths: list[np.ndarray | None] = [None] * len(dataset)
         log_probas = np.empty(len(dataset))
         for rows, batch in self._buckets(dataset, emissions):
-            bucket_paths, best_scores = crf_viterbi_batch(batch, *transitions)
+            paths = np.stack([tags[int(row)] for row in rows])
             _, log_z = crf_forward_batch(batch, *transitions)
-            log_probas[rows] = best_scores - log_z
-            for row, path in zip(rows, bucket_paths):
-                paths[int(row)] = path.copy()
-        return paths, log_probas
+            log_probas[rows] = crf_path_scores_batch(batch, paths, *transitions) - log_z
+        return log_probas
 
     def token_marginals(
         self,

@@ -65,20 +65,30 @@ class TestCache:
             fitted_crf.best_path_log_proba(small_ner),
         )
 
-    def test_tags_and_logp_share_one_decode(self, fitted_crf, small_ner):
-        """Models exposing the fused decode() run Viterbi once for both
-        predict_tags and best_path_log_proba."""
-        cache = PredictionCache()
-        cache.predict_tags(fitted_crf, small_ner)
-        cache.best_path_log_proba(fitted_crf, small_ner)
-        decode_entries = [k for k in cache._store if k[0] == "decode"]
-        assert len(decode_entries) == 1
-        assert not any(k[0] in ("tags", "logp") for k in cache._store)
-        # Second asks are pure hits (emissions + decode lookups each).
-        misses_before = cache.misses
-        cache.predict_tags(fitted_crf, small_ner)
-        cache.best_path_log_proba(fitted_crf, small_ner)
-        assert cache.misses == misses_before
+    def test_tags_and_logp_share_one_decode(self, fitted_crf, small_ner, monkeypatch):
+        """predict_tags runs the Viterbi pass only; best_path_log_proba
+        scores those paths with one forward pass (decode).  In either
+        order each pass runs once, and later asks are hits."""
+        passes = []
+        for method in ("emissions", "predict_tags", "decode"):
+            run = getattr(fitted_crf, method)
+            monkeypatch.setattr(fitted_crf, method, lambda *args, _run=run, _name=method,
+                                **kwargs: passes.append(_name) or _run(*args, **kwargs))
+        for first in ("predict_tags", "best_path_log_proba"):
+            passes.clear()
+            cache = PredictionCache()
+            getattr(cache, first)(fitted_crf, small_ner)
+            assert passes == ["emissions", "predict_tags"] + (
+                ["decode"] if first == "best_path_log_proba" else []
+            )
+            tags = cache.predict_tags(fitted_crf, small_ner)
+            log_probas = cache.best_path_log_proba(fitted_crf, small_ner)
+            assert sorted(passes) == ["decode", "emissions", "predict_tags"]
+            assert sorted(k[0] for k in cache._store) == ["decode", "emissions"]
+            misses_before = cache.misses
+            assert cache.predict_tags(fitted_crf, small_ner) is tags
+            assert cache.best_path_log_proba(fitted_crf, small_ner) is log_probas
+            assert cache.misses == misses_before and len(passes) == 3
 
     def test_clear_empties_store(self, fitted_classifier, text_dataset):
         cache = PredictionCache()

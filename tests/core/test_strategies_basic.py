@@ -17,10 +17,15 @@ from repro.core.strategies import (
 )
 from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies.base import distribution_entropy
+from repro.core.strategies.density import candidate_vectors
+from repro.data.datasets import TextDataset
+from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, StrategyError
 from repro.models.crf import LinearChainCRF
 from repro.models.linear import LinearSoftmax
 from repro.specs import Spec, spec_of_strategy, strategy_kinds
+
+from tests.oracles.data import candidate_vectors_reference
 
 from .helpers import make_context
 
@@ -191,6 +196,22 @@ class TestQBC:
 
 
 class TestDensity:
+    def test_vectors_match_the_dense_oracle(self, text_dataset, ner_dataset):
+        """Unit rows written from the kept counts have the bytes of the
+        dense count matrix divided by its norms, for text (a corpus,
+        subsets with repeats, an empty row, an empty pool) and for
+        sequences."""
+        with_empty_row = TextDataset([[2, 2, 3], [], [3]], [0, 1, 0], Vocabulary(["a", "b"]), 2)
+        pools = (
+            text_dataset, text_dataset.subset([5, -1, 5, 40]), text_dataset.subset([]),
+            with_empty_row, with_empty_row.subset([1, 0]),
+            ner_dataset, ner_dataset.subset(range(0, 250, 3)), ner_dataset.subset([]),
+        )
+        for pool in pools:
+            vectors = candidate_vectors(pool)
+            assert vectors.shape == (len(pool), len(pool.vocab))
+            assert vectors.tobytes() == candidate_vectors_reference(pool).tobytes()
+
     def test_downweights_outliers(self, fitted_classifier, text_dataset):
         context = make_context(text_dataset)
         base_scores = Entropy().scores(fitted_classifier, context)

@@ -2,34 +2,33 @@
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.data import datasets
 from repro.data.datasets import _SCORING_BUFFER, SequenceDataset, TextDataset
 from repro.data.vocab import Vocabulary
 from repro.exceptions import DataError
+from tests.oracles.data import bag_of_words_oracle, unique_bag_of_words
 
 
-def bag_of_words_oracle(dataset, normalize=True):
-    """The per-row ``np.add.at`` builder that ``bag_of_words`` replaced."""
-    matrix = np.zeros((len(dataset), len(dataset.vocab)), dtype=np.float64)
-    for row, sentence in enumerate(dataset.sentences):
-        np.add.at(matrix[row], sentence, 1.0)
-    if normalize:
-        totals = matrix.sum(axis=1, keepdims=True)
-        np.divide(matrix, totals, out=matrix, where=totals > 0)
-    return matrix
+def public_fields(dataset) -> dict:
+    """The attributes a caller sees: the private caches are left out."""
+    return {field: value for field, value in vars(dataset).items()
+            if not field.startswith("_")}
 
 
 def assert_same_fields(actual, expected):
-    """Every attribute equal, id arrays compared by dtype and value."""
-    assert vars(actual).keys() == vars(expected).keys()
-    for field, value in vars(expected).items():
+    """Every public attribute equal, id arrays compared by dtype and value."""
+    assert public_fields(actual).keys() == public_fields(expected).keys()
+    for field, value in public_fields(expected).items():
         other = getattr(actual, field)
-        if isinstance(value, list) and value and isinstance(value[0], np.ndarray):
+        if isinstance(value, (list, tuple)) and value and isinstance(value[0], np.ndarray):
             assert len(other) == len(value), field
             for got, want in zip(other, value):
                 assert got.dtype == want.dtype and np.array_equal(got, want), field
@@ -52,6 +51,26 @@ def text_corpora(draw):
         st.lists(st.integers(0, size - 1), max_size=25), max_size=40
     ))
     return size, sentences
+
+
+#: Up to three successive ``subset`` calls of up to 30 picks each; a pick
+#: becomes an index in ``[-n, n)`` of the dataset it subsets.
+subset_chains = st.lists(st.lists(st.integers(0, 10**6), max_size=30), max_size=3)
+
+
+def follow_chain(dataset, chain):
+    """``[(dataset, corpus rows), ...]`` after each subset of ``chain``.
+
+    Picks fold into ``[-n, n)``, so indices repeat and run negative; an
+    empty dataset can only be subset by no rows.
+    """
+    steps = [(dataset, np.arange(len(dataset)))]
+    for picks in chain:
+        current, rows = steps[-1]
+        n = len(current)
+        indices = [pick % (2 * n) - n for pick in picks] if n else []
+        steps.append((current.subset(indices), rows[np.asarray(indices, dtype=np.int64)]))
+    return steps
 
 
 @pytest.fixture()
@@ -117,18 +136,37 @@ class TestTextDataset:
         assert dataset.bag_of_words()[0, -1] == 1.0
 
     def test_bag_of_words_guards_ids_changed_after_construction(self, small_text):
+        """Rows are fixed at construction: replacing one, or writing into
+        one, is refused, and the features stay those of the rows given."""
         dataset = small_text.subset([0, 1])
-        dataset.sentences[1] = np.array([len(dataset.vocab)])
-        with pytest.raises(DataError, match="token id 10 is not in"):
-            dataset.bag_of_words()
+        expected = bag_of_words_oracle(dataset).tobytes()
+        with pytest.raises(TypeError):
+            dataset.sentences[1] = np.array([len(dataset.vocab)])
+        for rows in (dataset, small_text):
+            with pytest.raises(ValueError, match="read-only"):
+                rows.sentences[1][0] = len(dataset.vocab)
+        assert dataset.sentences[1].tolist() == [5, 6]
+        assert dataset.bag_of_words().tobytes() == expected
+
+    def test_rows_are_views_of_one_flat_copy(self):
+        vocab = Vocabulary(["a", "b", "c"])
+        given = [np.array([2, 3]), np.array([], dtype=np.int64), np.array([4, 2, 2])]
+        dataset = TextDataset(given, [0, 1, 0], vocab, 2)
+        assert isinstance(dataset.sentences, tuple)
+        base = dataset.sentences[0].base
+        assert all(row.base is base for row in dataset.sentences)
+        assert not any(np.shares_memory(row, array) for row in dataset.sentences
+                       for array in given)
+        given[0][0] = 4  # the caller's arrays stay theirs, and writable
+        assert dataset.sentences[0].tolist() == [2, 3]
 
     def test_empty_dataset(self):
         vocab = Vocabulary(["a", "b"])
         dataset = TextDataset([], [], vocab, 2)
         assert len(dataset) == 0
-        for normalize in (True, False):
-            features = dataset.bag_of_words(normalize=normalize)
-            assert features.shape == (0, 4) and features.dtype == np.float64
+        features = dataset.bag_of_words()
+        assert features.shape == (0, 4) and features.dtype == np.float64
+        assert dataset.lengths().tolist() == [] and dataset.max_length() == 0
 
     def test_subset_preserves_alignment(self, small_text):
         sub = small_text.subset([2, 0])
@@ -175,34 +213,133 @@ class TestTextDataset:
         assert np.allclose(bow.sum(axis=1), 1.0)
 
     def test_bag_of_words_counts(self, small_text):
-        bow = small_text.bag_of_words(normalize=False)
-        assert bow[2, 2] == 1.0  # token id 2 appears once in sentence 2
+        counts = small_text.token_counts()
+        assert counts.offsets.tolist() == [0, 3, 5, 9]
+        row = slice(counts.offsets[2], counts.offsets[3])
+        tokens = counts.cells[row] - 2 * counts.width
+        # sentence 2 is [7, 8, 9, 2]: each token once, in ascending order
+        assert tokens.tolist() == [2, 7, 8, 9]
+        assert counts.counts[row].tolist() == [1, 1, 1, 1]
+        assert counts.values[row].tolist() == [0.25] * 4
 
     def test_bag_of_words_is_a_fresh_array(self, small_text):
         first, second = small_text.bag_of_words(), small_text.bag_of_words()
         assert not np.shares_memory(first, second)
 
     @settings(max_examples=60, deadline=None)
-    @given(corpus=text_corpora(), normalize=st.booleans())
-    @example(corpus=EDGE_CORPUS, normalize=True)
-    @example(corpus=EDGE_CORPUS, normalize=False)
-    @example(corpus=(3, []), normalize=True)
-    def test_bag_of_words_matches_the_per_row_oracle(self, corpus, normalize):
+    @given(corpus=text_corpora(), chain=subset_chains, count_first=st.booleans(),
+           deepest_first=st.booleans())
+    @example(corpus=EDGE_CORPUS, chain=[], count_first=False, deepest_first=False)
+    @example(corpus=EDGE_CORPUS, chain=[[9, 0, 0, 4], [1, 1, 2], []], count_first=False,
+             deepest_first=True)
+    @example(corpus=EDGE_CORPUS, chain=[[9, 0, 0, 4], [1, 1, 2], []], count_first=True,
+             deepest_first=False)
+    @example(corpus=(3, []), chain=[[], []], count_first=True, deepest_first=False)
+    def test_bag_of_words_matches_the_per_row_oracle(
+        self, corpus, chain, count_first, deepest_first
+    ):
+        """A corpus and a chain of subsets cut from it after the corpus
+        was counted (gathered at once) or before (gathered when first
+        featurized), featurized root first or deepest subset first:
+        every dataset's features, fresh and buffered, have the oracle's
+        bytes, and its rows and labels are the corpus rows the chain
+        picked."""
         size, sentences = corpus
         vocab = Vocabulary([f"t{i}" for i in range(size - 2)])
-        dataset = TextDataset(sentences, [0] * len(sentences), vocab, 2)
-        features = dataset.bag_of_words(normalize=normalize)
-        expected = bag_of_words_oracle(dataset, normalize=normalize)
-        assert features.dtype == expected.dtype == np.float64
-        assert features.shape == expected.shape == (len(sentences), size)
-        assert features.flags.c_contiguous
-        assert features.tobytes() == expected.tobytes()
+        labels = [row % 2 for row in range(len(sentences))]
+        root = TextDataset(sentences, labels, vocab, 2)
+        if count_first:
+            root.token_counts()
+        steps = follow_chain(root, chain)
+        for dataset, rows in steps[::-1] if deepest_first else steps:
+            assert [row.tolist() for row in dataset.sentences] == [sentences[r] for r in rows]
+            assert dataset.labels.tolist() == [labels[r] for r in rows]
+            assert dataset.lengths().tolist() == [len(sentences[r]) for r in rows]
+            expected = bag_of_words_oracle(dataset)
+            features = dataset.bag_of_words()
+            assert features.dtype == expected.dtype == np.float64
+            assert features.shape == expected.shape == (len(rows), size)
+            assert features.flags.c_contiguous
+            assert features.tobytes() == expected.tobytes()
+            with dataset.scoring_bag_of_words() as buffered:
+                assert buffered.tobytes() == expected.tobytes()
+            assert scoring_buffer_is_clear()
 
     def test_bag_of_words_matches_the_oracle_on_a_generated_corpus(self, text_dataset):
-        for normalize in (True, False):
-            expected = bag_of_words_oracle(text_dataset, normalize=normalize)
-            features = text_dataset.bag_of_words(normalize=normalize)
-            assert features.tobytes() == expected.tobytes()
+        expected = bag_of_words_oracle(text_dataset)
+        assert text_dataset.bag_of_words().tobytes() == expected.tobytes()
+        assert unique_bag_of_words(text_dataset).tobytes() == expected.tobytes()
+
+    def test_a_corpus_is_counted_once(self, monkeypatch):
+        """Building and subsetting count nothing; the first featurization
+        counts the whole corpus, and every other dataset cut from it,
+        featurized any number of times, gathers from those counts."""
+        calls = []
+        count_tokens = datasets.count_tokens
+
+        def counting(*args):
+            calls.append(args[0].size)
+            return count_tokens(*args)
+
+        monkeypatch.setattr(datasets, "count_tokens", counting)
+        vocab = Vocabulary([f"t{i}" for i in range(6)])
+        corpus = TextDataset([[2, 3, 3], [4], [], [7, 2]], [0, 1, 0, 1], vocab, 2)
+        train, test = corpus.subset([0, 2, 3]), corpus.subset([1])
+        pool = train.subset([2, 0])
+        assert calls == []
+        for _ in range(3):
+            for dataset in (test, pool, train, corpus):
+                assert dataset.bag_of_words().tobytes() == bag_of_words_oracle(dataset).tobytes()
+        late = pool.subset([1, -1, 0])
+        assert late.bag_of_words().tobytes() == bag_of_words_oracle(late).tobytes()
+        assert calls == [6]
+
+    def test_threads_featurizing_one_fresh_corpus_agree(self, text_dataset):
+        """More threads than cores race to count one uncounted corpus and
+        gather their subsets from it; each gets the oracle's bytes."""
+        corpus = TextDataset(text_dataset.sentences, text_dataset.labels, text_dataset.vocab, 2)
+        pools = [corpus.subset(range(start, len(corpus), 3)) for start in range(3)]
+        pools.append(corpus)
+        expected = [bag_of_words_oracle(pool).tobytes() for pool in pools]
+        results = [None] * len(pools)
+        start = threading.Barrier(len(pools), timeout=60)
+
+        def featurize(slot: int) -> None:
+            start.wait()
+            results[slot] = pools[slot].bag_of_words().tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=featurize, args=(slot,)) for slot in range(len(pools))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+
+    def test_labels_stay_writable_beside_kept_counts(self, small_text):
+        """Ingest writes labels in place; the kept counts do not hold them."""
+        dataset = small_text.subset([0, 1, 2])
+        features = dataset.bag_of_words().tobytes()
+        dataset.labels[1] = 0
+        assert dataset.subset([1, 2]).labels.tolist() == [0, 0]
+        assert small_text.labels.tolist() == [0, 1, 0]
+        assert dataset.bag_of_words().tobytes() == features
+
+    def test_a_grown_vocabulary_widens_the_features(self):
+        vocab = Vocabulary(["a", "b"])
+        dataset = TextDataset([[2, 3], [3]], [0, 1], vocab, 2)
+        pool = dataset.subset([1, 0])
+        assert pool.bag_of_words().shape == (2, 4)
+        vocab.add("c")
+        for rows in (dataset, pool):
+            features = rows.bag_of_words()
+            assert features.shape == (2, 5)
+            assert features.tobytes() == bag_of_words_oracle(rows).tobytes()
 
     def test_class_counts(self, small_text):
         assert small_text.class_counts().tolist() == [2, 1]
@@ -264,11 +401,15 @@ class TestScoringBuffer:
         _SCORING_BUFFER.lock.release()
 
     def test_an_out_of_range_id_writes_nothing(self, small_text):
+        """An out-of-range id cannot get into a row after construction,
+        so scoring writes only the cells of the rows given."""
         dataset = small_text.subset([0, 1])
-        dataset.sentences[1] = np.array([len(dataset.vocab)])
-        with pytest.raises(DataError, match="token id 10 is not in"):
-            with dataset.scoring_bag_of_words():
-                pass
+        with pytest.raises(TypeError):
+            dataset.sentences[1] = np.array([len(dataset.vocab)])
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.sentences[1][:] = len(dataset.vocab)
+        with dataset.scoring_bag_of_words() as features:
+            assert features.tobytes() == bag_of_words_oracle(dataset).tobytes()
         assert scoring_buffer_is_clear()
         assert _SCORING_BUFFER.lock.acquire(blocking=False)
         _SCORING_BUFFER.lock.release()

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.data.datasets import SequenceDataset, TextDataset
 from repro.data.vocab import Vocabulary
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DataError
 from repro.models.batching import length_buckets, pad_sequences
 from repro.models.bilstm_crf import BiLSTMCRF
 from repro.models.crf import LinearChainCRF
@@ -33,6 +33,8 @@ from tests.oracles.models import (
     GEMM_TOLERANCE,
     bilstm_crf_token_marginal_samples_reference,
     crf_best_path_log_proba_reference,
+    crf_forward,
+    crf_path_score,
     crf_predict_tags_reference,
     crf_sentence_gradients,
     crf_token_marginals_reference,
@@ -370,6 +372,22 @@ class TestCRFBatchedBitwise:
             fitted_crf.best_path_log_proba(seq_dataset),
             crf_best_path_log_proba_reference(fitted_crf, seq_dataset),
         )
+
+    def test_decode_scores_any_paths_like_the_sentence_oracle(self, fitted_crf, seq_dataset):
+        rng = np.random.default_rng(11)
+        tags = [rng.integers(0, fitted_crf._num_tags, size=len(s)) for s in seq_dataset.sentences]
+        transitions = fitted_crf._transitions()
+        expected = np.array([
+            crf_path_score(emissions, path, *transitions) - crf_forward(emissions, *transitions)[1]
+            for emissions, path in zip(fitted_crf.emissions(seq_dataset), tags)
+        ])
+        assert_same_bytes(fitted_crf.decode(seq_dataset, tags), expected)
+
+    def test_decode_needs_one_tag_per_token(self, fitted_crf, seq_dataset):
+        tags = fitted_crf.predict_tags(seq_dataset)
+        for wrong in (tags[:-1], [path[:-1] for path in tags], [*tags[:-1], [*tags[-1], 0]]):
+            with pytest.raises(DataError, match="one tag per token"):
+                fitted_crf.decode(seq_dataset, wrong)
 
     def test_token_marginals(self, fitted_crf, seq_dataset):
         batched = fitted_crf.token_marginals(seq_dataset)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.text import TextCorpusSpec, make_text_corpus
-from repro.exceptions import ConfigurationError, DataError, NotFittedError
+from repro.exceptions import ConfigurationError, NotFittedError
 from repro.ioutil import encode_array
 from repro.models.layers import softmax
 from repro.models.linear import EGL_BLOCK_ROWS, LinearSoftmax
@@ -193,10 +193,17 @@ class TestScoringBuffer:
     def test_an_out_of_range_id_leaves_the_buffer_clear(
         self, fitted_classifier, text_dataset, score
     ):
+        """An out-of-range id cannot replace a row after construction, so
+        scoring sees the rows given and leaves the buffer clear."""
         dataset = text_dataset.subset(range(20))
-        dataset.sentences[7] = np.array([len(dataset.vocab)])
-        with pytest.raises(DataError, match="is not in"):
-            getattr(fitted_classifier, score)(dataset)
+        with pytest.raises(TypeError):
+            dataset.sentences[7] = np.array([len(dataset.vocab)])
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.sentences[7][0] = len(dataset.vocab)
+        dense = {"predict_proba": dense_probabilities,
+                 "expected_gradient_lengths": dense_gradient_lengths}[score]
+        scores = getattr(fitted_classifier, score)(dataset)
+        assert scores.tobytes() == dense(fitted_classifier, dataset).tobytes()
         assert scoring_buffer_is_clear()
 
     def test_two_threads_scoring_at_once_match_serial(

@@ -20,6 +20,9 @@ arrays.
   row-loop history backfill.
 * :mod:`tests.oracles.timeseries` — the scalar Mann-Kendall test (S from
   the pairwise sign matrix, the tie correction from ``np.unique``).
+* :mod:`tests.oracles.data` — the per-row ``np.add.at`` bag-of-words and
+  density vectors, and the per-call ``np.unique`` bag-of-words that kept
+  token counts replaced.
 
 ``repro.core.selection.top_k_reference`` stays in ``src``: it is also
 the production fallback of ``top_k_indices`` for NaN scores and
