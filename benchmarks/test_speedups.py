@@ -1,6 +1,6 @@
 """Speed checks: each fast path must be no slower than what it replaced.
 
-Five timing claims, at small sizes but for text features:
+Six timing claims, at small sizes but for text features:
 
 * partial top-k selection against the full lexsort (DESIGN §7);
 * ``LinearSoftmax.predict_proba`` through the reused feature buffer
@@ -10,11 +10,14 @@ Five timing claims, at small sizes but for text features:
   against counting every row with ``np.unique`` on each call
   (DESIGN §7);
 * warm-start training against cold (DESIGN §12);
-* a resumed scenario sweep against its cold run (DESIGN §14).
+* a resumed scenario sweep against its cold run (DESIGN §14);
+* a 2-worker queue grid whose workers quiet their idle BLAS threads
+  against the same grid under OpenBLAS's default spin (DESIGN §7).
 
 Each side is timed as the best of ``REPEATS`` ``time.perf_counter``
-readings.  The top-k, scoring and featurization tests assert that both
-paths give the same bytes before they time them; every other correctness check runs in
+readings.  The top-k, scoring, featurization and queue-grid tests
+assert that both paths give the same bytes before they time them;
+every other correctness check runs in
 the tier-1 suite, which this module is not part of (``testpaths`` is
 ``tests``), because wall time depends on the host.  It takes no option
 and writes no file::
@@ -26,7 +29,13 @@ Per-layer time of real runs comes from ``benchmarks/e2e/run.py --trace 1``.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +49,7 @@ from repro.models.layers import softmax
 from repro.specs import ExperimentSpec, Spec, SweepSpec, build_split
 from tests.models.test_warm_start import warm_workload
 from tests.oracles.data import unique_bag_of_words
+from tests.test_blas import openblas_function
 
 REPEATS = 3
 
@@ -154,3 +164,40 @@ def test_resumed_sweep_beats_its_cold_run(tmp_path):
         lambda: run_sweep(sweep, sweep_dir=tmp_path / "cold-0", resume=True)
     )
     assert resumed <= cold
+
+
+@pytest.mark.skipif(
+    openblas_function("openblas_read_env") is None or len(os.sched_getaffinity(0)) < 2,
+    reason="needs an OpenBLAS that exports openblas_read_env, and 2 CPUs",
+)
+def test_quiet_blas_threads_beat_the_default_spin(tmp_path):
+    """The ``cell_grid`` shape at half its repeats: 48 cells of MR 0.1,
+    4 rounds of 10, on 2 forked workers, one fresh ``repro compare``
+    process per run.  ``OPENBLAS_THREAD_TIMEOUT=28`` is OpenBLAS's
+    default spin, which the workers keep because a user's setting
+    wins."""
+    root = Path(__file__).resolve().parents[1]
+    queue_dir = tmp_path / "queue"
+    command = [
+        sys.executable, "-m", "repro", "compare", "--dataset", "mr", "--scale", "0.1",
+        "--seed", "7", "--strategies", "random", "entropy", "wshs:entropy", "fhs:entropy",
+        "--rounds", "4", "--batch-size", "10", "--repeats", "12", "--epochs", "5",
+        "--queue-dir", str(queue_dir), "--local-workers", "2",
+    ]
+    plain = {key: value for key, value in os.environ.items()
+             if key != "OPENBLAS_THREAD_TIMEOUT"}
+    plain["PYTHONPATH"] = str(root / "src")
+    spinning = dict(plain, OPENBLAS_THREAD_TIMEOUT="28")
+    digests = set()
+
+    def run(env: dict) -> None:
+        shutil.rmtree(queue_dir, ignore_errors=True)
+        stdout = subprocess.run(
+            command, env=env, cwd=root, capture_output=True, check=True
+        ).stdout
+        digests.add(hashlib.sha256(stdout).hexdigest())
+
+    run(plain)
+    run(spinning)
+    assert len(digests) == 1
+    assert best_of(lambda: run(plain)) <= best_of(lambda: run(spinning))

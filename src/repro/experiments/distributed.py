@@ -66,6 +66,7 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import socket
 import threading
@@ -75,6 +76,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
+from ..blas import quiet_idle_threads
 from ..exceptions import ConfigurationError, ExecutionError, QueueError
 from ..ioutil import atomic_write_json, check_fields, fsync_directory, parse_json, read_json
 from ..specs.experiment import OPTION_RULES, ExperimentSpec, check_option
@@ -212,6 +214,11 @@ class CellQueue:
         for name in self._SUBDIRS:
             (self.directory / name).mkdir(exist_ok=True)
         self._reap_counter = itertools.count()
+        # Cells whose done or failed marker this queue has seen.  Nothing
+        # removes a marker, so a seen cell is never checked again; pending
+        # and claimed cells are never cached.
+        self._seen_done: set[str] = set()
+        self._seen_failed: set[str] = set()
 
     # -- helpers ---------------------------------------------------------
 
@@ -292,8 +299,18 @@ class CellQueue:
             1 for _ in retry_dir.glob(f"{cell_id}.attempt-*")
         )
 
+    def _done(self, cell_id: str) -> bool:
+        if cell_id not in self._seen_done and self._done_path(cell_id).exists():
+            self._seen_done.add(cell_id)
+        return cell_id in self._seen_done
+
+    def _failed(self, cell_id: str) -> bool:
+        if cell_id not in self._seen_failed and self._failed_path(cell_id).exists():
+            self._seen_failed.add(cell_id)
+        return cell_id in self._seen_failed
+
     def _settled(self, cell_id: str) -> bool:
-        return self._done_path(cell_id).exists() or self._failed_path(cell_id).exists()
+        return cell_id in self._seen_failed or self._done(cell_id) or self._failed(cell_id)
 
     def _try_reap(self, cell_id: str) -> bool:
         """Reclaim one stale lease via atomic rename (single winner)."""
@@ -340,7 +357,7 @@ class CellQueue:
                         {"owner": owner, "claimed_at": now, "attempt": attempt}
                     )
                 )
-            if self._done_path(cell_id).exists():
+            if self._done(cell_id):
                 # The cell settled between the eligibility check and the
                 # claim; drop the lease rather than re-executing.
                 try:
@@ -397,6 +414,7 @@ class CellQueue:
         finally:
             os.close(fd)
         fsync_directory(marker.parent)
+        self._seen_done.add(cell_id)
         self.audit("committed", cell=cell_id, owner=claim.owner)
         self._drop_lease(claim)
         return True
@@ -492,9 +510,9 @@ class CellQueue:
         """Cell-state tallies: total/done/failed/claimed/pending."""
         done = failed = claimed = 0
         for ticket in self.tickets:
-            if self._done_path(ticket.cell_id).exists():
+            if self._done(ticket.cell_id):
                 done += 1
-            elif self._failed_path(ticket.cell_id).exists():
+            elif self._failed(ticket.cell_id):
                 failed += 1
             elif self._lease_path(ticket.cell_id).exists():
                 claimed += 1
@@ -868,6 +886,7 @@ def coordinate(
     on_error: str = "raise",
     timeout: "float | None" = None,
     poll: float = 0.5,
+    sentinels: "tuple[int, ...]" = (),
 ) -> "dict[str, StrategyResult]":
     """Watch a queue until it settles, then aggregate the results.
 
@@ -878,9 +897,16 @@ def coordinate(
     settled in time either raises (``on_error="raise"``) or force-
     quarantines the unsettled cells and degrades to skip semantics,
     aggregating whatever completed.
+
+    ``sentinels`` are the local workers' process sentinels.  The
+    coordinator waits on them instead of sleeping out ``poll``, so it
+    looks at the queue again as soon as a worker exits: the worker that
+    commits the last cell exits at once.  An exited worker's sentinel is
+    dropped; with none left the coordinator just polls.
     """
     queue = open_queue(queue_dir)
     deadline = None if timeout is None else time.monotonic() + timeout
+    running = list(sentinels)
     while not queue.settled():
         queue.reap_stale()
         if deadline is not None and time.monotonic() > deadline:
@@ -895,12 +921,22 @@ def coordinate(
                 f"coordinator timeout after {timeout}s"
             )
             break
-        time.sleep(poll)
+        if running:
+            for ended in multiprocessing.connection.wait(running, timeout=poll):
+                running.remove(ended)
+        else:
+            time.sleep(poll)
     return collect_results(queue, on_error=on_error)
 
 
-def _worker_process(queue_dir: str, owner: str, poll: float) -> None:
-    """Entry point of a locally spawned worker process (spawn-safe)."""
+def _worker_process(queue_dir: str, owner: str, poll: float, quiet_blas: bool) -> None:
+    """Entry point of a locally spawned worker process (spawn-safe).
+
+    With ``quiet_blas`` the worker first makes its idle BLAS threads
+    sleep at once (see :func:`run_distributed`).
+    """
+    if quiet_blas:
+        quiet_idle_threads()
     try:
         run_worker(queue_dir, owner=owner, poll=poll)
     except KeyboardInterrupt:
@@ -928,6 +964,12 @@ def run_distributed(
     the worker census did mid-run.  ``lease_ttl`` and ``max_retries``
     go into the queue envelope (see :func:`create_queue`).
 
+    More than one local worker oversubscribes the host (each splits its
+    BLAS products over every CPU), so each then makes its idle BLAS
+    threads sleep at once (:func:`repro.blas.quiet_idle_threads`); no
+    product is split or rounded differently.  A single worker, like a
+    serial grid, keeps the library's default spin.
+
     Interrupting the coordinator (Ctrl-C) terminates the local workers,
     releases the leases they still hold with an ``"interrupted"`` audit
     annotation — so the cells are instantly reclaimable instead of
@@ -952,7 +994,7 @@ def run_distributed(
     processes = [
         context.Process(
             target=_worker_process,
-            args=(str(queue_dir), owner, poll),
+            args=(str(queue_dir), owner, poll, workers > 1),
             daemon=True,
         )
         for owner in owners
@@ -961,7 +1003,8 @@ def run_distributed(
         process.start()
     try:
         results = coordinate(
-            queue_dir, on_error=on_error, timeout=timeout, poll=poll
+            queue_dir, on_error=on_error, timeout=timeout, poll=poll,
+            sentinels=tuple(process.sentinel for process in processes),
         )
     except BaseException:
         _stop_local_workers(queue, processes, owners, reason="interrupted")

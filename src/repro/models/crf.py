@@ -103,6 +103,18 @@ class LinearChainCRF(CRFTagger):
 
     # -- scores --------------------------------------------------------------
 
+    def _tables(self, dataset: SequenceDataset) -> dict:
+        """The fitted arrays, once every word id of ``dataset`` has a row
+        in the emission tables."""
+        params = self._require_fitted()
+        rows = params["U_curr"].shape[0]
+        if len(dataset.vocab) > rows:
+            raise ConfigurationError(
+                f"vocabulary mismatch: model has {rows} word rows, "
+                f"dataset has {len(dataset.vocab)} words"
+            )
+        return params
+
     def emissions(self, dataset: SequenceDataset) -> list[np.ndarray]:
         """Emission matrices of every sentence, computed batched.
 
@@ -110,7 +122,7 @@ class LinearChainCRF(CRFTagger):
         three component tables are gathered in one fancy-indexing pass —
         bit-for-bit equal to gathering them one sentence at a time.
         """
-        params = self._require_fitted()
+        params = self._tables(dataset)
         sentences = dataset.sentences
         output: list[np.ndarray | None] = [None] * len(sentences)
         for _length, rows in length_buckets([len(s) for s in sentences]):
@@ -141,6 +153,25 @@ class LinearChainCRF(CRFTagger):
             raise ConfigurationError(
                 "warm-start shape mismatch: previous CRF is "
                 f"{previous['U_curr'].shape}, dataset needs {expected}"
+            )
+
+    def _check_params(self, params: dict, meta: dict) -> None:
+        """Beyond the transitions, the three emission tables must be
+        matrices with ``T`` columns and one shared row count (the
+        vocabulary), and ``b`` must be ``(T,)``."""
+        super()._check_params(params, meta)
+        tags = meta["num_tags"]
+        words = params["U_curr"].shape[0] if params["U_curr"].ndim == 2 else None
+        for name in _COMPONENTS:
+            table = params[name]
+            if table.shape != (words, tags):
+                raise ConfigurationError(
+                    f"arrays.{name} must be a matrix with meta.num_tags ({tags}) "
+                    f"columns and the rows of arrays.U_curr, got shape {table.shape}"
+                )
+        if params["b"].shape != (tags,):
+            raise ConfigurationError(
+                f"arrays.b must have shape {(tags,)}, got {params['b'].shape}"
             )
 
     def _gradients(self, data, batch: np.ndarray, rng) -> dict:
@@ -201,7 +232,7 @@ class LinearChainCRF(CRFTagger):
         """
         if n_samples < 1:
             raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
-        params = self._require_fitted()
+        params = self._tables(dataset)
         sentences = dataset.sentences
         keeps = np.empty((len(sentences), n_samples, 3), dtype=bool)
         for keep in keeps.reshape(-1, 3):

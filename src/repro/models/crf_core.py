@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.datasets import SequenceDataset
-from ..exceptions import DataError
+from ..exceptions import ConfigurationError, DataError
 from .base import NumpyModel, SequenceLabeler
 from .batching import length_buckets
 
@@ -236,6 +236,17 @@ class CRFTagger(NumpyModel, SequenceLabeler):
         ids[real] = np.concatenate(dataset.sentences)
         tags[real] = np.concatenate(dataset.tag_sequences)
         return ids, tags, lengths
+
+    def _check_params(self, params: dict, meta: dict) -> None:
+        """``A`` must be ``(T, T)`` and ``start``/``end`` ``(T,)``, where
+        ``T`` is ``meta.num_tags``."""
+        tags = meta["num_tags"]
+        for name, shape in (("A", (tags, tags)), ("start", (tags,)), ("end", (tags,))):
+            if params[name].shape != shape:
+                raise ConfigurationError(
+                    f"arrays.{name} must have shape {shape} for meta.num_tags "
+                    f"({tags}), got {params[name].shape}"
+                )
 
     def _transitions(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """The fitted ``(A, start, end)`` transition parameters."""

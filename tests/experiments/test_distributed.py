@@ -9,6 +9,7 @@ Every scenario here is injected deterministically through
 hooks), so the whole matrix runs in CI without flakiness.
 """
 
+import collections
 import json
 import multiprocessing
 import os
@@ -19,8 +20,10 @@ import pytest
 
 from repro.exceptions import ConfigurationError, ExecutionError, QueueError
 from repro.experiments import ExperimentConfig, run_comparison
+from repro.experiments import distributed
 from repro.experiments.checkpoint import cell_stem
 from repro.experiments.distributed import (
+    CellQueue,
     collect_results,
     coordinate,
     create_queue,
@@ -298,6 +301,41 @@ class TestClaimProtocol:
             queue.commit(claim)
         assert queue.settled()
         assert queue.counts()["done"] == 4
+
+    def test_draining_checks_each_marker_a_bounded_number_of_times(self, tmp_path):
+        """Markers once seen are never checked again: one worker draining
+        300 cells checks O(N) markers, not the O(N^2) of walking every
+        settled cell on each claim."""
+        spec = make_spec()
+        spec.config = ExperimentConfig(**{**GRID_KWARGS, "repeats": 150})
+        queue = create_queue(tmp_path / "q", spec)
+        checks = collections.Counter()
+        for kind in ("done", "failed"):
+            path_of = getattr(queue, f"_{kind}_path")
+
+            def counted(cell_id, path_of=path_of, kind=kind):
+                checks[kind] += 1
+                return path_of(cell_id)
+
+            setattr(queue, f"_{kind}_path", counted)
+        while (claim := queue.claim("solo")) is not None:
+            queue.commit(claim)
+        assert sum(checks.values()) <= 4 * len(queue.tickets)
+        checks.clear()
+        assert queue.settled()
+        assert queue.counts()["done"] == len(queue.tickets) == 300
+        assert not checks
+
+    def test_a_failed_marker_seen_elsewhere_settles_the_cell(self, grid_spec, tmp_path):
+        queue = create_queue(tmp_path / "q", grid_spec)
+        other = open_queue(tmp_path / "q")
+        assert queue.counts()["pending"] == 4
+        other.quarantine_unsettled("coordinator timeout")
+        assert queue.settled()
+        assert queue.counts() == {
+            "total": 4, "done": 0, "failed": 4, "claimed": 0, "pending": 0,
+        }
+        assert queue.claim("late") is None
 
 
 class TestLeases:
@@ -660,3 +698,53 @@ class TestCoordinator:
         assert not (tmp_path / "q").exists()
         queue = create_queue(tmp_path / "q", grid_spec, lease_ttl=6.0, max_retries=2)
         assert (queue.lease_ttl, queue.max_attempts) == (6.0, 3)
+
+
+@needs_fork
+class TestLocalWorkers:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_only_several_workers_quiet_their_blas_threads(
+        self, grid_spec, tmp_path, monkeypatch, workers
+    ):
+        calls = tmp_path / "quieted"
+
+        def record():
+            with open(calls, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return 0
+
+        monkeypatch.setattr(distributed, "quiet_idle_threads", record)
+        run_distributed(grid_spec, tmp_path / "q", workers=workers, poll=0.05)
+        pids = calls.read_text().split() if calls.exists() else []
+        assert len(set(pids)) == len(pids) == (workers if workers > 1 else 0)
+        assert str(os.getpid()) not in pids
+
+    def test_a_worker_exit_wakes_the_coordinator(self, grid_spec, tmp_path):
+        queue_dir = tmp_path / "q"
+        create_queue(queue_dir, grid_spec)
+        worker = fork_process(_plain_worker, str(queue_dir), "solo")
+        started = time.monotonic()
+        coordinate(queue_dir, poll=60.0, sentinels=(worker.sentinel,))
+        assert time.monotonic() - started < 30.0
+        worker.join(timeout=10)
+        assert worker.exitcode == 0
+
+    def test_an_exited_worker_is_not_waited_on_again(
+        self, grid_spec, tmp_path, monkeypatch
+    ):
+        create_queue(tmp_path / "q", grid_spec)
+        exited = fork_process(int)
+        exited.join(timeout=10)
+        assert exited.exitcode == 0
+        passes = []
+        reap_stale = CellQueue.reap_stale
+        monkeypatch.setattr(
+            CellQueue, "reap_stale", lambda queue: passes.append(1) or reap_stale(queue)
+        )
+        with pytest.raises(ExecutionError, match="timed out"):
+            coordinate(
+                tmp_path / "q", timeout=0.5, poll=0.05, sentinels=(exited.sentinel,)
+            )
+        # About timeout / poll passes; waiting on the exited worker's
+        # sentinel again and again would make thousands.
+        assert len(passes) <= 30

@@ -8,6 +8,7 @@ import pytest
 from repro.data.datasets import SequenceDataset
 from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.ioutil import encode_array
 from repro.models.bilstm_crf import BiLSTMCRF
 from tests.oracles.models import (
     crf_forward,
@@ -195,3 +196,22 @@ class TestValidation:
         model = BiLSTMCRF(embedding_matrix=np.zeros((3, 4)))
         with pytest.raises(ConfigurationError):
             model.fit(ner_dataset.subset(range(10)))
+
+
+class TestSetParams:
+    @pytest.mark.parametrize("name, shape, message", [
+        ("A", (3, 4), r"arrays.A must have shape \(3, 3\)"),
+        ("start", (4,), r"arrays.start must have shape \(3,\)"),
+        ("end", (), r"arrays.end must have shape \(3,\) .*got \(\)"),
+    ])
+    def test_misshaped_transitions_are_a_configuration_error(
+        self, tiny_model_and_data, name, shape, message
+    ):
+        model, dataset = tiny_model_and_data
+        state = model.get_params()
+        state["arrays"][name] = encode_array(np.zeros(shape))
+        restored = model.clone()
+        with pytest.raises(ConfigurationError, match=message):
+            restored.set_params(state)
+        with pytest.raises(NotFittedError):
+            restored.predict_tags(dataset)

@@ -8,6 +8,7 @@ import pytest
 from repro.data.datasets import SequenceDataset
 from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.ioutil import encode_array
 from repro.models.crf import LinearChainCRF
 from tests.models.test_batched_equivalence import accumulate_sentence_grads
 from tests.oracles.models import (
@@ -214,3 +215,58 @@ class TestValidation:
     def test_bad_dropout(self):
         with pytest.raises(ConfigurationError):
             LinearChainCRF(feature_dropout=1.0)
+
+
+def reshaped(name: str, shape: tuple):
+    """A change to a stored state: array ``name`` replaced by zeros."""
+    return lambda arrays, meta: arrays.update({name: encode_array(np.zeros(shape))})
+
+
+class TestSetParams:
+    """A stored state must fit ``meta.num_tags`` (3 here) and one
+    vocabulary (10 words) before it is installed."""
+
+    @pytest.mark.parametrize("change, message", [
+        (reshaped("A", (3, 4)), r"arrays.A must have shape \(3, 3\)"),
+        (reshaped("start", (5,)), r"arrays.start must have shape \(3,\)"),
+        (reshaped("end", (3, 1)), r"arrays.end must have shape \(3,\)"),
+        (lambda arrays, meta: meta.update(num_tags=4),
+         r"arrays.A must have shape \(4, 4\) for meta.num_tags \(4\)"),
+        (reshaped("U_curr", (10, 4)), r"arrays.U_curr must be a matrix with meta.num_tags"),
+        (reshaped("U_curr", (10,)), r"arrays.U_curr must be a matrix"),
+        (reshaped("U_prev", (9, 3)), r"arrays.U_prev .* rows of arrays.U_curr, got shape \(9, 3\)"),
+        (reshaped("U_next", (10, 3, 1)), r"arrays.U_next must be a matrix"),
+        (reshaped("b", (4,)), r"arrays.b must have shape \(3,\), got \(4,\)"),
+    ])
+    def test_a_misshaped_state_is_a_configuration_error(self, tiny_crf, change, message):
+        model, dataset = tiny_crf
+        state = model.get_params()
+        change(state["arrays"], state["meta"])
+        restored = model.clone()
+        with pytest.raises(ConfigurationError, match=message):
+            restored.set_params(state)
+        with pytest.raises(NotFittedError):
+            restored.predict_tags(dataset)
+
+    def test_tables_narrower_than_the_vocabulary_are_a_mismatch(self, tiny_crf, rng):
+        model, dataset = tiny_crf
+        state = model.get_params()
+        for name in ("U_curr", "U_prev", "U_next"):
+            reshaped(name, (7, 3))(state["arrays"], state["meta"])
+        restored = model.clone().set_params(state)
+        for score in (
+            restored.emissions,
+            restored.predict_tags,
+            lambda data: restored.token_marginal_samples(data, 2, rng),
+        ):
+            with pytest.raises(ConfigurationError, match="vocabulary mismatch: model has 7"):
+                score(dataset)
+
+    def test_a_wider_vocabulary_is_a_mismatch(self, tiny_crf):
+        model, dataset = tiny_crf
+        wider = SequenceDataset(
+            dataset.sentences, dataset.tag_sequences,
+            Vocabulary([f"t{i}" for i in range(12)]), dataset.tag_names,
+        )
+        with pytest.raises(ConfigurationError, match="dataset has 14 words"):
+            model.best_path_log_proba(wider)
